@@ -177,6 +177,7 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
     mass between two coordinates (an l1 move of at most delta, exactly
     simplex-preserving), pushes the perturbed point to its minimal face
     carrier, and checks that its image keeps an edge to the base image.
+    Points drawn on a vertex cannot move and are not counted as ``checked``.
 
     Failures are possible when delta exceeds a point's coordinate gap on a
     one-way edge; each failure is retried at halved radii and the first
@@ -185,10 +186,13 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
     delta = Fraction(delta)
     if delta <= 0:
         raise InputError("perturbation radius must be positive")
+    if samples < 0:
+        raise InputError("sample count must be nonnegative")
     rng = random.Random(seed)
     all_simplices = list(k.simplices())
     if not all_simplices:
         return SampleReport(samples, delta, seed, 0, ())
+    checked = 0
     failures = []
     for idx in range(samples):
         s = all_simplices[rng.randrange(len(all_simplices))]
@@ -200,7 +204,8 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
         base = RealizationPoint(w, coords)
         base_value = evaluate_fx(base)
         if d == 1:
-            continue  # no room to move inside a vertex
+            continue  # no room to move inside a vertex: not checked
+        checked += 1
         i, j = rng.sample(range(d), 2)
         amount = min(delta * rng.randint(0, 1000) / 2000, coords[i])
 
@@ -221,4 +226,4 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
         failures.append(
             SampleFailure(idx, s, base_value, perturbed_value, pass_delta)
         )
-    return SampleReport(samples, delta, seed, samples, tuple(failures))
+    return SampleReport(samples, delta, seed, checked, tuple(failures))

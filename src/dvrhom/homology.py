@@ -3,7 +3,9 @@
 Simplices are oriented by their sorted vertex tuple, independent of the
 witness ordering used during construction, so boundary signs are
 reproducible.  Integer homology comes out of Smith normal forms of the
-boundary matrices; field homology is plain rank counting.
+boundary matrices; field homology is plain rank counting.  Both start with
+the sparse unit-pivot elimination of ``matrices``, which leaves little or
+nothing for the dense Smith form or field elimination.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from .complexes import f_vector
 from .digraph import InputError
 from .matrices import (
     IntegerMatrix,
+    _unit_eliminate,
     field_matmul,
     field_nullspace,
     field_rank,
@@ -127,9 +130,10 @@ def homology_field(k, field_spec):
     if not fv:
         return []
     top = len(fv) - 1
-    ranks = [
-        field_rank(boundary_matrix(k, n).to_rows(), p) for n in range(top + 2)
-    ]
+    ranks = []
+    for n in range(top + 2):
+        ones, core = _unit_eliminate(boundary_matrix(k, n))
+        ranks.append(ones + field_rank(core, p))
     return [fv[n] - ranks[n] - ranks[n + 1] for n in range(top + 1)]
 
 

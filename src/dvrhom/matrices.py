@@ -1,15 +1,23 @@
 """Exact linear algebra kernels: integer Smith normal form, field elimination.
 
 Everything runs on Python integers and fractions, so there is no overflow
-and no floating point anywhere.  The Smith normal form pivots on a minimal
-absolute value entry each round, which keeps coefficient growth tame on the
-sparse boundary matrices this package produces.
+and no floating point anywhere.  ``invariant_factors`` (and the field
+ranks of boundary matrices in ``homology``) start with a sparse elimination
+of every +-1 pivot, ``_unit_eliminate``: rows are kept as ``{col: value}``
+dicts, pivots are taken in order of Markowitz cost to limit fill-in, and the
+moves are unimodular, so each unit pivot contributes one invariant factor 1
+(one unit of rank over any field).  Boundary matrices almost always reduce
+to nothing this way.  Only the non-unit core left over goes through the
+dense Smith normal form, which pivots on a minimal absolute value entry each
+round to keep coefficient growth tame.  ``smith_normal_form``, which also
+returns the transforms, stays dense throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .digraph import InputError
 
@@ -233,6 +241,100 @@ def _diagonalize(a, m, n, track):
     return [a[i][i] for i in range(t)], u, v
 
 
+def _unit_eliminate(a):
+    """Eliminate the +-1 pivots of an IntegerMatrix; returns (ones, core).
+
+    Each round takes the +-1 entry of least Markowitz cost
+    ``(row nnz - 1) * (col nnz - 1)`` (ties to the lowest row, then column),
+    clears its column with integer row operations and drops its row and
+    column; clearing the pivot row by column operations would touch nothing
+    else.  Rounds stop when no +-1 entry is left.  ``ones`` counts the
+    pivots and ``core`` is the leftover nonzero block as dense rows, so the
+    invariant factors of ``a`` are ``(1,) * ones`` followed by those of
+    ``core``, and its rank over any field is ``ones`` plus the core's.
+    """
+    rows = {}  # row -> {col: value}
+    cols = {}  # col -> set of rows with an entry there
+    for (i, j), v in a.entries.items():
+        rows.setdefault(i, {})[j] = v
+        cols.setdefault(j, set()).add(i)
+    # Heap of (cost, row, col) candidates.  Invariant: every +-1 entry has a
+    # candidate whose cost is at most its current cost, so a popped
+    # candidate at exactly its current cost is the least one.  Units are
+    # pushed again when their cost drops or their value changes; a
+    # candidate popped below its current cost is pushed back at that cost.
+    heap = [
+        ((len(rows[i]) - 1) * (len(cols[j]) - 1), i, j)
+        for (i, j), v in a.entries.items()
+        if v == 1 or v == -1
+    ]
+    heapify(heap)
+    ones = 0
+    while heap:
+        cost, r, c = heappop(heap)
+        prow = rows.get(r)
+        v = prow.get(c) if prow is not None else None
+        if v != 1 and v != -1:
+            continue
+        now = (len(prow) - 1) * (len(cols[c]) - 1)
+        if cost != now:
+            if cost < now:
+                heappush(heap, (now, r, c))
+            continue
+        ones += 1
+        del rows[r]
+        pcol = cols.pop(c)
+        pcol.discard(r)
+        del prow[c]
+        before = {j: len(cols[j]) for j in prow}
+        for j in prow:
+            cols[j].discard(r)
+        shrunk = set()
+        for i in pcol:
+            row = rows[i]
+            old = len(row)
+            f = row.pop(c) * v  # v is its own inverse
+            for j, x in prow.items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = y
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if not row:
+                del rows[i]
+            elif len(row) < old:
+                shrunk.add(i)
+        for j in prow:
+            if not cols[j]:
+                del cols[j]
+        # The combined rows changed in the pivot row's columns, so their
+        # units there may be new; elsewhere only a shorter row lowers costs.
+        for i in pcol:
+            row = rows.get(i)
+            if row is not None:
+                n = len(row) - 1
+                for j, x in row.items():
+                    if (x == 1 or x == -1) and (j in before or i in shrunk):
+                        heappush(heap, (n * (len(cols[j]) - 1), i, j))
+        # The other rows changed nowhere; their costs dropped in the pivot
+        # row's columns that got shorter.
+        for j, b in before.items():
+            col = cols.get(j)
+            if col is not None and len(col) < b:
+                n = len(col) - 1
+                for i in col:
+                    if i not in pcol:
+                        x = rows[i][j]
+                        if x == 1 or x == -1:
+                            heappush(heap, ((len(rows[i]) - 1) * n, i, j))
+    order = sorted(cols)
+    core = [[rows[i].get(j, 0) for j in order] for i in sorted(rows)]
+    return ones, core
+
+
 def smith_normal_form(a):
     """Full Smith normal form of an IntegerMatrix, transforms included."""
     work = a.to_rows()
@@ -242,9 +344,9 @@ def smith_normal_form(a):
 
 def invariant_factors(a):
     """Just the diagonal of the Smith form (cheaper: no transforms kept)."""
-    work = a.to_rows()
-    d, _, _ = _diagonalize(work, a.rows, a.cols, track=False)
-    return tuple(d)
+    ones, core = _unit_eliminate(a)
+    d, _, _ = _diagonalize(core, len(core), len(core[0]) if core else 0, track=False)
+    return (1,) * ones + tuple(d)
 
 
 def integer_rank(a):

@@ -182,6 +182,15 @@ def _main_with_stdin(argv, text):
         sys.stdin = old
 
 
+def test_fx_sample_rejects_negative_sample_count(capsys):
+    _, gen_text = run(["gen", "circulant", "--n", "6", "--m", "2"])
+    code = _main_with_stdin(["fx-sample", "--samples", "-5"], gen_text)
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert "sample count" in doc["error"]["message"]
+    assert "checked" not in doc
+
+
 def test_error_report_is_structured(capsys):
     code = _main_with_stdin(["homology"], "not json at all")
     captured = capsys.readouterr()

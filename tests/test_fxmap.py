@@ -198,6 +198,33 @@ def test_sampled_check_barycenter_perturbations_stay_in_neighborhood():
                 assert g.has_edge(evaluate_fx(moved), base)
 
 
+def test_sampled_check_counts_only_checked_samples():
+    # Samples drawn on a vertex cannot be perturbed, so they are not checked.
+    g = from_edge_list(3, [])
+    rep = sampled_continuity_check(build_complex(g), g, 50, Fraction(1, 10), seed=0)
+    assert rep.samples == 50
+    assert rep.checked == 0
+    assert rep.failure_rate == 0
+
+    g = figure_digraph("left")
+    k = build_complex(g)
+    vertices = len(k.by_dimension[0])
+    total = sum(len(level) for level in k.by_dimension)
+    rep = sampled_continuity_check(k, g, 4000, Fraction(1, 4), seed=3)
+    skipped = rep.samples - rep.checked
+    assert abs(skipped / rep.samples - vertices / total) < 0.05
+    assert rep.failure_count > 0
+    assert rep.failure_rate == Fraction(rep.failure_count, rep.checked)
+
+
+def test_sampled_check_rejects_negative_sample_count():
+    g = circulant(3, 1)
+    k = build_complex(g)
+    with pytest.raises(InputError):
+        sampled_continuity_check(k, g, -5, Fraction(1, 10), seed=0)
+    assert sampled_continuity_check(k, g, 0, Fraction(1, 10), seed=0).checked == 0
+
+
 def test_sampled_check_rejects_bad_delta():
     g = circulant(3, 1)
     k = build_complex(g)
