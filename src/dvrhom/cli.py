@@ -49,6 +49,43 @@ def _digraph_doc(g):
     return {"schema": SCHEMA, "vertices": labels, "edges": edges}
 
 
+def _list_of(x, ok):
+    return type(x) is list and all(map(ok, x))
+
+
+def _is_label(x):
+    return type(x) in (str, int, float)
+
+
+# Each document key the CLI reads, with the test each item of its list passes.
+_SHAPES = {
+    "vertices": ("vertex labels", _is_label),
+    "edges": ("[u, v] label pairs", lambda e: _list_of(e, _is_label) and len(e) == 2),
+    "simplices": (
+        'objects with integer lists "verts" and (optional) "witness"',
+        lambda s: type(s) is dict
+        and all(
+            _list_of(v, lambda x: type(x) is int)  # so no bool either
+            for v in (s.get("verts"), s.get("witness", []))
+        ),
+    ),
+}
+
+
+def _read_json(text):
+    """Parse a JSON document and check the shape of every key the CLI reads."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"malformed json input: {e}") from None
+    if type(doc) is not dict:
+        raise InputError("input json must be an object")
+    for key, (what, ok) in _SHAPES.items():
+        if not _list_of(doc.get(key, []), ok):
+            raise InputError(f"{key!r} must be a list of {what}")
+    return doc
+
+
 def _digraph_from_doc(doc):
     labels = [str(x) for x in doc.get("vertices", [])]
     index = {lab: i for i, lab in enumerate(labels)}
@@ -56,8 +93,6 @@ def _digraph_from_doc(doc):
         raise InputError("vertex labels must be unique")
     edges = []
     for pair in doc.get("edges", []):
-        if len(pair) != 2:
-            raise InputError(f"edge {pair!r} is not a pair")
         resolved = []
         for entry in pair:
             if isinstance(entry, str) and entry in index:
@@ -106,11 +141,7 @@ def parse_digraph(source, format="json"):
     if format == "edgelist":
         return _parse_edgelist(source)
     if format == "json":
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as e:
-            raise InputError(f"malformed json input: {e}") from None
-        return _digraph_from_doc(doc)
+        return _digraph_from_doc(_read_json(source))
     raise InputError(f"unknown input format {format!r}")
 
 
@@ -145,10 +176,7 @@ def _load_input(args, stdin):
     if getattr(args, "format", "json") == "edgelist":
         g = _parse_edgelist(text)
         return "digraph", g, _strip_meta(_digraph_doc(g))
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"malformed json input: {e}") from None
+    doc = _read_json(text)
     if "simplices" in doc:
         k = _complex_from_doc(doc)
         return "complex", k, _strip_meta(_complex_doc(k), kind="complex")

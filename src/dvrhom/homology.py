@@ -5,12 +5,17 @@ witness ordering used during construction, so boundary signs are
 reproducible.  Integer homology comes out of Smith normal forms of the
 boundary matrices; field homology is plain rank counting.  Both start with
 the sparse unit-pivot elimination of ``matrices``, which leaves little or
-nothing for the dense Smith form or field elimination.
+nothing for the dense Smith form or field elimination.  The long exact
+sequence check needs explicit homology classes, not just ranks: in each
+degree one sparse echelon basis over the field, ``_Echelon``, takes the
+boundaries and then the cycles, picks the homology representatives and
+writes any cycle in terms of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .complexes import f_vector
 from .digraph import InputError
@@ -18,10 +23,7 @@ from .matrices import (
     IntegerMatrix,
     _unit_eliminate,
     field_matmul,
-    field_nullspace,
     field_rank,
-    field_rref,
-    field_solve,
     invariant_factors,
 )
 
@@ -149,7 +151,7 @@ def _relative_bases(k, sub):
     ]
 
 
-def _relative_boundary(k, bases, n):
+def _relative_boundary(bases, n):
     cols = bases[n] if n < len(bases) else []
     rows = bases[n - 1] if 0 < n <= len(bases) else []
     mat = IntegerMatrix(len(rows), len(cols))
@@ -178,7 +180,7 @@ def relative_homology(k, sub):
     top = len(fv) - 1
     bases = _relative_bases(k, sub)
     factors = [
-        invariant_factors(_relative_boundary(k, bases, n)) for n in range(top + 2)
+        invariant_factors(_relative_boundary(bases, n)) for n in range(top + 2)
     ]
     groups = []
     for n in range(top + 1):
@@ -208,76 +210,108 @@ class ExactnessReport:
     exact: bool
 
 
+class _Echelon:
+    """Sparse vectors in echelon form over Q (p=None) or Z_p.
+
+    Vectors are ``{index: value}`` dicts.  Each stored vector is scaled to 1
+    at its pivot, its largest index, and carries a tag: a second vector to
+    which every row operation on it is applied as well, so the tag writes
+    the stored vector in terms of whatever its inputs were tagged with.
+    """
+
+    def __init__(self, p):
+        if p is None:
+            # +-1 is its own inverse: pivots of boundaries stay ints, which
+            # keeps Fraction arithmetic out of the common case.
+            self.norm = lambda x: x
+            self.inv = lambda x: x if x in (1, -1) else 1 / Fraction(x)
+        else:
+            self.norm = lambda x: x % p
+            self.inv = lambda x: pow(x, p - 2, p)
+        self.rows = {}  # pivot -> (vector, tag)
+
+    def subtract(self, acc, f, vec):
+        """``acc -= f * vec`` in place, dropping the entries that vanish."""
+        norm = self.norm
+        for i, x in vec.items():
+            if y := norm(acc.get(i, 0) - f * x):
+                acc[i] = y
+            else:
+                del acc[i]
+
+    def reduce(self, vec, tag=()):
+        """Residual of ``vec`` against the stored vectors, and its tag.
+
+        Only pivots are cleared, so the residual is zero exactly when
+        ``vec`` lies in the span of the stored vectors.
+        """
+        vec = {i: y for i, x in vec.items() if (y := self.norm(x))}
+        tag = dict(tag)
+        while vec and (pivot := max(vec)) in self.rows:
+            f, (stored, stored_tag) = vec[pivot], self.rows[pivot]
+            self.subtract(vec, f, stored)
+            self.subtract(tag, f, stored_tag)
+        return vec, tag
+
+    def add(self, vec, tag):
+        """Store ``vec`` unless it reduces to zero; returns ``reduce``'s pair."""
+        vec, tag = self.reduce(vec, tag)
+        if vec:
+            pivot = max(vec)
+            norm, s = self.norm, self.inv(vec[pivot])
+            self.rows[pivot] = tuple(
+                {i: norm(x * s) for i, x in v.items()} for v in (vec, tag)
+            )
+        return vec, tag
+
+
+def _boundary_columns(bases, n):
+    """The n-th boundary map over ``bases`` as one sparse dict per column."""
+    cols = [{} for _ in (bases[n] if n < len(bases) else ())]
+    for (i, j), v in _relative_boundary(bases, n).entries.items():
+        cols[j][i] = v
+    return cols
+
+
 class _FieldComplex:
-    """Chain complex over a field with explicit homology coordinates."""
+    """Chain complex over a field with explicit homology coordinates.
 
-    def __init__(self, bases, boundaries, p):
-        self.bases = bases
-        self.p = p
-        self.dims = [len(b) for b in bases]
-        self.cycle_basis = []
-        self.boundary_cols = []
-        self.hom_reps = []
-        self._solver_matrix = []
-        top = len(bases) - 1
-        for n in range(top + 1):
-            rows = boundaries[n]
-            cycles = field_nullspace(rows, self.dims[n], p)
-            nxt = boundaries[n + 1] if n + 1 <= top else []
-            bcols = self._independent_columns(nxt, self.dims[n])
+    In each degree n the columns of the boundary map of degree n + 1 are
+    reduced into one echelon basis, tagged with the chains they come from;
+    a column that reduces to zero leaves its chain as a cycle of degree
+    n + 1.  With the chains dropped (boundaries are zero in homology), the
+    same basis then takes the cycles of degree n in order.  A cycle that is
+    stored is a homology representative, tagged with its own index, so
+    every tag gives its vector's class in terms of the representatives.
+    """
+
+    def __init__(self, bases, p):
+        self.hom_reps, self.spans = [], []
+        cycles = [{j: 1} for j in range(len(bases[0]))]
+        for n in range(len(bases)):
+            span, next_cycles = _Echelon(p), []
+            for j, col in enumerate(_boundary_columns(bases, n + 1)):
+                vec, chain = span.add(col, {j: 1})
+                if not vec:
+                    next_cycles.append(chain)
+            span.rows = {i: (vec, {}) for i, (vec, _) in span.rows.items()}
             reps = []
-            span = [list(c) for c in bcols]
             for z in cycles:
-                if field_solve(_cols_to_rows(span, self.dims[n]), z, p) is None:
-                    span.append(list(z))
-                    reps.append(list(z))
-            self.cycle_basis.append(cycles)
-            self.boundary_cols.append(bcols)
+                if span.add(z, {len(reps): 1})[0]:
+                    reps.append(z)
             self.hom_reps.append(reps)
-            self._solver_matrix.append(_cols_to_rows(span, self.dims[n]))
-
-    def _independent_columns(self, rows, nrows):
-        if not rows or not rows[0]:
-            return []
-        _, pivots = field_rref(rows, self.p)
-        return [[row[j] for row in rows] for j in pivots]
-
-    def hom_dim(self, n):
-        if 0 <= n < len(self.dims):
-            return len(self.hom_reps[n])
-        return 0
+            self.spans.append(span)
+            cycles = next_cycles
 
     def coords(self, n, chain):
-        """Homology coordinates of a cycle given as a chain vector."""
-        nb = len(self.boundary_cols[n])
-        x = field_solve(self._solver_matrix[n], chain, self.p)
-        if x is None:
+        """Homology coordinates of a cycle given as a sparse chain."""
+        span = self.spans[n]
+        vec, tag = span.reduce(chain)
+        if vec:
             raise InputError("vector is not a cycle of the chain complex")
-        return x[nb:]
-
-
-def _cols_to_rows(cols, nrows):
-    return [[col[i] for col in cols] for i in range(nrows)]
-
-
-def _dense_boundary_rows(bases, n):
-    cols = bases[n] if n < len(bases) else []
-    rows = bases[n - 1] if 0 < n <= len(bases) else []
-    out = [[0] * len(cols) for _ in range(len(rows))]
-    if n == 0 or not cols or not rows:
-        return out
-    row_pos = {s: i for i, s in enumerate(rows)}
-    for j, simplex in enumerate(cols):
-        for i in range(len(simplex)):
-            face = simplex[:i] + simplex[i + 1 :]
-            r = row_pos.get(face)
-            if r is not None:
-                out[r][j] = 1 if i % 2 == 0 else -1
-    return out
-
-
-def _zero_rows(nrows, ncols):
-    return [[0] * ncols for _ in range(nrows)]
+        # chain is a combination of stored vectors, each equal in homology
+        # to its tag; reduce subtracted that combination from the tag.
+        return [span.norm(-tag.get(h, 0)) for h in range(len(self.hom_reps[n]))]
 
 
 def les_exactness_check(k, sub, field_spec):
@@ -292,90 +326,67 @@ def les_exactness_check(k, sub, field_spec):
     label = "q" if p is None else f"zp:{p}"
     if not k.by_dimension:
         return ExactnessReport(label, [], True)
-    top = k.dim
 
     x_bases = [list(level) for level in k.by_dimension]
-    a_bases = [
-        [s for s in level if s in sub.index] for level in k.by_dimension
-    ]
+    a_bases = [[s for s in level if s in sub.index] for level in k.by_dimension]
     r_bases = _relative_bases(k, sub)
+    cx, ca, cr = (_FieldComplex(b, p) for b in (x_bases, a_bases, r_bases))
+    x_pos, a_pos, r_pos = (
+        [{s: i for i, s in enumerate(level)} for level in b]
+        for b in (x_bases, a_bases, r_bases)
+    )
 
-    def dense(bases):
-        return [_dense_boundary_rows(bases, n) for n in range(top + 2)]
-
-    cx = _FieldComplex(x_bases, dense(x_bases), p)
-    ca = _FieldComplex(a_bases, dense(a_bases), p)
-    cr = _FieldComplex(r_bases, dense(r_bases), p)
-
-    x_pos = [{s: i for i, s in enumerate(level)} for level in x_bases]
-    a_pos = [{s: i for i, s in enumerate(level)} for level in a_bases]
-    bd_x = [_dense_boundary_rows(x_bases, n) for n in range(top + 1)]
-
+    # Each induced map is a list of columns: the coordinates of the image of
+    # each representative of its domain.
     def inclusion_map(n):
-        cols = []
-        for rep in ca.hom_reps[n]:
-            vec = [0] * len(x_bases[n])
-            for s, c in zip(a_bases[n], rep):
-                vec[x_pos[n][s]] = c
-            cols.append(cx.coords(n, vec))
-        return _cols_to_rows(cols, cx.hom_dim(n))
+        pos = [x_pos[n][s] for s in a_bases[n]]
+        return [
+            cx.coords(n, {pos[i]: c for i, c in rep.items()})
+            for rep in ca.hom_reps[n]
+        ]
 
     def quotient_map(n):
-        cols = []
-        for rep in cx.hom_reps[n]:
-            vec = [rep[x_pos[n][s]] for s in r_bases[n]]
-            cols.append(cr.coords(n, vec))
-        return _cols_to_rows(cols, cr.hom_dim(n))
+        pos = [r_pos[n].get(s) for s in x_bases[n]]
+        return [
+            cr.coords(n, {pos[i]: c for i, c in rep.items() if pos[i] is not None})
+            for rep in cx.hom_reps[n]
+        ]
 
     def connecting_map(n):
         # Lift a relative cycle to a chain, take its boundary inside sub.
+        if n == 0:
+            return []
+        faces = x_bases[n - 1]
+        bd = _boundary_columns([faces, r_bases[n]], 1)
         cols = []
         for rep in cr.hom_reps[n]:
-            lifted = [0] * len(x_bases[n])
-            for s, c in zip(r_bases[n], rep):
-                lifted[x_pos[n][s]] = c
-            rows = bd_x[n]
-            image = [sum(r * c for r, c in zip(row, lifted)) for row in rows]
-            if p is not None:
-                image = [v % p for v in image]
-            target = [0] * len(a_bases[n - 1]) if n > 0 else []
-            for s, v in zip(x_bases[n - 1] if n > 0 else [], image):
-                if s in a_pos[n - 1]:
-                    target[a_pos[n - 1][s]] = v
-                elif v:
-                    raise InputError("relative cycle boundary escaped the subcomplex")
-            if n == 0:
-                cols.append([])
-            else:
-                cols.append(ca.coords(n - 1, target))
-        height = ca.hom_dim(n - 1) if n > 0 else 0
-        return _cols_to_rows(cols, height)
+            image = {}
+            for j, c in rep.items():
+                cr.spans[n].subtract(image, -c, bd[j])
+            if any(faces[i] not in a_pos[n - 1] for i in image):
+                raise InputError("relative cycle boundary escaped the subcomplex")
+            target = {a_pos[n - 1][faces[i]]: v for i, v in image.items()}
+            cols.append(ca.coords(n - 1, target))
+        return cols
 
     nodes = []
-    maps = []
-    names = []
-    for n in range(top, -1, -1):
-        names.append((f"H{n}(A)", ca.hom_dim(n)))
-        maps.append(inclusion_map(n))
-        names.append((f"H{n}(X)", cx.hom_dim(n)))
-        maps.append(quotient_map(n))
-        names.append((f"H{n}(X,A)", cr.hom_dim(n)))
-        maps.append(connecting_map(n))
-
-    all_exact = True
-    for q, (name, dim_q) in enumerate(names):
-        out_m = maps[q]
-        in_m = maps[q - 1] if q > 0 else _zero_rows(dim_q, 0)
-        rank_in = field_rank(in_m, p) if in_m and in_m[0] else 0
-        rank_out = field_rank(out_m, p) if out_m and out_m[0] else 0
-        composite_zero = True
-        if q > 0 and in_m and in_m[0] and out_m:
-            prod = field_matmul(out_m, in_m, p)
-            composite_zero = all(not v for row in prod for v in row)
-        exact = composite_zero and (rank_in + rank_out == dim_q)
-        all_exact = all_exact and exact
-        nodes.append(NodeReport(name, dim_q, rank_in, rank_out, exact))
-    return ExactnessReport(label, nodes, all_exact)
+    into = []  # the map into the next node
+    for n in range(k.dim, -1, -1):
+        for name, c, induced in (
+            (f"H{n}(A)", ca, inclusion_map),
+            (f"H{n}(X)", cx, quotient_map),
+            (f"H{n}(X,A)", cr, connecting_map),
+        ):
+            out = induced(n)
+            # Columns are the transpose: same rank, and (out into)^T = into^T out^T.
+            rank_in, rank_out = field_rank(into, p), field_rank(out, p)
+            dim = len(c.hom_reps[n])
+            exact = rank_in + rank_out == dim and not any(
+                map(any, field_matmul(into, out, p))
+            )
+            nodes.append(NodeReport(name, dim, rank_in, rank_out, exact))
+            into = out
+    return ExactnessReport(label, nodes, all(node.exact for node in nodes))
 
 
 # ---------------------------------------------------------------------------

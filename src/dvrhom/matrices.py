@@ -426,45 +426,6 @@ def field_rank(rows, p=None):
     return len(field_rref(rows, p)[1])
 
 
-def field_nullspace(rows, ncols, p=None):
-    """Basis of the right nullspace, one vector per free column."""
-    if not rows:
-        basis = []
-        for j in range(ncols):
-            e = [Fraction(0)] * ncols if p is None else [0] * ncols
-            e[j] = Fraction(1) if p is None else 1
-            basis.append(e)
-        return basis
-    rref, pivots = field_rref(rows, p)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for j in free:
-        vec = [Fraction(0)] * ncols if p is None else [0] * ncols
-        vec[j] = Fraction(1) if p is None else 1
-        for r, c in enumerate(pivots):
-            x = rref[r][j]
-            vec[c] = -x if p is None else (-x) % p
-        basis.append(vec)
-    return basis
-
-
-def field_solve(rows, rhs, p=None):
-    """One solution of A x = b over the field, or None if inconsistent."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    if m == 0:
-        return [Fraction(0)] * n if p is None else [0] * n
-    rref, pivots = field_rref(aug, p)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n if p is None else [0] * n
-    for r, c in enumerate(pivots):
-        x[c] = rref[r][n]
-    return x
-
-
 def field_matmul(a, b, p=None):
     if not a or not b:
         return []

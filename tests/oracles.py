@@ -62,28 +62,55 @@ def clique_complex_faces(g):
     return faces
 
 
-def rational_rank(rows):
-    """Matrix rank by straightforward fraction elimination."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(a[0]) if a else 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(a)):
-            if a[i][col]:
-                pivot = i
-                break
+def dense_rref(rows, p=None):
+    """Reduced row echelon form over Q (p=None) or Z_p, and its pivot columns."""
+    norm = (lambda x: x) if p is None else (lambda x: x % p)
+    a = [[Fraction(x) if p is None else x % p for x in row] for row in rows]
+    pivots = []
+    for col in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][col]), None)
         if pivot is None:
             continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = 1 / a[r][col] if p is None else pow(a[r][col], p - 2, p)
+        a[r] = [norm(x * inv) for x in a[r]]
         for i in range(len(a)):
-            if i != rank and a[i][col]:
+            if i != r and a[i][col]:
                 f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
+                a[i] = [norm(x - f * y) for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots
+
+
+def rational_rank(rows):
+    """Matrix rank by straightforward fraction elimination."""
+    return len(dense_rref(rows)[1])
+
+
+def field_nullspace(rows, ncols, p=None):
+    """Basis of the right nullspace, one vector per free column."""
+    rref, pivots = dense_rref(rows, p)
+    basis = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        vec = [0] * ncols
+        vec[j] = 1
+        for r, c in enumerate(pivots):
+            vec[c] = -rref[r][j] if p is None else -rref[r][j] % p
+        basis.append(vec)
+    return basis
+
+
+def field_solve(rows, rhs, p=None):
+    """One solution of A x = b over the field, or None if inconsistent."""
+    n = len(rows[0]) if rows else 0
+    rref, pivots = dense_rref([list(row) + [b] for row, b in zip(rows, rhs)], p)
+    if n in pivots:
+        return None
+    x = [0] * n
+    for r, c in enumerate(pivots):
+        x[c] = rref[r][n]
+    return x
 
 
 def find_isomorphism(g, h):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from dvrhom import figure_digraph
+from dvrhom import InputError, figure_digraph
 from dvrhom.cli import main, parse_digraph, run_command
 
 
@@ -198,6 +198,26 @@ def test_error_report_is_structured(capsys):
     doc = json.loads(captured.out)
     assert doc["schema"] == "1"
     assert "message" in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"simplices": [{}]}', "'simplices'"),
+        ('{"vertices": ["a", "b"], "edges": null}', "'edges'"),
+        ('{"vertices": "abc"}', "'vertices'"),
+        ('{"vertices": ["a", "b"], "edges": [["a"]]}', "'edges'"),
+        ('{"simplices": [{"verts": [0, true]}]}', "'simplices'"),
+        ("[1, 2]", "object"),
+    ],
+)
+def test_malformed_documents_are_input_errors(capsys, text, key):
+    code = _main_with_stdin(["homology"], text)
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert key in doc["error"]["message"]
+    with pytest.raises(InputError, match=key):
+        parse_digraph(text)
 
 
 def test_out_flag_writes_file(tmp_path):

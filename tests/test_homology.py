@@ -250,6 +250,23 @@ def test_les_random_campaign():
             assert les_exactness_check(k, sub, field).exact
 
 
+def test_les_over_q_on_a_420_simplex_pair():
+    k = build_complex(random_digraph(14, 0.5, 1))
+    sub = restrict_to(k, tuple(range(6)))
+    assert sum(f_vector(k)) == 420
+    rep = les_exactness_check(k, sub, "q")
+    assert rep.exact
+    dims = {n.name: n.dim for n in rep.nodes}
+    betti = {
+        "X": homology_field(k, "q"),
+        "A": homology_field(sub, "q"),
+        "X,A": list(relative_homology(k, sub).betti_numbers()),
+    }
+    for space, values in betti.items():
+        values += [0] * (k.dim + 1 - len(values))
+        assert [dims[f"H{n}({space})"] for n in range(k.dim + 1)] == values
+
+
 def test_pi1_tree_is_trivial():
     path = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
     pres = pi1_presentation(build_complex(path), 0)

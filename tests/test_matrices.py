@@ -11,8 +11,8 @@ from dvrhom import (
     invariant_factors,
     smith_normal_form,
 )
-from dvrhom.matrices import field_matmul, field_nullspace, field_solve
-from oracles import rational_rank
+from dvrhom.matrices import field_matmul
+from oracles import field_nullspace, field_solve, rational_rank
 
 
 def gcd_of_entries(rows):
