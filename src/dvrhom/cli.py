@@ -7,12 +7,14 @@ are byte-identical across runs on identical input (sorted keys, no
 timestamps).
 
 Exit codes: 0 success, 1 domain error (structured error report on stdout),
-2 usage error.
+2 usage error, 3 internal error (an unexpected exception, reported the same
+way as a domain error, without a traceback).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -244,7 +246,10 @@ def _parse_fraction(text):
         raise InputError(f"bad rational number {text!r}") from None
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    # Built on first use and shared by every later call: parse_args keeps no
+    # state between calls, and building the parser costs far more than using it.
     parser = argparse.ArgumentParser(
         prog="dvrhom",
         description="Homology of finite digraphs via directed Vietoris-Rips complexes.",
@@ -508,18 +513,25 @@ def run_command(argv, stdin=None, stdout=None):
     return report
 
 
+def _report_error(argv, message):
+    error = {
+        "schema": SCHEMA,
+        "command": " ".join(argv),
+        "error": {"message": message},
+    }
+    sys.stdout.write(json.dumps(error, sort_keys=True, indent=2) + "\n")
+
+
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         run_command(argv)
     except InputError as exc:
-        error = {
-            "schema": SCHEMA,
-            "command": " ".join(argv),
-            "error": {"message": str(exc)},
-        }
-        sys.stdout.write(json.dumps(error, sort_keys=True, indent=2) + "\n")
+        _report_error(argv, str(exc))
         return 1
+    except Exception as exc:
+        _report_error(argv, f"internal error: {type(exc).__name__}: {exc}")
+        return 3
     return 0
 
 

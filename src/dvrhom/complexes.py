@@ -3,9 +3,10 @@
 A vertex set is a simplex when its members admit an ordering v0,...,vk with
 an edge v_i -> v_j whenever i < j.  Such an ordering is the simplex's
 *witness*; it is not unique once bidirected edges exist, so construction
-fixes a canonical one (first found by tail-extension DFS in ascending vertex
-order).  Simplices are identified by their sorted vertex tuple; the witness
-is metadata.
+fixes a canonical one: the lexicographically least ordering, found by
+greedily peeling off the smallest vertex with an edge to every other
+remaining vertex.  Simplices are identified by their sorted vertex tuple;
+the witness is metadata.
 
 For symmetric digraphs the construction degenerates to the clique complex.
 """
@@ -106,30 +107,40 @@ class SimplicialComplex:
 def is_simplex(g, s):
     """Witness ordering of ``s`` in ``g``, or None if no ordering exists.
 
-    Depth-first search extending a partial ordering only at the tail: vertex
-    w may be appended when every current member has an edge to w.  Candidates
-    are tried in ascending identifier order, so the result is canonical.
+    The witness is the lexicographically least valid ordering (see
+    ``_witness``), so the result is canonical.
     """
     s = tuple(sorted(set(s)))
     if not s:
         raise InputError("is_simplex needs a nonempty vertex set")
+    mask = 0
     for v in s:
         if not (0 <= v < g.n):
             raise InputError(f"vertex {v} out of range for {g.n} vertices")
-    remaining = 0
-    for v in s:
-        remaining |= 1 << v
+        mask |= 1 << v
+    return _witness(g._in, mask)
 
-    def extend(prefix, allowed, remaining):
-        if not remaining:
-            return prefix
-        for w in _iter_bits(remaining & allowed):
-            found = extend(prefix + (w,), allowed & g._out[w], remaining & ~(1 << w))
-            if found is not None:
-                return found
-        return None
 
-    return extend((), (1 << g.n) - 1, remaining)
+def _witness(ins, mask):
+    """Lexicographically least witness ordering of the vertex set ``mask``.
+
+    ``ins[v]`` is the in-mask of v, loops included.  The first vertex of any
+    witness has an edge to every other member, and dropping it leaves a face,
+    which is again a simplex; so repeatedly peeling off the smallest such
+    vertex either empties the set, in lexicographically least order, or finds
+    none and proves there is no witness.
+    """
+    order = []
+    while mask:
+        common = mask
+        for v in _iter_bits(mask):
+            common &= ins[v]
+        if not common:
+            return None
+        low = common & -common
+        order.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(order)
 
 
 def _level_candidates(g, sigma):
@@ -143,10 +154,10 @@ def _level_candidates(g, sigma):
 def build_complex(g, max_dim=None):
     """Directed Vietoris-Rips complex of ``g`` up to ``max_dim``.
 
-    Level-by-level: a candidate set sigma+{w} is tried only when all its
-    facets are already present and w is semicomplete-adjacent to sigma, then
-    confirmed by a fresh witness search (facet witnesses do not certify the
-    extension once bidirected edges are around).  Output is deterministic.
+    Level-by-level: a candidate set sigma+{w} is tried when w > max(sigma)
+    is semicomplete-adjacent to sigma, and confirmed by a fresh witness
+    search (facet witnesses do not certify the extension once bidirected
+    edges are around).  Output is deterministic.
     """
     if max_dim is not None and max_dim < 0:
         raise InputError("dimension cap must be >= 0")
@@ -169,17 +180,15 @@ def build_complex(g, max_dim=None):
 
 
 def _next_level(g, prev, witness, first_only=False):
-    prev_set = set(prev)
     nxt = []
     for sigma in prev:
+        base = 0
+        for v in sigma:
+            base |= 1 << v
         for w in _iter_bits(_level_candidates(g, sigma)):
-            tau = sigma + (w,)
-            if any(
-                tau[:i] + tau[i + 1 :] not in prev_set for i in range(len(sigma))
-            ):
-                continue
-            order = is_simplex(g, tau)
+            order = _witness(g._in, base | 1 << w)
             if order is not None:
+                tau = sigma + (w,)
                 witness[tau] = order
                 nxt.append(tau)
                 if first_only:

@@ -80,11 +80,22 @@ def evaluate_fx(p):
     The unique coordinate maximum wins outright; among tied vertices the one
     with the largest witness index wins.
     """
-    top = max(p.coords)
-    for i in range(len(p.coords) - 1, -1, -1):
-        if p.coords[i] == top:
-            return p.witness[i]
+    return _last_max(p.witness, p.coords)
+
+
+def _last_max(witness, coords):
+    """The vertex of ``witness`` at the last position of the largest coordinate."""
+    top = max(coords)
+    for i in range(len(coords) - 1, -1, -1):
+        if coords[i] == top:
+            return witness[i]
     raise AssertionError("unreachable: coords are nonempty")
+
+
+def _face_witness(k, face):
+    if face not in k.index:
+        raise InputError(f"face {face} is missing from the complex")
+    return k.witness[face]
 
 
 def carrier_point(k, p):
@@ -93,9 +104,7 @@ def carrier_point(k, p):
     face = tuple(sorted(support))
     if face == tuple(sorted(p.witness)):
         return p
-    if face not in k.index:
-        raise InputError(f"face {face} is missing from the complex")
-    w = k.witness[face]
+    w = _face_witness(k, face)
     return RealizationPoint(w, tuple(support[v] for v in w))
 
 
@@ -182,6 +191,13 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
     Failures are possible when delta exceeds a point's coordinate gap on a
     one-way edge; each failure is retried at halved radii and the first
     passing radius is recorded, which must exist for interior points.
+
+    Passing samples are computed exactly in integers, in units of
+    1 / (2000 * delta.denominator * total) where ``total`` is the sample's
+    weight sum: a coordinate wt / total is wt * 2000 * delta.denominator
+    units and a move of delta * r / 2000 is delta.numerator * r * total
+    units.  Only a failing sample builds ``Fraction`` coordinates, for the
+    halving retries.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -192,6 +208,7 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
     all_simplices = list(k.simplices())
     if not all_simplices:
         return SampleReport(samples, delta, seed, 0, ())
+    scale = 2000 * delta.denominator
     checked = 0
     failures = []
     for idx in range(samples):
@@ -199,23 +216,32 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
         w = k.witness[s]
         d = len(w)
         weights = [rng.randint(1, 1000) for _ in range(d)]
-        total = sum(weights)
-        coords = tuple(Fraction(wt, total) for wt in weights)
-        base = RealizationPoint(w, coords)
-        base_value = evaluate_fx(base)
         if d == 1:
             continue  # no room to move inside a vertex: not checked
         checked += 1
+        base_value = _last_max(w, weights)
+        total = sum(weights)
         i, j = rng.sample(range(d), 2)
-        amount = min(delta * rng.randint(0, 1000) / 2000, coords[i])
+        r = rng.randint(0, 1000)
+        units = [wt * scale for wt in weights]
+        shift = min(delta.numerator * r * total, units[i])
+        units[i] -= shift
+        units[j] += shift
+        if units[i]:
+            perturbed_value = _last_max(w, units)
+        else:  # the point left w[i]: evaluate it on the face's own witness
+            face_w = _face_witness(k, tuple(sorted(w[:i] + w[i + 1 :])))
+            at = dict(zip(w, units))
+            perturbed_value = _last_max(face_w, [at[v] for v in face_w])
+        if g.has_edge(perturbed_value, base_value):
+            continue
+        coords = tuple(Fraction(wt, total) for wt in weights)
+        amount = min(delta * r / 2000, coords[i])
 
         def value_at(a):
             moved = carrier_point(k, RealizationPoint(w, _transfer(coords, i, j, a)))
             return evaluate_fx(moved)
 
-        perturbed_value = value_at(amount)
-        if g.has_edge(perturbed_value, base_value):
-            continue
         pass_delta = None
         shrink = amount
         for _ in range(80):

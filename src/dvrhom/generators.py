@@ -63,6 +63,8 @@ def figure_digraph(which):
 
 def random_digraph(n, p, seed):
     """Seeded digraph: each ordered non-loop pair gets an edge with prob p."""
+    if n < 0:
+        raise InputError("random digraph needs n >= 0")
     if not (0 <= p <= 1):
         raise InputError("edge probability must lie in [0, 1]")
     rng = random.Random(seed)

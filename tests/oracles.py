@@ -30,6 +30,21 @@ def brute_force_dvr(g, max_dim=None):
     return found
 
 
+def brute_force_witness(g, s):
+    """First valid ordering of the vertex set ``s`` in lexicographic order.
+
+    Tries every permutation of the sorted set; None when none is valid.
+    """
+    for order in permutations(sorted(set(s))):
+        if all(
+            g.has_edge(order[i], order[j])
+            for i in range(len(order))
+            for j in range(i + 1, len(order))
+        ):
+            return order
+    return None
+
+
 def bron_kerbosch_cliques(g):
     """Maximal cliques of a symmetric digraph (loops ignored), with pivoting."""
     neighbors = {

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from dvrhom import InputError, figure_digraph
+from dvrhom import cli
 from dvrhom.cli import main, parse_digraph, run_command
 
 
@@ -171,6 +172,28 @@ def test_domain_error_exits_1(capsys):
     assert "disconnected" in doc["error"]["message"]
 
 
+def test_negative_random_vertex_count_exits_1(capsys):
+    code = main(["gen", "random", "--n", "-2", "--p", ".5"])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert "n >= 0" in doc["error"]["message"]
+    assert "vertices" not in doc
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(args, kind, obj):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_run_pi1", broken)
+    code = _main_with_stdin(["pi1"], '{"vertices": ["a"], "edges": []}')
+    assert code == 3
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["command"] == "pi1"
+    assert doc["error"]["message"] == "internal error: RuntimeError: boom"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def _main_with_stdin(argv, text):
     import sys
 
@@ -253,3 +276,30 @@ def test_max_dim_flag_marks_truncation():
     _, gen_text = run(["gen", "circulant", "--n", "6", "--m", "2"])
     report, _ = run(["homology", "--max-dim", "1"], stdin_text=gen_text)
     assert report["truncated"] is True
+
+
+def test_repeated_calls_share_one_parser_and_stay_byte_identical(tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    _, gen_text = run(["gen", "random", "--n", "7", "--p", ".5", "--seed", "4"])
+    commands = [
+        ["homology", "--coeff", "zp:3", "--reduced"],
+        ["homology"],
+        ["les-check", "--subset", "0,2,5"],
+        ["fx-sample", "--samples", "40", "--seed", "2"],
+    ]
+    first = [run(argv, stdin_text=gen_text)[1] for argv in commands]
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run(["homology", "--badflag"], stdin_text=gen_text)
+        assert exc.value.code == 2
+        again = [run(argv, stdin_text=gen_text)[1] for argv in commands]
+        assert again == first
+    target = tmp_path / "report.json"
+    _, text = run(["homology", "--out", str(target)], stdin_text=gen_text)
+    assert text == ""
+    written = json.loads(target.read_text())
+    assert written.pop("command").startswith("homology --out")
+    expected = json.loads(first[1])
+    del expected["command"]
+    assert written == expected
+    assert run(["homology"], stdin_text=gen_text)[1] == first[1]

@@ -1,6 +1,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvrhom import (
     InputError,
@@ -21,7 +23,7 @@ from dvrhom import (
     random_digraph,
     restrict_to,
 )
-from oracles import brute_force_dvr, clique_complex_faces
+from oracles import brute_force_dvr, brute_force_witness, clique_complex_faces
 
 S2_POINTS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 
@@ -127,6 +129,36 @@ def test_max_dim_cap_and_truncation_flag():
 
     kfull = build_complex(g)
     assert not kfull.truncated
+
+
+@st.composite
+def small_digraphs(draw):
+    n = draw(st.integers(1, 7))
+    p = draw(st.sampled_from((0.2, 0.4, 0.6, 0.8, 0.95)))
+    return random_digraph(n, p, draw(st.integers(0, 10**6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_digraphs())
+def test_greedy_witness_is_the_lexicographically_least_ordering(g):
+    for size in range(1, g.n + 1):
+        for s in combinations(range(g.n), size):
+            assert is_simplex(g, s) == brute_force_witness(g, s)
+    k = build_complex(g)
+    assert set(k.simplices()) == brute_force_dvr(g)
+    for s in k.simplices():
+        assert k.witness[s] == brute_force_witness(g, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_digraphs())
+def test_truncation_flag_matches_uncapped_complex(g):
+    full = build_complex(g)
+    for max_dim in range(g.n + 1):
+        capped = build_complex(g, max_dim)
+        assert capped.by_dimension == full.by_dimension[: max_dim + 1]
+        assert capped.truncated == (full.dim > max_dim)
+        assert all(capped.witness[s] == full.witness[s] for s in capped.simplices())
 
 
 def test_determinism():

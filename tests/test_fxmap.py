@@ -5,6 +5,7 @@ import pytest
 from dvrhom import (
     InputError,
     RealizationPoint,
+    SampleReport,
     barycenter,
     build_complex,
     carrier_point,
@@ -18,6 +19,7 @@ from dvrhom import (
     sampled_continuity_check,
     tie_set,
 )
+from dvrhom.fxmap import SampleFailure
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -230,3 +232,68 @@ def test_sampled_check_rejects_bad_delta():
     k = build_complex(g)
     with pytest.raises(InputError):
         sampled_continuity_check(k, g, 10, 0, seed=0)
+
+
+def fraction_sampled_check(k, g, samples, delta, seed):
+    """Reference sampler: every sample in exact ``Fraction`` coordinates.
+
+    Draws from the generator in the same order as the package and evaluates
+    each point through the public ``RealizationPoint``, ``carrier_point``
+    and ``evaluate_fx``.
+    """
+    import random
+
+    delta = Fraction(delta)
+    rng = random.Random(seed)
+    all_simplices = list(k.simplices())
+    checked = 0
+    failures = []
+    for idx in range(samples):
+        s = all_simplices[rng.randrange(len(all_simplices))]
+        w = k.witness[s]
+        weights = [rng.randint(1, 1000) for _ in w]
+        total = sum(weights)
+        coords = tuple(Fraction(wt, total) for wt in weights)
+        base_value = evaluate_fx(RealizationPoint(w, coords))
+        if len(w) == 1:
+            continue
+        checked += 1
+        i, j = rng.sample(range(len(w)), 2)
+        amount = min(delta * rng.randint(0, 1000) / 2000, coords[i])
+
+        def value_at(a):
+            moved = list(coords)
+            moved[i] -= a
+            moved[j] += a
+            return evaluate_fx(carrier_point(k, RealizationPoint(w, moved)))
+
+        perturbed_value = value_at(amount)
+        if g.has_edge(perturbed_value, base_value):
+            continue
+        pass_delta = None
+        shrink = amount
+        for _ in range(80):
+            shrink /= 2
+            if g.has_edge(value_at(shrink), base_value):
+                pass_delta = 2 * shrink
+                break
+        failures.append(SampleFailure(idx, s, base_value, perturbed_value, pass_delta))
+    return SampleReport(samples, delta, seed, checked, tuple(failures))
+
+
+def test_sampled_check_matches_fraction_reference():
+    # Random digraphs, plus many draws on a fixture with one-way edges; seed 4
+    # there draws tied top weights and fully drained coordinates that fail.
+    cases = [
+        (random_digraph(3 + i % 5, (0.3, 0.5, 0.7, 0.9)[i % 4], 700 + i), 80, i)
+        for i in range(16)
+    ]
+    cases.append((figure_digraph("left"), 2000, 4))
+    failures = 0
+    for g, samples, seed in cases:
+        k = build_complex(g)
+        for delta in (Fraction(1, 10**6), Fraction(1, 3), 1, 2):
+            rep = sampled_continuity_check(k, g, samples, delta, seed)
+            assert rep == fraction_sampled_check(k, g, samples, delta, seed)
+            failures += rep.failure_count
+    assert failures > 0

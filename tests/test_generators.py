@@ -44,6 +44,12 @@ def test_circulant_validates_arguments():
         circulant(4, 5)
 
 
+def test_random_digraph_rejects_negative_vertex_count():
+    with pytest.raises(InputError, match="n >= 0"):
+        random_digraph(-2, 0.5, 0)
+    assert random_digraph(0, 0.5, 0).n == 0
+
+
 def test_circulant_is_vertex_transitive():
     g = circulant(7, 2)
     fvs = {
