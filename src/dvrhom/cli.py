@@ -85,6 +85,14 @@ def _read_json(text):
     for key, (what, ok) in _SHAPES.items():
         if not _list_of(doc.get(key, []), ok):
             raise InputError(f"{key!r} must be a list of {what}")
+    if type(doc.get("truncated", False)) is not bool:
+        raise InputError("'truncated' must be true or false")
+    witnesses = {}
+    for item in doc.get("simplices", []):
+        if "witness" in item:
+            verts = tuple(sorted(item["verts"]))
+            if witnesses.setdefault(verts, item["witness"]) != item["witness"]:
+                raise InputError(f"'simplices' gives two witnesses for {list(verts)}")
     return doc
 
 
@@ -168,7 +176,7 @@ def _complex_from_doc(doc):
         if "witness" in item:
             witnesses[tuple(sorted(verts))] = tuple(item["witness"])
     k = SimplicialComplex.from_simplices(faces, witnesses=witnesses)
-    k.truncated = bool(doc.get("truncated", False))
+    k.truncated = doc.get("truncated", False)
     return k
 
 

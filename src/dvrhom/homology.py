@@ -14,6 +14,7 @@ writes any cycle in terms of them.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -432,7 +433,11 @@ def pi1_presentation(k, basepoint):
     Spanning tree by breadth-first search from the basepoint in canonical
     vertex order; one generator per non-tree edge, one relator per triangle.
     Elementary Tietze moves (drop trivial relators, eliminate generators
-    occurring once in some relator) are applied to a fixed point.
+    occurring once in some relator) are applied to a fixed point.  Each move
+    solves the first relator, in order, that holds a generator occurring
+    once, for the smallest such generator, and substitutes it everywhere;
+    the work per move is proportional to the relators that contain the
+    eliminated generator, and generators are renumbered once at the end.
     """
     if not k.by_dimension:
         raise InputError("fundamental group needs a nonempty complex")
@@ -487,22 +492,33 @@ def pi1_presentation(k, basepoint):
 
 
 def _tietze_reduce(symbols, relators):
-    relators = [_cyclic_reduce(w) for w in relators]
-    while True:
-        relators = [w for w in relators if w]
-        target = None
-        for ri, word in enumerate(relators):
-            counts = {}
+    # Generator ids stay fixed until the end, and each relator is indexed by
+    # the generators it contains, so a move rewrites only the relators that
+    # hold the eliminated generator.  The moves are those of a full rescan
+    # from the first relator: a relator scanned without a singleton can only
+    # gain one by being rewritten, and then it is queued again.
+    words = {}
+    holders = {}  # generator -> indices of the relators that contain it
+    for ri, word in enumerate(relators):
+        word = _cyclic_reduce(word)
+        if word:
+            words[ri] = word
             for x in word:
-                counts[abs(x)] = counts.get(abs(x), 0) + 1
-            singles = sorted(g for g, c in counts.items() if c == 1)
-            if singles:
-                target = (ri, singles[0])
-                break
-        if target is None:
-            return symbols, relators
-        ri, g = target
-        word = list(relators[ri])
+                holders.setdefault(abs(x), set()).add(ri)
+    queue = list(words)  # ascending, so already a heap
+    eliminated = set()
+    while queue:
+        ri = heapq.heappop(queue)
+        word = words.get(ri)
+        if word is None:  # dropped since it was queued
+            continue
+        counts = {}
+        for x in word:
+            counts[abs(x)] = counts.get(abs(x), 0) + 1
+        singles = [h for h, c in counts.items() if c == 1]
+        if not singles:
+            continue
+        g = min(singles)
         pos = next(i for i, x in enumerate(word) if abs(x) == g)
         word = word[pos:] + word[:pos]
         if word[0] == g:
@@ -511,27 +527,38 @@ def _tietze_reduce(symbols, relators):
         else:
             # inverse(g) . tail == 1, so g = tail
             replacement = word[1:]
-        out = []
-        for rj, other in enumerate(relators):
-            if rj == ri:
-                continue
+        inverse = _invert(replacement)
+        del words[ri]
+        for h in counts:
+            holders[h].discard(ri)
+        eliminated.add(g)
+        for rj in holders.pop(g):
+            old = words[rj]
             new = []
-            for x in other:
+            for x in old:
                 if x == g:
                     new.extend(replacement)
                 elif x == -g:
-                    new.extend(_invert(replacement))
+                    new.extend(inverse)
                 else:
                     new.append(x)
-            out.append(_cyclic_reduce(new))
-        # Drop generator g and renumber the ones above it.
-        def shift(x):
-            s = 1 if x > 0 else -1
-            a = abs(x)
-            return s * (a - 1) if a > g else x
-
-        relators = [[shift(x) for x in w] for w in out]
-        symbols = symbols[: g - 1] + symbols[g:]
+            new = _cyclic_reduce(new)
+            for x in old:
+                if abs(x) != g:
+                    holders[abs(x)].discard(rj)
+            if not new:
+                del words[rj]
+                continue
+            words[rj] = new
+            for x in new:
+                holders[abs(x)].add(rj)
+            heapq.heappush(queue, rj)
+    kept = [h for h in range(1, len(symbols) + 1) if h not in eliminated]
+    renumber = {h: i for i, h in enumerate(kept, start=1)}
+    return [symbols[h - 1] for h in kept], [
+        [renumber[x] if x > 0 else -renumber[-x] for x in words[ri]]
+        for ri in sorted(words)
+    ]
 
 
 def abelianization(pres):

@@ -157,3 +157,99 @@ def interior_by_neighborhoods(g, a):
 
 def euler_characteristic(fv):
     return sum((-1) ** n * c for n, c in enumerate(fv))
+
+
+def brute_force_certificate(k, g):
+    """Continuity certificate of ``k`` over ``g``, walking every subset.
+
+    For each simplex in order and each nonempty subset tau of it (by size,
+    then lexicographically), every member of tau needs an edge to the member
+    last in the witness.  Returns the same ``CertificateReport`` as the
+    package: the first failing subset ends the walk.
+    """
+    from dvrhom.fxmap import CertificateReport
+
+    checks = 0
+    count = 0
+    for s in k.simplices():
+        count += 1
+        pos = {v: i for i, v in enumerate(k.witness[s])}
+        for size in range(1, len(s) + 1):
+            for tau in combinations(s, size):
+                checks += 1
+                target = max(tau, key=pos.__getitem__)
+                for v in tau:
+                    if not g.has_edge(v, target):
+                        return CertificateReport(
+                            False, count, checks, (s, tau, v, target)
+                        )
+    return CertificateReport(True, count, checks, None)
+
+
+def _free_cancel(word):
+    out = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return out
+
+
+def _cyclic_cancel(word):
+    w = _free_cancel(word)
+    while len(w) >= 2 and w[0] == -w[-1]:
+        w = _free_cancel(w[1:-1])
+    return w
+
+
+def tietze_oracle(symbols, relators):
+    """Tietze elimination by rescanning and rewriting every relator per move.
+
+    Each pass drops empty relators, takes the first relator holding a
+    generator that occurs once in it, solves it for the smallest such
+    generator, substitutes that into every other relator (cyclically
+    reduced) and renumbers the generators above it.
+    """
+    relators = [_cyclic_cancel(w) for w in relators]
+    symbols = list(symbols)
+    while True:
+        relators = [w for w in relators if w]
+        target = None
+        for ri, word in enumerate(relators):
+            counts = {}
+            for x in word:
+                counts[abs(x)] = counts.get(abs(x), 0) + 1
+            singles = sorted(h for h, c in counts.items() if c == 1)
+            if singles:
+                target = (ri, singles[0])
+                break
+        if target is None:
+            return symbols, relators
+        ri, g = target
+        word = list(relators[ri])
+        pos = next(i for i, x in enumerate(word) if abs(x) == g)
+        word = word[pos:] + word[:pos]
+        tail = word[1:]
+        if word[0] == g:
+            replacement = [-x for x in reversed(tail)]
+        else:
+            replacement = tail
+        inverse = [-x for x in reversed(replacement)]
+        out = []
+        for rj, other in enumerate(relators):
+            if rj == ri:
+                continue
+            new = []
+            for x in other:
+                if x == g:
+                    new.extend(replacement)
+                elif x == -g:
+                    new.extend(inverse)
+                else:
+                    new.append(x)
+            out.append(_cyclic_cancel(new))
+        relators = [
+            [x - 1 if x > g else x + 1 if x < -g else x for x in w] for w in out
+        ]
+        symbols = symbols[: g - 1] + symbols[g:]

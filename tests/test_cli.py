@@ -2,6 +2,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvrhom import InputError, figure_digraph
 from dvrhom import cli
@@ -96,6 +98,25 @@ def test_complex_roundtrip_preserves_homology():
     _, complex_text = run(["complex"], stdin_text=gen_text)
     roundtrip, _ = run(["homology"], stdin_text=complex_text)
     assert direct["groups"] == roundtrip["groups"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7), st.sampled_from(("0.3", "0.6", "0.9")), st.integers(0, 10**6))
+def test_complex_document_keeps_groups_and_presentation(n, p, seed):
+    _, gen_text = run(["gen", "random", "--n", str(n), "--p", p, "--seed", str(seed)])
+    _, complex_text = run(["complex"], stdin_text=gen_text)
+    for argv, keys in (
+        (["homology", "--coeff", "z"], ("groups",)),
+        (["pi1"], ("generators", "relators", "abelianization")),
+    ):
+        answers = []
+        for text in (gen_text, complex_text):
+            try:
+                report, _ = run(argv, stdin_text=text)
+                answers.append({key: report[key] for key in keys})
+            except InputError as e:  # pi1 of a disconnected digraph
+                answers.append(str(e))
+        assert answers[0] == answers[1]
 
 
 def test_pair_command():
@@ -232,6 +253,12 @@ def test_error_report_is_structured(capsys):
         ('{"vertices": ["a", "b"], "edges": [["a"]]}', "'edges'"),
         ('{"simplices": [{"verts": [0, true]}]}', "'simplices'"),
         ("[1, 2]", "object"),
+        ('{"simplices": [{"verts": [0]}], "truncated": "false"}', "'truncated'"),
+        (
+            '{"simplices": [{"verts": [0, 1], "witness": [0, 1]},'
+            ' {"verts": [1, 0], "witness": [1, 0]}]}',
+            "'simplices'",
+        ),
     ],
 )
 def test_malformed_documents_are_input_errors(capsys, text, key):

@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvrhom import (
     InputError,
@@ -20,6 +23,7 @@ from dvrhom import (
     tie_set,
 )
 from dvrhom.fxmap import SampleFailure
+from oracles import brute_force_certificate
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -149,6 +153,41 @@ def test_continuity_certificate_detects_corrupted_witness():
     simplex, tie, vertex, target = rep.counterexample
     assert simplex == (0, 1, 3)
     assert not g.has_edge(vertex, target)
+
+
+def _certificate_cases(g, rng):
+    """The built complex, a copy with some witnesses shuffled, a foreign digraph."""
+    yield build_complex(g), g
+    shuffled = build_complex(g)
+    for s in shuffled.simplices():
+        if len(s) > 1 and rng.random() < 0.3:
+            w = list(s)
+            rng.shuffle(w)
+            shuffled.witness[s] = tuple(w)
+    yield shuffled, g
+    other = random_digraph(g.n, rng.choice((0.3, 0.6, 0.9)), rng.randrange(10**6))
+    yield build_complex(g), other
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 8), st.sampled_from((0.3, 0.6, 0.9)), st.integers(0, 10**6)
+)
+def test_continuity_certificate_matches_subset_walk(n, p, seed):
+    for k, h in _certificate_cases(random_digraph(n, p, seed), random.Random(seed)):
+        assert continuity_certificate(k, h) == brute_force_certificate(k, h)
+
+
+def test_continuity_certificate_subset_walk_reaches_failures():
+    rng = random.Random(0)
+    failed = 0
+    for i in range(60):
+        g = random_digraph(2 + i % 7, (0.3, 0.6, 0.9)[i % 3], i)
+        for k, h in _certificate_cases(g, rng):
+            rep = continuity_certificate(k, h)
+            assert rep == brute_force_certificate(k, h)
+            failed += not rep.passed
+    assert failed >= 20
 
 
 def test_sampled_check_zero_failures_on_symmetric_fixture():

@@ -1,6 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvrhom import (
     HomologyGroup,
@@ -24,7 +27,8 @@ from dvrhom import (
     restrict_to,
     smith_normal_form,
 )
-from oracles import euler_characteristic
+from dvrhom import homology
+from oracles import euler_characteristic, tietze_oracle
 
 # Minimal 6-vertex triangulation of the real projective plane.
 RP2_FACES = [
@@ -132,6 +136,27 @@ def test_euler_characteristic_consistency():
         assert euler_characteristic(f_vector(k)) == sum(
             (-1) ** n * h.betti for n, h in enumerate(res)
         )
+
+
+@st.composite
+def small_digraphs(draw):
+    n = draw(st.integers(1, 8))
+    p = draw(st.sampled_from((0.2, 0.4, 0.6, 0.8)))
+    return random_digraph(n, p, draw(st.integers(0, 10**6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_digraphs())
+def test_betti_numbers_agree_across_coefficients(g):
+    k = build_complex(g)
+    integer = homology_integer(k).betti_numbers()
+    rational = homology_field(k, "q")
+    assert tuple(rational) == integer
+    for p in (2, 3):
+        assert all(b >= b_q for b, b_q in zip(homology_field(k, p), rational))
+    assert euler_characteristic(f_vector(k)) == sum(
+        (-1) ** n * b for n, b in enumerate(rational)
+    )
 
 
 def test_homology_field_examples():
@@ -319,6 +344,40 @@ def test_abelianized_pi1_matches_h1():
         assert abelianization(pres) == h1
         checked += 1
     assert checked >= 20
+
+
+words = st.lists(
+    st.integers(1, 6).flatmap(lambda g: st.sampled_from((g, -g))), max_size=8
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.lists(words, max_size=7))
+def test_tietze_reduce_matches_oracle_on_random_relators(ngen, relators):
+    symbols = [f"s{i}" for i in range(ngen)]
+    relators = [[x for x in w if abs(x) <= ngen] for w in relators]
+    assert homology._tietze_reduce(symbols, relators) == tietze_oracle(
+        symbols, relators
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_digraphs())
+def test_tietze_reduce_matches_oracle_on_complex_relators(g):
+    calls = []
+    real = homology._tietze_reduce
+
+    def record(symbols, relators):
+        calls.append((list(symbols), [list(w) for w in relators]))
+        return real(symbols, relators)
+
+    with mock.patch.object(homology, "_tietze_reduce", record):
+        try:
+            pi1_presentation(build_complex(g), 0)
+        except InputError:
+            return  # disconnected
+    ((symbols, relators),) = calls
+    assert real(symbols, relators) == tietze_oracle(symbols, relators)
 
 
 def test_invariant_factors_match_full_snf():
