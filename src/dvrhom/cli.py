@@ -26,6 +26,7 @@ from .digraph import Digraph, InputError
 from .fxmap import continuity_certificate, sampled_continuity_check
 from .generators import circulant, digital_image, figure_digraph, random_digraph
 from .homology import (
+    HomologyGroup,
     abelianization,
     homology_field,
     homology_integer,
@@ -345,30 +346,19 @@ def _run_gen(args):
     return _digraph_doc(g), _digest(params), seed
 
 
-def _apply_reduced(betti, reduced):
-    if reduced and betti:
-        betti = [betti[0] - 1] + betti[1:]
-    return betti
-
-
 def _run_homology(args, kind, obj):
     coeff = _parse_coeff(args.coeff)
     k = _complex_of(kind, obj, args.max_dim)
     if coeff == "z":
-        result = homology_integer(k, reduced=args.reduced)
-        groups = _groups_json(result.groups)
-        truncated = result.truncated
+        groups = homology_integer(k, reduced=args.reduced).groups
     else:
-        betti = _apply_reduced(homology_field(k, coeff), args.reduced)
-        groups = [
-            {"dim": n, "betti": b, "torsion": []} for n, b in enumerate(betti)
-        ]
-        truncated = k.truncated
+        betti = homology_field(k, coeff, reduced=args.reduced)
+        groups = [HomologyGroup(b) for b in betti]
     return {
         "coefficients": args.coeff.lower(),
-        "groups": groups,
+        "groups": _groups_json(groups),
         "reduced": bool(args.reduced),
-        "truncated": truncated,
+        "truncated": k.truncated,
     }
 
 

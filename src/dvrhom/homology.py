@@ -2,14 +2,16 @@
 
 Simplices are oriented by their sorted vertex tuple, independent of the
 witness ordering used during construction, so boundary signs are
-reproducible.  Integer homology comes out of Smith normal forms of the
-boundary matrices; field homology is plain rank counting.  Both start with
-the sparse unit-pivot elimination of ``matrices``, which leaves little or
-nothing for the dense Smith form or field elimination.  The long exact
-sequence check needs explicit homology classes, not just ranks: in each
-degree one sparse echelon basis over the field, ``_Echelon``, takes the
-boundaries and then the cycles, picks the homology representatives and
-writes any cycle in terms of them.
+reproducible.  Homology of a complex, and of a pair as its quotient
+complex, comes from one top-down reduction, ``_reduce``: each boundary map
+is built as sparse rows over the simplex bases, skips the columns cleared
+by the map above it, and goes through the unit-pivot elimination of
+``matrices``; only the small non-unit core left over needs a dense Smith
+form (over Z) or rank (over Z_p).  The long exact sequence check needs
+explicit homology classes, not just ranks: in each degree one sparse
+echelon basis over the field, ``_Echelon``, takes the boundaries and then
+the cycles, picks the homology representatives and writes any cycle in
+terms of them.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import f_vector
 from .digraph import InputError
 from .matrices import (
     IntegerMatrix,
+    _dense_factors,
     _unit_eliminate,
     field_matmul,
     field_rank,
@@ -74,16 +76,60 @@ class HomologyResult:
         return tuple(g.betti for g in self.groups)
 
 
+# Miller-Rabin on the primes up to 41 is exact below this bound, the least
+# strong pseudoprime to all of them (Sorenson and Webster, 2017).
+_PRIME_LIMIT = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(p):
+    """Deterministic Miller-Rabin test, exact for p < _PRIME_LIMIT."""
+    if p < 2 or any(p % a == 0 for a in _BASES):
+        return p in _BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s, d odd
+    for a in _BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if x not in (1, p - 1) and all(
+            (x := x * x % p) != p - 1 for _ in range(s - 1)
+        ):
+            return False
+    return True
+
+
 def _parse_field(spec):
-    """None for the rationals, a verified prime for Z_p."""
+    """None for the rationals, a verified prime below _PRIME_LIMIT for Z_p."""
     if isinstance(spec, str):
         if spec.lower() == "q":
             return None
         raise InputError(f"unknown coefficient field {spec!r}")
-    p = int(spec)
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-        raise InputError(f"{p} is not prime")
-    return p
+    if not isinstance(spec, int):
+        raise InputError(f"coefficient field {spec!r} is not an integer")
+    if spec >= _PRIME_LIMIT:
+        raise InputError(f"prime fields need p < {_PRIME_LIMIT}")
+    if not _is_prime(spec):
+        raise InputError(f"{spec} is not prime")
+    return spec
+
+
+def _boundary_rows(bases, n, skip=()):
+    """The n-th boundary map over ``bases`` as ``{face: {simplex: +-1}}``.
+
+    Faces and simplices are positions in ``bases[n - 1]`` and ``bases[n]``.
+    Simplices in ``skip`` and faces outside the basis (in the subcomplex of
+    a pair) are left out.  Deleting the i-th vertex has sign (-1)^i.
+    """
+    rows = {}
+    if not 0 < n < len(bases):
+        return rows
+    face_pos = {s: i for i, s in enumerate(bases[n - 1])}
+    for j, simplex in enumerate(bases[n]):
+        if j in skip:
+            continue
+        for i in range(len(simplex)):
+            r = face_pos.get(simplex[:i] + simplex[i + 1 :])
+            if r is not None:
+                rows.setdefault(r, {})[j] = -1 if i & 1 else 1
+    return rows
 
 
 def boundary_matrix(k, n):
@@ -96,48 +142,62 @@ def boundary_matrix(k, n):
     """
     if n < 0:
         raise InputError("boundary degree must be >= 0")
-    fv = f_vector(k)
-    cols = fv[n] if n < len(fv) else 0
-    rows = fv[n - 1] if 0 < n < len(fv) + 1 else 0
-    mat = IntegerMatrix(rows, cols)
-    if n == 0 or cols == 0:
-        return mat
-    for j, simplex in enumerate(k.by_dimension[n]):
-        for i in range(len(simplex)):
-            face = simplex[:i] + simplex[i + 1 :]
-            mat.entries[(k.index[face][1], j)] = 1 if i % 2 == 0 else -1
+    bases = k.by_dimension
+    mat = IntegerMatrix(
+        len(bases[n - 1]) if 0 < n <= len(bases) else 0,
+        len(bases[n]) if n < len(bases) else 0,
+    )
+    rows = _boundary_rows(bases, n).items()
+    mat.entries = {(i, j): v for i, row in rows for j, v in row.items()}
     return mat
+
+
+def _reduce(bases, p=None):
+    """Ranks and torsion of every boundary map over ``bases``, top-down.
+
+    Entry n of each list is for the map of degree n = 0 .. top + 1; ranks
+    are over Z (hence Q) when p is None, else over Z_p.  Clearing: the map
+    d of degree n skips the columns of the pivot rows R of the unit
+    elimination of the map B above it.  B[R, :] has invariant factors all
+    1, so an integer right inverse X, and d B = 0 gives d[:, R] =
+    -d[:, ~R] B[~R, :] X: d keeps its invariant factors without them.  The
+    non-unit core never clears.
+    """
+    ranks, torsion = [0] * (len(bases) + 1), [()] * (len(bases) + 1)
+    cleared = ()
+    for n in range(len(bases) - 1, 0, -1):
+        pivots, core = _unit_eliminate(_boundary_rows(bases, n, cleared))
+        if p is None:
+            d = _dense_factors(core)
+            ranks[n] = len(pivots) + len(d)
+            torsion[n] = tuple(x for x in d if x > 1)
+        else:
+            ranks[n] = len(pivots) + field_rank(core, p)
+        cleared = set(pivots)
+    return ranks, torsion
+
+
+def _homology_groups(bases, p=None, reduced=False):
+    """Homology groups over ``bases``; ``reduced`` adds the augmentation."""
+    ranks, torsion = _reduce(bases, p)
+    if reduced and bases:
+        ranks[0] = 1
+    return [
+        HomologyGroup(len(basis) - ranks[n] - ranks[n + 1], torsion[n + 1])
+        for n, basis in enumerate(bases)
+    ]
 
 
 def homology_integer(k, reduced=False):
     """Integer homology of the complex: Betti numbers and torsion."""
-    fv = f_vector(k)
-    if not fv:
-        return HomologyResult([], reduced=reduced, truncated=k.truncated)
-    top = len(fv) - 1
-    factors = [invariant_factors(boundary_matrix(k, n)) for n in range(top + 2)]
-    groups = []
-    for n in range(top + 1):
-        betti = fv[n] - len(factors[n]) - len(factors[n + 1])
-        torsion = tuple(d for d in factors[n + 1] if d > 1)
-        groups.append(HomologyGroup(betti, torsion))
-    if reduced:
-        groups[0] = HomologyGroup(groups[0].betti - 1, groups[0].torsion)
+    groups = _homology_groups(k.by_dimension, reduced=reduced)
     return HomologyResult(groups, reduced=reduced, truncated=k.truncated)
 
 
-def homology_field(k, field_spec):
-    """Betti numbers over Q (field_spec="q") or Z_p (field_spec=p prime)."""
+def homology_field(k, field_spec, reduced=False):
+    """Betti numbers over Q (field_spec="q") or Z_p (p prime, p < 3.3e24)."""
     p = _parse_field(field_spec)
-    fv = f_vector(k)
-    if not fv:
-        return []
-    top = len(fv) - 1
-    ranks = []
-    for n in range(top + 2):
-        ones, core = _unit_eliminate(boundary_matrix(k, n))
-        ranks.append(ones + field_rank(core, p))
-    return [fv[n] - ranks[n] - ranks[n + 1] for n in range(top + 1)]
+    return [g.betti for g in _homology_groups(k.by_dimension, p, reduced)]
 
 
 def _require_subcomplex(k, sub):
@@ -152,22 +212,6 @@ def _relative_bases(k, sub):
     ]
 
 
-def _relative_boundary(bases, n):
-    cols = bases[n] if n < len(bases) else []
-    rows = bases[n - 1] if 0 < n <= len(bases) else []
-    mat = IntegerMatrix(len(rows), len(cols))
-    if n == 0 or not cols:
-        return mat
-    row_pos = {s: i for i, s in enumerate(rows)}
-    for j, simplex in enumerate(cols):
-        for i in range(len(simplex)):
-            face = simplex[:i] + simplex[i + 1 :]
-            r = row_pos.get(face)
-            if r is not None:
-                mat.entries[(r, j)] = 1 if i % 2 == 0 else -1
-    return mat
-
-
 def relative_homology(k, sub):
     """Homology of the quotient chain complex of the pair (k, sub).
 
@@ -175,19 +219,7 @@ def relative_homology(k, sub):
     ``sub``; boundary entries landing in ``sub`` are deleted.
     """
     _require_subcomplex(k, sub)
-    fv = f_vector(k)
-    if not fv:
-        return HomologyResult([], truncated=k.truncated)
-    top = len(fv) - 1
-    bases = _relative_bases(k, sub)
-    factors = [
-        invariant_factors(_relative_boundary(bases, n)) for n in range(top + 2)
-    ]
-    groups = []
-    for n in range(top + 1):
-        betti = len(bases[n]) - len(factors[n]) - len(factors[n + 1])
-        torsion = tuple(d for d in factors[n + 1] if d > 1)
-        groups.append(HomologyGroup(betti, torsion))
+    groups = _homology_groups(_relative_bases(k, sub))
     return HomologyResult(groups, truncated=k.truncated)
 
 
@@ -269,8 +301,9 @@ class _Echelon:
 def _boundary_columns(bases, n):
     """The n-th boundary map over ``bases`` as one sparse dict per column."""
     cols = [{} for _ in (bases[n] if n < len(bases) else ())]
-    for (i, j), v in _relative_boundary(bases, n).entries.items():
-        cols[j][i] = v
+    for i, row in _boundary_rows(bases, n).items():
+        for j, v in row.items():
+            cols[j][i] = v
     return cols
 
 

@@ -1,16 +1,16 @@
 """Exact linear algebra kernels: integer Smith normal form, field elimination.
 
 Everything runs on Python integers and fractions, so there is no overflow
-and no floating point anywhere.  ``invariant_factors`` (and the field
-ranks of boundary matrices in ``homology``) start with a sparse elimination
-of every +-1 pivot, ``_unit_eliminate``: rows are kept as ``{col: value}``
-dicts, pivots are taken in order of Markowitz cost to limit fill-in, and the
-moves are unimodular, so each unit pivot contributes one invariant factor 1
-(one unit of rank over any field).  Boundary matrices almost always reduce
-to nothing this way.  Only the non-unit core left over goes through the
-dense Smith normal form, which pivots on a minimal absolute value entry each
-round to keep coefficient growth tame.  ``smith_normal_form``, which also
-returns the transforms, stays dense throughout.
+and no floating point anywhere.  Sparse matrices are dicts of rows, each a
+``{col: value}`` dict.  ``invariant_factors`` and the reduction of boundary
+maps in ``homology`` start with a sparse elimination of every +-1 pivot,
+``_unit_eliminate``, shortest row first; its moves are unimodular, so each
+pivot is one invariant factor 1 (one unit of rank over any field), and it
+reports its pivot rows, which ``homology`` uses for clearing.  Boundary
+matrices almost always reduce to nothing this way.  Only the non-unit core
+left over goes through the dense Smith normal form, which pivots on a
+minimal absolute value entry each round to keep coefficient growth tame.
+``smith_normal_form``, which also returns the transforms, stays dense.
 """
 
 from __future__ import annotations
@@ -241,58 +241,47 @@ def _diagonalize(a, m, n, track):
     return [a[i][i] for i in range(t)], u, v
 
 
-def _unit_eliminate(a):
-    """Eliminate the +-1 pivots of an IntegerMatrix; returns (ones, core).
+def _unit_eliminate(rows):
+    """Eliminate the +-1 pivots of sparse rows; returns (pivots, core).
 
-    Each round takes the +-1 entry of least Markowitz cost
-    ``(row nnz - 1) * (col nnz - 1)`` (ties to the lowest row, then column),
-    clears its column with integer row operations and drops its row and
-    column; clearing the pivot row by column operations would touch nothing
-    else.  Rounds stop when no +-1 entry is left.  ``ones`` counts the
-    pivots and ``core`` is the leftover nonzero block as dense rows, so the
-    invariant factors of ``a`` are ``(1,) * ones`` followed by those of
-    ``core``, and its rank over any field is ``ones`` plus the core's.
+    ``rows`` maps rows to ``{col: nonzero value}`` dicts and is used up.
+    Rows are visited shortest first, and again whenever a pivot changes
+    them.  A row with +-1 entries pivots on the one whose column is
+    shortest (ties to the lowest index): row operations clear that column,
+    and the row and column are dropped.  ``pivots`` lists the pivot rows in
+    order and ``core`` is the nonzero block left, without +-1 entries, as
+    dense rows: the invariant factors are ``(1,) * len(pivots)`` and the
+    core's, and the rank over any field is ``len(pivots)`` plus the core's.
+    The pivot rows alone have invariant factors all 1 (as changed, they are
+    triangular with +-1 on the pivot columns).
     """
-    rows = {}  # row -> {col: value}
     cols = {}  # col -> set of rows with an entry there
-    for (i, j), v in a.entries.items():
-        rows.setdefault(i, {})[j] = v
-        cols.setdefault(j, set()).add(i)
-    # Heap of (cost, row, col) candidates.  Invariant: every +-1 entry has a
-    # candidate whose cost is at most its current cost, so a popped
-    # candidate at exactly its current cost is the least one.  Units are
-    # pushed again when their cost drops or their value changes; a
-    # candidate popped below its current cost is pushed back at that cost.
-    heap = [
-        ((len(rows[i]) - 1) * (len(cols[j]) - 1), i, j)
-        for (i, j), v in a.entries.items()
-        if v == 1 or v == -1
-    ]
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    # (length, row) entries; a changed row is pushed again, so an entry with
+    # an out-of-date length is skipped.
+    heap = [(len(row), i) for i, row in rows.items()]
     heapify(heap)
-    ones = 0
+    pivots = []
     while heap:
-        cost, r, c = heappop(heap)
+        n, r = heappop(heap)
         prow = rows.get(r)
-        v = prow.get(c) if prow is not None else None
-        if v != 1 and v != -1:
+        if prow is None or len(prow) != n:
             continue
-        now = (len(prow) - 1) * (len(cols[c]) - 1)
-        if cost != now:
-            if cost < now:
-                heappush(heap, (now, r, c))
+        units = [j for j, x in prow.items() if x == 1 or x == -1]
+        if not units:
             continue
-        ones += 1
+        c = min(units, key=lambda j: (len(cols[j]), j))
+        v = prow.pop(c)
+        pivots.append(r)
         del rows[r]
         pcol = cols.pop(c)
         pcol.discard(r)
-        del prow[c]
-        before = {j: len(cols[j]) for j in prow}
         for j in prow:
             cols[j].discard(r)
-        shrunk = set()
         for i in pcol:
             row = rows[i]
-            old = len(row)
             f = row.pop(c) * v  # v is its own inverse
             for j, x in prow.items():
                 y = row.get(j, 0) - f * x
@@ -303,36 +292,21 @@ def _unit_eliminate(a):
                 else:
                     del row[j]
                     cols[j].discard(i)
-            if not row:
+            if row:
+                heappush(heap, (len(row), i))
+            else:
                 del rows[i]
-            elif len(row) < old:
-                shrunk.add(i)
         for j in prow:
             if not cols[j]:
                 del cols[j]
-        # The combined rows changed in the pivot row's columns, so their
-        # units there may be new; elsewhere only a shorter row lowers costs.
-        for i in pcol:
-            row = rows.get(i)
-            if row is not None:
-                n = len(row) - 1
-                for j, x in row.items():
-                    if (x == 1 or x == -1) and (j in before or i in shrunk):
-                        heappush(heap, (n * (len(cols[j]) - 1), i, j))
-        # The other rows changed nowhere; their costs dropped in the pivot
-        # row's columns that got shorter.
-        for j, b in before.items():
-            col = cols.get(j)
-            if col is not None and len(col) < b:
-                n = len(col) - 1
-                for i in col:
-                    if i not in pcol:
-                        x = rows[i][j]
-                        if x == 1 or x == -1:
-                            heappush(heap, ((len(rows[i]) - 1) * n, i, j))
     order = sorted(cols)
     core = [[rows[i].get(j, 0) for j in order] for i in sorted(rows)]
-    return ones, core
+    return pivots, core
+
+
+def _dense_factors(core):
+    """Invariant factors of a dense integer matrix, by ``_diagonalize``."""
+    return tuple(_diagonalize(core, len(core), len(core[0]) if core else 0, False)[0])
 
 
 def smith_normal_form(a):
@@ -344,9 +318,11 @@ def smith_normal_form(a):
 
 def invariant_factors(a):
     """Just the diagonal of the Smith form (cheaper: no transforms kept)."""
-    ones, core = _unit_eliminate(a)
-    d, _, _ = _diagonalize(core, len(core), len(core[0]) if core else 0, track=False)
-    return (1,) * ones + tuple(d)
+    rows = {}
+    for (i, j), v in a.entries.items():
+        rows.setdefault(i, {})[j] = v
+    pivots, core = _unit_eliminate(rows)
+    return (1,) * len(pivots) + _dense_factors(core)
 
 
 def integer_rank(a):

@@ -3,7 +3,9 @@
 Everything here recomputes answers by a different route than the package:
 exhaustive enumeration, Bron-Kerbosch, Bareiss elimination.  Keeping these
 independent is the point; do not import algorithmic code from dvrhom beyond
-plain data accessors.
+plain data accessors.  The homology oracles are the one exception: they
+reduce every full boundary map on its own with the package's per-matrix
+kernels, so they check the top-down clearing and not the kernels.
 """
 
 from fractions import Fraction
@@ -126,6 +128,54 @@ def field_solve(rows, rhs, p=None):
     for r, c in enumerate(pivots):
         x[c] = rref[r][n]
     return x
+
+
+def dense_boundary(bases, n):
+    """The n-th boundary map over per-degree simplex bases, as dense rows.
+
+    Rows are ``bases[n - 1]`` and columns ``bases[n]``; faces missing from
+    ``bases[n - 1]`` are dropped, which gives the quotient complex of a pair
+    when the bases leave out the subcomplex.
+    """
+    faces = bases[n - 1] if 0 < n <= len(bases) else []
+    simplices = bases[n] if n < len(bases) else []
+    pos = {s: i for i, s in enumerate(faces)}
+    rows = [[0] * len(simplices) for _ in faces]
+    for j, s in enumerate(simplices):
+        for i in range(len(s)):
+            r = pos.get(s[:i] + s[i + 1 :])
+            if r is not None:
+                rows[r][j] = (-1) ** i
+    return rows
+
+
+def integer_homology_oracle(bases):
+    """(Betti number, torsion) per degree, without clearing.
+
+    Every full boundary map goes to ``invariant_factors`` on its own.
+    """
+    from dvrhom.matrices import IntegerMatrix, invariant_factors
+
+    factors = [
+        invariant_factors(IntegerMatrix.from_rows(dense_boundary(bases, n)))
+        for n in range(len(bases) + 1)
+    ]
+    return [
+        (len(basis) - len(factors[n]) - len(factors[n + 1]),
+         tuple(d for d in factors[n + 1] if d > 1))
+        for n, basis in enumerate(bases)
+    ]
+
+
+def field_betti_oracle(bases, p=None):
+    """Betti numbers over Q (p=None) or Z_p, without clearing.
+
+    Every full boundary map goes to ``field_rank`` on its own.
+    """
+    from dvrhom.matrices import field_rank
+
+    ranks = [field_rank(dense_boundary(bases, n), p) for n in range(len(bases) + 1)]
+    return [len(basis) - ranks[n] - ranks[n + 1] for n, basis in enumerate(bases)]
 
 
 def find_isomorphism(g, h):

@@ -226,6 +226,29 @@ def _main_with_stdin(argv, text):
         sys.stdin = old
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["zp:1" + "0" * 400, "zp:3317044064679887385961981", "zp:2.5", "zp:4", "zp:1"],
+)
+def test_bad_prime_fields_exit_1(capsys, spec):
+    _, gen_text = run(["gen", "circulant", "--n", "6", "--m", "2"])
+    for argv in (
+        ["homology", "--coeff", spec],
+        ["les-check", "--subset", "0,1", "--coeff", spec],
+    ):
+        assert _main_with_stdin(argv, gen_text) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"]["message"]
+        assert "internal error" not in doc["error"]["message"]
+
+
+def test_large_prime_field_below_the_limit():
+    _, gen_text = run(["gen", "circulant", "--n", "6", "--m", "2"])
+    argv = ["homology", "--coeff", "zp:1000000000000000003"]
+    report, _ = run(argv, stdin_text=gen_text)
+    assert [g["betti"] for g in report["groups"]] == [1, 0, 1]
+
+
 def test_fx_sample_rejects_negative_sample_count(capsys):
     _, gen_text = run(["gen", "circulant", "--n", "6", "--m", "2"])
     code = _main_with_stdin(["fx-sample", "--samples", "-5"], gen_text)

@@ -3,8 +3,10 @@
 The dense minimal-pivot Smith elimination ``_diagonalize`` and the dense
 field elimination ``field_rank`` are the oracles: invariant factors and
 ranks are unique, so the sparse path must agree with them exactly.  The
-echelon bases of the long exact sequence check are held to the dense row
-reduction and linear solver of ``oracles``.
+top-down reduction with clearing is held to them and to the homology
+oracles of ``oracles``, which reduce every full boundary map on its own.
+The echelon bases of the long exact sequence check are held to the dense
+row reduction and linear solver of ``oracles``.
 """
 
 import random
@@ -16,22 +18,34 @@ from hypothesis import strategies as st
 from dvrhom import (
     InputError,
     IntegerMatrix,
+    SimplicialComplex,
     build_complex,
     f_vector,
     field_rank,
     homology_field,
+    homology_integer,
     invariant_factors,
     random_digraph,
+    relative_homology,
     restrict_to,
 )
 from dvrhom.homology import (
+    _boundary_rows,
     _FieldComplex,
+    _homology_groups,
+    _reduce,
     _relative_bases,
-    _relative_boundary,
     boundary_matrix,
 )
 from dvrhom.matrices import _diagonalize, _unit_eliminate
-from oracles import dense_rref, field_solve
+from oracles import (
+    dense_boundary,
+    dense_rref,
+    field_betti_oracle,
+    field_solve,
+    integer_homology_oracle,
+)
+from test_homology import RP2_FACES
 
 FIELDS = (None, 2, 3)  # Q, Z_2, Z_3
 
@@ -62,12 +76,19 @@ def dense_factors(a):
     return tuple(d)
 
 
+def sparse_rows(a):
+    rows = {}
+    for (i, j), v in a.entries.items():
+        rows.setdefault(i, {})[j] = v
+    return rows
+
+
 def boundaries(k, sub):
     top = len(f_vector(k)) - 1
     bases = _relative_bases(k, sub)
     for n in range(top + 2):
         yield boundary_matrix(k, n)
-        yield _relative_boundary(bases, n)
+        yield IntegerMatrix.from_rows(dense_boundary(bases, n))
 
 
 @settings(max_examples=300, deadline=None)
@@ -79,7 +100,8 @@ def test_invariant_factors_match_dense_oracle(a):
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices())
 def test_core_keeps_no_unit_and_field_ranks_add_up(a):
-    ones, core = _unit_eliminate(a)
+    pivots, core = _unit_eliminate(sparse_rows(a))
+    ones = len(pivots)
     assert all(x not in (1, -1) for row in core for x in row)
     assert all(any(row) for row in core)
     assert all(any(col) for col in zip(*core))
@@ -116,7 +138,7 @@ def pair_bases(k, sub):
 
 
 def dense_rank(bases, n, p):
-    return len(dense_rref(_relative_boundary(bases, n).to_rows(), p)[1])
+    return len(dense_rref(dense_boundary(bases, n), p)[1])
 
 
 def normal(x, p):
@@ -153,7 +175,7 @@ def with_boundary(rng, boundary_rows, reps, coeffs):
 
 def check_coordinates(c, bases, n, p, rng):
     reps = c.hom_reps[n]
-    bd_next = _relative_boundary(bases, n + 1).to_rows()
+    bd_next = dense_boundary(bases, n + 1)
     for h, rep in enumerate(reps):
         unit = [int(g == h) for g in range(len(reps))]
         assert c.coords(n, rep) == unit
@@ -168,7 +190,7 @@ def check_coordinates(c, bases, n, p, rng):
     solution = field_solve(dense, [z.get(i, 0) for i in range(len(dense))], p)
     assert solution is not None
     assert solution[len(solution) - len(reps) :] == expect
-    bd = _relative_boundary(bases, n).to_rows()
+    bd = dense_boundary(bases, n)
     for j in range(len(bases[n])):
         if any(row[j] for row in bd):
             with pytest.raises(InputError):
@@ -185,3 +207,147 @@ def test_echelon_coordinates(pair, seed):
             c = _FieldComplex(bases, p)
             for n in range(len(bases)):
                 check_coordinates(c, bases, n, p, rng)
+
+
+# ---------------------------------------------------------------------------
+# Top-down reduction with clearing.
+
+
+@st.composite
+def closed_complexes(draw):
+    """A random downward-closed complex and a random subcomplex of it."""
+    n = draw(st.integers(1, 7))
+    faces = draw(
+        st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=5), max_size=8)
+    )
+    k = SimplicialComplex.from_simplices(faces)
+    kept = []
+    if faces:
+        kept = draw(st.lists(st.sampled_from(list(k.simplices())), max_size=6))
+    return k, SimplicialComplex.from_simplices(kept)
+
+
+@st.composite
+def projective_plane_pairs(draw):
+    """RP^2 with a few random cells glued on, and a random subcomplex.
+
+    Cells of degree 3 clear columns of the map of degree 2, whose non-unit
+    core carries the torsion.
+    """
+    extra = draw(
+        st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4), max_size=3)
+    )
+    k = SimplicialComplex.from_simplices(RP2_FACES + extra)
+    kept = draw(st.lists(st.sampled_from(list(k.simplices())), max_size=5))
+    return k, SimplicialComplex.from_simplices(kept)
+
+
+def groups_of(result):
+    return [(g.betti, g.torsion) for g in result]
+
+
+def dense_homology(bases, p=None):
+    """(Betti, torsion) per degree by dense elimination of every full map.
+
+    ``_diagonalize`` over Z (p=None), the oracles' ``dense_rref`` over Z_p.
+    """
+    factors = []
+    for n in range(len(bases) + 1):
+        rows = dense_boundary(bases, n)
+        if p is None:
+            d, _, _ = _diagonalize(rows, len(rows), len(rows[0]) if rows else 0, False)
+            factors.append(tuple(d))
+        else:
+            factors.append((1,) * len(dense_rref(rows, p)[1]))
+    return [
+        (len(basis) - len(factors[n]) - len(factors[n + 1]),
+         tuple(d for d in factors[n + 1] if d > 1))
+        for n, basis in enumerate(bases)
+    ]
+
+
+def check_pair(k, sub):
+    """Hold every homology of (k, sub) to the oracles and to dense elimination."""
+    for bases in pair_bases(k, sub):
+        expect = integer_homology_oracle(bases)
+        assert groups_of(_homology_groups(bases)) == expect
+        assert dense_homology(bases) == expect
+        for p in (None, 2, 3):
+            betti = field_betti_oracle(bases, p)
+            assert [g.betti for g in _homology_groups(bases, p)] == betti
+            if p is not None:
+                assert [b for b, _ in dense_homology(bases, p)] == betti
+    assert groups_of(homology_integer(k)) == integer_homology_oracle(k.by_dimension)
+    assert groups_of(relative_homology(k, sub)) == integer_homology_oracle(
+        _relative_bases(k, sub)
+    )
+    reduced = groups_of(homology_integer(k, reduced=True))
+    for spec, p in (("q", None), (2, 2), (3, 3)):
+        betti = field_betti_oracle(k.by_dimension, p)
+        assert homology_field(k, spec) == betti
+        if betti:
+            betti[0] -= 1
+        assert homology_field(k, spec, reduced=True) == betti
+        if p is None:
+            assert [b for b, _ in reduced] == betti
+
+
+@settings(max_examples=60, deadline=None)
+@given(digraph_pairs())
+def test_clearing_matches_oracles_on_digraph_pairs(pair):
+    check_pair(*pair)
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_complexes())
+def test_clearing_matches_oracles_on_downward_closed_complexes(pair):
+    check_pair(*pair)
+
+
+@settings(max_examples=40, deadline=None)
+@given(projective_plane_pairs())
+def test_clearing_keeps_projective_plane_torsion(pair):
+    check_pair(*pair)
+
+
+def test_projective_plane_torsion_survives_clearing():
+    # The non-unit core of the map of degree 2 is a single 2: clearing must
+    # leave it alone, here and relative to a vertex.
+    k = SimplicialComplex.from_simplices(RP2_FACES)
+    vertex = SimplicialComplex.from_simplices([(0,)])
+    assert groups_of(homology_integer(k)) == [(1, ()), (0, (2,)), (0, ())]
+    assert groups_of(relative_homology(k, vertex)) == [(0, ()), (0, (2,)), (0, ())]
+    assert _reduce(k.by_dimension) == ([0, 5, 10, 0], [(), (), (2,), ()])
+    # A tetrahedron on the face (0, 1, 4) clears a column of that map.
+    coned = SimplicialComplex.from_simplices(RP2_FACES + [(0, 1, 4, 6)])
+    assert groups_of(homology_integer(coned)) == [
+        (1, ()), (0, (2,)), (0, ()), (0, ())
+    ]
+    assert _reduce(coned.by_dimension) == ([0, 6, 12, 1, 0], [(), (), (2,), (), ()])
+
+
+def check_pivot_rows(rows):
+    """The pivot rows of ``rows`` are distinct and have invariant factors all 1."""
+    dense = {i: dict(row) for i, row in rows.items()}
+    ncols = 1 + max((j for row in dense.values() for j in row), default=-1)
+    pivots, _ = _unit_eliminate(rows)
+    assert len(set(pivots)) == len(pivots)
+    chosen = [[dense[i].get(j, 0) for j in range(ncols)] for i in pivots]
+    d, _, _ = _diagonalize(chosen, len(chosen), ncols, False)
+    assert tuple(d) == (1,) * len(pivots)
+    return pivots
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_pivot_rows_are_unit_pivots(a):
+    check_pivot_rows(sparse_rows(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(digraph_pairs())
+def test_boundary_pivot_rows_are_unit_pivots(pair):
+    for bases in pair_bases(*pair):
+        cleared = ()
+        for n in range(len(bases) - 1, 0, -1):
+            cleared = set(check_pivot_rows(_boundary_rows(bases, n, cleared)))

@@ -168,6 +168,43 @@ def test_homology_field_examples():
         homology_field(k, 1)
 
 
+def test_prime_fields_are_checked_exactly():
+    # Trial division is the oracle below 20000.
+    for n in range(-3, 20000):
+        trial = n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+        assert homology._is_prime(n) == trial
+    # Strong pseudoprimes to every base up to 31 and up to 37, and others.
+    # The limit, 1287836182261 * 2575672364521, fools every base up to 41,
+    # so homology_field rejects it for its size.
+    for n in (3825123056546413051, 399165290221 * 798330580441,
+              2**61 + 1, 561, 3215031751):
+        assert not homology._is_prime(n)
+    # Primes near 2^61, 2^64, 10^18 and 10^24 (also passed by 64 random
+    # Miller-Rabin bases).
+    for p in (2**61 - 1, 2**64 - 59, 10**18 + 3, 10**18 + 9, 10**24 + 7):
+        assert homology._is_prime(p)
+
+
+def test_prime_field_limits_and_non_integers():
+    k = build_complex(circulant(6, 2))
+    assert homology_field(k, 2**61 - 1) == [1, 0, 1]
+    assert homology_field(k, 10**24 + 7) == [1, 0, 1]
+    for spec in (10**400, homology._PRIME_LIMIT, 2**89 - 1, 2.5, 3.0, "3", None):
+        with pytest.raises(InputError):
+            homology_field(k, spec)
+    with pytest.raises(InputError, match="not an integer"):
+        les_exactness_check(k, k, 2.5)
+    with pytest.raises(InputError, match="p < "):
+        les_exactness_check(k, k, 10**400)
+
+
+def test_homology_field_reduced_lowers_degree_zero():
+    k = build_complex(circulant(6, 2))
+    assert homology_field(k, "q", reduced=True) == [0, 0, 1]
+    assert homology_field(k, 2, reduced=True) == [0, 0, 1]
+    assert homology_field(build_complex(from_edge_list(0, [])), 3, reduced=True) == []
+
+
 def test_field_betti_matches_integer_betti_over_q():
     for g in corpus(15):
         k = build_complex(g)
