@@ -83,6 +83,11 @@ def _read_json(text):
         raise InputError(f"malformed json input: {e}") from None
     if type(doc) is not dict:
         raise InputError("input json must be an object")
+    mixed = [key for key in ("simplices", "vertices", "edges") if key in doc]
+    if "simplices" in doc and len(mixed) > 1:
+        raise InputError(
+            "input json mixes complex and digraph keys: " + ", ".join(map(repr, mixed))
+        )
     for key, (what, ok) in _SHAPES.items():
         if not _list_of(doc.get(key, []), ok):
             raise InputError(f"{key!r} must be a list of {what}")

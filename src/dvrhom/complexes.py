@@ -5,8 +5,12 @@ an edge v_i -> v_j whenever i < j.  Such an ordering is the simplex's
 *witness*; it is not unique once bidirected edges exist, so construction
 fixes a canonical one: the lexicographically least ordering, found by
 greedily peeling off the smallest vertex with an edge to every other
-remaining vertex.  Simplices are identified by their sorted vertex tuple;
-the witness is metadata.
+remaining vertex.  The builder never peels a whole set: the first vertex
+peeled from tau leaves the face tau-s, whose own greedy peel is its
+witness, so one lookup in the level below finishes tau's witness (the
+inductive construction of Zomorodian, "Fast construction of the
+Vietoris-Rips complex", 2010).  Simplices are identified by their sorted
+vertex tuple; the witness is metadata.
 
 For symmetric digraphs the construction degenerates to the clique complex.
 """
@@ -143,56 +147,57 @@ def _witness(ins, mask):
     return tuple(order)
 
 
-def _level_candidates(g, sigma):
-    """Vertices above max(sigma) semicomplete-adjacent to all of sigma."""
-    cand = ((1 << g.n) - 1) & ~((1 << (sigma[-1] + 1)) - 1)
-    for v in sigma:
-        cand &= g._sym[v]
-    return cand
-
-
 def build_complex(g, max_dim=None):
     """Directed Vietoris-Rips complex of ``g`` up to ``max_dim``.
 
-    Level-by-level: a candidate set sigma+{w} is tried when w > max(sigma)
-    is semicomplete-adjacent to sigma, and confirmed by a fresh witness
-    search (facet witnesses do not certify the extension once bidirected
-    edges are around).  Output is deterministic.
+    Level by level, in lexicographic order.  Each d-simplex sigma carries
+    ``common``, the vertices with an edge to all of sigma, and ``cand``, the
+    vertices above max(sigma) semicomplete-adjacent to all of it.  For a
+    candidate tau = sigma+{w}, w in ``cand``, the lowest vertex s of tau with
+    an edge to all of tau starts tau's greedy peel.  Faces of simplices are
+    simplices, so tau is one exactly when tau-s is a d-simplex, and its
+    witness is (s,) followed by the witness of tau-s: one lookup in the
+    level below, no fresh peel.  Output is deterministic.
     """
     if max_dim is not None and max_dim < 0:
         raise InputError("dimension cap must be >= 0")
-    if g.n == 0:
-        return SimplicialComplex([], {}, digraph=g)
-    levels = [[(v,) for v in range(g.n)]]
-    witness = {(v,): (v,) for v in range(g.n)}
-    dim = 0
-    while levels[-1] and (max_dim is None or dim < max_dim):
-        nxt = _next_level(g, levels[-1], witness)
-        if not nxt:
-            break
-        levels.append(nxt)
-        dim += 1
-    truncated = False
-    if max_dim is not None and len(levels) == max_dim + 1 and levels[-1]:
-        # Probe one level further so consumers can flag the capped degree.
-        truncated = bool(_next_level(g, levels[-1], {}, first_only=True))
-    return SimplicialComplex(levels, witness, digraph=g, truncated=truncated)
+    ins, sym = g._in, g._sym
+    # One entry per simplex, keyed by vertex mask: (sorted tuple, witness,
+    # common, cand).  Only the current and the next level are kept.
+    level = {
+        1 << v: ((v,), (v,), ins[v], sym[v] >> (v + 1) << (v + 1))
+        for v in range(g.n)
+    }
+    levels, witness = [], {(v,): (v,) for v in range(g.n)}
+    while level:
+        levels.append([s for s, _, _, _ in level.values()])
+        if max_dim is not None and len(levels) > max_dim:
+            # Probe one level further so consumers can flag the capped degree.
+            truncated = bool(_next_level(ins, sym, level, {}, first_only=True))
+            return SimplicialComplex(levels, witness, digraph=g, truncated=truncated)
+        level = _next_level(ins, sym, level, witness)
+    return SimplicialComplex(levels, witness, digraph=g)
 
 
-def _next_level(g, prev, witness, first_only=False):
-    nxt = []
-    for sigma in prev:
-        base = 0
-        for v in sigma:
-            base |= 1 << v
-        for w in _iter_bits(_level_candidates(g, sigma)):
-            order = _witness(g._in, base | 1 << w)
-            if order is not None:
-                tau = sigma + (w,)
-                witness[tau] = order
-                nxt.append(tau)
-                if first_only:
-                    return nxt
+def _next_level(ins, sym, prev, witness, first_only=False):
+    nxt = {}
+    for mask, (sigma, _, common, cand) in prev.items():
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            w = low.bit_length() - 1
+            tau = mask | low
+            tau_common = common & ins[w]
+            src = tau_common & tau
+            if src:
+                s = src & -src
+                face = prev.get(tau ^ s)
+                if face is not None:
+                    t = sigma + (w,)
+                    witness[t] = order = (s.bit_length() - 1,) + face[1]
+                    nxt[tau] = (t, order, tau_common, cand & sym[w])
+                    if first_only:
+                        return nxt
     return nxt
 
 

@@ -47,6 +47,69 @@ def brute_force_witness(g, s):
     return None
 
 
+def _greedy_peel(ins, mask):
+    """Lexicographically least witness of the vertex set ``mask``, or None.
+
+    ``ins[v]`` is the in-mask of v.  Repeatedly peels off the smallest member
+    with an edge to every other remaining member, recomputed from scratch at
+    every step.
+    """
+    order = []
+    while mask:
+        common = rest = mask
+        while rest:
+            low = rest & -rest
+            common &= ins[low.bit_length() - 1]
+            rest ^= low
+        if not common:
+            return None
+        low = common & -common
+        order.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(order)
+
+
+def greedy_complex_oracle(g, max_dim=None):
+    """(by_dimension, witness, truncated) of the directed clique complex.
+
+    Level by level: every sigma+{w} with w above max(sigma) and
+    semicomplete-adjacent to all of sigma is confirmed by a fresh greedy
+    peel of the whole set.  With a cap, one more level is probed for any
+    simplex to set ``truncated``.
+    """
+    ins = [g.in_mask(v) for v in range(g.n)]
+    sym = [g.sym_mask(v) for v in range(g.n)]
+    levels = [[(v,) for v in range(g.n)]] if g.n else []
+    witness = {(v,): (v,) for v in range(g.n)}
+
+    def next_level(prev, record):
+        nxt = []
+        for sigma in prev:
+            mask = sum(1 << v for v in sigma)
+            cand = ((1 << g.n) - 1) >> (sigma[-1] + 1) << (sigma[-1] + 1)
+            for v in sigma:
+                cand &= sym[v]
+            for w in range(sigma[-1] + 1, g.n):
+                if cand >> w & 1:
+                    order = _greedy_peel(ins, mask | 1 << w)
+                    if order is not None:
+                        nxt.append(sigma + (w,))
+                        record[sigma + (w,)] = order
+        return nxt
+
+    while levels and (max_dim is None or len(levels) <= max_dim):
+        nxt = next_level(levels[-1], witness)
+        if not nxt:
+            break
+        levels.append(nxt)
+    truncated = bool(
+        max_dim is not None
+        and len(levels) == max_dim + 1
+        and next_level(levels[-1], {})
+    )
+    return levels, witness, truncated
+
+
 def bron_kerbosch_cliques(g):
     """Maximal cliques of a symmetric digraph (loops ignored), with pivoting."""
     neighbors = {

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 
@@ -282,6 +283,11 @@ def test_error_report_is_structured(capsys):
             ' {"verts": [1, 0], "witness": [1, 0]}]}',
             "'simplices'",
         ),
+        (
+            '{"vertices": ["a", "b"], "edges": [["a", "b"]], "simplices": []}',
+            "digraph keys: 'simplices', 'vertices', 'edges'",
+        ),
+        ('{"edges": [], "simplices": [{"verts": [0]}]}', "keys: 'simplices', 'edges'"),
     ],
 )
 def test_malformed_documents_are_input_errors(capsys, text, key):
@@ -353,3 +359,90 @@ def test_repeated_calls_share_one_parser_and_stay_byte_identical(tmp_path):
     del expected["command"]
     assert written == expected
     assert run(["homology"], stdin_text=gen_text)[1] == first[1]
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 8), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 8), max_size=2),
+)
+_LABELS = st.sampled_from(["a", "b", "c", "d", 0, 1, 2, 5, -1, 1.5])
+_VERTS = st.lists(st.integers(-1, 5), max_size=4)
+_SIMPLEX_ITEMS = st.lists(st.integers(-1, 5), min_size=1, max_size=4, unique=True).flatmap(
+    lambda v: st.fixed_dictionaries(
+        {"verts": st.just(v)}, optional={"witness": st.one_of(st.permutations(v), _VERTS)}
+    )
+)
+_DIGRAPH_KEYS = {
+    "vertices": st.lists(_LABELS, max_size=6, unique_by=str),
+    "edges": st.lists(st.lists(_LABELS, min_size=2, max_size=2), max_size=12),
+}
+# Well-formed digraph and complex documents with out-of-range values, and
+# documents whose every key may be ill-typed or mixed with the others.
+_DOCUMENTS = st.one_of(
+    st.fixed_dictionaries(_DIGRAPH_KEYS),
+    st.fixed_dictionaries(
+        {"simplices": st.lists(_SIMPLEX_ITEMS, max_size=6)},
+        optional={"truncated": st.booleans()},
+    ),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "vertices": st.one_of(_DIGRAPH_KEYS["vertices"], _JUNK),
+            "edges": st.one_of(
+                st.lists(st.lists(_LABELS, max_size=3), max_size=10), _JUNK
+            ),
+            "simplices": st.one_of(
+                st.lists(
+                    st.one_of(
+                        st.fixed_dictionaries(
+                            {},
+                            optional={
+                                "verts": st.one_of(_VERTS, _JUNK),
+                                "witness": st.one_of(_VERTS, _JUNK),
+                            },
+                        ),
+                        _JUNK,
+                    ),
+                    max_size=5,
+                ),
+                _JUNK,
+            ),
+            "truncated": st.one_of(st.booleans(), _JUNK),
+        },
+    ),
+    _JUNK,
+)
+_DOCUMENT_COMMANDS = [
+    ["complex"],
+    ["complex", "--max-dim", "1"],
+    ["homology"],
+    ["homology", "--coeff", "zp:2", "--reduced"],
+    ["homology", "--coeff", "q", "--max-dim", "1"],
+    ["pair", "--subset", "0,1"],
+    ["les-check", "--subset", "0,1"],
+    ["les-check", "--subset", "1", "--coeff", "zp:3"],
+    ["pi1"],
+    ["pi1", "--basepoint", "2"],
+    ["fx-certify"],
+    ["fx-sample", "--samples", "20"],
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DOCUMENTS)
+def test_fuzzed_documents_end_in_a_report_or_an_input_error(doc):
+    text = json.dumps(doc)
+    for argv in _DOCUMENT_COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = _main_with_stdin(argv, text)
+        assert code in (0, 1), (argv, text, out.getvalue())
+        report, end = json.JSONDecoder().raw_decode(out.getvalue())
+        assert type(report) is dict and not out.getvalue()[end:].strip()
+        if code == 1:
+            assert report["error"]["message"]

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +23,12 @@ from dvrhom import (
     random_digraph,
     restrict_to,
 )
-from oracles import brute_force_dvr, brute_force_witness, clique_complex_faces
+from oracles import (
+    brute_force_dvr,
+    brute_force_witness,
+    clique_complex_faces,
+    greedy_complex_oracle,
+)
 
 S2_POINTS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 
@@ -246,3 +251,31 @@ def test_from_simplices_closes_faces():
     assert k.witness[(0, 1, 2)] == (0, 1, 2)
     with pytest.raises(InputError):
         SimplicialComplex.from_simplices([()])
+
+
+def _assert_matches_greedy_oracle_at_every_cap(g):
+    full = greedy_complex_oracle(g)
+    for max_dim in (None, *range(len(full[0]) + 1)):
+        k = build_complex(g, max_dim)
+        levels, witness, truncated = (
+            full if max_dim is None else greedy_complex_oracle(g, max_dim)
+        )
+        assert k.by_dimension == levels
+        assert k.witness == witness
+        assert k.truncated == truncated
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(8, 16),
+    st.sampled_from((0.3, 0.5, 0.7, 0.9)),
+    st.integers(0, 10**6),
+)
+def test_face_lookup_builder_matches_greedy_peel_oracle(n, p, seed):
+    _assert_matches_greedy_oracle_at_every_cap(random_digraph(n, p, seed))
+
+
+def test_face_lookup_builder_matches_greedy_peel_oracle_on_fixed_shapes():
+    shell = [q for q in product(range(3), repeat=3) if q != (1, 1, 1)]
+    for g in (circulant(20, 4), digital_image(shell)):
+        _assert_matches_greedy_oracle_at_every_cap(g)
