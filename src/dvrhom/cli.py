@@ -231,18 +231,20 @@ def _groups_json(groups):
 
 
 def _parse_coeff(spec, allow_integer=True):
+    """A ``--coeff`` value as (canonical label z, q or zp:<p>; "z", "q" or p)."""
     spec = spec.lower()
     if spec == "z":
         if not allow_integer:
             raise InputError("this command needs field coefficients (q or zp:<p>)")
-        return "z"
+        return "z", "z"
     if spec == "q":
-        return "q"
+        return "q", "q"
     if spec.startswith("zp:"):
         try:
-            return int(spec[3:])
+            p = int(spec[3:])
         except ValueError:
             raise InputError(f"bad coefficient spec {spec!r}") from None
+        return f"zp:{p}", p
     raise InputError(f"bad coefficient spec {spec!r}")
 
 
@@ -254,10 +256,19 @@ def _parse_subset(text):
 
 
 def _parse_fraction(text):
+    # Reports print the number and its halvings, and str() refuses integers
+    # past 4300 digits: 4096 bits at most.  Fraction expands an exponent
+    # before any check can run, so a larger exponent is refused first.
+    _, e, exponent = text.lower().partition("e")
     try:
-        return Fraction(text)
+        if e and abs(int(exponent)) > 4096:
+            raise ValueError
+        x = Fraction(text)
+        if max(x.numerator.bit_length(), x.denominator.bit_length()) > 4096:
+            raise ValueError
+        return x
     except (ValueError, ZeroDivisionError):
-        raise InputError(f"bad rational number {text!r}") from None
+        raise InputError(f"bad rational number {text!r} (at most 4096 bits)") from None
 
 
 @functools.lru_cache(maxsize=None)
@@ -352,7 +363,7 @@ def _run_gen(args):
 
 
 def _run_homology(args, kind, obj):
-    coeff = _parse_coeff(args.coeff)
+    label, coeff = _parse_coeff(args.coeff)
     k = _complex_of(kind, obj, args.max_dim)
     if coeff == "z":
         groups = homology_integer(k, reduced=args.reduced).groups
@@ -360,7 +371,7 @@ def _run_homology(args, kind, obj):
         betti = homology_field(k, coeff, reduced=args.reduced)
         groups = [HomologyGroup(b) for b in betti]
     return {
-        "coefficients": args.coeff.lower(),
+        "coefficients": label,
         "groups": _groups_json(groups),
         "reduced": bool(args.reduced),
         "truncated": k.truncated,
@@ -384,7 +395,7 @@ def _run_pair(args, kind, obj):
 
 
 def _run_les(args, kind, obj):
-    coeff = _parse_coeff(args.coeff, allow_integer=False)
+    label, coeff = _parse_coeff(args.coeff, allow_integer=False)
     k = _complex_of(kind, obj)
     subset, sub = _subset_subcomplex(k, args.subset)
     report = les_exactness_check(k, sub, coeff)
@@ -399,7 +410,7 @@ def _run_les(args, kind, obj):
         for n in report.nodes
     ]
     return {
-        "coefficients": report.field,
+        "coefficients": label,
         "subset": list(subset),
         "nodes": nodes,
         "exact": report.exact,

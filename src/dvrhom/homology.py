@@ -7,25 +7,25 @@ complex, comes from one top-down reduction, ``_reduce``: each boundary map
 is built as sparse rows over the simplex bases, skips the columns cleared
 by the map above it, and goes through the unit-pivot elimination of
 ``matrices``; only the small non-unit core left over needs a dense Smith
-form (over Z) or rank (over Z_p).  The long exact sequence check needs
-explicit homology classes, not just ranks: in each degree one sparse
-echelon basis over the field, ``_Echelon``, takes the boundaries and then
-the cycles, picks the homology representatives and writes any cycle in
-terms of them.
+form (over Z) or ``field_rank`` (over Z_p).  The long exact sequence check
+needs explicit homology classes, not just ranks: in each degree one sparse
+echelon basis over the field, ``matrices._Echelon``, takes the boundaries
+and then the cycles, picks the homology representatives and writes any
+cycle in terms of them.  The same eliminator gives the ranks of the maps
+of the sequence and checks that consecutive maps compose to zero.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .digraph import InputError
 from .matrices import (
     IntegerMatrix,
     _dense_factors,
+    _Echelon,
     _unit_eliminate,
-    field_matmul,
     field_rank,
     invariant_factors,
 )
@@ -243,61 +243,6 @@ class ExactnessReport:
     exact: bool
 
 
-class _Echelon:
-    """Sparse vectors in echelon form over Q (p=None) or Z_p.
-
-    Vectors are ``{index: value}`` dicts.  Each stored vector is scaled to 1
-    at its pivot, its largest index, and carries a tag: a second vector to
-    which every row operation on it is applied as well, so the tag writes
-    the stored vector in terms of whatever its inputs were tagged with.
-    """
-
-    def __init__(self, p):
-        if p is None:
-            # +-1 is its own inverse: pivots of boundaries stay ints, which
-            # keeps Fraction arithmetic out of the common case.
-            self.norm = lambda x: x
-            self.inv = lambda x: x if x in (1, -1) else 1 / Fraction(x)
-        else:
-            self.norm = lambda x: x % p
-            self.inv = lambda x: pow(x, p - 2, p)
-        self.rows = {}  # pivot -> (vector, tag)
-
-    def subtract(self, acc, f, vec):
-        """``acc -= f * vec`` in place, dropping the entries that vanish."""
-        norm = self.norm
-        for i, x in vec.items():
-            if y := norm(acc.get(i, 0) - f * x):
-                acc[i] = y
-            else:
-                del acc[i]
-
-    def reduce(self, vec, tag=()):
-        """Residual of ``vec`` against the stored vectors, and its tag.
-
-        Only pivots are cleared, so the residual is zero exactly when
-        ``vec`` lies in the span of the stored vectors.
-        """
-        vec = {i: y for i, x in vec.items() if (y := self.norm(x))}
-        tag = dict(tag)
-        while vec and (pivot := max(vec)) in self.rows:
-            f, (stored, stored_tag) = vec[pivot], self.rows[pivot]
-            self.subtract(vec, f, stored)
-            self.subtract(tag, f, stored_tag)
-        return vec, tag
-
-    def add(self, vec, tag):
-        """Store ``vec`` unless it reduces to zero; returns ``reduce``'s pair."""
-        vec, tag = self.reduce(vec, tag)
-        if vec:
-            pivot = max(vec)
-            norm, s = self.norm, self.inv(vec[pivot])
-            self.rows[pivot] = tuple(
-                {i: norm(x * s) for i, x in v.items()} for v in (vec, tag)
-            )
-        return vec, tag
-
-
 def _boundary_columns(bases, n):
     """The n-th boundary map over ``bases`` as one sparse dict per column."""
     cols = [{} for _ in (bases[n] if n < len(bases) else ())]
@@ -348,6 +293,20 @@ class _FieldComplex:
         return [span.norm(-tag.get(h, 0)) for h in range(len(self.hom_reps[n]))]
 
 
+def _kills(field, out, into):
+    """Whether dense columns ``out`` map each column of ``into`` to 0, in ``field``."""
+    norm = field.norm
+    out = [{i: y for i, x in enumerate(col) if (y := norm(x))} for col in out]
+    for col in into:
+        image = {}
+        for j, c in enumerate(col):
+            if norm(c):
+                field.subtract(image, -c, out[j])
+        if image:
+            return False
+    return True
+
+
 def les_exactness_check(k, sub, field_spec):
     """Verify exactness of the homology long exact sequence of (k, sub).
 
@@ -388,8 +347,8 @@ def les_exactness_check(k, sub, field_spec):
 
     def connecting_map(n):
         # Lift a relative cycle to a chain, take its boundary inside sub.
-        if n == 0:
-            return []
+        if n == 0:  # H0(X,A) -> 0
+            return [[] for _ in cr.hom_reps[0]]
         faces = x_bases[n - 1]
         bd = _boundary_columns([faces, r_bases[n]], 1)
         cols = []
@@ -404,7 +363,7 @@ def les_exactness_check(k, sub, field_spec):
         return cols
 
     nodes = []
-    into = []  # the map into the next node
+    into, rank_in = [], 0  # the map into the next node, and its rank
     for n in range(k.dim, -1, -1):
         for name, c, induced in (
             (f"H{n}(A)", ca, inclusion_map),
@@ -412,14 +371,11 @@ def les_exactness_check(k, sub, field_spec):
             (f"H{n}(X,A)", cr, connecting_map),
         ):
             out = induced(n)
-            # Columns are the transpose: same rank, and (out into)^T = into^T out^T.
-            rank_in, rank_out = field_rank(into, p), field_rank(out, p)
-            dim = len(c.hom_reps[n])
-            exact = rank_in + rank_out == dim and not any(
-                map(any, field_matmul(into, out, p))
-            )
+            # Columns are the transpose: same rank.
+            rank_out, dim = field_rank(out, p), len(c.hom_reps[n])
+            exact = rank_in + rank_out == dim and _kills(c.spans[n], out, into)
             nodes.append(NodeReport(name, dim, rank_in, rank_out, exact))
-            into = out
+            into, rank_in = out, rank_out
     return ExactnessReport(label, nodes, all(node.exact for node in nodes))
 
 

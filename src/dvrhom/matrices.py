@@ -11,6 +11,10 @@ matrices almost always reduce to nothing this way.  Only the non-unit core
 left over goes through the dense Smith normal form, which pivots on a
 minimal absolute value entry each round to keep coefficient growth tame.
 ``smith_normal_form``, which also returns the transforms, stays dense.
+Over a field (Q or Z_p) there is one eliminator, the sparse tagged echelon
+basis ``_Echelon``: ``field_rank`` counts the vectors it stores, and the
+long exact sequence check of ``homology`` builds its homology coordinates
+with it.
 """
 
 from __future__ import annotations
@@ -357,57 +361,70 @@ def determinant(a):
 
 
 # ---------------------------------------------------------------------------
-# Dense elimination over a field: p=None means rationals, otherwise GF(p).
+# Sparse elimination over a field: p=None means rationals, otherwise GF(p).
 
 
-def _to_field(rows, p):
-    if p is None:
-        return [[Fraction(x) for x in row] for row in rows]
-    return [[int(x) % p for x in row] for row in rows]
+class _Echelon:
+    """Sparse vectors in echelon form over Q (p=None) or Z_p.
 
+    Vectors are ``{index: value}`` dicts.  Each stored vector is scaled to 1
+    at its pivot, its largest index, and carries a tag: a second vector to
+    which every row operation on it is applied as well, so the tag writes
+    the stored vector in terms of whatever its inputs were tagged with.
+    """
 
-def _inv(x, p):
-    return 1 / x if p is None else pow(x, p - 2, p)
+    def __init__(self, p):
+        if p is None:
+            # +-1 is its own inverse: pivots of boundaries stay ints, which
+            # keeps Fraction arithmetic out of the common case.
+            self.norm = lambda x: x
+            self.inv = lambda x: x if x in (1, -1) else 1 / Fraction(x)
+        else:
+            self.norm = lambda x: x % p
+            self.inv = lambda x: pow(x, p - 2, p)
+        self.rows = {}  # pivot -> (vector, tag)
 
+    def subtract(self, acc, f, vec):
+        """``acc -= f * vec`` in place, dropping the entries that vanish.
 
-def field_rref(rows, p=None):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    a = _to_field(rows, p)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if a[i][c]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = _inv(a[r][c], p)
-        a[r] = [x * inv % p if p else x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                if p:
-                    a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-                else:
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return a, pivots
+        ``vec`` holds no zero entries (one missing from ``acc`` would fail).
+        """
+        norm = self.norm
+        for i, x in vec.items():
+            if y := norm(acc.get(i, 0) - f * x):
+                acc[i] = y
+            else:
+                del acc[i]
+
+    def reduce(self, vec, tag=()):
+        """Residual of ``vec`` against the stored vectors, and its tag.
+
+        Only pivots are cleared, so the residual is zero exactly when
+        ``vec`` lies in the span of the stored vectors.
+        """
+        vec = {i: y for i, x in vec.items() if (y := self.norm(x))}
+        tag = dict(tag)
+        while vec and (pivot := max(vec)) in self.rows:
+            f, (stored, stored_tag) = vec[pivot], self.rows[pivot]
+            self.subtract(vec, f, stored)
+            self.subtract(tag, f, stored_tag)
+        return vec, tag
+
+    def add(self, vec, tag=()):
+        """Store ``vec`` unless it reduces to zero; returns ``reduce``'s pair."""
+        vec, tag = self.reduce(vec, tag)
+        if vec:
+            pivot = max(vec)
+            norm, s = self.norm, self.inv(vec[pivot])
+            self.rows[pivot] = tuple(
+                {i: norm(x * s) for i, x in v.items()} for v in (vec, tag)
+            )
+        return vec, tag
 
 
 def field_rank(rows, p=None):
-    return len(field_rref(rows, p)[1])
-
-
-def field_matmul(a, b, p=None):
-    if not a or not b:
-        return []
-    n = len(b[0])
-    out = []
-    for row in a:
-        acc = [sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
-        out.append([v % p for v in acc] if p else [Fraction(v) for v in acc])
-    return out
+    """Rank of dense rows over Q (p=None) or Z_p; Z_p takes integer entries only."""
+    echelon = _Echelon(p)
+    for row in rows:
+        echelon.add(dict(enumerate(row)))
+    return len(echelon.rows)

@@ -193,6 +193,16 @@ def field_solve(rows, rhs, p=None):
     return x
 
 
+def dense_matmul(a, b, p=None):
+    """The product of dense matrices over Q (p=None) or Z_p."""
+    norm = (lambda x: x) if p is None else (lambda x: x % p)
+    ncols = len(b[0]) if b else 0
+    return [
+        [norm(sum(x * row[k] for x, row in zip(arow, b))) for k in range(ncols)]
+        for arow in a
+    ]
+
+
 def dense_boundary(bases, n):
     """The n-th boundary map over per-degree simplex bases, as dense rows.
 
@@ -233,11 +243,11 @@ def integer_homology_oracle(bases):
 def field_betti_oracle(bases, p=None):
     """Betti numbers over Q (p=None) or Z_p, without clearing.
 
-    Every full boundary map goes to ``field_rank`` on its own.
+    Every full boundary map goes to ``dense_rref`` on its own.
     """
-    from dvrhom.matrices import field_rank
-
-    ranks = [field_rank(dense_boundary(bases, n), p) for n in range(len(bases) + 1)]
+    ranks = [
+        len(dense_rref(dense_boundary(bases, n), p)[1]) for n in range(len(bases) + 1)
+    ]
     return [len(basis) - ranks[n] - ranks[n + 1] for n, basis in enumerate(bases)]
 
 

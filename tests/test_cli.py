@@ -243,6 +243,27 @@ def test_bad_prime_fields_exit_1(capsys, spec):
         assert "internal error" not in doc["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "spelling, canonical",
+    [
+        ("zp:03", "zp:3"),
+        ("zp:+3", "zp:3"),
+        ("ZP: 3 ", "zp:3"),
+        ("zp:\u0663", "zp:3"),  # ARABIC-INDIC DIGIT THREE
+        ("zp:1_009", "zp:1009"),
+        ("Q", "q"),
+    ],
+)
+def test_coefficient_spellings_report_the_canonical_label(spelling, canonical):
+    _, gen_text = run(["gen", "random", "--n", "6", "--p", ".5", "--seed", "3"])
+    for argv in (["homology"], ["les-check", "--subset", "0,1,2"]):
+        report, _ = run(argv + ["--coeff", spelling], stdin_text=gen_text)
+        expect, _ = run(argv + ["--coeff", canonical], stdin_text=gen_text)
+        assert report.pop("command") != expect.pop("command")
+        assert report == expect
+        assert report["coefficients"] == canonical
+
+
 def test_large_prime_field_below_the_limit():
     _, gen_text = run(["gen", "circulant", "--n", "6", "--m", "2"])
     argv = ["homology", "--coeff", "zp:1000000000000000003"]
@@ -257,6 +278,25 @@ def test_fx_sample_rejects_negative_sample_count(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert "sample count" in doc["error"]["message"]
     assert "checked" not in doc
+
+
+@pytest.mark.parametrize("delta", ["1e-999999999", "1e-4300", "1/" + "9" * 1300])
+def test_fx_sample_refuses_radii_too_long_to_report(capsys, delta):
+    # Fraction("1e-999999999") alone would build a billion-digit power of ten,
+    # and str() refuses the 4301-digit denominator of 1e-4300.
+    _, gen_text = run(["gen", "circulant", "--n", "6", "--m", "2"])
+    assert _main_with_stdin(["fx-sample", "--delta", delta], gen_text) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert "bad rational number" in doc["error"]["message"]
+
+
+def test_fx_sample_reports_a_radius_of_4096_bits_and_its_halvings():
+    _, gen_text = run(["gen", "figure", "--which", "left"])
+    delta = f"{2**4095}/{2**4096 - 1}"
+    argv = ["fx-sample", "--samples", "200", "--seed", "3", "--delta", delta]
+    report, _ = run(argv, stdin_text=gen_text)
+    assert report["delta"] == delta
+    assert report["failures"] and all(f["pass_delta"] for f in report["failures"])
 
 
 def test_error_report_is_structured(capsys):
@@ -442,6 +482,57 @@ def test_fuzzed_documents_end_in_a_report_or_an_input_error(doc):
         with contextlib.redirect_stdout(out):
             code = _main_with_stdin(argv, text)
         assert code in (0, 1), (argv, text, out.getvalue())
+        report, end = json.JSONDecoder().raw_decode(out.getvalue())
+        assert type(report) is dict and not out.getvalue()[end:].strip()
+        if code == 1:
+            assert report["error"]["message"]
+
+
+# Argument strings: well-formed pieces, near misses and arbitrary text.
+_TOKENS = st.one_of(
+    st.integers(-3, 8).map(str),
+    st.sampled_from(
+        ["", " ", "x", "1.5", "+2", "-0", " 3 ", "1_0", "0x1", "1e2"]
+        + ["\u0663", "\u00b2"]  # ARABIC-INDIC DIGIT THREE, SUPERSCRIPT TWO
+    ),
+    st.text(max_size=3),
+)
+_SUBSETS = st.one_of(st.lists(_TOKENS, max_size=5).map(",".join), st.text(max_size=8))
+_FIELDS = st.sampled_from(["zp:", "ZP:", "zp", "z", "q", "Q", ""])
+_COEFFS = st.one_of(st.tuples(_FIELDS, _TOKENS).map("".join), st.text(max_size=6))
+_JOINS = st.sampled_from(["", "/", ".", "e", "E-", "e+", "/-", "e9999", "e-9999"])
+_DELTAS = st.one_of(
+    st.tuples(_TOKENS, _JOINS, _TOKENS).map("".join),
+    st.text(max_size=8),
+)
+_POINTS = st.one_of(
+    st.lists(st.lists(_TOKENS, max_size=3).map(",".join), max_size=4).map(";".join),
+    st.text(max_size=10),
+)
+_ARG_DOCUMENTS = [
+    run(["gen", "circulant", "--n", "6", "--m", "2"])[1],
+    run(["gen", "figure", "--which", "middle"])[1],
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SUBSETS, _COEFFS, _DELTAS, _POINTS)
+def test_fuzzed_arguments_end_in_a_report_or_an_input_error(
+    subset, coeff, delta, points
+):
+    # The --opt=value form passes a value that starts with "-" as it is.
+    commands = [
+        ["pair", f"--subset={subset}"],
+        ["les-check", f"--subset={subset}", f"--coeff={coeff}"],
+        ["homology", f"--coeff={coeff}"],
+        ["fx-sample", "--samples", "20", f"--delta={delta}"],
+    ]
+    calls = [(argv, text) for text in _ARG_DOCUMENTS for argv in commands]
+    for argv, text in calls + [(["gen", "digital", f"--points={points}"], "")]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = _main_with_stdin(argv, text)
+        assert code in (0, 1), (argv, out.getvalue())
         report, end = json.JSONDecoder().raw_decode(out.getvalue())
         assert type(report) is dict and not out.getvalue()[end:].strip()
         if code == 1:

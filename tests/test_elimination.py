@@ -1,12 +1,13 @@
 """Property tests of the sparse elimination cores.
 
 The dense minimal-pivot Smith elimination ``_diagonalize`` and the dense
-field elimination ``field_rank`` are the oracles: invariant factors and
-ranks are unique, so the sparse path must agree with them exactly.  The
-top-down reduction with clearing is held to them and to the homology
-oracles of ``oracles``, which reduce every full boundary map on its own.
-The echelon bases of the long exact sequence check are held to the dense
-row reduction and linear solver of ``oracles``.
+row reduction ``dense_rref`` of ``oracles`` are the oracles: invariant
+factors and ranks are unique, so the sparse path must agree with them
+exactly.  The top-down reduction with clearing is held to them and to the
+homology oracles of ``oracles``, which reduce every full boundary map on
+its own.  The echelon bases of the long exact sequence check, and its test
+that consecutive maps compose to zero, are held to the dense row reduction,
+linear solver and matrix product of ``oracles``.
 """
 
 import random
@@ -33,15 +34,18 @@ from dvrhom.homology import (
     _boundary_rows,
     _FieldComplex,
     _homology_groups,
+    _kills,
     _reduce,
     _relative_bases,
     boundary_matrix,
 )
-from dvrhom.matrices import _diagonalize, _unit_eliminate
+from dvrhom.matrices import _diagonalize, _Echelon, _unit_eliminate
 from oracles import (
     dense_boundary,
+    dense_matmul,
     dense_rref,
     field_betti_oracle,
+    field_nullspace,
     field_solve,
     integer_homology_oracle,
 )
@@ -107,7 +111,9 @@ def test_core_keeps_no_unit_and_field_ranks_add_up(a):
     assert all(any(col) for col in zip(*core))
     dense = a.to_rows()
     for p in FIELDS:
-        assert ones + field_rank(core, p) == field_rank(dense, p)
+        rank = len(dense_rref(core, p)[1])
+        assert field_rank(core, p) == rank
+        assert ones + rank == len(dense_rref(dense, p)[1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,7 +131,7 @@ def test_field_betti_numbers_match_dense_ranks(pair):
     fv = f_vector(k)
     dense = [boundary_matrix(k, n).to_rows() for n in range(len(fv) + 1)]
     for spec, p in (("q", None), (2, 2), (3, 3)):
-        ranks = [field_rank(rows, p) for rows in dense]
+        ranks = [len(dense_rref(rows, p)[1]) for rows in dense]
         expect = [fv[n] - ranks[n] - ranks[n + 1] for n in range(len(fv))]
         assert homology_field(k, spec) == expect
 
@@ -207,6 +213,28 @@ def test_echelon_coordinates(pair, seed):
             c = _FieldComplex(bases, p)
             for n in range(len(bases)):
                 check_coordinates(c, bases, n, p, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_composite_check_matches_dense_product(data):
+    # ``out`` has b columns of length c; the columns of ``into`` are vectors
+    # of length b, mostly from the left kernel of ``out`` (so the composite
+    # is zero), sometimes with a random vector added.
+    def vectors(length, **size):
+        return data.draw(
+            st.lists(st.lists(entries, min_size=length, max_size=length), **size)
+        )
+
+    b, c = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    out, noise = vectors(c, min_size=b, max_size=b), vectors(b, max_size=3)
+    mix = data.draw(st.lists(st.integers(-2, 2), min_size=b, max_size=b))
+    for p in FIELDS:
+        kernel = field_nullspace([list(row) for row in zip(*out)], b, p)
+        into = [[sum(a * v[j] for a, v in zip(mix, kernel)) for j in range(b)]]
+        into += [[x + y for x, y in zip(into[0], row)] for row in noise]
+        zero = not any(map(any, dense_matmul(into, out, p)))
+        assert _kills(_Echelon(p), out, into) == zero
 
 
 # ---------------------------------------------------------------------------

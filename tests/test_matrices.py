@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,8 +12,7 @@ from dvrhom import (
     invariant_factors,
     smith_normal_form,
 )
-from dvrhom.matrices import field_matmul
-from oracles import field_nullspace, field_solve, rational_rank
+from oracles import dense_rref, field_nullspace, field_solve, rational_rank
 
 
 def gcd_of_entries(rows):
@@ -115,8 +115,17 @@ def test_field_rank_rational_and_modular():
 def test_field_rank_matches_oracle():
     rng = random.Random(77)
     for _ in range(30):
-        rows = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert field_rank(rows) == rational_rank(rows)
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        # Mostly zero entries, and a last row that is a combination of the
+        # others, so it reduces to zero over every field.
+        rows = random_matrix(rng, m, n, -2, 2)
+        rows = [[x if rng.random() < 0.4 else 0 for x in row] for row in rows]
+        rows.append([sum(2 * x for x in col) for col in zip(*rows)])
+        for p in (2, 3, 5):
+            assert field_rank(rows, p) == len(dense_rref(rows, p)[1]) <= m
+        rational = [[Fraction(x, d) for x in row] for d, row in enumerate(rows, 1)]
+        for q_rows in (rows, rational):
+            assert field_rank(q_rows) == len(dense_rref(q_rows)[1])
 
 
 def test_field_nullspace_and_solve():
@@ -128,5 +137,3 @@ def test_field_nullspace_and_solve():
     x = field_solve([[1, 1], [0, 1]], [3, 2])
     assert x == [1, 2]
     assert field_solve([[1, 0], [1, 0]], [1, 2]) is None
-    prod = field_matmul([[1, 2]], [[3], [4]])
-    assert prod == [[11]]
