@@ -14,6 +14,7 @@ way as a domain error, without a traceback).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -399,20 +400,10 @@ def _run_les(args, kind, obj):
     k = _complex_of(kind, obj)
     subset, sub = _subset_subcomplex(k, args.subset)
     report = les_exactness_check(k, sub, coeff)
-    nodes = [
-        {
-            "name": n.name,
-            "dim": n.dim,
-            "rank_in": n.rank_in,
-            "rank_out": n.rank_out,
-            "exact": n.exact,
-        }
-        for n in report.nodes
-    ]
     return {
         "coefficients": label,
         "subset": list(subset),
-        "nodes": nodes,
+        "nodes": [dataclasses.asdict(node) for node in report.nodes],
         "exact": report.exact,
     }
 

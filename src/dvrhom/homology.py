@@ -8,11 +8,14 @@ is built as sparse rows over the simplex bases, skips the columns cleared
 by the map above it, and goes through the unit-pivot elimination of
 ``matrices``; only the small non-unit core left over needs a dense Smith
 form (over Z) or ``field_rank`` (over Z_p).  The long exact sequence check
-needs explicit homology classes, not just ranks: in each degree one sparse
-echelon basis over the field, ``matrices._Echelon``, takes the boundaries
-and then the cycles, picks the homology representatives and writes any
-cycle in terms of them.  The same eliminator gives the ranks of the maps
-of the sequence and checks that consecutive maps compose to zero.
+needs explicit homology classes, not just ranks.  Its chains are
+``{simplex: coefficient}`` dicts, so X, A and X/A share one index.  In each
+degree one sparse echelon basis over the field, ``matrices._Echelon``,
+takes the boundaries, top-down and with the same clearing, and then the
+cycles; it picks the homology representatives and writes any cycle in
+terms of them.  The maps of the sequence are induced by three chain maps,
+and the same eliminator gives their ranks and checks that consecutive maps
+compose to zero.
 """
 
 from __future__ import annotations
@@ -243,65 +246,82 @@ class ExactnessReport:
     exact: bool
 
 
-def _boundary_columns(bases, n):
-    """The n-th boundary map over ``bases`` as one sparse dict per column."""
-    cols = [{} for _ in (bases[n] if n < len(bases) else ())]
-    for i, row in _boundary_rows(bases, n).items():
-        for j, v in row.items():
-            cols[j][i] = v
-    return cols
+def _boundary(chain, faces):
+    """Boundary of a chain ``{simplex: coefficient}`` on the faces in ``faces``.
+
+    Deleting the i-th vertex has sign (-1)^i.  Entries may be zero;
+    ``_Echelon`` drops them.
+    """
+    image = {}
+    for s, c in chain.items():
+        for i in range(len(s)):
+            face = s[:i] + s[i + 1 :]
+            if face in faces:
+                image[face] = image.get(face, 0) + (-c if i & 1 else c)
+    return image
 
 
 class _FieldComplex:
     """Chain complex over a field with explicit homology coordinates.
 
-    In each degree n the columns of the boundary map of degree n + 1 are
-    reduced into one echelon basis, tagged with the chains they come from;
-    a column that reduces to zero leaves its chain as a cycle of degree
-    n + 1.  With the chains dropped (boundaries are zero in homology), the
-    same basis then takes the cycles of degree n in order.  A cycle that is
+    Chains are ``{simplex: coefficient}`` dicts.  Within a degree the
+    lexicographic order of the simplices is the basis order, so the pivot
+    of a vector is its largest simplex.  Degrees are visited top-down.  In
+    degree n the boundary of each n-simplex goes into the echelon basis of
+    degree n - 1, tagged with the simplex; a column that reduces to zero
+    leaves its chain as a cycle.  Clearing skips the n-simplices that are
+    pivots of the boundaries of degree n + 1: such a simplex is the largest
+    of a boundary z, so its cycle lies in z plus the span of the earlier
+    cycles and would be no representative.  The cycles then go, in order,
+    into the basis of degree n, which holds those boundaries with their
+    chains dropped (boundaries are zero in homology).  A cycle that is
     stored is a homology representative, tagged with its own index, so
     every tag gives its vector's class in terms of the representatives.
     """
 
     def __init__(self, bases, p):
-        self.hom_reps, self.spans = [], []
-        cycles = [{j: 1} for j in range(len(bases[0]))]
-        for n in range(len(bases)):
-            span, next_cycles = _Echelon(p), []
-            for j, col in enumerate(_boundary_columns(bases, n + 1)):
-                vec, chain = span.add(col, {j: 1})
-                if not vec:
-                    next_cycles.append(chain)
-            span.rows = {i: (vec, {}) for i, (vec, _) in span.rows.items()}
-            reps = []
+        self.hom_reps = [[] for _ in bases]
+        self.spans = [_Echelon(p) for _ in bases]
+        for n in range(len(bases) - 1, -1, -1):
+            span = self.spans[n]
+            below = self.spans[n - 1] if n else _Echelon(p)
+            faces = set(bases[n - 1]) if n else ()
+            cycles = []
+            for s in bases[n]:
+                if s not in span.rows:
+                    vec, chain = below.add(_boundary({s: 1}, faces), {s: 1})
+                    if not vec:
+                        cycles.append(chain)
+            below.rows = {i: (vec, {}) for i, (vec, _) in below.rows.items()}
+            reps = self.hom_reps[n]
             for z in cycles:
                 if span.add(z, {len(reps): 1})[0]:
                     reps.append(z)
-            self.hom_reps.append(reps)
-            self.spans.append(span)
-            cycles = next_cycles
 
     def coords(self, n, chain):
-        """Homology coordinates of a cycle given as a sparse chain."""
+        """Class of a cycle of degree n, as ``{representative index: coefficient}``.
+
+        A chain that is no cycle, or that leaves the basis, is refused.
+        """
         span = self.spans[n]
         vec, tag = span.reduce(chain)
         if vec:
-            raise InputError("vector is not a cycle of the chain complex")
+            raise InputError("chain is not a cycle of the chain complex")
         # chain is a combination of stored vectors, each equal in homology
         # to its tag; reduce subtracted that combination from the tag.
-        return [span.norm(-tag.get(h, 0)) for h in range(len(self.hom_reps[n]))]
+        return {h: span.norm(-c) for h, c in tag.items()}
 
 
 def _kills(field, out, into):
-    """Whether dense columns ``out`` map each column of ``into`` to 0, in ``field``."""
-    norm = field.norm
-    out = [{i: y for i, x in enumerate(col) if (y := norm(x))} for col in out]
+    """Whether the classes ``out`` send each class of ``into`` to 0, in ``field``.
+
+    Class ``h`` of ``out`` is the image of representative ``h``; classes are
+    sparse ``{representative index: coefficient}`` without zero entries.
+    """
     for col in into:
         image = {}
-        for j, c in enumerate(col):
-            if norm(c):
-                field.subtract(image, -c, out[j])
+        for h, c in col.items():
+            field.subtract(image, -c, out[h])
         if image:
             return False
     return True
@@ -320,61 +340,35 @@ def les_exactness_check(k, sub, field_spec):
     if not k.by_dimension:
         return ExactnessReport(label, [], True)
 
-    x_bases = [list(level) for level in k.by_dimension]
     a_bases = [[s for s in level if s in sub.index] for level in k.by_dimension]
-    r_bases = _relative_bases(k, sub)
-    cx, ca, cr = (_FieldComplex(b, p) for b in (x_bases, a_bases, r_bases))
-    x_pos, a_pos, r_pos = (
-        [{s: i for i, s in enumerate(level)} for level in b]
-        for b in (x_bases, a_bases, r_bases)
+    cx, ca, cr = (
+        _FieldComplex(b, p)
+        for b in (k.by_dimension, a_bases, _relative_bases(k, sub))
     )
-
-    # Each induced map is a list of columns: the coordinates of the image of
-    # each representative of its domain.
-    def inclusion_map(n):
-        pos = [x_pos[n][s] for s in a_bases[n]]
-        return [
-            cx.coords(n, {pos[i]: c for i, c in rep.items()})
-            for rep in ca.hom_reps[n]
-        ]
-
-    def quotient_map(n):
-        pos = [r_pos[n].get(s) for s in x_bases[n]]
-        return [
-            cr.coords(n, {pos[i]: c for i, c in rep.items() if pos[i] is not None})
-            for rep in cx.hom_reps[n]
-        ]
-
-    def connecting_map(n):
-        # Lift a relative cycle to a chain, take its boundary inside sub.
-        if n == 0:  # H0(X,A) -> 0
-            return [[] for _ in cr.hom_reps[0]]
-        faces = x_bases[n - 1]
-        bd = _boundary_columns([faces, r_bases[n]], 1)
-        cols = []
-        for rep in cr.hom_reps[n]:
-            image = {}
-            for j, c in rep.items():
-                cr.spans[n].subtract(image, -c, bd[j])
-            if any(faces[i] not in a_pos[n - 1] for i in image):
-                raise InputError("relative cycle boundary escaped the subcomplex")
-            target = {a_pos[n - 1][faces[i]]: v for i, v in image.items()}
-            cols.append(ca.coords(n - 1, target))
-        return cols
-
+    # Each node's map to the next is induced by a chain map that lowers the
+    # degree by 0 or 1: the inclusion of A, dropping the simplices of A, and
+    # the boundary in X of a relative cycle, which lies in A (ca.coords
+    # refuses it otherwise).  H0(X,A) maps to 0.
+    steps = (
+        ("A", ca, cx, 0, lambda z: z),
+        ("X", cx, cr, 0, lambda z: {s: c for s, c in z.items() if s not in sub.index}),
+        ("X,A", cr, ca, 1, lambda z: _boundary(z, k.index)),
+    )
     nodes = []
     into, rank_in = [], 0  # the map into the next node, and its rank
     for n in range(k.dim, -1, -1):
-        for name, c, induced in (
-            (f"H{n}(A)", ca, inclusion_map),
-            (f"H{n}(X)", cx, quotient_map),
-            (f"H{n}(X,A)", cr, connecting_map),
-        ):
-            out = induced(n)
-            # Columns are the transpose: same rank.
-            rank_out, dim = field_rank(out, p), len(c.hom_reps[n])
-            exact = rank_in + rank_out == dim and _kills(c.spans[n], out, into)
-            nodes.append(NodeReport(name, dim, rank_in, rank_out, exact))
+        for name, c, target, drop, chain_map in steps:
+            # The classes of the images of the representatives.
+            out = [
+                target.coords(n - drop, chain_map(z)) if n >= drop else {}
+                for z in c.hom_reps[n]
+            ]
+            span = _Echelon(p)
+            for col in out:
+                span.add(col)
+            rank_out, dim = len(span.rows), len(c.hom_reps[n])
+            exact = rank_in + rank_out == dim and _kills(span, out, into)
+            nodes.append(NodeReport(f"H{n}({name})", dim, rank_in, rank_out, exact))
             into, rank_in = out, rank_out
     return ExactnessReport(label, nodes, all(node.exact for node in nodes))
 

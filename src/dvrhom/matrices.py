@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from numbers import Integral
 
 from .digraph import InputError
 
@@ -425,6 +426,13 @@ class _Echelon:
 def field_rank(rows, p=None):
     """Rank of dense rows over Q (p=None) or Z_p; Z_p takes integer entries only."""
     echelon = _Echelon(p)
-    for row in rows:
+    for i, row in enumerate(rows):
+        if p is not None:
+            for j, x in enumerate(row):
+                if not isinstance(x, Integral):
+                    raise InputError(
+                        f"entry ({i}, {j}) = {x!r} is not an integer;"
+                        f" Z_{p} takes integer entries only"
+                    )
         echelon.add(dict(enumerate(row)))
     return len(echelon.rows)

@@ -251,6 +251,38 @@ def field_betti_oracle(bases, p=None):
     return [len(basis) - ranks[n] - ranks[n + 1] for n, basis in enumerate(bases)]
 
 
+def field_complex_oracle(bases, p=None):
+    """Homology representatives per degree over Q (p=None) or Z_p, bottom-up.
+
+    No clearing: in each degree n the package's ``_Echelon`` takes every
+    column of the full boundary map of degree n + 1, keyed by positions in
+    the bases and tagged with its column, and each column that reduces to
+    zero leaves a cycle of degree n + 1.  With the tags dropped, the same
+    basis then takes the cycles of degree n in order; a cycle it stores is a
+    representative.  Representatives are ``{position: coefficient}`` dicts.
+    """
+    from dvrhom.matrices import _Echelon
+
+    hom_reps = []
+    cycles = [{j: 1} for j in range(len(bases[0]))] if bases else []
+    for n in range(len(bases)):
+        span, next_cycles = _Echelon(p), []
+        rows = dense_boundary(bases, n + 1)
+        for j in range(len(bases[n + 1]) if n + 1 < len(bases) else 0):
+            col = {i: row[j] for i, row in enumerate(rows) if row[j]}
+            vec, chain = span.add(col, {j: 1})
+            if not vec:
+                next_cycles.append(chain)
+        span.rows = {i: (vec, {}) for i, (vec, _) in span.rows.items()}
+        reps = []
+        for z in cycles:
+            if span.add(z, {len(reps): 1})[0]:
+                reps.append(z)
+        hom_reps.append(reps)
+        cycles = next_cycles
+    return hom_reps
+
+
 def find_isomorphism(g, h):
     """A vertex bijection carrying edges exactly, or None (brute force)."""
     if g.n != h.n:

@@ -7,7 +7,9 @@ exactly.  The top-down reduction with clearing is held to them and to the
 homology oracles of ``oracles``, which reduce every full boundary map on
 its own.  The echelon bases of the long exact sequence check, and its test
 that consecutive maps compose to zero, are held to the dense row reduction,
-linear solver and matrix product of ``oracles``.
+linear solver and matrix product of ``oracles``; the representatives they
+pick top-down with clearing are held to ``field_complex_oracle``, which
+takes every boundary column bottom-up.
 """
 
 import random
@@ -31,6 +33,7 @@ from dvrhom import (
     restrict_to,
 )
 from dvrhom.homology import (
+    _boundary,
     _boundary_rows,
     _FieldComplex,
     _homology_groups,
@@ -45,6 +48,7 @@ from oracles import (
     dense_matmul,
     dense_rref,
     field_betti_oracle,
+    field_complex_oracle,
     field_nullspace,
     field_solve,
     integer_homology_oracle,
@@ -169,38 +173,53 @@ def test_echelon_homology_dimensions(pair):
         ]
 
 
-def with_boundary(rng, boundary_rows, reps, coeffs):
-    """The chain sum(coeffs[h] * reps[h]) plus a random boundary."""
+def sparse(vec, p):
+    """The nonzero entries of a dense vector over the field, by index."""
+    return {i: y for i, x in enumerate(vec) if (y := normal(x, p))}
+
+
+def with_boundary(rng, level, boundary_rows, reps, coeffs):
+    """The chain sum(coeffs[h] * reps[h]) plus a random boundary.
+
+    ``boundary_rows`` are the rows of the boundary map into ``level``.
+    """
     w = [rng.randint(-3, 3) for _ in (boundary_rows[0] if boundary_rows else ())]
-    vec = {i: sum(x * y for x, y in zip(row, w)) for i, row in enumerate(boundary_rows)}
+    vec = {
+        s: sum(x * y for x, y in zip(row, w)) for s, row in zip(level, boundary_rows)
+    }
     for a, rep in zip(coeffs, reps):
-        for i, x in rep.items():
-            vec[i] = vec.get(i, 0) + a * x
+        for s, x in rep.items():
+            vec[s] = vec.get(s, 0) + a * x
     return vec
 
 
-def check_coordinates(c, bases, n, p, rng):
-    reps = c.hom_reps[n]
+def check_coordinates(c, bases, n, p, rng, level):
+    """Hold the classes of degree n to the dense solver; ``level`` is X's."""
+    reps, basis = c.hom_reps[n], bases[n]
     bd_next = dense_boundary(bases, n + 1)
     for h, rep in enumerate(reps):
         unit = [int(g == h) for g in range(len(reps))]
-        assert c.coords(n, rep) == unit
-        assert c.coords(n, with_boundary(rng, bd_next, reps, unit)) == unit
+        assert c.coords(n, rep) == {h: 1}
+        assert c.coords(n, with_boundary(rng, basis, bd_next, reps, unit)) == {h: 1}
     coeffs = [rng.randint(-3, 3) for _ in reps]
-    z = with_boundary(rng, bd_next, reps, coeffs)
+    z = with_boundary(rng, basis, bd_next, reps, coeffs)
     expect = [normal(a, p) for a in coeffs]
-    assert c.coords(n, z) == expect
+    assert c.coords(n, z) == sparse(expect, p)
     # The dense solver writes z on the boundary columns followed by the
     # representatives; the classes are its last entries.
-    dense = [row + [rep.get(i, 0) for rep in reps] for i, row in enumerate(bd_next)]
-    solution = field_solve(dense, [z.get(i, 0) for i in range(len(dense))], p)
+    dense = [row + [rep.get(s, 0) for rep in reps] for s, row in zip(basis, bd_next)]
+    solution = field_solve(dense, [z.get(s, 0) for s in basis], p)
     assert solution is not None
     assert solution[len(solution) - len(reps) :] == expect
     bd = dense_boundary(bases, n)
-    for j in range(len(bases[n])):
+    for j, s in enumerate(basis):
         if any(row[j] for row in bd):
             with pytest.raises(InputError):
-                c.coords(n, {j: 1})
+                c.coords(n, {s: 1})
+    # A chain on a simplex outside the basis is refused, cycle or not.
+    for s in set(level).difference(basis):
+        with pytest.raises(InputError):
+            c.coords(n, {s: 1})
 
 
 @settings(max_examples=60, deadline=None)
@@ -212,7 +231,20 @@ def test_echelon_coordinates(pair, seed):
         for bases in pair_bases(k, sub):
             c = _FieldComplex(bases, p)
             for n in range(len(bases)):
-                check_coordinates(c, bases, n, p, rng)
+                check_coordinates(c, bases, n, p, rng, k.by_dimension[n])
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_connecting_map_refuses_a_boundary_outside_the_subcomplex(p):
+    # The LES hands the boundary in X of a relative cycle to the coordinates
+    # of A.  On the hollow triangle with A the edge (0, 1), the boundary of
+    # that edge is a cycle of A, and the boundary of (1, 2) leaves A.
+    k = SimplicialComplex.from_simplices([(0, 1), (1, 2), (0, 2)])
+    ca = _FieldComplex([[(0,), (1,)], [(0, 1)]], p)
+    assert ca.coords(0, _boundary({(0, 1): 1}, k.index)) == {}
+    assert ca.coords(0, {(1,): 1}) == {0: 1}
+    with pytest.raises(InputError):
+        ca.coords(0, _boundary({(1, 2): 1}, k.index))
 
 
 @settings(max_examples=200, deadline=None)
@@ -234,7 +266,8 @@ def test_composite_check_matches_dense_product(data):
         into = [[sum(a * v[j] for a, v in zip(mix, kernel)) for j in range(b)]]
         into += [[x + y for x, y in zip(into[0], row)] for row in noise]
         zero = not any(map(any, dense_matmul(into, out, p)))
-        assert _kills(_Echelon(p), out, into) == zero
+        out_p, into_p = ([sparse(col, p) for col in m] for m in (out, into))
+        assert _kills(_Echelon(p), out_p, into_p) == zero
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +385,18 @@ def test_projective_plane_torsion_survives_clearing():
         (1, ()), (0, (2,)), (0, ()), (0, ())
     ]
     assert _reduce(coned.by_dimension) == ([0, 6, 12, 1, 0], [(), (), (2,), (), ()])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(digraph_pairs(), closed_complexes(), projective_plane_pairs()))
+def test_les_representatives_match_the_non_clearing_oracle(pair):
+    for bases in pair_bases(*pair):
+        for p in FIELDS:
+            expect = [
+                [{level[i]: c for i, c in rep.items()} for rep in reps]
+                for level, reps in zip(bases, field_complex_oracle(bases, p))
+            ]
+            assert _FieldComplex(bases, p).hom_reps == expect
 
 
 def check_pivot_rows(rows):

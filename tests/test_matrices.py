@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,13 @@ def test_field_rank_rational_and_modular():
     assert field_rank([[2, 0], [0, 3]], 3) == 1  # 3 == 0 mod 3
     assert field_rank([[2, 0], [0, 3]], 5) == 2
     assert field_rank([], None) == 0
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5, Fraction(3)])
+def test_field_rank_refuses_non_integer_entries_over_z_p(entry):
+    with pytest.raises(InputError, match=rf"entry \(1, 0\) = {re.escape(repr(entry))}"):
+        field_rank([[1, 0], [entry, 1]], 3)
+    assert field_rank([[1, 0], [entry, 1]]) == 2  # fine over Q
 
 
 def test_field_rank_matches_oracle():
