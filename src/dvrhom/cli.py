@@ -82,6 +82,8 @@ def _read_json(text):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"malformed json input: {e}") from None
+    except RecursionError:
+        raise InputError("json input is nested too deeply") from None
     if type(doc) is not dict:
         raise InputError("input json must be an object")
     mixed = [key for key in ("simplices", "vertices", "edges") if key in doc]

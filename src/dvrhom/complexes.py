@@ -33,23 +33,20 @@ class SimplicialComplex:
     """Face-closed family of simplices, graded by dimension.
 
     ``by_dimension[d]`` lists the d-simplices as sorted vertex tuples, in
-    lexicographic order; ``witness`` maps each tuple to its witness ordering;
-    ``index`` maps each tuple to (dimension, position).  ``truncated`` marks
-    complexes cut off by a dimension cap (the top homology degree of such a
-    complex is unreliable).
+    lexicographic order; ``witness`` maps each tuple to its witness ordering.
+    The keys of ``witness`` are exactly the simplices, so it is also the
+    membership map.  Both are kept as given, not copied.  ``truncated``
+    marks complexes cut off by a dimension cap (the top homology degree of
+    such a complex is unreliable).
     """
 
     def __init__(self, by_dimension, witness, digraph=None, truncated=False):
-        self.by_dimension = [list(level) for level in by_dimension]
-        while self.by_dimension and not self.by_dimension[-1]:
-            self.by_dimension.pop()
-        self.witness = dict(witness)
+        while by_dimension and not by_dimension[-1]:
+            by_dimension.pop()
+        self.by_dimension = by_dimension
+        self.witness = witness
         self.digraph = digraph
         self.truncated = truncated
-        self.index = {}
-        for d, level in enumerate(self.by_dimension):
-            for pos, s in enumerate(level):
-                self.index[s] = (d, pos)
 
     @classmethod
     def from_simplices(cls, faces, witnesses=None, digraph=None):
@@ -91,7 +88,7 @@ class SimplicialComplex:
         return Simplex(verts, self.witness[verts])
 
     def __contains__(self, verts):
-        return tuple(sorted(verts)) in self.index
+        return tuple(sorted(verts)) in self.witness
 
     @property
     def dim(self):

@@ -55,14 +55,14 @@ class RealizationPoint:
 def point_in(k, verts, coords):
     """Realization point on a simplex of ``k``, using its stored witness."""
     verts = tuple(sorted(verts))
-    if verts not in k.index:
+    if verts not in k.witness:
         raise InputError(f"{verts} is not a simplex of the complex")
     return RealizationPoint(k.witness[verts], coords)
 
 
 def barycenter(k, verts):
     verts = tuple(sorted(verts))
-    if verts not in k.index:
+    if verts not in k.witness:
         raise InputError(f"{verts} is not a simplex of the complex")
     n = len(verts)
     return RealizationPoint(k.witness[verts], (Fraction(1, n),) * n)
@@ -93,7 +93,7 @@ def _last_max(witness, coords):
 
 
 def _face_witness(k, face):
-    if face not in k.index:
+    if face not in k.witness:
         raise InputError(f"face {face} is missing from the complex")
     return k.witness[face]
 
@@ -189,13 +189,6 @@ class SampleReport:
         return Fraction(len(self.failures), self.checked)
 
 
-def _transfer(coords, i, j, amount):
-    new = list(coords)
-    new[i] -= amount
-    new[j] += amount
-    return tuple(new)
-
-
 def sampled_continuity_check(k, g, samples, delta, seed=0):
     """Randomized continuity probe of the nearest-vertex map.
 
@@ -214,8 +207,9 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
     1 / (2000 * delta.denominator * total) where ``total`` is the sample's
     weight sum: a coordinate wt / total is wt * 2000 * delta.denominator
     units and a move of delta * r / 2000 is delta.numerator * r * total
-    units.  Only a failing sample builds ``Fraction`` coordinates, for the
-    halving retries.
+    units.  The halving retries of a failing sample stay in integers too:
+    retry t scales every unit by 2^t and keeps the shift, which halves the
+    move t times.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -253,19 +247,14 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
             perturbed_value = _last_max(face_w, [at[v] for v in face_w])
         if g.has_edge(perturbed_value, base_value):
             continue
-        coords = tuple(Fraction(wt, total) for wt in weights)
-        amount = min(delta * r / 2000, coords[i])
-
-        def value_at(a):
-            moved = carrier_point(k, RealizationPoint(w, _transfer(coords, i, j, a)))
-            return evaluate_fx(moved)
-
         pass_delta = None
-        shrink = amount
-        for _ in range(80):
-            shrink /= 2
-            if g.has_edge(value_at(shrink), base_value):
-                pass_delta = 2 * shrink
+        for t in range(1, 81):
+            # shift <= weights[i] * scale, so moved[i] > 0: w stays the carrier.
+            moved = [wt * scale << t for wt in weights]
+            moved[i] -= shift
+            moved[j] += shift
+            if g.has_edge(_last_max(w, moved), base_value):
+                pass_delta = Fraction(shift, scale * total << (t - 1))
                 break
         failures.append(
             SampleFailure(idx, s, base_value, perturbed_value, pass_delta)

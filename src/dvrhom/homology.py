@@ -205,14 +205,12 @@ def homology_field(k, field_spec, reduced=False):
 
 def _require_subcomplex(k, sub):
     for s in sub.simplices():
-        if s not in k:
+        if s not in k.witness:
             raise InputError(f"simplex {s} of the subcomplex is not in the complex")
 
 
 def _relative_bases(k, sub):
-    return [
-        [s for s in level if s not in sub.index] for level in k.by_dimension
-    ]
+    return [[s for s in level if s not in sub.witness] for level in k.by_dimension]
 
 
 def relative_homology(k, sub):
@@ -340,7 +338,8 @@ def les_exactness_check(k, sub, field_spec):
     if not k.by_dimension:
         return ExactnessReport(label, [], True)
 
-    a_bases = [[s for s in level if s in sub.index] for level in k.by_dimension]
+    in_a = sub.witness  # keyed by the simplices of A
+    a_bases = [[s for s in level if s in in_a] for level in k.by_dimension]
     cx, ca, cr = (
         _FieldComplex(b, p)
         for b in (k.by_dimension, a_bases, _relative_bases(k, sub))
@@ -351,8 +350,8 @@ def les_exactness_check(k, sub, field_spec):
     # refuses it otherwise).  H0(X,A) maps to 0.
     steps = (
         ("A", ca, cx, 0, lambda z: z),
-        ("X", cx, cr, 0, lambda z: {s: c for s, c in z.items() if s not in sub.index}),
-        ("X,A", cr, ca, 1, lambda z: _boundary(z, k.index)),
+        ("X", cx, cr, 0, lambda z: {s: c for s, c in z.items() if s not in in_a}),
+        ("X,A", cr, ca, 1, lambda z: _boundary(z, k.witness)),
     )
     nodes = []
     into, rank_in = [], 0  # the map into the next node, and its rank

@@ -328,6 +328,12 @@ def test_error_report_is_structured(capsys):
             "digraph keys: 'simplices', 'vertices', 'edges'",
         ),
         ('{"edges": [], "simplices": [{"verts": [0]}]}', "keys: 'simplices', 'edges'"),
+        pytest.param("[" * 100_000, "nested too deeply", id="deep-document"),
+        pytest.param(
+            '{"vertices": ["a"], "edges": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            "nested too deeply",
+            id="deep-edges",
+        ),
     ],
 )
 def test_malformed_documents_are_input_errors(capsys, text, key):

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 
 import pytest
@@ -183,8 +184,6 @@ def test_check_full_subcomplex_whole_and_examples():
 
 
 def test_check_full_subcomplex_campaign():
-    import random
-
     rng = random.Random(5)
     for i in range(50):
         g = random_digraph(2 + i % 6, (0.2, 0.4, 0.7)[i % 3], 600 + i)
@@ -251,6 +250,35 @@ def test_from_simplices_closes_faces():
     assert k.witness[(0, 1, 2)] == (0, 1, 2)
     with pytest.raises(InputError):
         SimplicialComplex.from_simplices([()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_digraphs(),
+    st.integers(0, 4),
+    st.sets(st.integers(0, 6)),
+    st.integers(0, 10**6),
+)
+def test_witness_keys_are_exactly_the_simplices(g, max_dim, subset, seed):
+    rng = random.Random(seed)
+    full = build_complex(g)
+    complexes = (
+        full,
+        build_complex(g, max_dim),
+        SimplicialComplex.from_simplices(full.by_dimension[-1]),
+        SimplicialComplex.from_simplices(full.simplices(), witnesses=full.witness),
+        restrict_to(full, subset),
+        # Fewer than dim + 1 vertices hold no top simplex.
+        restrict_to(full, range(full.dim)),
+        SimplicialComplex([], {}),
+    )
+    for k in complexes:
+        assert set(k.witness) == set(k.simplices())
+        assert not k.by_dimension or k.by_dimension[-1]
+        for s in k.simplices():
+            perm = list(s)
+            rng.shuffle(perm)
+            assert tuple(perm) in k
 
 
 def _assert_matches_greedy_oracle_at_every_cap(g):

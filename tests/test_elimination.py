@@ -143,7 +143,7 @@ def test_field_betti_numbers_match_dense_ranks(pair):
 def pair_bases(k, sub):
     """Simplex bases of X, A and (X, A) in every degree of X."""
     x = [list(level) for level in k.by_dimension]
-    a = [[s for s in level if s in sub.index] for level in k.by_dimension]
+    a = [[s for s in level if s in sub.witness] for level in k.by_dimension]
     return x, a, _relative_bases(k, sub)
 
 
@@ -241,10 +241,10 @@ def test_connecting_map_refuses_a_boundary_outside_the_subcomplex(p):
     # that edge is a cycle of A, and the boundary of (1, 2) leaves A.
     k = SimplicialComplex.from_simplices([(0, 1), (1, 2), (0, 2)])
     ca = _FieldComplex([[(0,), (1,)], [(0, 1)]], p)
-    assert ca.coords(0, _boundary({(0, 1): 1}, k.index)) == {}
+    assert ca.coords(0, _boundary({(0, 1): 1}, k.witness)) == {}
     assert ca.coords(0, {(1,): 1}) == {0: 1}
     with pytest.raises(InputError):
-        ca.coords(0, _boundary({(1, 2): 1}, k.index))
+        ca.coords(0, _boundary({(1, 2): 1}, k.witness))
 
 
 @settings(max_examples=200, deadline=None)
