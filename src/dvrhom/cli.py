@@ -6,6 +6,9 @@ output the complex keys, so commands chain over standard streams.  Reports
 are byte-identical across runs on identical input (sorted keys, no
 timestamps).
 
+Documents are parsed, checked, written and hashed in ``documents``.  An
+``--out`` file that cannot be written is a domain error naming the path.
+
 Exit codes: 0 success, 1 domain error (structured error report on stdout),
 2 usage error, 3 internal error (an unexpected exception, reported the same
 way as a domain error, without a traceback).
@@ -16,14 +19,25 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
-import json
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .complexes import SimplicialComplex, build_complex, f_vector, restrict_to
-from .digraph import Digraph, InputError
+from .complexes import SimplicialComplex, build_complex, restrict_to
+from .digraph import InputError
+from .documents import (  # parse_digraph is importable from here too
+    SCHEMA,
+    _complex_digest,
+    _complex_doc,
+    _digest,
+    _digraph_digest,
+    _digraph_doc,
+    _digraph_from_doc,
+    _dumps,
+    _parse_edgelist,
+    _read_json,
+    parse_digraph,
+)
 from .fxmap import continuity_certificate, sampled_continuity_check
 from .generators import circulant, digital_image, figure_digraph, random_digraph
 from .homology import (
@@ -36,180 +50,22 @@ from .homology import (
     relative_homology,
 )
 
-SCHEMA = "1"
-
-
-def _canonical(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _digest(obj):
-    return hashlib.sha256(_canonical(obj).encode("utf-8")).hexdigest()
-
-
-def _digraph_doc(g):
-    labels = [g.label_of(v) for v in range(g.n)]
-    edges = sorted([labels[u], labels[v]] for u, v in g.edges())
-    return {"schema": SCHEMA, "vertices": labels, "edges": edges}
-
-
-def _list_of(x, ok):
-    return type(x) is list and all(map(ok, x))
-
-
-def _is_label(x):
-    return type(x) in (str, int, float)
-
-
-# Each document key the CLI reads, with the test each item of its list passes.
-_SHAPES = {
-    "vertices": ("vertex labels", _is_label),
-    "edges": ("[u, v] label pairs", lambda e: _list_of(e, _is_label) and len(e) == 2),
-    "simplices": (
-        'objects with integer lists "verts" and (optional) "witness"',
-        lambda s: type(s) is dict
-        and all(
-            _list_of(v, lambda x: type(x) is int)  # so no bool either
-            for v in (s.get("verts"), s.get("witness", []))
-        ),
-    ),
-}
-
-
-def _read_json(text):
-    """Parse a JSON document and check the shape of every key the CLI reads."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"malformed json input: {e}") from None
-    except RecursionError:
-        raise InputError("json input is nested too deeply") from None
-    if type(doc) is not dict:
-        raise InputError("input json must be an object")
-    mixed = [key for key in ("simplices", "vertices", "edges") if key in doc]
-    if "simplices" in doc and len(mixed) > 1:
-        raise InputError(
-            "input json mixes complex and digraph keys: " + ", ".join(map(repr, mixed))
-        )
-    for key, (what, ok) in _SHAPES.items():
-        if not _list_of(doc.get(key, []), ok):
-            raise InputError(f"{key!r} must be a list of {what}")
-    if type(doc.get("truncated", False)) is not bool:
-        raise InputError("'truncated' must be true or false")
-    witnesses = {}
-    for item in doc.get("simplices", []):
-        if "witness" in item:
-            verts = tuple(sorted(item["verts"]))
-            if witnesses.setdefault(verts, item["witness"]) != item["witness"]:
-                raise InputError(f"'simplices' gives two witnesses for {list(verts)}")
-    return doc
-
-
-def _digraph_from_doc(doc):
-    labels = [str(x) for x in doc.get("vertices", [])]
-    index = {lab: i for i, lab in enumerate(labels)}
-    if len(index) != len(labels):
-        raise InputError("vertex labels must be unique")
-    edges = []
-    for pair in doc.get("edges", []):
-        resolved = []
-        for entry in pair:
-            if isinstance(entry, str) and entry in index:
-                resolved.append(index[entry])
-            elif isinstance(entry, int) and 0 <= entry < len(labels):
-                resolved.append(entry)
-            elif str(entry) in index:
-                resolved.append(index[str(entry)])
-            else:
-                raise InputError(f"unknown vertex label {entry!r}")
-        edges.append(tuple(resolved))
-    return Digraph.from_edge_list(len(labels), edges, labels=labels or None)
-
-
-def _parse_edgelist(text):
-    n = None
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if n is None:
-            if len(fields) != 1 or not fields[0].isdigit():
-                raise InputError(f"line {lineno}: expected the vertex count")
-            n = int(fields[0])
-            continue
-        if len(fields) != 2:
-            raise InputError(f"line {lineno}: expected 'u v'")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise InputError(f"line {lineno}: expected two integers") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(
-                f"line {lineno}: edge ({u}, {v}) out of range for {n} vertices"
-            )
-        edges.append((u, v))
-    if n is None:
-        raise InputError("empty edgelist input")
-    return Digraph.from_edge_list(n, edges)
-
-
-def parse_digraph(source, format="json"):
-    """Parse a digraph document ('json') or an edgelist ('edgelist')."""
-    if format == "edgelist":
-        return _parse_edgelist(source)
-    if format == "json":
-        return _digraph_from_doc(_read_json(source))
-    raise InputError(f"unknown input format {format!r}")
-
-
-def _complex_doc(k):
-    simplices = [
-        {"verts": list(s), "witness": list(k.witness[s])} for s in k.simplices()
-    ]
-    return {
-        "schema": SCHEMA,
-        "f_vector": list(f_vector(k)),
-        "simplices": simplices,
-        "truncated": k.truncated,
-    }
-
-
-def _complex_from_doc(doc):
-    witnesses = {}
-    faces = []
-    for item in doc.get("simplices", []):
-        verts = tuple(item["verts"])
-        faces.append(verts)
-        if "witness" in item:
-            witnesses[tuple(sorted(verts))] = tuple(item["witness"])
-    k = SimplicialComplex.from_simplices(faces, witnesses=witnesses)
-    k.truncated = doc.get("truncated", False)
-    return k
-
 
 def _load_input(args, stdin):
-    """Read stdin into (kind, object, canonicalized document for hashing)."""
+    """Read stdin into (kind, object, input digest)."""
     text = stdin.read()
     if getattr(args, "format", "json") == "edgelist":
         g = _parse_edgelist(text)
-        return "digraph", g, _strip_meta(_digraph_doc(g))
-    doc = _read_json(text)
+        return "digraph", g, _digraph_digest(g)
+    doc, faces, witnesses = _read_json(text)
     if "simplices" in doc:
-        k = _complex_from_doc(doc)
-        return "complex", k, _strip_meta(_complex_doc(k), kind="complex")
+        k = SimplicialComplex.from_simplices(faces, witnesses=witnesses)
+        k.truncated = doc.get("truncated", False)
+        return "complex", k, _complex_digest(k)
     if "edges" in doc or "vertices" in doc:
         g = _digraph_from_doc(doc)
-        return "digraph", g, _strip_meta(_digraph_doc(g))
+        return "digraph", g, _digraph_digest(g)
     raise InputError("input json is neither a digraph nor a complex document")
-
-
-def _strip_meta(doc, kind="digraph"):
-    # The digest covers the canonical reconstruction, so reordered edges or
-    # an edgelist spelling of the same digraph hash identically.
-    keys = ("vertices", "edges") if kind == "digraph" else ("f_vector", "simplices")
-    return {k: doc[k] for k in keys if k in doc}
 
 
 def _require_digraph(kind, obj):
@@ -469,10 +325,14 @@ def _run_fx_sample(args, kind, obj):
 
 
 def _emit(report, out_path, stdout):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _dumps(report)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            message = f"cannot write --out {out_path!r}: {e.strerror or e}"
+            raise InputError(message) from None
     else:
         stdout.write(text)
 
@@ -487,8 +347,7 @@ def run_command(argv, stdin=None, stdout=None):
     if args.command == "gen":
         extra, digest, seed = _run_gen(args)
     else:
-        kind, obj, doc = _load_input(args, stdin)
-        digest = _digest(doc)
+        kind, obj, digest = _load_input(args, stdin)
         if args.command == "complex":
             g = _require_digraph(kind, obj)
             extra = _complex_doc(build_complex(g, args.max_dim))
@@ -526,7 +385,7 @@ def _report_error(argv, message):
         "command": " ".join(argv),
         "error": {"message": message},
     }
-    sys.stdout.write(json.dumps(error, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_dumps(error))
 
 
 def main(argv=None):

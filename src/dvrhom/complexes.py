@@ -53,21 +53,22 @@ class SimplicialComplex:
         """Abstract complex from arbitrary vertex sets, closed under faces.
 
         Witnesses default to the sorted vertex tuple (the natural reading for
-        complexes without an ambient digraph).
+        complexes without an ambient digraph).  The closure runs top down:
+        each simplex adds only its facets to the level below, whose own
+        simplices then add theirs.
         """
-        closed = set()
+        by_size = {}
         for f in faces:
             f = tuple(sorted(set(f)))
             if not f:
                 raise InputError("simplices must be nonempty")
-            for k in range(1, len(f) + 1):
-                closed.update(combinations(f, k))
-        by_dim = []
-        for s in sorted(closed, key=lambda t: (len(t), t)):
-            d = len(s) - 1
-            while len(by_dim) <= d:
-                by_dim.append([])
-            by_dim[d].append(s)
+            by_size.setdefault(len(f), set()).add(f)
+        top = max(by_size, default=0)
+        for k in range(top, 1, -1):
+            below = by_size.setdefault(k - 1, set())
+            for s in by_size[k]:
+                below.update(combinations(s, k - 1))
+        by_dim = [sorted(by_size[k]) for k in range(1, top + 1)]
         witness = {s: s for level in by_dim for s in level}
         if witnesses:
             for s, w in witnesses.items():

@@ -11,6 +11,8 @@ kernels, so they check the top-down clearing and not the kernels.
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from dvrhom import InputError
+
 
 def brute_force_dvr(g, max_dim=None):
     """All simplices of the directed clique complex, by exhaustive search.
@@ -108,6 +110,37 @@ def greedy_complex_oracle(g, max_dim=None):
         and next_level(levels[-1], {})
     )
     return levels, witness, truncated
+
+
+def closure_oracle(faces, witnesses=None):
+    """Face closure of arbitrary vertex sets, as (levels, witness map).
+
+    Closes every face over all of its 2^k nonempty subsets and sorts the
+    result once by (size, tuple); witnesses default to the sorted tuple.
+    Raises the same ``InputError`` messages as
+    ``SimplicialComplex.from_simplices``.
+    """
+    closed = set()
+    for f in faces:
+        f = tuple(sorted(set(f)))
+        if not f:
+            raise InputError("simplices must be nonempty")
+        for k in range(1, len(f) + 1):
+            closed.update(combinations(f, k))
+    levels = []
+    for s in sorted(closed, key=lambda t: (len(t), t)):
+        while len(levels) < len(s):
+            levels.append([])
+        levels[len(s) - 1].append(s)
+    witness = {s: s for s in closed}
+    for s, w in (witnesses or {}).items():
+        s = tuple(s)
+        if s not in witness:
+            raise InputError(f"witness given for missing simplex {s}")
+        if tuple(sorted(w)) != s:
+            raise InputError(f"witness {w} is not an ordering of {s}")
+        witness[s] = tuple(w)
+    return levels, witness
 
 
 def bron_kerbosch_cliques(g):

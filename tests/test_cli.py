@@ -1,13 +1,15 @@
 import contextlib
 import io
 import json
+import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvrhom import InputError, figure_digraph
-from dvrhom import cli
+from dvrhom import cli, documents
 from dvrhom.cli import main, parse_digraph, run_command
 
 
@@ -308,6 +310,12 @@ def test_error_report_is_structured(capsys):
     assert "message" in doc["error"]
 
 
+_BAD_SIMPLICES = (
+    "'simplices' must be a list of objects with integer lists \"verts\" and"
+    ' (optional) "witness"'
+)
+
+
 @pytest.mark.parametrize(
     "text, key",
     [
@@ -328,6 +336,29 @@ def test_error_report_is_structured(capsys):
             "digraph keys: 'simplices', 'vertices', 'edges'",
         ),
         ('{"edges": [], "simplices": [{"verts": [0]}]}', "keys: 'simplices', 'edges'"),
+        ('{"simplices": {"verts": [0]}}', _BAD_SIMPLICES),
+        ('{"simplices": [[0, 1]]}', _BAD_SIMPLICES),
+        ('{"simplices": [{"witness": [0]}]}', _BAD_SIMPLICES),
+        ('{"simplices": [{"verts": [0, 1.0]}]}', _BAD_SIMPLICES),
+        ('{"simplices": [{"verts": ["0"]}]}', _BAD_SIMPLICES),
+        ('{"simplices": [{"verts": [0], "witness": 0}]}', _BAD_SIMPLICES),
+        (
+            '{"simplices": [{"verts": [2, 0, 1], "witness": [2, 0, 1]},'
+            ' {"verts": [1, 2, 0], "witness": [0, 1, 2]}]}',
+            "'simplices' gives two witnesses for [0, 1, 2]",
+        ),
+        # A witness clash is reported after every shape check, as one pass
+        # over the items finds it before the shape error of a later item.
+        (
+            '{"simplices": [{"verts": [0, 1], "witness": [0, 1]},'
+            ' {"verts": [1, 0], "witness": [1, 0]}, {"verts": [true]}]}',
+            _BAD_SIMPLICES,
+        ),
+        (
+            '{"simplices": [{"verts": [0, 1], "witness": [0, 1]},'
+            ' {"verts": [1, 0], "witness": [1, 0]}], "truncated": 1}',
+            "'truncated' must be true or false",
+        ),
         pytest.param("[" * 100_000, "nested too deeply", id="deep-document"),
         pytest.param(
             '{"vertices": ["a"], "edges": ' + "[" * 100_000 + "]" * 100_000 + "}",
@@ -341,7 +372,7 @@ def test_malformed_documents_are_input_errors(capsys, text, key):
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
     assert key in doc["error"]["message"]
-    with pytest.raises(InputError, match=key):
+    with pytest.raises(InputError, match=re.escape(key)):
         parse_digraph(text)
 
 
@@ -356,6 +387,70 @@ def test_out_flag_writes_file(tmp_path):
     assert out.getvalue() == ""
     doc = json.loads(target.read_text())
     assert doc["vertices"] == ["0", "1", "2", "3"]
+
+
+@pytest.mark.parametrize("target", ["nonexistent/x.json", "."])
+def test_unwritable_out_path_exits_1(capsys, tmp_path, target):
+    # A path in a missing directory, and a directory.
+    target = tmp_path / target
+    code = main(["gen", "circulant", "--n", "4", "--m", "1", "--out", str(target)])
+    assert code == 1
+    message = json.loads(capsys.readouterr().out)["error"]["message"]
+    assert message.startswith(f"cannot write --out {str(target)!r}: ")
+    assert "internal error" not in message
+
+
+_STRINGS = st.text(st.characters(codec=None, exclude_categories=()), max_size=6)
+_REPORT_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324]),
+    _STRINGS,
+)
+# Report-shaped values: nested dicts, lists and tuples, empty ones among
+# them, and integer lists that may hide a bool.
+_REPORT_VALUES = st.recursive(
+    st.one_of(
+        _REPORT_SCALARS,
+        st.lists(st.integers(), max_size=5),
+        st.lists(st.one_of(st.integers(-3, 3), st.booleans()), max_size=5),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_STRINGS, inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_REPORT_VALUES)
+def test_emitter_writes_the_text_of_json_dumps(value):
+    assert documents._dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_reports_and_error_reports_are_json_dumps_text(capsys):
+    _, gen_text = run(["gen", "random", "--n", "7", "--p", ".6", "--seed", "2"])
+    _, complex_text = run(["complex"], stdin_text=gen_text)
+    calls = [
+        (["complex"], gen_text),
+        (["homology", "--coeff", "zp:3"], complex_text),
+        (["les-check", "--subset", "0,2,5"], gen_text),
+        (["pi1"], complex_text),
+        (["fx-certify"], gen_text),
+        (["fx-sample", "--samples", "30", "--seed", "1"], gen_text),
+    ]
+    for argv, text in calls:
+        report, written = run(argv, stdin_text=text)
+        assert written == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    bad_label = '{"vertices": ["a"], "edges": [["a", "\u00e9\\n"]]}'
+    assert _main_with_stdin(["homology"], bad_label) == 1
+    written = capsys.readouterr().out
+    assert written == json.dumps(json.loads(written), sort_keys=True, indent=2) + "\n"
 
 
 def test_homology_accepts_abstract_complex_documents():

@@ -28,6 +28,7 @@ from oracles import (
     brute_force_dvr,
     brute_force_witness,
     clique_complex_faces,
+    closure_oracle,
     greedy_complex_oracle,
 )
 
@@ -250,6 +251,62 @@ def test_from_simplices_closes_faces():
     assert k.witness[(0, 1, 2)] == (0, 1, 2)
     with pytest.raises(InputError):
         SimplicialComplex.from_simplices([()])
+
+
+# Unsorted vertex lists, with repeated vertices, repeated faces and singletons.
+_FACES = st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=5), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FACES, st.data())
+def test_top_down_closure_matches_subset_oracle(faces, data):
+    simplices = [s for level in closure_oracle(faces)[0] for s in level]
+    chosen = data.draw(st.sets(st.sampled_from(simplices))) if faces else ()
+    witnesses = {s: data.draw(st.permutations(s)) for s in chosen}
+    faces = [tuple(f) if i % 2 else f for i, f in enumerate(faces)]
+    k = SimplicialComplex.from_simplices(faces, witnesses=witnesses)
+    assert (k.by_dimension, k.witness) == closure_oracle(faces, witnesses)
+
+
+def _closure_or_message(close, faces, witnesses):
+    try:
+        return close(faces, witnesses)
+    except InputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 4), max_size=4), max_size=5),
+    st.dictionaries(
+        st.lists(st.integers(0, 4), min_size=1, max_size=3).map(sorted).map(tuple),
+        st.lists(st.integers(0, 4), max_size=3).map(tuple),
+        max_size=3,
+    ),
+)
+def test_closure_errors_match_subset_oracle(faces, witnesses):
+    def top_down(faces, witnesses):
+        k = SimplicialComplex.from_simplices(faces, witnesses=witnesses)
+        return k.by_dimension, k.witness
+
+    assert _closure_or_message(top_down, faces, witnesses) == _closure_or_message(
+        closure_oracle, faces, witnesses
+    )
+
+
+@pytest.mark.parametrize(
+    "faces, witnesses, message",
+    [
+        ([(0, 1), ()], None, "simplices must be nonempty"),
+        ([(1, 0)], {(0, 2): (2, 0)}, "witness given for missing simplex (0, 2)"),
+        ([(1, 0)], {(0, 1): (0, 0)}, "witness (0, 0) is not an ordering of (0, 1)"),
+    ],
+)
+def test_closure_error_messages(faces, witnesses, message):
+    for close in (SimplicialComplex.from_simplices, closure_oracle):
+        with pytest.raises(InputError) as exc:
+            close(faces, witnesses=witnesses)
+        assert str(exc.value) == message
 
 
 @settings(max_examples=60, deadline=None)
