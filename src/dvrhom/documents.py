@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
+import sys
 from json.encoder import encode_basestring_ascii
 
 from .complexes import f_vector
@@ -140,6 +141,11 @@ def _read_json(text):
         raise InputError(f"malformed json input: {e}") from None
     except RecursionError:
         raise InputError("json input is nested too deeply") from None
+    except ValueError:  # json reads ints with int(), which refuses long ones
+        raise InputError(
+            "json input has an integer longer than"
+            f" {sys.get_int_max_str_digits()} digits"
+        ) from None
     if type(doc) is not dict:
         raise InputError("input json must be an object")
     mixed = [key for key in ("simplices", "vertices", "edges") if key in doc]
@@ -237,11 +243,17 @@ def _parse_edgelist(text):
 
 
 def parse_digraph(source, format="json"):
-    """Parse a digraph document ('json') or an edgelist ('edgelist')."""
+    """Parse a digraph document ('json') or an edgelist ('edgelist').
+
+    A complex document is refused, as the digraph-only commands refuse it.
+    """
     if format == "edgelist":
         return _parse_edgelist(source)
     if format == "json":
-        return _digraph_from_doc(_read_json(source)[0])
+        doc = _read_json(source)[0]
+        if "simplices" in doc:
+            raise InputError("expected a digraph document, got a complex document")
+        return _digraph_from_doc(doc)
     raise InputError(f"unknown input format {format!r}")
 
 

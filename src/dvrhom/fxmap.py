@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .digraph import InputError
 
@@ -85,11 +85,7 @@ def evaluate_fx(p):
 
 def _last_max(witness, coords):
     """The vertex of ``witness`` at the last position of the largest coordinate."""
-    top = max(coords)
-    for i in range(len(coords) - 1, -1, -1):
-        if coords[i] == top:
-            return witness[i]
-    raise AssertionError("unreachable: coords are nonempty")
+    return witness[len(coords) - 1 - coords[::-1].index(max(coords))]
 
 
 def _face_witness(k, face):
@@ -189,6 +185,16 @@ class SampleReport:
         return Fraction(len(self.failures), self.checked)
 
 
+def _below(getrandbits, n):
+    """``randrange(n)`` from ``getrandbits``: n.bit_length() bits, redrawn
+    until the value is below n."""
+    bits = n.bit_length()
+    x = getrandbits(bits)
+    while x >= n:
+        x = getrandbits(bits)
+    return x
+
+
 def sampled_continuity_check(k, g, samples, delta, seed=0):
     """Randomized continuity probe of the nearest-vertex map.
 
@@ -210,31 +216,64 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
     units.  The halving retries of a failing sample stay in integers too:
     retry t scales every unit by 2^t and keeps the shift, which halves the
     move t times.
+
+    Every random number comes from one ``random.Random(seed).getrandbits``
+    under ``randrange``'s rejection rule: a number below m is m.bit_length()
+    bits, drawn again until it is below m.  Each sample draws, in order, its
+    simplex (below the simplex count), one weight per vertex (1 plus a
+    number below 1000), i and j as ``random.sample(range(d), 2)`` draws
+    them, and r (below 1001).  So a seed gives the report that
+    ``randrange``, ``randint`` and ``sample`` gave, and the report depends
+    only on the Mersenne Twister's ``getrandbits`` output, not on
+    ``random``'s Python-level helpers.
     """
     delta = Fraction(delta)
     if delta <= 0:
         raise InputError("perturbation radius must be positive")
     if samples < 0:
         raise InputError("sample count must be nonnegative")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     all_simplices = list(k.simplices())
     if not all_simplices:
         return SampleReport(samples, delta, seed, 0, ())
+    n = len(all_simplices)
+    n_bits = n.bit_length()
     scale = 2000 * delta.denominator
     checked = 0
     failures = []
     for idx in range(samples):
-        s = all_simplices[rng.randrange(len(all_simplices))]
+        x = getrandbits(n_bits)
+        while x >= n:
+            x = getrandbits(n_bits)
+        s = all_simplices[x]
         w = k.witness[s]
         d = len(w)
-        weights = [rng.randint(1, 1000) for _ in range(d)]
+        # randint(1, 1000) per vertex: each weight redraws 10 bits until one
+        # is below 1000, so the weights are the first d draws accepted.
+        weights = [wt + 1 for wt in map(getrandbits, repeat(10, d)) if wt < 1000]
+        while len(weights) < d:
+            wt = getrandbits(10)
+            if wt < 1000:
+                weights.append(wt + 1)
         if d == 1:
             continue  # no room to move inside a vertex: not checked
         checked += 1
         base_value = _last_max(w, weights)
         total = sum(weights)
-        i, j = rng.sample(range(d), 2)
-        r = rng.randint(0, 1000)
+        # sample(range(d), 2): j is drawn from the d - 1 indices left with
+        # d - 1 moved into i's place, or past 21 indices redrawn until j != i.
+        i = _below(getrandbits, d)
+        if d <= 21:
+            j = _below(getrandbits, d - 1)
+            if j == i:
+                j = d - 1
+        else:
+            j = _below(getrandbits, d)
+            while j == i:
+                j = _below(getrandbits, d)
+        r = getrandbits(10)
+        while r > 1000:
+            r = getrandbits(10)
         units = [wt * scale for wt in weights]
         shift = min(delta.numerator * r * total, units[i])
         units[i] -= shift

@@ -66,6 +66,16 @@ def test_parse_digraph_json_unknown_label():
         parse_digraph(json.dumps(doc), format="json")
 
 
+def test_parse_digraph_refuses_a_complex_document():
+    for text in (
+        '{"simplices": [{"verts": [0, 1]}]}',
+        '{"simplices": []}',
+        pipe(["gen", "circulant", "--n", "4", "--m", "1"], ["complex"])[1],
+    ):
+        with pytest.raises(InputError, match="got a complex document"):
+            parse_digraph(text)
+
+
 def test_gen_circulant_homology_pipeline():
     report, _ = pipe(
         ["gen", "circulant", "--n", "6", "--m", "2"],
@@ -364,6 +374,11 @@ _BAD_SIMPLICES = (
             '{"vertices": ["a"], "edges": ' + "[" * 100_000 + "]" * 100_000 + "}",
             "nested too deeply",
             id="deep-edges",
+        ),
+        pytest.param(
+            '{"vertices": [' + "7" * 5000 + "]}",
+            "json input has an integer longer than 4300 digits",
+            id="long-integer",
         ),
     ],
 )

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -336,3 +338,68 @@ def test_sampled_check_matches_fraction_reference():
             assert rep == fraction_sampled_check(k, g, samples, delta, seed)
             failures += rep.failure_count
     assert failures > 0
+
+
+class _CountedWitnesses(dict):
+    """A witness table counting membership tests: the sampler makes one
+    only when a move drains a coordinate and the point goes to a face."""
+
+    tests = 0
+
+    def __contains__(self, key):
+        self.tests += 1
+        return super().__contains__(key)
+
+
+def test_sampled_check_matches_fraction_reference_on_dense_and_tiny_complexes():
+    # Dense shapes have about 1000 simplices, so the simplex draw rejects
+    # 10- and 11-bit values, and witnesses of up to 8 vertices.  Complexes
+    # of exactly 1, 2 and 4 simplices make the simplex count 1 or a power
+    # of two, where rejection is heaviest.  1/10^6 never fails, 1/3 fails
+    # across one-way edges and 2 also drains coordinates onto faces.
+    cases = [(random_digraph(14, 0.65, s), 400, s) for s in (1, 2, 3)]
+    cases += [
+        (from_edge_list(1, []), 200, 5),
+        (from_edge_list(2, []), 200, 6),
+        (from_edge_list(3, [(0, 1)]), 600, 7),
+    ]
+    counts = set()
+    failures = 0
+    pushes = dict.fromkeys((Fraction(1, 10**6), Fraction(1, 3), 2), 0)
+    for g, samples, seed in cases:
+        k = build_complex(g)
+        counts.add(len(list(k.simplices())))
+        for delta in pushes:
+            view = SimpleNamespace(
+                simplices=k.simplices, witness=_CountedWitnesses(k.witness)
+            )
+            rep = sampled_continuity_check(view, g, samples, delta, seed)
+            assert rep == fraction_sampled_check(k, g, samples, delta, seed)
+            failures += rep.failure_count
+            pushes[delta] += view.witness.tests
+    assert {1, 2, 4} <= counts and max(counts) > 1024
+    assert failures > 0
+    assert pushes[Fraction(1, 10**6)] == 0 and pushes[2] > 0
+
+
+def test_sampled_check_matches_fraction_reference_past_the_sample_pool():
+    # random.sample(range(d), 2) draws j from a pool for d <= 21 and by
+    # redrawing from range(d) past that.  A transitive tournament on 22
+    # vertices has every vertex set as a simplex with its ascending
+    # witness; only a few of them are offered to the sampler, with the
+    # facets a drained coordinate leads to.
+    n = 22
+    g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    drawn = [tuple(range(n)), tuple(range(21)), tuple(range(1, n)), (3, 9)]
+    witness = {}
+    for s in drawn:
+        witness[s] = s
+        witness.update((f, f) for f in combinations(s, len(s) - 1))
+    k = SimpleNamespace(simplices=lambda: iter(drawn), witness=witness)
+    failures = 0
+    for delta in (Fraction(1, 10**6), Fraction(1, 3), 2):
+        k.witness = _CountedWitnesses(witness)
+        rep = sampled_continuity_check(k, g, 400, delta, seed=11)
+        assert rep == fraction_sampled_check(k, g, 400, delta, seed=11)
+        failures += rep.failure_count
+    assert failures > 0 and k.witness.tests > 0
