@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .complexes import SimplicialComplex, build_complex, restrict_to
+from .complexes import build_complex, restrict_to
 from .digraph import InputError
 from .documents import (  # parse_digraph is importable from here too
     SCHEMA,
@@ -32,10 +32,9 @@ from .documents import (  # parse_digraph is importable from here too
     _digest,
     _digraph_digest,
     _digraph_doc,
-    _digraph_from_doc,
     _dumps,
     _parse_edgelist,
-    _read_json,
+    _read_document,
     parse_digraph,
 )
 from .fxmap import continuity_certificate, sampled_continuity_check
@@ -57,15 +56,9 @@ def _load_input(args, stdin):
     if getattr(args, "format", "json") == "edgelist":
         g = _parse_edgelist(text)
         return "digraph", g, _digraph_digest(g)
-    doc, faces, witnesses = _read_json(text)
-    if "simplices" in doc:
-        k = SimplicialComplex.from_simplices(faces, witnesses=witnesses)
-        k.truncated = doc.get("truncated", False)
-        return "complex", k, _complex_digest(k)
-    if "edges" in doc or "vertices" in doc:
-        g = _digraph_from_doc(doc)
-        return "digraph", g, _digraph_digest(g)
-    raise InputError("input json is neither a digraph nor a complex document")
+    kind, obj = _read_document(text)
+    digest = _complex_digest if kind == "complex" else _digraph_digest
+    return kind, obj, digest(obj)
 
 
 def _require_digraph(kind, obj):

@@ -263,10 +263,14 @@ def map_complex(f, source, target):
     ``f`` maps source vertices to target vertices (sequence or mapping); it
     must send edges to edges, which is verified, not assumed.
     """
-    fmap = tuple(f[v] for v in range(source.n))
-    for v in fmap:
-        if not (0 <= v < target.n):
-            raise InputError(f"image vertex {v} out of range for target")
+    fmap = []
+    for v in range(source.n):
+        try:
+            fmap.append(f[v])
+        except (IndexError, KeyError):
+            raise InputError(f"vertex {v} has no image") from None
+        if type(fmap[v]) is not int or not 0 <= fmap[v] < target.n:
+            raise InputError(f"vertex {v} maps to {fmap[v]!r}, outside the target")
     for u in range(source.n):
         for v in source.out_set(u):
             if not target.has_edge(fmap[u], fmap[v]):
@@ -286,4 +290,4 @@ def map_complex(f, source, target):
             degenerate.append(s)
         if image not in kt:
             ok = False
-    return SimplicialMapReport(fmap, tuple(entries), tuple(degenerate), ok)
+    return SimplicialMapReport(tuple(fmap), tuple(entries), tuple(degenerate), ok)

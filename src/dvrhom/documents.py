@@ -2,8 +2,8 @@
 
 A digraph document has the keys ``vertices`` and ``edges``, a complex
 document (the output of ``complex``) the keys ``f_vector``, ``simplices``
-and ``truncated``.  ``_read_json`` parses either and checks the shape of
-every key the commands read; a complex document is read in one pass over
+and ``truncated``.  ``_read_document`` reads either, and checks the shape
+of every key the commands read; a complex document is read in one pass over
 ``simplices`` (``_read_simplices``) that checks each item, sorts its
 vertices once and collects its witness.
 
@@ -28,7 +28,7 @@ import operator
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .complexes import f_vector
+from .complexes import SimplicialComplex, f_vector
 from .digraph import Digraph, InputError
 
 SCHEMA = "1"
@@ -129,11 +129,11 @@ _BAD_SIMPLICES = (
 )
 
 
-def _read_json(text):
+def _read_document(text):
     """Parse a JSON document and check the shape of every key the CLI reads.
 
-    Returns the document with the faces and witnesses of its ``simplices``
-    (see ``_read_simplices``).
+    Returns ("complex", complex) for a document with ``simplices``, and
+    ("digraph", digraph) for one with ``vertices`` or ``edges``.
     """
     try:
         doc = json.loads(text)
@@ -161,7 +161,13 @@ def _read_json(text):
         raise InputError("'truncated' must be true or false")
     if clash is not None:
         raise InputError(f"'simplices' gives two witnesses for {list(clash)}")
-    return doc, faces, witnesses
+    if "simplices" in doc:
+        k = SimplicialComplex.from_simplices(faces, witnesses=witnesses)
+        k.truncated = doc.get("truncated", False)
+        return "complex", k
+    if "edges" in doc or "vertices" in doc:
+        return "digraph", _digraph_from_doc(doc)
+    raise InputError("input json is neither a digraph nor a complex document")
 
 
 def _read_simplices(items):
@@ -250,10 +256,10 @@ def parse_digraph(source, format="json"):
     if format == "edgelist":
         return _parse_edgelist(source)
     if format == "json":
-        doc = _read_json(source)[0]
-        if "simplices" in doc:
+        kind, g = _read_document(source)
+        if kind == "complex":
             raise InputError("expected a digraph document, got a complex document")
-        return _digraph_from_doc(doc)
+        return g
     raise InputError(f"unknown input format {format!r}")
 
 

@@ -1,27 +1,26 @@
 """Simplicial chain complexes and their homology over Z, Q and Z_p.
 
-Simplices are oriented by their sorted vertex tuple, independent of the
-witness ordering used during construction, so boundary signs are
-reproducible.  Homology of a complex, and of a pair as its quotient
-complex, comes from one top-down reduction, ``_reduce``: each boundary map
-is built as sparse rows over the simplex bases, skips the columns cleared
-by the map above it, and goes through the unit-pivot elimination of
-``matrices``; only the small non-unit core left over needs a dense Smith
-form (over Z) or ``field_rank`` (over Z_p).  The long exact sequence check
-needs explicit homology classes, not just ranks.  Its chains are
-``{simplex: coefficient}`` dicts, so X, A and X/A share one index.  In each
-degree one sparse echelon basis over the field, ``matrices._Echelon``,
-takes the boundaries, top-down and with the same clearing, and then the
-cycles; it picks the homology representatives and writes any cycle in
-terms of them.  The maps of the sequence are induced by three chain maps,
-and the same eliminator gives their ranks and checks that consecutive maps
-compose to zero.
+Simplices are oriented by their sorted vertex tuple, so boundary signs do
+not depend on witnesses.  Each boundary map is built once, by
+``_boundary_columns``: columns ``{simplex position: {face position: +-1}}``
+over the positions of ``k.by_dimension``.  A pair (X, A) keeps X's
+positions and drops A's (``_quotient``), so X, A and X/A share one index.
+All homology, absolute homology being relative to the empty subcomplex,
+comes from one top-down reduction, ``_reduce``: the unit elimination of
+``matrices`` takes the columns of each map, less those cleared by the map
+above, and its pivot faces clear the map below; only the small non-unit
+core left needs a dense Smith form (over Z) or ``field_rank`` (over Z_p).
+The long exact sequence check keeps one sparse echelon basis over the
+field, ``matrices._Echelon``, per degree of X, A and X/A, on chains keyed
+by X's positions; it picks the homology representatives, writes cycles in
+terms of them and gives the ranks of the three induced maps.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import combinations
 
 from .digraph import InputError
 from .matrices import (
@@ -114,25 +113,19 @@ def _parse_field(spec):
     return spec
 
 
-def _boundary_rows(bases, n, skip=()):
-    """The n-th boundary map over ``bases`` as ``{face: {simplex: +-1}}``.
+def _boundary_columns(levels, n):
+    """The boundary map of degree n, as columns over simplex positions.
 
-    Faces and simplices are positions in ``bases[n - 1]`` and ``bases[n]``.
-    Simplices in ``skip`` and faces outside the basis (in the subcomplex of
-    a pair) are left out.  Deleting the i-th vertex has sign (-1)^i.
+    ``levels`` are the simplex lists of ``k.by_dimension``.  The position of
+    each n-simplex maps to ``{face position: +-1}``, deleting the i-th
+    vertex with sign (-1)^i; the columns of degree 0 are empty.
     """
-    rows = {}
-    if not 0 < n < len(bases):
-        return rows
-    face_pos = {s: i for i, s in enumerate(bases[n - 1])}
-    for j, simplex in enumerate(bases[n]):
-        if j in skip:
-            continue
-        for i in range(len(simplex)):
-            r = face_pos.get(simplex[:i] + simplex[i + 1 :])
-            if r is not None:
-                rows.setdefault(r, {})[j] = -1 if i & 1 else 1
-    return rows
+    if not n:
+        return {j: {} for j in range(len(levels[0]))}
+    pos = {s: i for i, s in enumerate(levels[n - 1])}.__getitem__
+    signs = [(-1) ** i for i in range(n, -1, -1)]  # last vertex deleted first
+    faces = (map(pos, combinations(s, n)) for s in levels[n])
+    return dict(enumerate(dict(zip(f, signs)) for f in faces))
 
 
 def boundary_matrix(k, n):
@@ -145,72 +138,88 @@ def boundary_matrix(k, n):
     """
     if n < 0:
         raise InputError("boundary degree must be >= 0")
-    bases = k.by_dimension
-    mat = IntegerMatrix(
-        len(bases[n - 1]) if 0 < n <= len(bases) else 0,
-        len(bases[n]) if n < len(bases) else 0,
-    )
-    rows = _boundary_rows(bases, n).items()
-    mat.entries = {(i, j): v for i, row in rows for j, v in row.items()}
+    levels = k.by_dimension
+    columns = _boundary_columns(levels, n) if n < len(levels) else {}
+    mat = IntegerMatrix(len(levels[n - 1]) if 0 < n <= len(levels) else 0, len(columns))
+    mat.entries = {(i, j): v for j, col in columns.items() for i, v in col.items()}
     return mat
 
 
-def _reduce(bases, p=None):
-    """Ranks and torsion of every boundary map over ``bases``, top-down.
+def _reduce(columns, top, p=None):
+    """Ranks and torsion of the boundary maps ``columns(n)``, top-down.
 
-    Entry n of each list is for the map of degree n = 0 .. top + 1; ranks
-    are over Z (hence Q) when p is None, else over Z_p.  Clearing: the map
-    d of degree n skips the columns of the pivot rows R of the unit
-    elimination of the map B above it.  B[R, :] has invariant factors all
-    1, so an integer right inverse X, and d B = 0 gives d[:, R] =
-    -d[:, ~R] B[~R, :] X: d keeps its invariant factors without them.  The
-    non-unit core never clears.
+    Each map is built when it is reduced, and used up.  Entry n of each
+    list is for degree n = 0 .. top + 1; ranks are over Z (hence Q) when p
+    is None, else over Z_p.  Clearing: the map d of degree n skips the
+    pivot faces R of the unit elimination of the columns of the map B
+    above it.  B[R, :] has invariant factors all 1, so an integer right
+    inverse X, and d B = 0 gives d[:, R] = -d[:, ~R] B[~R, :] X: d keeps
+    its invariant factors without them.  The non-unit core never clears.
     """
-    ranks, torsion = [0] * (len(bases) + 1), [()] * (len(bases) + 1)
+    ranks, torsion = [0] * (top + 2), [()] * (top + 2)
     cleared = ()
-    for n in range(len(bases) - 1, 0, -1):
-        pivots, core = _unit_eliminate(_boundary_rows(bases, n, cleared))
+    for n in range(top, 0, -1):
+        cols = columns(n)
+        for j in cleared:
+            del cols[j]
+        pivots, core = _unit_eliminate(cols)
         if p is None:
             d = _dense_factors(core)
             ranks[n] = len(pivots) + len(d)
             torsion[n] = tuple(x for x in d if x > 1)
         else:
             ranks[n] = len(pivots) + field_rank(core, p)
-        cleared = set(pivots)
+        cleared = pivots
     return ranks, torsion
 
 
-def _homology_groups(bases, p=None, reduced=False):
-    """Homology groups over ``bases``; ``reduced`` adds the augmentation."""
-    ranks, torsion = _reduce(bases, p)
-    if reduced and bases:
+def _positions_of(sub, k):
+    """The positions of the simplices of ``sub`` in each level of ``k``."""
+    for s in sub.simplices():
+        if s not in k.witness:
+            raise InputError(f"simplex {s} of the subcomplex is not in the complex")
+    return [{j for j, s in enumerate(lv) if s in sub.witness} for lv in k.by_dimension]
+
+
+def _quotient(columns, in_a, below):
+    """X/A's columns of one degree: X's ``columns`` less A's simplices
+    ``in_a`` and A's faces ``below``; a column without them is shared."""
+    cut = {j: col for j, col in columns.items() if j not in in_a}
+    for j, col in cut.items():
+        if not below.isdisjoint(col):
+            cut[j] = {i: c for i, c in col.items() if i not in below}
+    return cut
+
+
+def _homology_groups(k, in_a, p=None, reduced=False):
+    """Homology groups of (k, A), for the positions ``in_a`` of A in ``k``
+    (none for absolute homology); ``reduced`` adds the augmentation."""
+    levels, below = k.by_dimension, [set()] + in_a
+
+    def columns(n):
+        return _quotient(_boundary_columns(levels, n), in_a[n], below[n])
+
+    ranks, torsion = _reduce(columns, k.dim, p)
+    if reduced and levels:
         ranks[0] = 1
+    sizes = [len(level) - len(keep) for level, keep in zip(levels, in_a)]
     return [
-        HomologyGroup(len(basis) - ranks[n] - ranks[n + 1], torsion[n + 1])
-        for n, basis in enumerate(bases)
+        HomologyGroup(size - ranks[n] - ranks[n + 1], torsion[n + 1])
+        for n, size in enumerate(sizes)
     ]
 
 
 def homology_integer(k, reduced=False):
     """Integer homology of the complex: Betti numbers and torsion."""
-    groups = _homology_groups(k.by_dimension, reduced=reduced)
+    groups = _homology_groups(k, [set()] * (k.dim + 1), reduced=reduced)
     return HomologyResult(groups, reduced=reduced, truncated=k.truncated)
 
 
 def homology_field(k, field_spec, reduced=False):
     """Betti numbers over Q (field_spec="q") or Z_p (p prime, p < 3.3e24)."""
     p = _parse_field(field_spec)
-    return [g.betti for g in _homology_groups(k.by_dimension, p, reduced)]
-
-
-def _require_subcomplex(k, sub):
-    for s in sub.simplices():
-        if s not in k.witness:
-            raise InputError(f"simplex {s} of the subcomplex is not in the complex")
-
-
-def _relative_bases(k, sub):
-    return [[s for s in level if s not in sub.witness] for level in k.by_dimension]
+    groups = _homology_groups(k, [set()] * (k.dim + 1), p, reduced)
+    return [g.betti for g in groups]
 
 
 def relative_homology(k, sub):
@@ -219,9 +228,19 @@ def relative_homology(k, sub):
     The quotient basis in each degree is the simplices of ``k`` outside
     ``sub``; boundary entries landing in ``sub`` are deleted.
     """
-    _require_subcomplex(k, sub)
-    groups = _homology_groups(_relative_bases(k, sub))
+    groups = _homology_groups(k, _positions_of(sub, k))
     return HomologyResult(groups, truncated=k.truncated)
+
+
+def _pair_tables(k, sub):
+    """The boundary maps of X, A and X/A in every degree, on X's positions.
+
+    A shares X's columns, as the faces of a simplex of A are in A.
+    """
+    in_a = _positions_of(sub, k)
+    x = [_boundary_columns(k.by_dimension, n) for n in range(k.dim + 1)]
+    a = [{j: c for j, c in cols.items() if j in keep} for cols, keep in zip(x, in_a)]
+    return x, a, [_quotient(*cut) for cut in zip(x, in_a, [set()] + in_a)]
 
 
 # ---------------------------------------------------------------------------
@@ -244,50 +263,31 @@ class ExactnessReport:
     exact: bool
 
 
-def _boundary(chain, faces):
-    """Boundary of a chain ``{simplex: coefficient}`` on the faces in ``faces``.
-
-    Deleting the i-th vertex has sign (-1)^i.  Entries may be zero;
-    ``_Echelon`` drops them.
-    """
-    image = {}
-    for s, c in chain.items():
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            if face in faces:
-                image[face] = image.get(face, 0) + (-c if i & 1 else c)
-    return image
-
-
 class _FieldComplex:
     """Chain complex over a field with explicit homology coordinates.
 
-    Chains are ``{simplex: coefficient}`` dicts.  Within a degree the
-    lexicographic order of the simplices is the basis order, so the pivot
-    of a vector is its largest simplex.  Degrees are visited top-down.  In
-    degree n the boundary of each n-simplex goes into the echelon basis of
-    degree n - 1, tagged with the simplex; a column that reduces to zero
-    leaves its chain as a cycle.  Clearing skips the n-simplices that are
-    pivots of the boundaries of degree n + 1: such a simplex is the largest
-    of a boundary z, so its cycle lies in z plus the span of the earlier
-    cycles and would be no representative.  The cycles then go, in order,
-    into the basis of degree n, which holds those boundaries with their
-    chains dropped (boundaries are zero in homology).  A cycle that is
-    stored is a homology representative, tagged with its own index, so
-    every tag gives its vector's class in terms of the representatives.
+    ``table[n]`` holds the columns of degree n on X's positions; chains are
+    ``{position: coefficient}`` dicts, whose pivot is their largest
+    position.  Top-down, each column of degree n goes into the echelon
+    basis of degree n - 1, tagged with its position, and one that reduces
+    to zero leaves a cycle.  Clearing skips the pivots of the boundaries of
+    degree n + 1: their cycles lie in a boundary plus the earlier cycles.
+    The cycles then go into the basis of degree n, which keeps those
+    boundaries untagged (they are zero in homology); a cycle that is stored
+    is a representative, tagged with its index, so every tag gives its
+    vector's class in terms of the representatives.
     """
 
-    def __init__(self, bases, p):
-        self.hom_reps = [[] for _ in bases]
-        self.spans = [_Echelon(p) for _ in bases]
-        for n in range(len(bases) - 1, -1, -1):
+    def __init__(self, table, p):
+        self.hom_reps = [[] for _ in table]
+        self.spans = [_Echelon(p) for _ in table]
+        for n in range(len(table) - 1, -1, -1):
             span = self.spans[n]
             below = self.spans[n - 1] if n else _Echelon(p)
-            faces = set(bases[n - 1]) if n else ()
             cycles = []
-            for s in bases[n]:
-                if s not in span.rows:
-                    vec, chain = below.add(_boundary({s: 1}, faces), {s: 1})
+            for j, col in table[n].items():
+                if j not in span.rows:
+                    vec, chain = below.add(col, {j: 1})
                     if not vec:
                         cycles.append(chain)
             below.rows = {i: (vec, {}) for i, (vec, _) in below.rows.items()}
@@ -310,19 +310,21 @@ class _FieldComplex:
         return {h: span.norm(-c) for h, c in tag.items()}
 
 
+def _apply(columns, chain):
+    """The image of ``chain`` under the map with these columns, zeros kept."""
+    image = {}
+    for j, c in chain.items():
+        for i, v in columns[j].items():
+            image[i] = image.get(i, 0) + c * v
+    return image
+
+
 def _kills(field, out, into):
     """Whether the classes ``out`` send each class of ``into`` to 0, in ``field``.
 
-    Class ``h`` of ``out`` is the image of representative ``h``; classes are
-    sparse ``{representative index: coefficient}`` without zero entries.
+    Class ``h`` of ``out`` is the image of representative ``h``.
     """
-    for col in into:
-        image = {}
-        for h, c in col.items():
-            field.subtract(image, -c, out[h])
-        if image:
-            return False
-    return True
+    return not any(field.norm(x) for col in into for x in _apply(out, col).values())
 
 
 def les_exactness_check(k, sub, field_spec):
@@ -333,25 +335,16 @@ def les_exactness_check(k, sub, field_spec):
     image = kernel at every node.  Expected to pass for every valid pair.
     """
     p = _parse_field(field_spec)
-    _require_subcomplex(k, sub)
-    label = "q" if p is None else f"zp:{p}"
-    if not k.by_dimension:
-        return ExactnessReport(label, [], True)
-
-    in_a = sub.witness  # keyed by the simplices of A
-    a_bases = [[s for s in level if s in in_a] for level in k.by_dimension]
-    cx, ca, cr = (
-        _FieldComplex(b, p)
-        for b in (k.by_dimension, a_bases, _relative_bases(k, sub))
-    )
+    table, a, quotient = _pair_tables(k, sub)
+    cx, ca, cr = (_FieldComplex(t, p) for t in (table, a, quotient))
     # Each node's map to the next is induced by a chain map that lowers the
     # degree by 0 or 1: the inclusion of A, dropping the simplices of A, and
     # the boundary in X of a relative cycle, which lies in A (ca.coords
     # refuses it otherwise).  H0(X,A) maps to 0.
     steps = (
-        ("A", ca, cx, 0, lambda z: z),
-        ("X", cx, cr, 0, lambda z: {s: c for s, c in z.items() if s not in in_a}),
-        ("X,A", cr, ca, 1, lambda z: _boundary(z, k.witness)),
+        ("A", ca, cx, 0, lambda n, z: z),
+        ("X", cx, cr, 0, lambda n, z: {j: c for j, c in z.items() if j in quotient[n]}),
+        ("X,A", cr, ca, 1, lambda n, z: _apply(table[n], z)),
     )
     nodes = []
     into, rank_in = [], 0  # the map into the next node, and its rank
@@ -359,7 +352,7 @@ def les_exactness_check(k, sub, field_spec):
         for name, c, target, drop, chain_map in steps:
             # The classes of the images of the representatives.
             out = [
-                target.coords(n - drop, chain_map(z)) if n >= drop else {}
+                target.coords(n - drop, chain_map(n, z)) if n >= drop else {}
                 for z in c.hom_reps[n]
             ]
             span = _Echelon(p)
@@ -369,6 +362,7 @@ def les_exactness_check(k, sub, field_spec):
             exact = rank_in + rank_out == dim and _kills(span, out, into)
             nodes.append(NodeReport(f"H{n}({name})", dim, rank_in, rank_out, exact))
             into, rank_in = out, rank_out
+    label = "q" if p is None else f"zp:{p}"
     return ExactnessReport(label, nodes, all(node.exact for node in nodes))
 
 

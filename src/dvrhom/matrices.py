@@ -6,7 +6,8 @@ and no floating point anywhere.  Sparse matrices are dicts of rows, each a
 maps in ``homology`` start with a sparse elimination of every +-1 pivot,
 ``_unit_eliminate``, shortest row first; its moves are unimodular, so each
 pivot is one invariant factor 1 (one unit of rank over any field), and it
-reports its pivot rows, which ``homology`` uses for clearing.  Boundary
+reports its pivot columns.  ``homology`` hands it the columns of boundary
+maps as rows, so these are faces, which clear the map below.  Boundary
 matrices almost always reduce to nothing this way.  Only the non-unit core
 left over goes through the dense Smith normal form, which pivots on a
 minimal absolute value entry each round to keep coefficient growth tame.
@@ -253,12 +254,12 @@ def _unit_eliminate(rows):
     Rows are visited shortest first, and again whenever a pivot changes
     them.  A row with +-1 entries pivots on the one whose column is
     shortest (ties to the lowest index): row operations clear that column,
-    and the row and column are dropped.  ``pivots`` lists the pivot rows in
-    order and ``core`` is the nonzero block left, without +-1 entries, as
-    dense rows: the invariant factors are ``(1,) * len(pivots)`` and the
+    and the row and column are dropped.  ``pivots`` lists the pivot columns
+    in order and ``core`` is the nonzero block left, without +-1 entries,
+    as dense rows: the invariant factors are ``(1,) * len(pivots)`` and the
     core's, and the rank over any field is ``len(pivots)`` plus the core's.
-    The pivot rows alone have invariant factors all 1 (as changed, they are
-    triangular with +-1 on the pivot columns).
+    The pivot columns alone have invariant factors all 1 (as changed, they
+    are zero off the pivot rows and triangular with +-1 on those rows).
     """
     cols = {}  # col -> set of rows with an entry there
     for i, row in rows.items():
@@ -279,7 +280,7 @@ def _unit_eliminate(rows):
             continue
         c = min(units, key=lambda j: (len(cols[j]), j))
         v = prow.pop(c)
-        pivots.append(r)
+        pivots.append(c)
         del rows[r]
         pcol = cols.pop(c)
         pcol.discard(r)

@@ -369,6 +369,11 @@ _BAD_SIMPLICES = (
             ' {"verts": [1, 0], "witness": [1, 0]}], "truncated": 1}',
             "'truncated' must be true or false",
         ),
+        # Neither a digraph nor a complex document, for the CLI and
+        # parse_digraph alike.
+        ("{}", "neither a digraph nor a complex document"),
+        ('{"schema": "1"}', "neither a digraph nor a complex document"),
+        ('{"f_vector": [1]}', "neither a digraph nor a complex document"),
         pytest.param("[" * 100_000, "nested too deeply", id="deep-document"),
         pytest.param(
             '{"vertices": ["a"], "edges": ' + "[" * 100_000 + "]" * 100_000 + "}",

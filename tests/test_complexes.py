@@ -238,6 +238,22 @@ def test_map_complex_rejects_non_morphism():
         map_complex([0, 1, 2, 3], g, h)
 
 
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        ([0, 1], "vertex 2 has no image"),
+        ({0: 0}, "vertex 1 has no image"),
+        ([0, 1, 2, "x"], "vertex 3 maps to 'x'"),
+        ([0, 1, 2, 3.5], "vertex 3 maps to 3.5"),
+        ([0, 1, 2, 4], "vertex 3 maps to 4"),
+    ],
+)
+def test_map_complex_names_the_vertex_of_a_bad_map(f, message):
+    c = circulant(4, 1)
+    with pytest.raises(InputError, match=message):
+        map_complex(f, c, c)
+
+
 def test_restrict_to_gives_full_subcomplex():
     k = build_complex(circulant(6, 2))
     sub = restrict_to(k, (0, 1, 2))

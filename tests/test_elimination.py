@@ -3,12 +3,20 @@
 The dense minimal-pivot Smith elimination ``_diagonalize`` and the dense
 row reduction ``dense_rref`` of ``oracles`` are the oracles: invariant
 factors and ranks are unique, so the sparse path must agree with them
-exactly.  The top-down reduction with clearing is held to them and to the
-homology oracles of ``oracles``, which reduce every full boundary map on
-its own.  The echelon bases of the long exact sequence check, and its test
-that consecutive maps compose to zero, are held to the dense row reduction,
-linear solver and matrix product of ``oracles``; the representatives they
-pick top-down with clearing are held to ``field_complex_oracle``, which
+exactly.  The package builds each boundary map once, as columns over the
+positions of the simplices of X (``_boundary_columns``), and cuts the maps
+of A and X/A from it (``_quotient``, ``_pair_tables``).  The oracles build
+their own dense maps from simplex bases, so every check translates between
+the two.  The
+unit elimination gets the columns of a map as its rows, and its pivot
+columns, the faces that clear the map below, are held to the dense Smith
+form: they must be distinct and carry invariant factors all 1.  The
+top-down reduction with clearing is held to the oracles of ``oracles``,
+which reduce every full boundary map on its own.  The echelon bases of the
+long exact sequence check, and its test that consecutive maps compose to
+zero, are held to the dense row reduction, linear solver and matrix
+product of ``oracles``; the representatives they pick top-down with
+clearing, on positions of X, are held to ``field_complex_oracle``, which
 takes every boundary column bottom-up.
 """
 
@@ -33,13 +41,14 @@ from dvrhom import (
     restrict_to,
 )
 from dvrhom.homology import (
-    _boundary,
-    _boundary_rows,
+    _apply,
+    _boundary_columns,
     _FieldComplex,
     _homology_groups,
     _kills,
+    _pair_tables,
+    _positions_of,
     _reduce,
-    _relative_bases,
     boundary_matrix,
 )
 from dvrhom.matrices import _diagonalize, _Echelon, _unit_eliminate
@@ -93,7 +102,7 @@ def sparse_rows(a):
 
 def boundaries(k, sub):
     top = len(f_vector(k)) - 1
-    bases = _relative_bases(k, sub)
+    bases = pair_bases(k, sub)[2]
     for n in range(top + 2):
         yield boundary_matrix(k, n)
         yield IntegerMatrix.from_rows(dense_boundary(bases, n))
@@ -144,7 +153,22 @@ def pair_bases(k, sub):
     """Simplex bases of X, A and (X, A) in every degree of X."""
     x = [list(level) for level in k.by_dimension]
     a = [[s for s in level if s in sub.witness] for level in k.by_dimension]
-    return x, a, _relative_bases(k, sub)
+    r = [[s for s in level if s not in sub.witness] for level in k.by_dimension]
+    return x, a, r
+
+
+def pair_parts(k, sub):
+    """(simplex bases, boundary table) of X, A and (X, A), in that order.
+
+    The tables are fresh ones from ``_pair_tables``, on the positions of X.
+    """
+    return zip(pair_bases(k, sub), _pair_tables(k, sub))
+
+
+def positions(k, bases):
+    """The position in X of every simplex of ``bases``, degree by degree."""
+    pos = [{s: i for i, s in enumerate(level)} for level in k.by_dimension]
+    return [[pos[n][s] for s in basis] for n, basis in enumerate(bases)]
 
 
 def dense_rank(bases, n, p):
@@ -159,10 +183,11 @@ def normal(x, p):
 @given(digraph_pairs())
 def test_echelon_homology_dimensions(pair):
     k, sub = pair
-    x, a, r = pair_bases(k, sub)
+    r = pair_bases(k, sub)[2]
     for spec, p in (("q", None), (2, 2), (3, 3)):
         dims = [
-            [len(reps) for reps in _FieldComplex(b, p).hom_reps] for b in (x, a, r)
+            [len(reps) for reps in _FieldComplex(t, p).hom_reps]
+            for t in _pair_tables(k, sub)
         ]
         assert dims[0] == homology_field(k, spec)
         betti_a = homology_field(sub, spec)
@@ -178,24 +203,30 @@ def sparse(vec, p):
     return {i: y for i, x in enumerate(vec) if (y := normal(x, p))}
 
 
-def with_boundary(rng, level, boundary_rows, reps, coeffs):
+def with_boundary(rng, basis, boundary_rows, reps, coeffs):
     """The chain sum(coeffs[h] * reps[h]) plus a random boundary.
 
-    ``boundary_rows`` are the rows of the boundary map into ``level``.
+    ``boundary_rows`` are the rows of the boundary map into the degree whose
+    simplices have the positions ``basis``.
     """
     w = [rng.randint(-3, 3) for _ in (boundary_rows[0] if boundary_rows else ())]
     vec = {
-        s: sum(x * y for x, y in zip(row, w)) for s, row in zip(level, boundary_rows)
+        i: sum(x * y for x, y in zip(row, w)) for i, row in zip(basis, boundary_rows)
     }
     for a, rep in zip(coeffs, reps):
-        for s, x in rep.items():
-            vec[s] = vec.get(s, 0) + a * x
+        for i, x in rep.items():
+            vec[i] = vec.get(i, 0) + a * x
     return vec
 
 
-def check_coordinates(c, bases, n, p, rng, level):
-    """Hold the classes of degree n to the dense solver; ``level`` is X's."""
-    reps, basis = c.hom_reps[n], bases[n]
+def check_coordinates(c, bases, n, p, rng, basis, level):
+    """Hold the classes of degree n to the dense solver.
+
+    ``c`` is the ``_FieldComplex`` of the complex with simplex bases
+    ``bases``; ``basis`` holds the positions in X of ``bases[n]`` and
+    ``level`` is X's degree n.
+    """
+    reps = c.hom_reps[n]
     bd_next = dense_boundary(bases, n + 1)
     for h, rep in enumerate(reps):
         unit = [int(g == h) for g in range(len(reps))]
@@ -207,19 +238,19 @@ def check_coordinates(c, bases, n, p, rng, level):
     assert c.coords(n, z) == sparse(expect, p)
     # The dense solver writes z on the boundary columns followed by the
     # representatives; the classes are its last entries.
-    dense = [row + [rep.get(s, 0) for rep in reps] for s, row in zip(basis, bd_next)]
-    solution = field_solve(dense, [z.get(s, 0) for s in basis], p)
+    dense = [row + [rep.get(i, 0) for rep in reps] for i, row in zip(basis, bd_next)]
+    solution = field_solve(dense, [z.get(i, 0) for i in basis], p)
     assert solution is not None
     assert solution[len(solution) - len(reps) :] == expect
     bd = dense_boundary(bases, n)
-    for j, s in enumerate(basis):
+    for j, i in enumerate(basis):
         if any(row[j] for row in bd):
             with pytest.raises(InputError):
-                c.coords(n, {s: 1})
+                c.coords(n, {i: 1})
     # A chain on a simplex outside the basis is refused, cycle or not.
-    for s in set(level).difference(basis):
+    for i in set(range(len(level))).difference(basis):
         with pytest.raises(InputError):
-            c.coords(n, {s: 1})
+            c.coords(n, {i: 1})
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,10 +259,10 @@ def test_echelon_coordinates(pair, seed):
     k, sub = pair
     rng = random.Random(seed)
     for p in FIELDS:
-        for bases in pair_bases(k, sub):
-            c = _FieldComplex(bases, p)
-            for n in range(len(bases)):
-                check_coordinates(c, bases, n, p, rng, k.by_dimension[n])
+        for bases, table in pair_parts(k, sub):
+            c = _FieldComplex(table, p)
+            for n, basis in enumerate(positions(k, bases)):
+                check_coordinates(c, bases, n, p, rng, basis, k.by_dimension[n])
 
 
 @pytest.mark.parametrize("p", FIELDS)
@@ -239,12 +270,17 @@ def test_connecting_map_refuses_a_boundary_outside_the_subcomplex(p):
     # The LES hands the boundary in X of a relative cycle to the coordinates
     # of A.  On the hollow triangle with A the edge (0, 1), the boundary of
     # that edge is a cycle of A, and the boundary of (1, 2) leaves A.
+    # Positions: vertices 0, 1, 2 and edges (0, 1), (0, 2), (1, 2).
     k = SimplicialComplex.from_simplices([(0, 1), (1, 2), (0, 2)])
-    ca = _FieldComplex([[(0,), (1,)], [(0, 1)]], p)
-    assert ca.coords(0, _boundary({(0, 1): 1}, k.witness)) == {}
-    assert ca.coords(0, {(1,): 1}) == {0: 1}
+    sub = SimplicialComplex.from_simplices([(0, 1)])
+    table, a, _ = _pair_tables(k, sub)
+    assert a == [{0: {}, 1: {}}, {0: {0: -1, 1: 1}}]
+    ca = _FieldComplex(a, p)
+    assert _apply(table[1], {0: 1}) == {0: -1, 1: 1}
+    assert ca.coords(0, _apply(table[1], {0: 1})) == {}
+    assert ca.coords(0, {1: 1}) == {0: 1}
     with pytest.raises(InputError):
-        ca.coords(0, _boundary({(1, 2): 1}, k.witness))
+        ca.coords(0, _apply(table[1], {2: 1}))
 
 
 @settings(max_examples=200, deadline=None)
@@ -329,18 +365,26 @@ def dense_homology(bases, p=None):
 
 def check_pair(k, sub):
     """Hold every homology of (k, sub) to the oracles and to dense elimination."""
-    for bases in pair_bases(k, sub):
+    # X, A on its own positions (padded to the degrees of X), and X/A.
+    x, a, r = pair_bases(k, sub)
+    for bases, c, in_a in (
+        (x, k, [set()] * len(x)),
+        (a, sub, [set()] * len(sub.by_dimension)),
+        (r, k, _positions_of(sub, k)),
+    ):
+        pad = [(0, ())] * (len(bases) - len(in_a))
         expect = integer_homology_oracle(bases)
-        assert groups_of(_homology_groups(bases)) == expect
+        assert groups_of(_homology_groups(c, in_a)) + pad == expect
         assert dense_homology(bases) == expect
         for p in (None, 2, 3):
             betti = field_betti_oracle(bases, p)
-            assert [g.betti for g in _homology_groups(bases, p)] == betti
+            groups = _homology_groups(c, in_a, p)
+            assert [g.betti for g in groups] + [0] * len(pad) == betti
             if p is not None:
                 assert [b for b, _ in dense_homology(bases, p)] == betti
     assert groups_of(homology_integer(k)) == integer_homology_oracle(k.by_dimension)
     assert groups_of(relative_homology(k, sub)) == integer_homology_oracle(
-        _relative_bases(k, sub)
+        pair_bases(k, sub)[2]
     )
     reduced = groups_of(homology_integer(k, reduced=True))
     for spec, p in (("q", None), (2, 2), (3, 3)):
@@ -378,49 +422,61 @@ def test_projective_plane_torsion_survives_clearing():
     vertex = SimplicialComplex.from_simplices([(0,)])
     assert groups_of(homology_integer(k)) == [(1, ()), (0, (2,)), (0, ())]
     assert groups_of(relative_homology(k, vertex)) == [(0, ()), (0, (2,)), (0, ())]
-    assert _reduce(k.by_dimension) == ([0, 5, 10, 0], [(), (), (2,), ()])
+    assert _reduce(lambda n: _boundary_columns(k.by_dimension, n), k.dim) == (
+        [0, 5, 10, 0], [(), (), (2,), ()]
+    )
     # A tetrahedron on the face (0, 1, 4) clears a column of that map.
     coned = SimplicialComplex.from_simplices(RP2_FACES + [(0, 1, 4, 6)])
     assert groups_of(homology_integer(coned)) == [
         (1, ()), (0, (2,)), (0, ()), (0, ())
     ]
-    assert _reduce(coned.by_dimension) == ([0, 6, 12, 1, 0], [(), (), (2,), (), ()])
+    assert _reduce(lambda n: _boundary_columns(coned.by_dimension, n), coned.dim) == (
+        [0, 6, 12, 1, 0], [(), (), (2,), (), ()]
+    )
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(digraph_pairs(), closed_complexes(), projective_plane_pairs()))
 def test_les_representatives_match_the_non_clearing_oracle(pair):
-    for bases in pair_bases(*pair):
+    k, sub = pair
+    for bases, table in pair_parts(k, sub):
+        where = positions(k, bases)
         for p in FIELDS:
+            # The oracle's positions are in the bases, the complex's in X.
             expect = [
-                [{level[i]: c for i, c in rep.items()} for rep in reps]
-                for level, reps in zip(bases, field_complex_oracle(bases, p))
+                [{basis[i]: c for i, c in rep.items()} for rep in reps]
+                for basis, reps in zip(where, field_complex_oracle(bases, p))
             ]
-            assert _FieldComplex(bases, p).hom_reps == expect
+            assert _FieldComplex(table, p).hom_reps == expect
 
 
-def check_pivot_rows(rows):
-    """The pivot rows of ``rows`` are distinct and have invariant factors all 1."""
-    dense = {i: dict(row) for i, row in rows.items()}
-    ncols = 1 + max((j for row in dense.values() for j in row), default=-1)
+def check_pivot_columns(rows):
+    """The pivot columns of ``rows`` are distinct and have invariant factors all 1."""
+    dense = [dict(row) for row in rows.values()]
     pivots, _ = _unit_eliminate(rows)
     assert len(set(pivots)) == len(pivots)
-    chosen = [[dense[i].get(j, 0) for j in range(ncols)] for i in pivots]
-    d, _, _ = _diagonalize(chosen, len(chosen), ncols, False)
+    chosen = [[row.get(j, 0) for j in pivots] for row in dense]
+    d, _, _ = _diagonalize(chosen, len(chosen), len(pivots), False)
     assert tuple(d) == (1,) * len(pivots)
     return pivots
 
 
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices())
-def test_pivot_rows_are_unit_pivots(a):
-    check_pivot_rows(sparse_rows(a))
+def test_pivot_columns_are_unit_pivots(a):
+    check_pivot_columns(sparse_rows(a))
 
 
 @settings(max_examples=60, deadline=None)
 @given(digraph_pairs())
-def test_boundary_pivot_rows_are_unit_pivots(pair):
-    for bases in pair_bases(*pair):
+def test_boundary_pivot_columns_are_unit_pivots(pair):
+    # Every map, top-down with clearing as in ``_reduce``: the columns of
+    # the map are the rows handed to the eliminator, and its pivot columns
+    # are faces that the map below skips.
+    for table in _pair_tables(*pair):
         cleared = ()
-        for n in range(len(bases) - 1, 0, -1):
-            cleared = set(check_pivot_rows(_boundary_rows(bases, n, cleared)))
+        for n in range(len(table) - 1, -1, -1):
+            assert set(cleared) <= set(table[n])
+            if n:
+                kept = {j: dict(c) for j, c in table[n].items() if j not in cleared}
+                cleared = check_pivot_columns(kept)

@@ -2,7 +2,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dvrhom import (
@@ -312,21 +312,55 @@ def test_les_random_campaign():
             assert les_exactness_check(k, sub, field).exact
 
 
-def test_les_over_q_on_a_420_simplex_pair():
-    k = build_complex(random_digraph(14, 0.5, 1))
-    sub = restrict_to(k, tuple(range(6)))
-    assert sum(f_vector(k)) == 420
-    rep = les_exactness_check(k, sub, "q")
-    assert rep.exact
-    dims = {n.name: n.dim for n in rep.nodes}
-    betti = {
-        "X": homology_field(k, "q"),
-        "A": homology_field(sub, "q"),
-        "X,A": list(relative_homology(k, sub).betti_numbers()),
-    }
-    for space, values in betti.items():
-        values += [0] * (k.dim + 1 - len(values))
-        assert [dims[f"H{n}({space})"] for n in range(k.dim + 1)] == values
+@st.composite
+def les_pairs(draw):
+    """A digraph's complex and a full subcomplex, or RP^2 with a few cells
+    glued on and a subcomplex spanned by random simplices (torsion)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        p = draw(st.sampled_from((0.3, 0.5, 0.7)))
+        k = build_complex(random_digraph(n, p, draw(st.integers(0, 10**6))))
+        subset = draw(st.sets(st.integers(0, n - 1), max_size=n))
+        return k, restrict_to(k, tuple(sorted(subset)))
+    extra = draw(
+        st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4), max_size=2)
+    )
+    k = SimplicialComplex.from_simplices(RP2_FACES + extra)
+    kept = draw(st.lists(st.sampled_from(list(k.simplices())), max_size=5))
+    return k, SimplicialComplex.from_simplices(kept)
+
+
+def _even_torsion(group):
+    return sum(1 for t in group.torsion if t % 2 == 0)
+
+
+_K420 = build_complex(random_digraph(14, 0.5, 1))  # 420 simplices
+
+
+@settings(max_examples=100, deadline=None)
+@given(les_pairs())
+@example((_K420, restrict_to(_K420, tuple(range(6)))))
+def test_les_dimensions_match_the_homology_of_each_space(pair):
+    # Over Q the relative Betti numbers are those of relative_homology; over
+    # Z_2 universal coefficients add the even torsion of degrees n and n - 1.
+    k, sub = pair
+    relative = relative_homology(k, sub).groups
+    rel_z2 = [
+        g.betti + _even_torsion(g) + (_even_torsion(relative[n - 1]) if n else 0)
+        for n, g in enumerate(relative)
+    ]
+    for field, rel in (("q", [g.betti for g in relative]), (2, rel_z2)):
+        rep = les_exactness_check(k, sub, field)
+        assert rep.exact
+        dims = {node.name: node.dim for node in rep.nodes}
+        expect = {
+            "X": homology_field(k, field),
+            "A": homology_field(sub, field),
+            "X,A": rel,
+        }
+        for space, values in expect.items():
+            values = values + [0] * (k.dim + 1 - len(values))
+            assert [dims[f"H{n}({space})"] for n in range(k.dim + 1)] == values
 
 
 def test_pi1_tree_is_trivial():
