@@ -17,6 +17,7 @@ For symmetric digraphs the construction degenerates to the clique complex.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -263,6 +264,10 @@ def map_complex(f, source, target):
     ``f`` maps source vertices to target vertices (sequence or mapping); it
     must send edges to edges, which is verified, not assumed.
     """
+    if not isinstance(f, (Sequence, Mapping)):
+        raise InputError(
+            f"the vertex map ({type(f).__name__}) is neither a sequence nor a mapping"
+        )
     fmap = []
     for v in range(source.n):
         try:

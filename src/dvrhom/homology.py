@@ -4,12 +4,14 @@ Simplices are oriented by their sorted vertex tuple, so boundary signs do
 not depend on witnesses.  Each boundary map is built once, by
 ``_boundary_columns``: columns ``{simplex position: {face position: +-1}}``
 over the positions of ``k.by_dimension``.  A pair (X, A) keeps X's
-positions and drops A's (``_quotient``), so X, A and X/A share one index.
+positions: X/A has the columns of the simplices outside A, less A's faces
+(``_quotient``), so X, A and X/A share one index.
 All homology, absolute homology being relative to the empty subcomplex,
-comes from one top-down reduction, ``_reduce``: the unit elimination of
-``matrices`` takes the columns of each map, less those cleared by the map
-above, and its pivot faces clear the map below; only the small non-unit
-core left needs a dense Smith form (over Z) or ``field_rank`` (over Z_p).
+comes from one top-down reduction, ``_reduce``: the column reduction by
+lowest face of ``matrices`` takes the columns of each map, less those
+cleared by the map above, and its lows, faces with a unit pivot, clear the
+map below.  Over Z_p that gives every rank; over Z only the columns left
+with a non-unit low need a dense Smith form.
 The long exact sequence check keeps one sparse echelon basis over the
 field, ``matrices._Echelon``, per degree of X, A and X/A, on chains keyed
 by X's positions; it picks the homology representatives, writes cycles in
@@ -25,10 +27,9 @@ from itertools import combinations
 from .digraph import InputError
 from .matrices import (
     IntegerMatrix,
+    _column_reduce,
     _dense_factors,
     _Echelon,
-    _unit_eliminate,
-    field_rank,
     invariant_factors,
 )
 
@@ -113,19 +114,24 @@ def _parse_field(spec):
     return spec
 
 
-def _boundary_columns(levels, n):
+def _boundary_columns(levels, n, skip=()):
     """The boundary map of degree n, as columns over simplex positions.
 
     ``levels`` are the simplex lists of ``k.by_dimension``.  The position of
-    each n-simplex maps to ``{face position: +-1}``, deleting the i-th
-    vertex with sign (-1)^i; the columns of degree 0 are empty.
+    each n-simplex, less those in ``skip``, maps to ``{face position: +-1}``,
+    deleting the i-th vertex with sign (-1)^i; the columns of degree 0 are
+    empty.
     """
+    keys, simplices = range(len(levels[n])), levels[n]
+    if skip:
+        keys = [j for j in keys if j not in skip]
+        simplices = map(simplices.__getitem__, keys)
     if not n:
-        return {j: {} for j in range(len(levels[0]))}
+        return {j: {} for j in keys}
     pos = {s: i for i, s in enumerate(levels[n - 1])}.__getitem__
     signs = [(-1) ** i for i in range(n, -1, -1)]  # last vertex deleted first
-    faces = (map(pos, combinations(s, n)) for s in levels[n])
-    return dict(enumerate(dict(zip(f, signs)) for f in faces))
+    faces = (map(pos, combinations(s, n)) for s in simplices)
+    return dict(zip(keys, (dict(zip(f, signs)) for f in faces)))
 
 
 def boundary_matrix(k, n):
@@ -151,10 +157,12 @@ def _reduce(columns, top, p=None):
     Each map is built when it is reduced, and used up.  Entry n of each
     list is for degree n = 0 .. top + 1; ranks are over Z (hence Q) when p
     is None, else over Z_p.  Clearing: the map d of degree n skips the
-    pivot faces R of the unit elimination of the columns of the map B
-    above it.  B[R, :] has invariant factors all 1, so an integer right
-    inverse X, and d B = 0 gives d[:, R] = -d[:, ~R] B[~R, :] X: d keeps
-    its invariant factors without them.  The non-unit core never clears.
+    lows L of the column reduction of the map B above it.  The reduction
+    moves B's columns unimodularly to ones that are unitriangular on the
+    rows L (the stored columns) or zero there, so B[L, :] has invariant
+    factors all 1 (over Z_p, full rank), hence an integer right inverse X,
+    and d B = 0 gives d[:, L] = -d[:, ~L] B[~L, :] X: d keeps its invariant
+    factors without those columns.  Lows of set-aside columns never clear.
     """
     ranks, torsion = [0] * (top + 2), [()] * (top + 2)
     cleared = ()
@@ -162,14 +170,10 @@ def _reduce(columns, top, p=None):
         cols = columns(n)
         for j in cleared:
             del cols[j]
-        pivots, core = _unit_eliminate(cols)
-        if p is None:
-            d = _dense_factors(core)
-            ranks[n] = len(pivots) + len(d)
-            torsion[n] = tuple(x for x in d if x > 1)
-        else:
-            ranks[n] = len(pivots) + field_rank(core, p)
-        cleared = pivots
+        cleared, core = _column_reduce(cols, p)
+        d = _dense_factors(core)
+        ranks[n] = len(cleared) + len(d)
+        torsion[n] = tuple(x for x in d if x > 1)
     return ranks, torsion
 
 
@@ -181,14 +185,13 @@ def _positions_of(sub, k):
     return [{j for j, s in enumerate(lv) if s in sub.witness} for lv in k.by_dimension]
 
 
-def _quotient(columns, in_a, below):
-    """X/A's columns of one degree: X's ``columns`` less A's simplices
-    ``in_a`` and A's faces ``below``; a column without them is shared."""
-    cut = {j: col for j, col in columns.items() if j not in in_a}
-    for j, col in cut.items():
+def _quotient(columns, below):
+    """X/A's columns of one degree from X's ``columns`` outside A: A's faces
+    ``below`` are dropped, and a column without them is shared."""
+    for j, col in columns.items() if below else ():
         if not below.isdisjoint(col):
-            cut[j] = {i: c for i, c in col.items() if i not in below}
-    return cut
+            columns[j] = {i: c for i, c in col.items() if i not in below}
+    return columns
 
 
 def _homology_groups(k, in_a, p=None, reduced=False):
@@ -197,7 +200,7 @@ def _homology_groups(k, in_a, p=None, reduced=False):
     levels, below = k.by_dimension, [set()] + in_a
 
     def columns(n):
-        return _quotient(_boundary_columns(levels, n), in_a[n], below[n])
+        return _quotient(_boundary_columns(levels, n, in_a[n]), below[n])
 
     ranks, torsion = _reduce(columns, k.dim, p)
     if reduced and levels:
@@ -240,7 +243,8 @@ def _pair_tables(k, sub):
     in_a = _positions_of(sub, k)
     x = [_boundary_columns(k.by_dimension, n) for n in range(k.dim + 1)]
     a = [{j: c for j, c in cols.items() if j in keep} for cols, keep in zip(x, in_a)]
-    return x, a, [_quotient(*cut) for cut in zip(x, in_a, [set()] + in_a)]
+    r = [{j: c for j, c in cols.items() if j not in keep} for cols, keep in zip(x, in_a)]
+    return x, a, [_quotient(*cut) for cut in zip(r, [set()] + in_a)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,29 @@
 """Exact linear algebra kernels: integer Smith normal form, field elimination.
 
 Everything runs on Python integers and fractions, so there is no overflow
-and no floating point anywhere.  Sparse matrices are dicts of rows, each a
-``{col: value}`` dict.  ``invariant_factors`` and the reduction of boundary
-maps in ``homology`` start with a sparse elimination of every +-1 pivot,
-``_unit_eliminate``, shortest row first; its moves are unimodular, so each
-pivot is one invariant factor 1 (one unit of rank over any field), and it
-reports its pivot columns.  ``homology`` hands it the columns of boundary
-maps as rows, so these are faces, which clear the map below.  Boundary
-matrices almost always reduce to nothing this way.  Only the non-unit core
-left over goes through the dense Smith normal form, which pivots on a
-minimal absolute value entry each round to keep coefficient growth tame.
-``smith_normal_form``, which also returns the transforms, stays dense.
-Over a field (Q or Z_p) there is one eliminator, the sparse tagged echelon
-basis ``_Echelon``: ``field_rank`` counts the vectors it stores, and the
-long exact sequence check of ``homology`` builds its homology coordinates
-with it.
+and no floating point anywhere.  Sparse matrices are dicts of columns, each
+a ``{row: value}`` dict.  ``invariant_factors`` and the reduction of
+boundary maps in ``homology`` share one sparse core, ``_column_reduce``:
+the column reduction by lowest row of persistent homology.  Columns are
+taken in order; while a column's low, its largest row, is the low of a
+stored column, that column is subtracted, and a column whose low is a unit
+is stored.  Over Z_p every nonzero low is a unit, so this alone gives the
+rank.  Over Z only +-1 lows are stored; its moves are unimodular, so each
+stored low is one invariant factor 1, and the lows, faces for a boundary
+map, clear the map below.  Columns left with a non-unit low are reduced at
+every stored low at the end, and only what is left of them goes through
+the dense Smith normal form, which pivots on a minimal absolute value entry
+each round to keep coefficient growth tame.  Boundary matrices almost
+never leave anything there.  ``smith_normal_form``, which also returns the
+transforms, stays dense.  Over Q or Z_p the sparse tagged echelon basis
+``_Echelon`` serves ``field_rank`` and the long exact sequence check of
+``homology``, which builds its homology coordinates with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from numbers import Integral
 
 from .digraph import InputError
@@ -247,67 +248,57 @@ def _diagonalize(a, m, n, track):
     return [a[i][i] for i in range(t)], u, v
 
 
-def _unit_eliminate(rows):
-    """Eliminate the +-1 pivots of sparse rows; returns (pivots, core).
+def _subtract(col, f, stored, p):
+    """``col -= f * stored`` in place, mod p unless p is None; zeros are dropped."""
+    for i, x in stored.items():
+        y = col.get(i, 0) - f * x
+        if p is not None:
+            y %= p
+        if y:
+            col[i] = y
+        else:
+            del col[i]
 
-    ``rows`` maps rows to ``{col: nonzero value}`` dicts and is used up.
-    Rows are visited shortest first, and again whenever a pivot changes
-    them.  A row with +-1 entries pivots on the one whose column is
-    shortest (ties to the lowest index): row operations clear that column,
-    and the row and column are dropped.  ``pivots`` lists the pivot columns
-    in order and ``core`` is the nonzero block left, without +-1 entries,
-    as dense rows: the invariant factors are ``(1,) * len(pivots)`` and the
-    core's, and the rank over any field is ``len(pivots)`` plus the core's.
-    The pivot columns alone have invariant factors all 1 (as changed, they
-    are zero off the pivot rows and triangular with +-1 on those rows).
+
+def _column_reduce(columns, p=None):
+    """Reduce sparse columns by their lowest rows; returns (lows, core).
+
+    ``columns`` maps columns to ``{row: value}`` dicts, nonzero (mod p over
+    Z_p), and is used up; they are taken in its order.  A column's low is
+    its largest row.  While that is the low of a stored column, the column
+    subtracts the stored one times its own entry there.  A column whose low
+    is a unit (+-1 over Z, any entry over Z_p, taken mod p) is stored,
+    scaled to 1 at its low; ``lows`` lists them in order.  Over Z a column
+    left with a non-unit low is set aside, and at the end reduced at every
+    row that is a low, largest first.  ``core`` is what is left, one dense
+    row per nonzero set-aside column, on the rows that are not lows; a
+    later column may have taken its low, so it may hold units.  The moves
+    are unimodular column operations, and the stored columns are
+    unitriangular on the rows ``lows``, where the core is zero: the
+    invariant factors are ``(1,) * len(lows)`` and the core's, the rank
+    over any field is ``len(lows)`` plus the core's, and the rows ``lows``
+    alone have invariant factors all 1.  Over Z_p the core is empty.
     """
-    cols = {}  # col -> set of rows with an entry there
-    for i, row in rows.items():
-        for j in row:
-            cols.setdefault(j, set()).add(i)
-    # (length, row) entries; a changed row is pushed again, so an entry with
-    # an out-of-date length is skipped.
-    heap = [(len(row), i) for i, row in rows.items()]
-    heapify(heap)
-    pivots = []
-    while heap:
-        n, r = heappop(heap)
-        prow = rows.get(r)
-        if prow is None or len(prow) != n:
-            continue
-        units = [j for j, x in prow.items() if x == 1 or x == -1]
-        if not units:
-            continue
-        c = min(units, key=lambda j: (len(cols[j]), j))
-        v = prow.pop(c)
-        pivots.append(c)
-        del rows[r]
-        pcol = cols.pop(c)
-        pcol.discard(r)
-        for j in prow:
-            cols[j].discard(r)
-        for i in pcol:
-            row = rows[i]
-            f = row.pop(c) * v  # v is its own inverse
-            for j, x in prow.items():
-                y = row.get(j, 0) - f * x
-                if y:
-                    if j not in row:
-                        cols[j].add(i)
-                    row[j] = y
-                else:
-                    del row[j]
-                    cols[j].discard(i)
-            if row:
-                heappush(heap, (len(row), i))
+    table, aside = {}, []
+    for col in columns.values():
+        while col and (low := max(col)) in table:
+            _subtract(col, col[low], table[low], p)
+        if col:
+            v = col[low]
+            if v == 1:
+                table[low] = col
+            elif v == -1:
+                table[low] = {i: -x for i, x in col.items()}
+            elif p is not None:
+                s = pow(v, -1, p)
+                table[low] = {i: x * s % p for i, x in col.items()}
             else:
-                del rows[i]
-        for j in prow:
-            if not cols[j]:
-                del cols[j]
-    order = sorted(cols)
-    core = [[rows[i].get(j, 0) for j in order] for i in sorted(rows)]
-    return pivots, core
+                aside.append(col)
+    for col in aside:
+        while (low := max((i for i in col if i in table), default=None)) is not None:
+            _subtract(col, col[low], table[low], None)
+    rows = sorted({i for col in aside for i in col})
+    return list(table), [[col.get(i, 0) for i in rows] for col in aside if col]
 
 
 def _dense_factors(core):
@@ -324,11 +315,11 @@ def smith_normal_form(a):
 
 def invariant_factors(a):
     """Just the diagonal of the Smith form (cheaper: no transforms kept)."""
-    rows = {}
+    columns = {j: {} for j in range(a.cols)}
     for (i, j), v in a.entries.items():
-        rows.setdefault(i, {})[j] = v
-    pivots, core = _unit_eliminate(rows)
-    return (1,) * len(pivots) + _dense_factors(core)
+        columns[j][i] = v
+    lows, core = _column_reduce(columns)
+    return (1,) * len(lows) + _dense_factors(core)
 
 
 def integer_rank(a):

@@ -254,6 +254,13 @@ def test_map_complex_names_the_vertex_of_a_bad_map(f, message):
         map_complex(f, c, c)
 
 
+@pytest.mark.parametrize("f", [5, None])
+def test_map_complex_refuses_a_map_that_is_no_sequence_or_mapping(f):
+    c = circulant(4, 1)
+    with pytest.raises(InputError, match="neither a sequence nor a mapping"):
+        map_complex(f, c, c)
+
+
 def test_restrict_to_gives_full_subcomplex():
     k = build_complex(circulant(6, 2))
     sub = restrict_to(k, (0, 1, 2))

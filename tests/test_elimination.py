@@ -7,10 +7,11 @@ exactly.  The package builds each boundary map once, as columns over the
 positions of the simplices of X (``_boundary_columns``), and cuts the maps
 of A and X/A from it (``_quotient``, ``_pair_tables``).  The oracles build
 their own dense maps from simplex bases, so every check translates between
-the two.  The
-unit elimination gets the columns of a map as its rows, and its pivot
-columns, the faces that clear the map below, are held to the dense Smith
-form: they must be distinct and carry invariant factors all 1.  The
+the two.  The column reduction by lowest row, ``_column_reduce``, is held
+to the dense Smith form and row reduction: its lows, the faces that clear
+the map below, must be distinct, and the rows there alone must carry
+invariant factors all 1 over Z and full rank over Z_p; matrices built with
+non-unit lows drive its set-aside core.  The
 top-down reduction with clearing is held to the oracles of ``oracles``,
 which reduce every full boundary map on its own.  The echelon bases of the
 long exact sequence check, and its test that consecutive maps compose to
@@ -32,7 +33,6 @@ from dvrhom import (
     SimplicialComplex,
     build_complex,
     f_vector,
-    field_rank,
     homology_field,
     homology_integer,
     invariant_factors,
@@ -51,7 +51,7 @@ from dvrhom.homology import (
     _reduce,
     boundary_matrix,
 )
-from dvrhom.matrices import _diagonalize, _Echelon, _unit_eliminate
+from dvrhom.matrices import _column_reduce, _diagonalize, _Echelon, smith_normal_form
 from oracles import (
     dense_boundary,
     dense_matmul,
@@ -93,11 +93,13 @@ def dense_factors(a):
     return tuple(d)
 
 
-def sparse_rows(a):
-    rows = {}
+def column_table(a, p=None):
+    """The columns of ``a`` as ``{column: {row: value}}``, entries mod p over Z_p."""
+    columns = {j: {} for j in range(a.cols)}
     for (i, j), v in a.entries.items():
-        rows.setdefault(i, {})[j] = v
-    return rows
+        if y := normal(v, p):
+            columns[j][i] = y
+    return columns
 
 
 def boundaries(k, sub):
@@ -116,17 +118,46 @@ def test_invariant_factors_match_dense_oracle(a):
 
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices())
-def test_core_keeps_no_unit_and_field_ranks_add_up(a):
-    pivots, core = _unit_eliminate(sparse_rows(a))
-    ones = len(pivots)
-    assert all(x not in (1, -1) for row in core for x in row)
+def test_core_lies_off_the_lows_and_field_ranks_add_up(a):
+    # Each core row is a nonzero set-aside column, on the rows off the lows.
+    lows, core = _column_reduce(column_table(a))
     assert all(any(row) for row in core)
     assert all(any(col) for col in zip(*core))
+    assert len(core[0] if core else ()) <= a.rows - len(lows)
     dense = a.to_rows()
     for p in FIELDS:
-        rank = len(dense_rref(core, p)[1])
-        assert field_rank(core, p) == rank
-        assert ones + rank == len(dense_rref(dense, p)[1])
+        rank = len(dense_rref(dense, p)[1])
+        assert len(lows) + len(dense_rref(core, p)[1]) == rank
+        if p is not None:
+            lows_p, core_p = _column_reduce(column_table(a, p), p)
+            assert (len(lows_p), core_p) == (rank, [])
+
+
+@st.composite
+def non_unit_low_matrices(draw):
+    """Matrices whose columns mostly end in a non-unit entry.
+
+    The reduction sets such columns aside and reduces them at every low, so
+    these reach the dense core far more often than boundary maps do.
+    """
+    m, n = draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    cells = {}
+    for j in range(n):
+        low = draw(st.integers(0, m - 1))
+        cells[(low, j)] = draw(st.sampled_from((2, -2, 3, 6, -4, 1, -1)))
+        for i in range(low):
+            cells[(i, j)] = draw(entries)
+    return IntegerMatrix(m, n, cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(non_unit_low_matrices())
+def test_non_unit_lows_match_the_smith_form(a):
+    assert invariant_factors(a) == smith_normal_form(a).d
+    dense = a.to_rows()
+    for p in (2, 3):
+        lows, core = _column_reduce(column_table(a, p), p)
+        assert (len(lows), core) == (len(dense_rref(dense, p)[1]), [])
 
 
 @settings(max_examples=60, deadline=None)
@@ -328,7 +359,7 @@ def closed_complexes(draw):
 def projective_plane_pairs(draw):
     """RP^2 with a few random cells glued on, and a random subcomplex.
 
-    Cells of degree 3 clear columns of the map of degree 2, whose non-unit
+    Cells of degree 3 clear columns of the map of degree 2, whose set-aside
     core carries the torsion.
     """
     extra = draw(
@@ -416,8 +447,8 @@ def test_clearing_keeps_projective_plane_torsion(pair):
 
 
 def test_projective_plane_torsion_survives_clearing():
-    # The non-unit core of the map of degree 2 is a single 2: clearing must
-    # leave it alone, here and relative to a vertex.
+    # The core of the map of degree 2 is one set-aside column with invariant
+    # factor 2: clearing must leave it alone, here and relative to a vertex.
     k = SimplicialComplex.from_simplices(RP2_FACES)
     vertex = SimplicialComplex.from_simplices([(0,)])
     assert groups_of(homology_integer(k)) == [(1, ()), (0, (2,)), (0, ())]
@@ -450,33 +481,40 @@ def test_les_representatives_match_the_non_clearing_oracle(pair):
             assert _FieldComplex(table, p).hom_reps == expect
 
 
-def check_pivot_columns(rows):
-    """The pivot columns of ``rows`` are distinct and have invariant factors all 1."""
-    dense = [dict(row) for row in rows.values()]
-    pivots, _ = _unit_eliminate(rows)
-    assert len(set(pivots)) == len(pivots)
-    chosen = [[row.get(j, 0) for j in pivots] for row in dense]
-    d, _, _ = _diagonalize(chosen, len(chosen), len(pivots), False)
-    assert tuple(d) == (1,) * len(pivots)
-    return pivots
+def check_lows(columns, p=None):
+    """The lows of ``columns`` are distinct, and the rows there alone have
+    invariant factors all 1 (over Z, by the dense ``_diagonalize``) or full
+    rank (over Z_p, by ``dense_rref``), so they may clear the map below."""
+    dense = [dict(col) for col in columns.values()]
+    lows, core = _column_reduce(columns, p)
+    assert len(set(lows)) == len(lows)
+    chosen = [[col.get(i, 0) for col in dense] for i in lows]
+    if p is None:
+        d, _, _ = _diagonalize(chosen, len(lows), len(dense), False)
+        assert tuple(d) == (1,) * len(lows)
+    else:
+        assert not core
+        assert len(dense_rref(chosen, p)[1]) == len(lows)
+    return lows
 
 
 @settings(max_examples=300, deadline=None)
-@given(integer_matrices())
+@given(st.one_of(integer_matrices(), non_unit_low_matrices()))
 def test_pivot_columns_are_unit_pivots(a):
-    check_pivot_columns(sparse_rows(a))
+    for p in FIELDS:
+        check_lows(column_table(a, p), p)
 
 
 @settings(max_examples=60, deadline=None)
 @given(digraph_pairs())
 def test_boundary_pivot_columns_are_unit_pivots(pair):
-    # Every map, top-down with clearing as in ``_reduce``: the columns of
-    # the map are the rows handed to the eliminator, and its pivot columns
-    # are faces that the map below skips.
-    for table in _pair_tables(*pair):
-        cleared = ()
-        for n in range(len(table) - 1, -1, -1):
-            assert set(cleared) <= set(table[n])
-            if n:
-                kept = {j: dict(c) for j, c in table[n].items() if j not in cleared}
-                cleared = check_pivot_columns(kept)
+    # Every map, top-down with clearing as in ``_reduce``: the lows of the
+    # columns of a map are faces, whose columns the map below skips.
+    for p in FIELDS:
+        for table in _pair_tables(*pair):
+            cleared = ()
+            for n in range(len(table) - 1, -1, -1):
+                assert set(cleared) <= set(table[n])
+                if n:
+                    kept = {j: dict(c) for j, c in table[n].items() if j not in cleared}
+                    cleared = check_lows(kept, p)
