@@ -7,15 +7,14 @@ over the positions of ``k.by_dimension``.  A pair (X, A) keeps X's
 positions: X/A has the columns of the simplices outside A, less A's faces
 (``_quotient``), so X, A and X/A share one index.
 All homology, absolute homology being relative to the empty subcomplex,
-comes from one top-down reduction, ``_reduce``: the column reduction by
-lowest face of ``matrices`` takes the columns of each map, less those
-cleared by the map above, and its lows, faces with a unit pivot, clear the
-map below.  Over Z_p that gives every rank; over Z only the columns left
-with a non-unit low need a dense Smith form.
-The long exact sequence check keeps one sparse echelon basis over the
-field, ``matrices._Echelon``, per degree of X, A and X/A, on chains keyed
-by X's positions; it picks the homology representatives, writes cycles in
-terms of them and gives the ranks of the three induced maps.
+comes from one top-down reduction, ``_reduce``, over Z (p=0), Q (None) or
+Z_p: the column reduction by lowest face of ``matrices`` takes the columns
+of each map, less those cleared by the map above, and its lows clear the
+map below.  Only Z may leave columns with a non-unit low for a dense Smith
+form.  The long exact sequence check runs the same core over the field,
+one table per degree of X, A and X/A on chains keyed by X's positions,
+whose tags pick the homology representatives, write cycles in terms of
+them and give the ranks of the three induced maps.
 """
 
 from __future__ import annotations
@@ -27,9 +26,12 @@ from itertools import combinations
 from .digraph import InputError
 from .matrices import (
     IntegerMatrix,
+    _add,
     _column_reduce,
     _dense_factors,
-    _Echelon,
+    _low,
+    _normal,
+    _rank,
     invariant_factors,
 )
 
@@ -151,18 +153,18 @@ def boundary_matrix(k, n):
     return mat
 
 
-def _reduce(columns, top, p=None):
+def _reduce(columns, top, p):
     """Ranks and torsion of the boundary maps ``columns(n)``, top-down.
 
     Each map is built when it is reduced, and used up.  Entry n of each
-    list is for degree n = 0 .. top + 1; ranks are over Z (hence Q) when p
-    is None, else over Z_p.  Clearing: the map d of degree n skips the
-    lows L of the column reduction of the map B above it.  The reduction
-    moves B's columns unimodularly to ones that are unitriangular on the
-    rows L (the stored columns) or zero there, so B[L, :] has invariant
-    factors all 1 (over Z_p, full rank), hence an integer right inverse X,
-    and d B = 0 gives d[:, L] = -d[:, ~L] B[~L, :] X: d keeps its invariant
-    factors without those columns.  Lows of set-aside columns never clear.
+    list is for degree n = 0 .. top + 1, over Z (p=0), Q (None) or Z_p.
+    Clearing: the map d of degree n skips the lows L of the column
+    reduction of the map B above it.  The reduction moves B's columns
+    unimodularly to ones that are unitriangular on the rows L (the stored
+    columns) or zero there, so B[L, :] has invariant factors all 1 (over a
+    field, full rank), hence an integer right inverse X, and d B = 0 gives
+    d[:, L] = -d[:, ~L] B[~L, :] X: d keeps its invariant factors without
+    those columns.  Lows of set-aside columns never clear.
     """
     ranks, torsion = [0] * (top + 2), [()] * (top + 2)
     cleared = ()
@@ -194,7 +196,7 @@ def _quotient(columns, below):
     return columns
 
 
-def _homology_groups(k, in_a, p=None, reduced=False):
+def _homology_groups(k, in_a, p, reduced=False):
     """Homology groups of (k, A), for the positions ``in_a`` of A in ``k``
     (none for absolute homology); ``reduced`` adds the augmentation."""
     levels, below = k.by_dimension, [set()] + in_a
@@ -214,7 +216,7 @@ def _homology_groups(k, in_a, p=None, reduced=False):
 
 def homology_integer(k, reduced=False):
     """Integer homology of the complex: Betti numbers and torsion."""
-    groups = _homology_groups(k, [set()] * (k.dim + 1), reduced=reduced)
+    groups = _homology_groups(k, [set()] * (k.dim + 1), 0, reduced)
     return HomologyResult(groups, reduced=reduced, truncated=k.truncated)
 
 
@@ -231,7 +233,7 @@ def relative_homology(k, sub):
     The quotient basis in each degree is the simplices of ``k`` outside
     ``sub``; boundary entries landing in ``sub`` are deleted.
     """
-    groups = _homology_groups(k, _positions_of(sub, k))
+    groups = _homology_groups(k, _positions_of(sub, k), 0)
     return HomologyResult(groups, truncated=k.truncated)
 
 
@@ -270,34 +272,36 @@ class ExactnessReport:
 class _FieldComplex:
     """Chain complex over a field with explicit homology coordinates.
 
-    ``table[n]`` holds the columns of degree n on X's positions; chains are
-    ``{position: coefficient}`` dicts, whose pivot is their largest
-    position.  Top-down, each column of degree n goes into the echelon
-    basis of degree n - 1, tagged with its position, and one that reduces
-    to zero leaves a cycle.  Clearing skips the pivots of the boundaries of
+    ``table[n]`` holds the columns of degree n on X's positions.  Top-down,
+    copies of the columns of degree n go into the table ``spans[n - 1]`` of
+    ``matrices._add``, tagged with their positions; one that reduces to
+    zero leaves a cycle.  Clearing skips the lows of the boundaries of
     degree n + 1: their cycles lie in a boundary plus the earlier cycles.
-    The cycles then go into the basis of degree n, which keeps those
-    boundaries untagged (they are zero in homology); a cycle that is stored
-    is a representative, tagged with its index, so every tag gives its
-    vector's class in terms of the representatives.
+    The cycles then go into ``spans[n]``, which keeps those boundaries
+    untagged (they are zero in homology); a cycle that is stored is a
+    representative, tagged with its index, so every tag gives its vector's
+    class in terms of the representatives.
     """
 
     def __init__(self, table, p):
+        self.p = p
         self.hom_reps = [[] for _ in table]
-        self.spans = [_Echelon(p) for _ in table]
+        self.spans = [{} for _ in table]
         for n in range(len(table) - 1, -1, -1):
             span = self.spans[n]
-            below = self.spans[n - 1] if n else _Echelon(p)
+            below = self.spans[n - 1] if n else {}
             cycles = []
             for j, col in table[n].items():
-                if j not in span.rows:
-                    vec, chain = below.add(col, {j: 1})
+                if j not in span:
+                    vec, chain = dict(col), {j: 1}
+                    _add(vec, below, p, chain)
                     if not vec:
                         cycles.append(chain)
-            below.rows = {i: (vec, {}) for i, (vec, _) in below.rows.items()}
+            for i, (vec, _) in below.items():
+                below[i] = vec, {}
             reps = self.hom_reps[n]
             for z in cycles:
-                if span.add(z, {len(reps): 1})[0]:
+                if _add(dict(z), span, p, {len(reps): 1}):
                     reps.append(z)
 
     def coords(self, n, chain):
@@ -305,13 +309,13 @@ class _FieldComplex:
 
         A chain that is no cycle, or that leaves the basis, is refused.
         """
-        span = self.spans[n]
-        vec, tag = span.reduce(chain)
+        vec, tag = _normal(chain, self.p), {}
+        _low(vec, self.spans[n], self.p, tag)
         if vec:
             raise InputError("chain is not a cycle of the chain complex")
         # chain is a combination of stored vectors, each equal in homology
-        # to its tag; reduce subtracted that combination from the tag.
-        return {h: span.norm(-c) for h, c in tag.items()}
+        # to its tag; the reduction subtracted that combination from the tag.
+        return _normal({h: -c for h, c in tag.items()}, self.p)
 
 
 def _apply(columns, chain):
@@ -323,12 +327,10 @@ def _apply(columns, chain):
     return image
 
 
-def _kills(field, out, into):
-    """Whether the classes ``out`` send each class of ``into`` to 0, in ``field``.
-
-    Class ``h`` of ``out`` is the image of representative ``h``.
-    """
-    return not any(field.norm(x) for col in into for x in _apply(out, col).values())
+def _kills(p, out, into):
+    """Whether the classes ``out`` send each class of ``into`` to 0 over the
+    field.  Class ``h`` of ``out`` is the image of representative ``h``."""
+    return not any(_normal(_apply(out, col), p) for col in into)
 
 
 def les_exactness_check(k, sub, field_spec):
@@ -359,11 +361,8 @@ def les_exactness_check(k, sub, field_spec):
                 target.coords(n - drop, chain_map(n, z)) if n >= drop else {}
                 for z in c.hom_reps[n]
             ]
-            span = _Echelon(p)
-            for col in out:
-                span.add(col)
-            rank_out, dim = len(span.rows), len(c.hom_reps[n])
-            exact = rank_in + rank_out == dim and _kills(span, out, into)
+            rank_out, dim = _rank(map(dict, out), p), len(c.hom_reps[n])
+            exact = rank_in + rank_out == dim and _kills(p, out, into)
             nodes.append(NodeReport(f"H{n}({name})", dim, rank_in, rank_out, exact))
             into, rank_in = out, rank_out
     label = "q" if p is None else f"zp:{p}"

@@ -1,23 +1,23 @@
 """Exact linear algebra kernels: integer Smith normal form, field elimination.
 
 Everything runs on Python integers and fractions, so there is no overflow
-and no floating point anywhere.  Sparse matrices are dicts of columns, each
-a ``{row: value}`` dict.  ``invariant_factors`` and the reduction of
-boundary maps in ``homology`` share one sparse core, ``_column_reduce``:
-the column reduction by lowest row of persistent homology.  Columns are
-taken in order; while a column's low, its largest row, is the low of a
-stored column, that column is subtracted, and a column whose low is a unit
-is stored.  Over Z_p every nonzero low is a unit, so this alone gives the
-rank.  Over Z only +-1 lows are stored; its moves are unimodular, so each
-stored low is one invariant factor 1, and the lows, faces for a boundary
-map, clear the map below.  Columns left with a non-unit low are reduced at
-every stored low at the end, and only what is left of them goes through
-the dense Smith normal form, which pivots on a minimal absolute value entry
-each round to keep coefficient growth tame.  Boundary matrices almost
-never leave anything there.  ``smith_normal_form``, which also returns the
-transforms, stays dense.  Over Q or Z_p the sparse tagged echelon basis
-``_Echelon`` serves ``field_rank`` and the long exact sequence check of
-``homology``, which builds its homology coordinates with it.
+and no floating point anywhere.  The ring is named by ``p``: 0 for Z, None
+for Q and a prime for Z_p.  Sparse vectors are ``{index: value}`` dicts.
+One sparse core serves every ring: ``_add`` reduces a vector at its low,
+its largest index, by ``_low`` (the column reduction by lowest row of
+persistent homology) and stores it, scaled to 1 at its low, when that
+low is a unit; a tag may ride along and take the same row operations.
+Over Q and Z_p every nonzero low is a unit, so the stored vectors give
+the rank (``field_rank``, and the long exact sequence check of
+``homology``, which builds its homology coordinates from the tags).  Over
+Z only +-1 lows are stored; ``_column_reduce``, which serves
+``invariant_factors`` and the reduction of boundary maps in ``homology``,
+sets the other columns aside and reduces them at every stored low at the
+end, and only what is left of them goes through the dense Smith normal
+form, which pivots on a minimal absolute value entry each round to keep
+coefficient growth tame.  Boundary matrices almost never leave anything
+there.  ``smith_normal_form``, which also returns the transforms, stays
+dense.
 """
 
 from __future__ import annotations
@@ -27,6 +27,15 @@ from fractions import Fraction
 from numbers import Integral
 
 from .digraph import InputError
+
+
+def _check_integer(i, j, x, ring):
+    """Refuse the entry ``x`` at (i, j) unless it is an integer."""
+    if not isinstance(x, Integral):
+        raise InputError(
+            f"entry ({i}, {j}) = {x!r} is not an integer;"
+            f" {ring} takes integer entries only"
+        )
 
 
 class IntegerMatrix:
@@ -44,6 +53,7 @@ class IntegerMatrix:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise InputError(f"entry ({i}, {j}) out of range")
+                _check_integer(i, j, v, "IntegerMatrix")
                 if v:
                     self.entries[(i, j)] = int(v)
 
@@ -56,6 +66,7 @@ class IntegerMatrix:
             if len(row) != cols:
                 raise InputError("ragged rows")
             for j, v in enumerate(row):
+                _check_integer(i, j, v, "IntegerMatrix")
                 if v:
                     m.entries[(i, j)] = int(v)
         return m
@@ -249,10 +260,10 @@ def _diagonalize(a, m, n, track):
 
 
 def _subtract(col, f, stored, p):
-    """``col -= f * stored`` in place, mod p unless p is None; zeros are dropped."""
+    """``col -= f * stored`` in place, mod p for a prime p; zeros are dropped."""
     for i, x in stored.items():
         y = col.get(i, 0) - f * x
-        if p is not None:
+        if p:
             y %= p
         if y:
             col[i] = y
@@ -260,43 +271,100 @@ def _subtract(col, f, stored, p):
             del col[i]
 
 
-def _column_reduce(columns, p=None):
-    """Reduce sparse columns by their lowest rows; returns (lows, core).
+def _normal(vec, p):
+    """The nonzero entries of ``vec``, taken mod p for a prime p."""
+    if p:
+        return {i: y for i, x in vec.items() if (y := x % p)}
+    return {i: x for i, x in vec.items() if x}
 
-    ``columns`` maps columns to ``{row: value}`` dicts, nonzero (mod p over
-    Z_p), and is used up; they are taken in its order.  A column's low is
-    its largest row.  While that is the low of a stored column, the column
-    subtracts the stored one times its own entry there.  A column whose low
-    is a unit (+-1 over Z, any entry over Z_p, taken mod p) is stored,
-    scaled to 1 at its low; ``lows`` lists them in order.  Over Z a column
-    left with a non-unit low is set aside, and at the end reduced at every
-    row that is a low, largest first.  ``core`` is what is left, one dense
-    row per nonzero set-aside column, on the rows that are not lows; a
-    later column may have taken its low, so it may hold units.  The moves
-    are unimodular column operations, and the stored columns are
-    unitriangular on the rows ``lows``, where the core is zero: the
-    invariant factors are ``(1,) * len(lows)`` and the core's, the rank
-    over any field is ``len(lows)`` plus the core's, and the rows ``lows``
-    alone have invariant factors all 1.  Over Z_p the core is empty.
+
+def _low(col, table, p, tag=None):
+    """Reduce ``col`` in place at its low, its largest index, while a
+    stored vector has that low; returns the low left, None for zero.
+
+    ``table`` maps lows to stored ``(vector, tag)`` pairs, each vector 1 at
+    its low.  ``col`` subtracts the one at its low times its own entry
+    there, and ``tag``, if given, the stored tag times the same.  ``col``
+    holds no entry that is 0 (mod p).
+    """
+    while col:
+        low = max(col)
+        stored = table.get(low)
+        if stored is None:
+            return low
+        f = col[low]
+        _subtract(col, f, stored[0], p)
+        if tag is not None:
+            _subtract(tag, f, stored[1], p)
+    return None
+
+
+def _add(col, table, p, tag=None):
+    """Reduce ``col`` and ``tag`` by ``_low``, and store the residual if its
+    low is a unit: +-1 over Z (p=0), any entry over Q (None) or Z_p.  It is
+    stored scaled to 1 at its low, with its tag scaled alike, so the tag
+    writes the stored vector in terms of whatever the inputs were tagged
+    with.  Returns whether it was stored; ``col`` keeps the residual.
+    """
+    low = _low(col, table, p, tag)
+    if low is None:
+        return False
+    v = col[low]
+    if v != 1:
+        if v == -1:
+            s = -1
+        elif p is None:
+            s = 1 / Fraction(v)
+        elif p:
+            s = pow(v, -1, p)
+        else:
+            return False  # a non-unit over Z
+        col = _scaled(col, s, p)
+        if tag is not None:
+            tag = _scaled(tag, s, p)
+    table[low] = col, tag
+    return True
+
+
+def _scaled(vec, s, p):
+    """``s * vec``, mod p for a prime p."""
+    if p:
+        return {i: x * s % p for i, x in vec.items()}
+    return {i: x * s for i, x in vec.items()}
+
+
+def _rank(vectors, p):
+    """The rank of sparse vectors over Q (p=None) or Z_p; they are used up."""
+    table = {}
+    for vec in vectors:
+        _add(vec, table, p)
+    return len(table)
+
+
+def _column_reduce(columns, p):
+    """Reduce sparse columns by their lows with ``_add``; returns (lows, core).
+
+    ``columns`` maps columns to ``{row: value}`` dicts with no entry that is
+    0 (mod p), and is used up; they are taken in its order, and ``lows``
+    lists the lows of the stored ones.  Over Z (p=0) a column left with a
+    non-unit low is set aside, and at the end reduced at every row that is
+    a low, largest first.  ``core`` is what is left, one dense row per
+    nonzero set-aside column, on the rows that are not lows; a later column
+    may have taken its low, so it may hold units.  The moves are unimodular
+    column operations, and the stored columns are unitriangular on the rows
+    ``lows``, where the core is zero: the invariant factors are
+    ``(1,) * len(lows)`` and the core's, the rank over any field is
+    ``len(lows)`` plus the core's, and the rows ``lows`` alone have
+    invariant factors all 1.  Over Q and Z_p every low is a unit, so the
+    core is empty and ``len(lows)`` is the rank.
     """
     table, aside = {}, []
     for col in columns.values():
-        while col and (low := max(col)) in table:
-            _subtract(col, col[low], table[low], p)
-        if col:
-            v = col[low]
-            if v == 1:
-                table[low] = col
-            elif v == -1:
-                table[low] = {i: -x for i, x in col.items()}
-            elif p is not None:
-                s = pow(v, -1, p)
-                table[low] = {i: x * s % p for i, x in col.items()}
-            else:
-                aside.append(col)
+        if not _add(col, table, p) and col:
+            aside.append(col)
     for col in aside:
         while (low := max((i for i in col if i in table), default=None)) is not None:
-            _subtract(col, col[low], table[low], None)
+            _subtract(col, col[low], table[low][0], 0)
     rows = sorted({i for col in aside for i in col})
     return list(table), [[col.get(i, 0) for i in rows] for col in aside if col]
 
@@ -318,7 +386,7 @@ def invariant_factors(a):
     columns = {j: {} for j in range(a.cols)}
     for (i, j), v in a.entries.items():
         columns[j][i] = v
-    lows, core = _column_reduce(columns)
+    lows, core = _column_reduce(columns, 0)
     return (1,) * len(lows) + _dense_factors(core)
 
 
@@ -353,78 +421,20 @@ def determinant(a):
     return sign * m[n - 1][n - 1]
 
 
-# ---------------------------------------------------------------------------
-# Sparse elimination over a field: p=None means rationals, otherwise GF(p).
-
-
-class _Echelon:
-    """Sparse vectors in echelon form over Q (p=None) or Z_p.
-
-    Vectors are ``{index: value}`` dicts.  Each stored vector is scaled to 1
-    at its pivot, its largest index, and carries a tag: a second vector to
-    which every row operation on it is applied as well, so the tag writes
-    the stored vector in terms of whatever its inputs were tagged with.
-    """
-
-    def __init__(self, p):
-        if p is None:
-            # +-1 is its own inverse: pivots of boundaries stay ints, which
-            # keeps Fraction arithmetic out of the common case.
-            self.norm = lambda x: x
-            self.inv = lambda x: x if x in (1, -1) else 1 / Fraction(x)
-        else:
-            self.norm = lambda x: x % p
-            self.inv = lambda x: pow(x, p - 2, p)
-        self.rows = {}  # pivot -> (vector, tag)
-
-    def subtract(self, acc, f, vec):
-        """``acc -= f * vec`` in place, dropping the entries that vanish.
-
-        ``vec`` holds no zero entries (one missing from ``acc`` would fail).
-        """
-        norm = self.norm
-        for i, x in vec.items():
-            if y := norm(acc.get(i, 0) - f * x):
-                acc[i] = y
-            else:
-                del acc[i]
-
-    def reduce(self, vec, tag=()):
-        """Residual of ``vec`` against the stored vectors, and its tag.
-
-        Only pivots are cleared, so the residual is zero exactly when
-        ``vec`` lies in the span of the stored vectors.
-        """
-        vec = {i: y for i, x in vec.items() if (y := self.norm(x))}
-        tag = dict(tag)
-        while vec and (pivot := max(vec)) in self.rows:
-            f, (stored, stored_tag) = vec[pivot], self.rows[pivot]
-            self.subtract(vec, f, stored)
-            self.subtract(tag, f, stored_tag)
-        return vec, tag
-
-    def add(self, vec, tag=()):
-        """Store ``vec`` unless it reduces to zero; returns ``reduce``'s pair."""
-        vec, tag = self.reduce(vec, tag)
-        if vec:
-            pivot = max(vec)
-            norm, s = self.norm, self.inv(vec[pivot])
-            self.rows[pivot] = tuple(
-                {i: norm(x * s) for i, x in v.items()} for v in (vec, tag)
-            )
-        return vec, tag
-
-
 def field_rank(rows, p=None):
-    """Rank of dense rows over Q (p=None) or Z_p; Z_p takes integer entries only."""
-    echelon = _Echelon(p)
+    """Rank of dense rows over Q (p=None) or Z_p.
+
+    Over Q a float is read exactly, as the binary fraction it holds; Z_p
+    takes integer entries only.
+    """
+    if p is not None and p < 2:
+        raise InputError(f"Z_{p} is not a field")
+    vectors = []
     for i, row in enumerate(rows):
-        if p is not None:
+        if p is None:
+            row = [Fraction(x) if isinstance(x, float) else x for x in row]
+        else:
             for j, x in enumerate(row):
-                if not isinstance(x, Integral):
-                    raise InputError(
-                        f"entry ({i}, {j}) = {x!r} is not an integer;"
-                        f" Z_{p} takes integer entries only"
-                    )
-        echelon.add(dict(enumerate(row)))
-    return len(echelon.rows)
+                _check_integer(i, j, x, f"Z_{p}")
+        vectors.append(_normal(dict(enumerate(row)), p))
+    return _rank(vectors, p)

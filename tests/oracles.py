@@ -4,8 +4,10 @@ Everything here recomputes answers by a different route than the package:
 exhaustive enumeration, Bron-Kerbosch, Bareiss elimination.  Keeping these
 independent is the point; do not import algorithmic code from dvrhom beyond
 plain data accessors.  The homology oracles are the one exception: they
-reduce every full boundary map on its own with the package's per-matrix
-kernels, so they check the top-down clearing and not the kernels.
+reduce every full boundary map on its own with the package's kernels,
+``invariant_factors`` and the elimination core ``matrices._add`` that
+serves every ring, so they check the top-down clearing and not the core;
+``test_elimination`` holds the core itself to the dense oracles here.
 """
 
 from fractions import Fraction
@@ -287,29 +289,31 @@ def field_betti_oracle(bases, p=None):
 def field_complex_oracle(bases, p=None):
     """Homology representatives per degree over Q (p=None) or Z_p, bottom-up.
 
-    No clearing: in each degree n the package's ``_Echelon`` takes every
-    column of the full boundary map of degree n + 1, keyed by positions in
-    the bases and tagged with its column, and each column that reduces to
-    zero leaves a cycle of degree n + 1.  With the tags dropped, the same
-    basis then takes the cycles of degree n in order; a cycle it stores is a
-    representative.  Representatives are ``{position: coefficient}`` dicts.
+    No clearing: in each degree n the package's core ``_add`` takes every
+    column of the full boundary map of degree n + 1 into one table, keyed
+    by positions in the bases and tagged with its column, and each column
+    that reduces to zero leaves a cycle of degree n + 1.  The same table,
+    with the boundaries' tags dropped, then takes the cycles of degree n in
+    order; a cycle it stores is a representative.  Representatives are
+    ``{position: coefficient}`` dicts.
     """
-    from dvrhom.matrices import _Echelon
+    from dvrhom.matrices import _add
 
     hom_reps = []
     cycles = [{j: 1} for j in range(len(bases[0]))] if bases else []
     for n in range(len(bases)):
-        span, next_cycles = _Echelon(p), []
+        table, next_cycles = {}, []
         rows = dense_boundary(bases, n + 1)
         for j in range(len(bases[n + 1]) if n + 1 < len(bases) else 0):
-            col = {i: row[j] for i, row in enumerate(rows) if row[j]}
-            vec, chain = span.add(col, {j: 1})
-            if not vec:
+            col, chain = {i: row[j] for i, row in enumerate(rows) if row[j]}, {j: 1}
+            _add(col, table, p, chain)
+            if not col:
                 next_cycles.append(chain)
-        span.rows = {i: (vec, {}) for i, (vec, _) in span.rows.items()}
+        # Boundaries are zero in homology: their tags no longer count.
+        table = {i: (vec, {}) for i, (vec, _) in table.items()}
         reps = []
         for z in cycles:
-            if span.add(z, {len(reps): 1})[0]:
+            if _add(dict(z), table, p, {len(reps): 1}):
                 reps.append(z)
         hom_reps.append(reps)
         cycles = next_cycles

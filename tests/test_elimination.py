@@ -1,24 +1,28 @@
-"""Property tests of the sparse elimination cores.
+"""Property tests of the sparse elimination core.
 
 The dense minimal-pivot Smith elimination ``_diagonalize`` and the dense
 row reduction ``dense_rref`` of ``oracles`` are the oracles: invariant
 factors and ranks are unique, so the sparse path must agree with them
-exactly.  The package builds each boundary map once, as columns over the
-positions of the simplices of X (``_boundary_columns``), and cuts the maps
-of A and X/A from it (``_quotient``, ``_pair_tables``).  The oracles build
-their own dense maps from simplex bases, so every check translates between
-the two.  The column reduction by lowest row, ``_column_reduce``, is held
-to the dense Smith form and row reduction: its lows, the faces that clear
-the map below, must be distinct, and the rows there alone must carry
-invariant factors all 1 over Z and full rank over Z_p; matrices built with
-non-unit lows drive its set-aside core.  The
-top-down reduction with clearing is held to the oracles of ``oracles``,
-which reduce every full boundary map on its own.  The echelon bases of the
-long exact sequence check, and its test that consecutive maps compose to
-zero, are held to the dense row reduction, linear solver and matrix
-product of ``oracles``; the representatives they pick top-down with
-clearing, on positions of X, are held to ``field_complex_oracle``, which
-takes every boundary column bottom-up.
+exactly.  One core, ``matrices._add``, reduces a vector at its low and
+stores it when the low is a unit, over Z (p=0), Q (None), Z_2 and Z_3; it
+is held directly to its inputs: every stored vector is 1 at its low and is
+the combination of the input columns its tag gives, and over Z only a
+non-unit low is left out.  The package builds each boundary map once, as
+columns over the positions of the simplices of X (``_boundary_columns``),
+and cuts the maps of A and X/A from it (``_quotient``, ``_pair_tables``).
+The oracles build their own dense maps from simplex bases, so every check
+translates between the two.  The column reduction ``_column_reduce`` is
+held to the dense Smith form and row reduction: its lows, the faces that
+clear the map below, must be distinct, and the rows there alone must carry
+invariant factors all 1 over Z and full rank over a field; matrices built
+with non-unit lows drive its set-aside core.  The top-down reduction with
+clearing is held to the oracles of ``oracles``, which reduce every full
+boundary map on its own.  The tagged tables of the long exact sequence
+check, and its test that consecutive maps compose to zero, are held to the
+dense row reduction, linear solver and matrix product of ``oracles``; the
+representatives they pick top-down with clearing, on positions of X, are
+held to ``field_complex_oracle``, which takes every boundary column
+bottom-up.
 """
 
 import random
@@ -51,7 +55,7 @@ from dvrhom.homology import (
     _reduce,
     boundary_matrix,
 )
-from dvrhom.matrices import _column_reduce, _diagonalize, _Echelon, smith_normal_form
+from dvrhom.matrices import _add, _column_reduce, _diagonalize, smith_normal_form
 from oracles import (
     dense_boundary,
     dense_matmul,
@@ -65,6 +69,7 @@ from oracles import (
 from test_homology import RP2_FACES
 
 FIELDS = (None, 2, 3)  # Q, Z_2, Z_3
+RINGS = (0,) + FIELDS  # and Z
 
 entries = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, 6))
 
@@ -93,7 +98,7 @@ def dense_factors(a):
     return tuple(d)
 
 
-def column_table(a, p=None):
+def column_table(a, p=0):
     """The columns of ``a`` as ``{column: {row: value}}``, entries mod p over Z_p."""
     columns = {j: {} for j in range(a.cols)}
     for (i, j), v in a.entries.items():
@@ -120,7 +125,7 @@ def test_invariant_factors_match_dense_oracle(a):
 @given(integer_matrices())
 def test_core_lies_off_the_lows_and_field_ranks_add_up(a):
     # Each core row is a nonzero set-aside column, on the rows off the lows.
-    lows, core = _column_reduce(column_table(a))
+    lows, core = _column_reduce(column_table(a), 0)
     assert all(any(row) for row in core)
     assert all(any(col) for col in zip(*core))
     assert len(core[0] if core else ()) <= a.rows - len(lows)
@@ -128,9 +133,8 @@ def test_core_lies_off_the_lows_and_field_ranks_add_up(a):
     for p in FIELDS:
         rank = len(dense_rref(dense, p)[1])
         assert len(lows) + len(dense_rref(core, p)[1]) == rank
-        if p is not None:
-            lows_p, core_p = _column_reduce(column_table(a, p), p)
-            assert (len(lows_p), core_p) == (rank, [])
+        lows_p, core_p = _column_reduce(column_table(a, p), p)
+        assert (len(lows_p), core_p) == (rank, [])
 
 
 @st.composite
@@ -155,9 +159,37 @@ def non_unit_low_matrices(draw):
 def test_non_unit_lows_match_the_smith_form(a):
     assert invariant_factors(a) == smith_normal_form(a).d
     dense = a.to_rows()
-    for p in (2, 3):
+    for p in FIELDS:
         lows, core = _column_reduce(column_table(a, p), p)
         assert (len(lows), core) == (len(dense_rref(dense, p)[1]), [])
+
+
+def reduced(vec, p):
+    """The nonzero entries of a sparse vector over the ring."""
+    return {i: y for i, x in vec.items() if (y := normal(x, p))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(integer_matrices(), non_unit_low_matrices()))
+def test_core_stores_tagged_vectors_scaled_at_their_lows(a):
+    # Every column goes into one table, tagged with itself.
+    for p in RINGS:
+        columns = column_table(a, p)
+        table = {}
+        for j, col in columns.items():
+            vec = dict(col)
+            if not _add(vec, table, p, {j: 1}) and vec:
+                # Only Z leaves a nonzero residual out, for its non-unit low.
+                low = max(vec)
+                assert p == 0 and low not in table and vec[low] not in (1, -1)
+        for low, (vec, tag) in table.items():
+            assert max(vec) == low and vec[low] == 1
+            # The stored vector is the combination its tag gives of the inputs.
+            combination = {}
+            for j, c in tag.items():
+                for i, x in columns[j].items():
+                    combination[i] = combination.get(i, 0) + c * x
+            assert reduced(combination, p) == reduced(vec, p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,7 +239,7 @@ def dense_rank(bases, n, p):
 
 
 def normal(x, p):
-    return x if p is None else x % p
+    return x % p if p else x
 
 
 @settings(max_examples=60, deadline=None)
@@ -334,7 +366,7 @@ def test_composite_check_matches_dense_product(data):
         into += [[x + y for x, y in zip(into[0], row)] for row in noise]
         zero = not any(map(any, dense_matmul(into, out, p)))
         out_p, into_p = ([sparse(col, p) for col in m] for m in (out, into))
-        assert _kills(_Echelon(p), out_p, into_p) == zero
+        assert _kills(p, out_p, into_p) == zero
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +406,16 @@ def groups_of(result):
     return [(g.betti, g.torsion) for g in result]
 
 
-def dense_homology(bases, p=None):
+def dense_homology(bases, p=0):
     """(Betti, torsion) per degree by dense elimination of every full map.
 
-    ``_diagonalize`` over Z (p=None), the oracles' ``dense_rref`` over Z_p.
+    ``_diagonalize`` over Z (p=0), the oracles' ``dense_rref`` over Q
+    (p=None) or Z_p.
     """
     factors = []
     for n in range(len(bases) + 1):
         rows = dense_boundary(bases, n)
-        if p is None:
+        if p == 0:
             d, _, _ = _diagonalize(rows, len(rows), len(rows[0]) if rows else 0, False)
             factors.append(tuple(d))
         else:
@@ -405,14 +438,13 @@ def check_pair(k, sub):
     ):
         pad = [(0, ())] * (len(bases) - len(in_a))
         expect = integer_homology_oracle(bases)
-        assert groups_of(_homology_groups(c, in_a)) + pad == expect
+        assert groups_of(_homology_groups(c, in_a, 0)) + pad == expect
         assert dense_homology(bases) == expect
-        for p in (None, 2, 3):
+        for p in FIELDS:
             betti = field_betti_oracle(bases, p)
             groups = _homology_groups(c, in_a, p)
             assert [g.betti for g in groups] + [0] * len(pad) == betti
-            if p is not None:
-                assert [b for b, _ in dense_homology(bases, p)] == betti
+            assert [b for b, _ in dense_homology(bases, p)] == betti
     assert groups_of(homology_integer(k)) == integer_homology_oracle(k.by_dimension)
     assert groups_of(relative_homology(k, sub)) == integer_homology_oracle(
         pair_bases(k, sub)[2]
@@ -453,7 +485,7 @@ def test_projective_plane_torsion_survives_clearing():
     vertex = SimplicialComplex.from_simplices([(0,)])
     assert groups_of(homology_integer(k)) == [(1, ()), (0, (2,)), (0, ())]
     assert groups_of(relative_homology(k, vertex)) == [(0, ()), (0, (2,)), (0, ())]
-    assert _reduce(lambda n: _boundary_columns(k.by_dimension, n), k.dim) == (
+    assert _reduce(lambda n: _boundary_columns(k.by_dimension, n), k.dim, 0) == (
         [0, 5, 10, 0], [(), (), (2,), ()]
     )
     # A tetrahedron on the face (0, 1, 4) clears a column of that map.
@@ -461,9 +493,9 @@ def test_projective_plane_torsion_survives_clearing():
     assert groups_of(homology_integer(coned)) == [
         (1, ()), (0, (2,)), (0, ()), (0, ())
     ]
-    assert _reduce(lambda n: _boundary_columns(coned.by_dimension, n), coned.dim) == (
-        [0, 6, 12, 1, 0], [(), (), (2,), (), ()]
-    )
+    assert _reduce(
+        lambda n: _boundary_columns(coned.by_dimension, n), coned.dim, 0
+    ) == ([0, 6, 12, 1, 0], [(), (), (2,), (), ()])
 
 
 @settings(max_examples=120, deadline=None)
@@ -481,15 +513,16 @@ def test_les_representatives_match_the_non_clearing_oracle(pair):
             assert _FieldComplex(table, p).hom_reps == expect
 
 
-def check_lows(columns, p=None):
+def check_lows(columns, p):
     """The lows of ``columns`` are distinct, and the rows there alone have
     invariant factors all 1 (over Z, by the dense ``_diagonalize``) or full
-    rank (over Z_p, by ``dense_rref``), so they may clear the map below."""
+    rank (over Q and Z_p, by ``dense_rref``), so they may clear the map
+    below."""
     dense = [dict(col) for col in columns.values()]
     lows, core = _column_reduce(columns, p)
     assert len(set(lows)) == len(lows)
     chosen = [[col.get(i, 0) for col in dense] for i in lows]
-    if p is None:
+    if p == 0:
         d, _, _ = _diagonalize(chosen, len(lows), len(dense), False)
         assert tuple(d) == (1,) * len(lows)
     else:
@@ -501,7 +534,7 @@ def check_lows(columns, p=None):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(integer_matrices(), non_unit_low_matrices()))
 def test_pivot_columns_are_unit_pivots(a):
-    for p in FIELDS:
+    for p in RINGS:
         check_lows(column_table(a, p), p)
 
 
@@ -510,7 +543,7 @@ def test_pivot_columns_are_unit_pivots(a):
 def test_boundary_pivot_columns_are_unit_pivots(pair):
     # Every map, top-down with clearing as in ``_reduce``: the lows of the
     # columns of a map are faces, whose columns the map below skips.
-    for p in FIELDS:
+    for p in RINGS:
         for table in _pair_tables(*pair):
             cleared = ()
             for n in range(len(table) - 1, -1, -1):

@@ -111,6 +111,9 @@ def test_field_rank_rational_and_modular():
     assert field_rank([[2, 0], [0, 3]], 3) == 1  # 3 == 0 mod 3
     assert field_rank([[2, 0], [0, 3]], 5) == 2
     assert field_rank([], None) == 0
+    for p in (0, 1):  # Z and Z_1 are no fields
+        with pytest.raises(InputError, match=f"Z_{p} is not a field"):
+            field_rank([[2]], p)
 
 
 @pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5, Fraction(3)])
@@ -118,6 +121,22 @@ def test_field_rank_refuses_non_integer_entries_over_z_p(entry):
     with pytest.raises(InputError, match=rf"entry \(1, 0\) = {re.escape(repr(entry))}"):
         field_rank([[1, 0], [entry, 1]], 3)
     assert field_rank([[1, 0], [entry, 1]]) == 2  # fine over Q
+
+
+def test_field_rank_reads_floats_exactly_over_q():
+    # 0.6000000000000001 is not 3 * 0.2 in binary, nor 3.3000000000000003
+    # 3 * 1.1: the exact rank is 2, where float elimination finds 1.
+    assert field_rank([[0.2, 1.1], [0.6000000000000001, 3.3000000000000003]]) == 2
+    assert field_rank([[0.5, 1.0], [1, 2]]) == 1
+
+
+@pytest.mark.parametrize("entry", [2.5, 2.0, "x", Fraction(1, 2), None])
+def test_integer_matrix_refuses_non_integer_entries(entry):
+    message = rf"entry \(1, 0\) = {re.escape(repr(entry))} is not an integer"
+    with pytest.raises(InputError, match=message):
+        IntegerMatrix(2, 2, {(0, 0): 1, (1, 0): entry})
+    with pytest.raises(InputError, match=message):
+        IntegerMatrix.from_rows([[1, 0], [entry, 1]])
 
 
 def test_field_rank_matches_oracle():
