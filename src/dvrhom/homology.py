@@ -1,20 +1,23 @@
 """Simplicial chain complexes and their homology over Z, Q and Z_p.
 
 Simplices are oriented by their sorted vertex tuple, so boundary signs do
-not depend on witnesses.  Each boundary map is built once, by
-``_boundary_columns``: columns ``{simplex position: {face position: +-1}}``
-over the positions of ``k.by_dimension``.  A pair (X, A) keeps X's
-positions: X/A has the columns of the simplices outside A, less A's faces
-(``_quotient``), so X, A and X/A share one index.
+not depend on witnesses.  One builder, ``_boundary_builder``, gives the
+boundary column ``{face position: +-1}`` of a simplex over the positions of
+``k.by_dimension``; ``_boundary_columns`` builds a whole map with it.  A
+pair (X, A) keeps X's positions: X/A has the columns of the simplices
+outside A, less A's faces (``_cut``), so X, A and X/A share one index.
 All homology, absolute homology being relative to the empty subcomplex,
 comes from one top-down reduction, ``_reduce``, over Z (p=0), Q (None) or
 Z_p: the column reduction by lowest face of ``matrices`` takes the columns
 of each map, less those cleared by the map above, and its lows clear the
 map below.  Only Z may leave columns with a non-unit low for a dense Smith
-form.  The long exact sequence check runs the same core over the field,
-one table per degree of X, A and X/A on chains keyed by X's positions,
-whose tags pick the homology representatives, write cycles in terms of
-them and give the ranks of the three induced maps.
+form.  A column that would be stored unreduced, an apparent pair (Bauer
+2021), is stored unbuilt until it is read, which leaves every stored vector
+and so every report as it was.  The long exact sequence check runs the
+same core over the field, one table per degree of X, A and X/A on chains
+keyed by X's positions, whose tags pick the homology representatives,
+write cycles in terms of them and give the ranks of the three induced
+maps.
 """
 
 from __future__ import annotations
@@ -116,24 +119,30 @@ def _parse_field(spec):
     return spec
 
 
-def _boundary_columns(levels, n, skip=()):
-    """The boundary map of degree n, as columns over simplex positions.
-
-    ``levels`` are the simplex lists of ``k.by_dimension``.  The position of
-    each n-simplex, less those in ``skip``, maps to ``{face position: +-1}``,
-    deleting the i-th vertex with sign (-1)^i; the columns of degree 0 are
-    empty.
-    """
-    keys, simplices = range(len(levels[n])), levels[n]
-    if skip:
-        keys = [j for j in keys if j not in skip]
-        simplices = map(simplices.__getitem__, keys)
-    if not n:
-        return {j: {} for j in keys}
-    pos = {s: i for i, s in enumerate(levels[n - 1])}.__getitem__
+def _boundary_builder(levels, n, below=()):
+    """The position of each (n-1)-simplex, and the builder of the boundary
+    columns of degree n >= 1: an n-simplex maps to ``{face position: +-1}``,
+    deleting the i-th vertex with sign (-1)^i, less the faces ``below``
+    (A's, for X/A)."""
+    pos = {s: i for i, s in enumerate(levels[n - 1])}
+    face = pos.__getitem__
     signs = [(-1) ** i for i in range(n, -1, -1)]  # last vertex deleted first
-    faces = (map(pos, combinations(s, n)) for s in simplices)
-    return dict(zip(keys, (dict(zip(f, signs)) for f in faces)))
+
+    def column(s):
+        col = dict(zip(map(face, combinations(s, n)), signs))
+        return _cut(col, below) if below else col
+
+    return pos, column
+
+
+def _boundary_columns(levels, n):
+    """The boundary map of degree n, built whole, as columns over simplex
+    positions: the position of each n-simplex of ``levels``, the simplex
+    lists of ``k.by_dimension``, maps to its column.  The columns of degree
+    0 are empty."""
+    if not n:
+        return {j: {} for j in range(len(levels[0]))}
+    return dict(enumerate(map(_boundary_builder(levels, n)[1], levels[n])))
 
 
 def boundary_matrix(k, n):
@@ -153,11 +162,50 @@ def boundary_matrix(k, n):
     return mat
 
 
-def _reduce(columns, top, p):
-    """Ranks and torsion of the boundary maps ``columns(n)``, top-down.
+def _cut(col, below):
+    """The column of X/A from X's column ``col``: A's faces ``below`` are
+    dropped, and a column without them is shared."""
+    if below.isdisjoint(col):
+        return col
+    return {i: c for i, c in col.items() if i not in below}
 
-    Each map is built when it is reduced, and used up.  Entry n of each
+
+class _Boundary:
+    """The column of ``simplex``, built by ``column`` when it is first read:
+    the reduction reads a stored vector only by ``items()``."""
+
+    __slots__ = ("simplex", "column", "built")
+
+    def __init__(self, simplex, column):
+        self.simplex, self.column, self.built = simplex, column, None
+
+    def items(self):
+        if self.built is None:
+            self.built = self.column(self.simplex)
+        return self.built.items()
+
+
+def _columns(levels, n, skip, below, table):
+    """The columns of degree n outside ``skip``, less A's faces ``below``,
+    for ``_column_reduce`` to store into ``table``; an apparent pair is
+    stored there unbuilt."""
+    pos, column = _boundary_builder(levels, n, below)
+    for j, s in enumerate(levels[n]):
+        if j not in skip:
+            low = pos[s[1:]]
+            if low in table or low in below:
+                yield column(s)
+            else:
+                table[low] = _Boundary(s, column), None
+
+
+def _reduce(levels, in_a, p):
+    """Ranks and torsion of the boundary maps of (X, A), top-down.
+
+    ``levels`` are X's simplex lists and ``in_a`` the positions of A's
+    simplices in each (all empty for absolute homology).  Entry n of each
     list is for degree n = 0 .. top + 1, over Z (p=0), Q (None) or Z_p.
+    One degree is held at a time, and a column is built only when read.
     Clearing: the map d of degree n skips the lows L of the column
     reduction of the map B above it.  The reduction moves B's columns
     unimodularly to ones that are unitriangular on the rows L (the stored
@@ -165,16 +213,23 @@ def _reduce(columns, top, p):
     field, full rank), hence an integer right inverse X, and d B = 0 gives
     d[:, L] = -d[:, ~L] B[~L, :] X: d keeps its invariant factors without
     those columns.  Lows of set-aside columns never clear.
+    Apparent pairs (Bauer 2021): positions are lexicographic, so the low of
+    the boundary of s is s[1:], with entry +1.  If no stored column has that
+    low and A does not hold it, ``_add`` would store the column unchanged,
+    so ``_columns`` stores it unbuilt, a ``_Boundary``, which is built when
+    a later column reads it.  Stored vectors, lows, cleared columns and the
+    core are those of the map built whole; so are the ranks and torsion.
     """
+    top = len(levels) - 1
     ranks, torsion = [0] * (top + 2), [()] * (top + 2)
-    cleared = ()
+    cleared = set()
     for n in range(top, 0, -1):
-        cols = columns(n)
-        for j in cleared:
-            del cols[j]
-        cleared, core = _column_reduce(cols, p)
+        table = {}
+        columns = _columns(levels, n, cleared | in_a[n], in_a[n - 1], table)
+        lows, core = _column_reduce(columns, p, table)
+        cleared = set(lows)
         d = _dense_factors(core)
-        ranks[n] = len(cleared) + len(d)
+        ranks[n] = len(lows) + len(d)
         torsion[n] = tuple(x for x in d if x > 1)
     return ranks, torsion
 
@@ -187,24 +242,11 @@ def _positions_of(sub, k):
     return [{j for j, s in enumerate(lv) if s in sub.witness} for lv in k.by_dimension]
 
 
-def _quotient(columns, below):
-    """X/A's columns of one degree from X's ``columns`` outside A: A's faces
-    ``below`` are dropped, and a column without them is shared."""
-    for j, col in columns.items() if below else ():
-        if not below.isdisjoint(col):
-            columns[j] = {i: c for i, c in col.items() if i not in below}
-    return columns
-
-
 def _homology_groups(k, in_a, p, reduced=False):
     """Homology groups of (k, A), for the positions ``in_a`` of A in ``k``
     (none for absolute homology); ``reduced`` adds the augmentation."""
-    levels, below = k.by_dimension, [set()] + in_a
-
-    def columns(n):
-        return _quotient(_boundary_columns(levels, n, in_a[n]), below[n])
-
-    ranks, torsion = _reduce(columns, k.dim, p)
+    levels = k.by_dimension
+    ranks, torsion = _reduce(levels, in_a, p)
     if reduced and levels:
         ranks[0] = 1
     sizes = [len(level) - len(keep) for level, keep in zip(levels, in_a)]
@@ -245,8 +287,11 @@ def _pair_tables(k, sub):
     in_a = _positions_of(sub, k)
     x = [_boundary_columns(k.by_dimension, n) for n in range(k.dim + 1)]
     a = [{j: c for j, c in cols.items() if j in keep} for cols, keep in zip(x, in_a)]
-    r = [{j: c for j, c in cols.items() if j not in keep} for cols, keep in zip(x, in_a)]
-    return x, a, [_quotient(*cut) for cut in zip(r, [set()] + in_a)]
+    r = [
+        {j: _cut(c, below) for j, c in cols.items() if j not in keep}
+        for cols, keep, below in zip(x, in_a, [set()] + in_a)
+    ]
+    return x, a, r
 
 
 # ---------------------------------------------------------------------------

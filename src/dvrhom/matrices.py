@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
+from math import isfinite
+from numbers import Integral, Rational
 
 from .digraph import InputError
 
@@ -36,6 +37,20 @@ def _check_integer(i, j, x, ring):
             f"entry ({i}, {j}) = {x!r} is not an integer;"
             f" {ring} takes integer entries only"
         )
+
+
+def _rational(i, j, x):
+    """The entry ``x`` at (i, j) as an exact rational: a finite float is the
+    binary fraction it holds, and anything else that is not rational is
+    refused."""
+    if isinstance(x, float) and isfinite(x):
+        return Fraction(x)
+    if not isinstance(x, Rational):
+        raise InputError(
+            f"entry ({i}, {j}) = {x!r} is not rational;"
+            " Q takes rational and finite float entries only"
+        )
+    return x
 
 
 class IntegerMatrix:
@@ -80,11 +95,7 @@ class IntegerMatrix:
 
     @classmethod
     def diagonal(cls, diag, rows, cols):
-        m = cls(rows, cols)
-        for i, v in enumerate(diag):
-            if v:
-                m.entries[(i, i)] = int(v)
-        return m
+        return cls(rows, cols, {(i, i): v for i, v in enumerate(diag)})
 
     def __getitem__(self, key):
         return self.entries.get(key, 0)
@@ -341,12 +352,15 @@ def _rank(vectors, p):
     return len(table)
 
 
-def _column_reduce(columns, p):
+def _column_reduce(columns, p, table=None):
     """Reduce sparse columns by their lows with ``_add``; returns (lows, core).
 
-    ``columns`` maps columns to ``{row: value}`` dicts with no entry that is
-    0 (mod p), and is used up; they are taken in its order, and ``lows``
-    lists the lows of the stored ones.  Over Z (p=0) a column left with a
+    ``columns`` is an iterable of ``{row: value}`` dicts with no entry that
+    is 0 (mod p), and is used up; they are taken in its order, and ``lows``
+    lists the lows of the stored ones in ``table`` (empty by default).  A
+    generator may store a column into ``table`` itself, between two reads,
+    as ``_add`` would store it: unchanged, 1 at a free low; a stored vector
+    is read only by ``items()``.  Over Z (p=0) a column left with a
     non-unit low is set aside, and at the end reduced at every row that is
     a low, largest first.  ``core`` is what is left, one dense row per
     nonzero set-aside column, on the rows that are not lows; a later column
@@ -358,8 +372,8 @@ def _column_reduce(columns, p):
     invariant factors all 1.  Over Q and Z_p every low is a unit, so the
     core is empty and ``len(lows)`` is the rank.
     """
-    table, aside = {}, []
-    for col in columns.values():
+    table, aside = {} if table is None else table, []
+    for col in columns:
         if not _add(col, table, p) and col:
             aside.append(col)
     for col in aside:
@@ -386,7 +400,7 @@ def invariant_factors(a):
     columns = {j: {} for j in range(a.cols)}
     for (i, j), v in a.entries.items():
         columns[j][i] = v
-    lows, core = _column_reduce(columns, 0)
+    lows, core = _column_reduce(columns.values(), 0)
     return (1,) * len(lows) + _dense_factors(core)
 
 
@@ -424,15 +438,16 @@ def determinant(a):
 def field_rank(rows, p=None):
     """Rank of dense rows over Q (p=None) or Z_p.
 
-    Over Q a float is read exactly, as the binary fraction it holds; Z_p
-    takes integer entries only.
+    Over Q a float is read exactly, as the binary fraction it holds, and an
+    entry that is neither rational nor a finite float is refused; Z_p takes
+    integer entries only.
     """
     if p is not None and p < 2:
         raise InputError(f"Z_{p} is not a field")
     vectors = []
     for i, row in enumerate(rows):
         if p is None:
-            row = [Fraction(x) if isinstance(x, float) else x for x in row]
+            row = [_rational(i, j, x) for j, x in enumerate(row)]
         else:
             for j, x in enumerate(row):
                 _check_integer(i, j, x, f"Z_{p}")

@@ -9,7 +9,7 @@ is held directly to its inputs: every stored vector is 1 at its low and is
 the combination of the input columns its tag gives, and over Z only a
 non-unit low is left out.  The package builds each boundary map once, as
 columns over the positions of the simplices of X (``_boundary_columns``),
-and cuts the maps of A and X/A from it (``_quotient``, ``_pair_tables``).
+and cuts the maps of A and X/A from it (``_cut``, ``_pair_tables``).
 The oracles build their own dense maps from simplex bases, so every check
 translates between the two.  The column reduction ``_column_reduce`` is
 held to the dense Smith form and row reduction: its lows, the faces that
@@ -17,7 +17,9 @@ clear the map below, must be distinct, and the rows there alone must carry
 invariant factors all 1 over Z and full rank over a field; matrices built
 with non-unit lows drive its set-aside core.  The top-down reduction with
 clearing is held to the oracles of ``oracles``, which reduce every full
-boundary map on its own.  The tagged tables of the long exact sequence
+boundary map on its own; its columns stored unbuilt (apparent pairs) are
+held to ``_column_reduce`` on the maps built whole, which must store,
+clear and set aside the same.  The tagged tables of the long exact sequence
 check, and its test that consecutive maps compose to zero, are held to the
 dense row reduction, linear solver and matrix product of ``oracles``; the
 representatives they pick top-down with clearing, on positions of X, are
@@ -26,6 +28,8 @@ bottom-up.
 """
 
 import random
+from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +40,10 @@ from dvrhom import (
     IntegerMatrix,
     SimplicialComplex,
     build_complex,
+    circulant,
+    digital_image,
     f_vector,
+    homology,
     homology_field,
     homology_integer,
     invariant_factors,
@@ -46,6 +53,7 @@ from dvrhom import (
 )
 from dvrhom.homology import (
     _apply,
+    _boundary_builder,
     _boundary_columns,
     _FieldComplex,
     _homology_groups,
@@ -125,7 +133,7 @@ def test_invariant_factors_match_dense_oracle(a):
 @given(integer_matrices())
 def test_core_lies_off_the_lows_and_field_ranks_add_up(a):
     # Each core row is a nonzero set-aside column, on the rows off the lows.
-    lows, core = _column_reduce(column_table(a), 0)
+    lows, core = _column_reduce(column_table(a).values(), 0)
     assert all(any(row) for row in core)
     assert all(any(col) for col in zip(*core))
     assert len(core[0] if core else ()) <= a.rows - len(lows)
@@ -133,7 +141,7 @@ def test_core_lies_off_the_lows_and_field_ranks_add_up(a):
     for p in FIELDS:
         rank = len(dense_rref(dense, p)[1])
         assert len(lows) + len(dense_rref(core, p)[1]) == rank
-        lows_p, core_p = _column_reduce(column_table(a, p), p)
+        lows_p, core_p = _column_reduce(column_table(a, p).values(), p)
         assert (len(lows_p), core_p) == (rank, [])
 
 
@@ -160,7 +168,7 @@ def test_non_unit_lows_match_the_smith_form(a):
     assert invariant_factors(a) == smith_normal_form(a).d
     dense = a.to_rows()
     for p in FIELDS:
-        lows, core = _column_reduce(column_table(a, p), p)
+        lows, core = _column_reduce(column_table(a, p).values(), p)
         assert (len(lows), core) == (len(dense_rref(dense, p)[1]), [])
 
 
@@ -485,7 +493,7 @@ def test_projective_plane_torsion_survives_clearing():
     vertex = SimplicialComplex.from_simplices([(0,)])
     assert groups_of(homology_integer(k)) == [(1, ()), (0, (2,)), (0, ())]
     assert groups_of(relative_homology(k, vertex)) == [(0, ()), (0, (2,)), (0, ())]
-    assert _reduce(lambda n: _boundary_columns(k.by_dimension, n), k.dim, 0) == (
+    assert _reduce(k.by_dimension, [set()] * (k.dim + 1), 0) == (
         [0, 5, 10, 0], [(), (), (2,), ()]
     )
     # A tetrahedron on the face (0, 1, 4) clears a column of that map.
@@ -493,9 +501,105 @@ def test_projective_plane_torsion_survives_clearing():
     assert groups_of(homology_integer(coned)) == [
         (1, ()), (0, (2,)), (0, ()), (0, ())
     ]
-    assert _reduce(
-        lambda n: _boundary_columns(coned.by_dimension, n), coned.dim, 0
-    ) == ([0, 6, 12, 1, 0], [(), (), (2,), (), ()])
+    assert _reduce(coned.by_dimension, [set()] * (coned.dim + 1), 0) == (
+        [0, 6, 12, 1, 0], [(), (), (2,), (), ()]
+    )
+
+
+def reductions(levels, in_a, p):
+    """Per degree, top-down: ``(table, lows, core)`` of ``_reduce``'s column
+    reductions, each caught where it calls ``_column_reduce``."""
+    caught = []
+
+    def spy(columns, p, table=None):
+        lows, core = _column_reduce(columns, p, table)
+        caught.append((table, lows, [row[:] for row in core]))  # core is diagonalized in place
+        return lows, core
+
+    with mock.patch.object(homology, "_column_reduce", spy):
+        _reduce(levels, in_a, p)
+    return caught
+
+
+def eager_reductions(table, p):
+    """The same, for the boundary maps ``table`` of ``_pair_tables``, built
+    whole and reduced by ``_column_reduce`` with the same clearing."""
+    out, cleared = [], ()
+    for n in range(len(table) - 1, 0, -1):
+        stored = {}
+        columns = (dict(c) for j, c in table[n].items() if j not in cleared)
+        lows, core = _column_reduce(columns, p, stored)
+        out.append((stored, lows, core))
+        cleared = set(lows)
+    return out
+
+
+def check_lazy_reduction(k, sub):
+    """``_reduce`` stores, clears and sets aside what the eager reduction
+    does, for X and for (X, A), in every degree and ring."""
+    in_a = _positions_of(sub, k)
+    x, _, quotient = _pair_tables(k, sub)
+    for where, table in (([set()] * len(in_a), x), (in_a, quotient)):
+        for p in RINGS:
+            lazy = reductions(k.by_dimension, where, p)
+            eager = eager_reductions(table, p)
+            assert [r[1:] for r in lazy] == [r[1:] for r in eager]
+            for (stored, _, _), (expect, _, _) in zip(lazy, eager):
+                # A built column is the eager one; so is one built only now.
+                for pending in (False, True):
+                    built = {
+                        low: dict(vec.items())
+                        for low, (vec, _) in stored.items()
+                        if pending or getattr(vec, "built", True) is not None
+                    }
+                    assert built == {low: expect[low][0] for low in built}
+                assert stored.keys() == expect.keys()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(digraph_pairs(), closed_complexes(), projective_plane_pairs()))
+def test_lazy_reduction_matches_the_eager_one(pair):
+    check_lazy_reduction(*pair)
+
+
+@pytest.mark.parametrize("extra", [[], [(0, 1, 4, 6)]])
+def test_lazy_reduction_on_projective_planes(extra):
+    # RP^2 and RP^2 coned over the face (0, 1, 4), absolute and relative.
+    # The low face s[1:] of a simplex s outside A may lie in A; then the
+    # column loses it in X/A and is built at once.  No low face is the
+    # vertex 0.
+    k = SimplicialComplex.from_simplices(RP2_FACES + extra)
+    for kept in ([(3, 4)], [(0,)], [(0, 1, 4), (2, 4, 5)]):
+        sub = SimplicialComplex.from_simplices(kept)
+        low_in_a = [
+            s for s in k.simplices()
+            if len(s) > 1 and s not in sub.witness and s[1:] in sub.witness
+        ]
+        assert bool(low_in_a) == (kept != [(0,)])  # as (1, 3, 4) for (3, 4)
+        check_lazy_reduction(k, sub)
+
+
+def test_lazy_reduction_builds_fewer_columns_than_it_reduces():
+    shell = [q for q in product(range(3), repeat=3) if q != (1, 1, 1)]
+    for g, groups in (
+        (circulant(20, 4), [(1, ()), (1, ())] + [(0, ())] * 3),
+        (digital_image(shell), [(1, ()), (0, ()), (1, ())] + [(0, ())] * 4),
+    ):
+        k = build_complex(g)
+        built = []
+
+        def counted(levels, n, below=()):
+            pos, column = _boundary_builder(levels, n, below)
+            return pos, lambda s: built.append(s) or column(s)
+
+        with mock.patch.object(homology, "_boundary_builder", counted):
+            assert groups_of(homology_integer(k)) == groups
+        # Every column of degree n >= 1 is reduced but those the degree
+        # above cleared; the reduction builds only the ones it reads.
+        whole = [_boundary_columns(k.by_dimension, n) for n in range(k.dim + 1)]
+        cleared = sum(len(lows) for _, lows, _ in eager_reductions(whole, 0)[:-1])
+        reduced = sum(len(level) for level in k.by_dimension[1:]) - cleared
+        assert len(set(built)) == len(built) < reduced
 
 
 @settings(max_examples=120, deadline=None)
@@ -519,7 +623,7 @@ def check_lows(columns, p):
     rank (over Q and Z_p, by ``dense_rref``), so they may clear the map
     below."""
     dense = [dict(col) for col in columns.values()]
-    lows, core = _column_reduce(columns, p)
+    lows, core = _column_reduce(columns.values(), p)
     assert len(set(lows)) == len(lows)
     chosen = [[col.get(i, 0) for col in dense] for i in lows]
     if p == 0:

@@ -130,6 +130,13 @@ def test_field_rank_reads_floats_exactly_over_q():
     assert field_rank([[0.5, 1.0], [1, 2]]) == 1
 
 
+@pytest.mark.parametrize("entry", ["x", float("nan"), float("inf"), -float("inf"), None])
+def test_field_rank_refuses_non_rational_entries_over_q(entry):
+    message = rf"entry \(1, 0\) = {re.escape(repr(entry))} is not rational"
+    with pytest.raises(InputError, match=message):
+        field_rank([[1, 0], [entry, 1]])
+
+
 @pytest.mark.parametrize("entry", [2.5, 2.0, "x", Fraction(1, 2), None])
 def test_integer_matrix_refuses_non_integer_entries(entry):
     message = rf"entry \(1, 0\) = {re.escape(repr(entry))} is not an integer"
@@ -137,6 +144,14 @@ def test_integer_matrix_refuses_non_integer_entries(entry):
         IntegerMatrix(2, 2, {(0, 0): 1, (1, 0): entry})
     with pytest.raises(InputError, match=message):
         IntegerMatrix.from_rows([[1, 0], [entry, 1]])
+    with pytest.raises(InputError, match=rf"entry \(1, 1\) = {re.escape(repr(entry))}"):
+        IntegerMatrix.diagonal([3, entry], 2, 2)
+
+
+def test_integer_matrix_diagonal_keeps_to_its_shape():
+    assert IntegerMatrix.diagonal([3, 0, -2], 3, 4).entries == {(0, 0): 3, (2, 2): -2}
+    with pytest.raises(InputError, match=r"entry \(2, 2\) out of range"):
+        IntegerMatrix.diagonal([3, 0, -2], 2, 3)
 
 
 def test_field_rank_matches_oracle():
