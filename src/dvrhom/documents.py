@@ -210,6 +210,11 @@ def _digraph_from_doc(doc):
             if isinstance(entry, str) and entry in index:
                 resolved.append(index[entry])
             elif isinstance(entry, int) and 0 <= entry < len(labels):
+                if index.get(str(entry), entry) != entry:
+                    raise InputError(
+                        f"edge entry {entry} names two vertices: the one at index "
+                        f"{entry} and the one labelled {str(entry)!r}"
+                    )
                 resolved.append(entry)
             elif str(entry) in index:
                 resolved.append(index[str(entry)])

@@ -3,9 +3,8 @@
 Simplices are oriented by their sorted vertex tuple, so boundary signs do
 not depend on witnesses.  One builder, ``_boundary_builder``, gives the
 boundary column ``{face position: +-1}`` of a simplex over the positions of
-``k.by_dimension``; ``_boundary_columns`` builds a whole map with it.  A
-pair (X, A) keeps X's positions: X/A has the columns of the simplices
-outside A, less A's faces (``_cut``), so X, A and X/A share one index.
+``k.by_dimension``.  A pair (X, A) keeps X's positions: X/A has the columns
+of the simplices outside A, less A's faces, so X, A and X/A share one index.
 All homology, absolute homology being relative to the empty subcomplex,
 comes from one top-down reduction, ``_reduce``, over Z (p=0), Q (None) or
 Z_p: the column reduction by lowest face of ``matrices`` takes the columns
@@ -14,10 +13,10 @@ map below.  Only Z may leave columns with a non-unit low for a dense Smith
 form.  A column that would be stored unreduced, an apparent pair (Bauer
 2021), is stored unbuilt until it is read, which leaves every stored vector
 and so every report as it was.  The long exact sequence check runs the
-same core over the field, one table per degree of X, A and X/A on chains
-keyed by X's positions, whose tags pick the homology representatives,
-write cycles in terms of them and give the ranks of the three induced
-maps.
+same core over the field, one degree at a time: it builds X's columns of a
+degree once and hands them to X, A and X/A, on chains keyed by X's
+positions, whose tags pick the homology representatives, write cycles in
+terms of them and give the ranks of the three induced maps.
 """
 
 from __future__ import annotations
@@ -129,20 +128,10 @@ def _boundary_builder(levels, n, below=()):
     signs = [(-1) ** i for i in range(n, -1, -1)]  # last vertex deleted first
 
     def column(s):
-        col = dict(zip(map(face, combinations(s, n)), signs))
-        return _cut(col, below) if below else col
+        col = zip(map(face, combinations(s, n)), signs)
+        return {i: c for i, c in col if i not in below} if below else dict(col)
 
     return pos, column
-
-
-def _boundary_columns(levels, n):
-    """The boundary map of degree n, built whole, as columns over simplex
-    positions: the position of each n-simplex of ``levels``, the simplex
-    lists of ``k.by_dimension``, maps to its column.  The columns of degree
-    0 are empty."""
-    if not n:
-        return {j: {} for j in range(len(levels[0]))}
-    return dict(enumerate(map(_boundary_builder(levels, n)[1], levels[n])))
 
 
 def boundary_matrix(k, n):
@@ -156,18 +145,14 @@ def boundary_matrix(k, n):
     if n < 0:
         raise InputError("boundary degree must be >= 0")
     levels = k.by_dimension
-    columns = _boundary_columns(levels, n) if n < len(levels) else {}
-    mat = IntegerMatrix(len(levels[n - 1]) if 0 < n <= len(levels) else 0, len(columns))
-    mat.entries = {(i, j): v for j, col in columns.items() for i, v in col.items()}
+    size = len(levels[n]) if n < len(levels) else 0
+    mat = IntegerMatrix(len(levels[n - 1]) if 0 < n <= len(levels) else 0, size)
+    if n and size:
+        column = _boundary_builder(levels, n)[1]
+        mat.entries = {
+            (i, j): v for j, s in enumerate(levels[n]) for i, v in column(s).items()
+        }
     return mat
-
-
-def _cut(col, below):
-    """The column of X/A from X's column ``col``: A's faces ``below`` are
-    dropped, and a column without them is shared."""
-    if below.isdisjoint(col):
-        return col
-    return {i: c for i, c in col.items() if i not in below}
 
 
 class _Boundary:
@@ -279,21 +264,6 @@ def relative_homology(k, sub):
     return HomologyResult(groups, truncated=k.truncated)
 
 
-def _pair_tables(k, sub):
-    """The boundary maps of X, A and X/A in every degree, on X's positions.
-
-    A shares X's columns, as the faces of a simplex of A are in A.
-    """
-    in_a = _positions_of(sub, k)
-    x = [_boundary_columns(k.by_dimension, n) for n in range(k.dim + 1)]
-    a = [{j: c for j, c in cols.items() if j in keep} for cols, keep in zip(x, in_a)]
-    r = [
-        {j: _cut(c, below) for j, c in cols.items() if j not in keep}
-        for cols, keep, below in zip(x, in_a, [set()] + in_a)
-    ]
-    return x, a, r
-
-
 # ---------------------------------------------------------------------------
 # Long exact sequence of a pair, verified over a field.
 
@@ -315,39 +285,42 @@ class ExactnessReport:
 
 
 class _FieldComplex:
-    """Chain complex over a field with explicit homology coordinates.
+    """Chain complex over a field with explicit homology coordinates, fed
+    one degree at a time, top-down.
 
-    ``table[n]`` holds the columns of degree n on X's positions.  Top-down,
-    copies of the columns of degree n go into the table ``spans[n - 1]`` of
-    ``matrices._add``, tagged with their positions; one that reduces to
-    zero leaves a cycle.  Clearing skips the lows of the boundaries of
-    degree n + 1: their cycles lie in a boundary plus the earlier cycles.
-    The cycles then go into ``spans[n]``, which keeps those boundaries
-    untagged (they are zero in homology); a cycle that is stored is a
-    representative, tagged with its index, so every tag gives its vector's
-    class in terms of the representatives.
+    ``reduce(n, columns)`` takes the columns of degree n on X's positions.
+    Copies of them go into the table ``spans[n - 1]`` of ``matrices._add``,
+    tagged with their positions; one that reduces to zero leaves a cycle.
+    Clearing skips the lows of the boundaries of degree n + 1: their cycles
+    lie in a boundary plus the earlier cycles.  The cycles then go into
+    ``spans[n]``, which keeps those boundaries untagged (they are zero in
+    homology); a cycle that is stored is a representative, tagged with its
+    index, so every tag gives its vector's class in terms of the
+    representatives.
     """
 
-    def __init__(self, table, p):
+    def __init__(self, degrees, p):
         self.p = p
-        self.hom_reps = [[] for _ in table]
-        self.spans = [{} for _ in table]
-        for n in range(len(table) - 1, -1, -1):
-            span = self.spans[n]
-            below = self.spans[n - 1] if n else {}
-            cycles = []
-            for j, col in table[n].items():
-                if j not in span:
-                    vec, chain = dict(col), {j: 1}
-                    _add(vec, below, p, chain)
-                    if not vec:
-                        cycles.append(chain)
-            for i, (vec, _) in below.items():
-                below[i] = vec, {}
-            reps = self.hom_reps[n]
-            for z in cycles:
-                if _add(dict(z), span, p, {len(reps): 1}):
-                    reps.append(z)
+        self.hom_reps = [[] for _ in range(degrees)]
+        self.spans = [{} for _ in range(degrees)]
+
+    def reduce(self, n, columns):
+        """Take the ``(position, column)`` pairs of degree n, after degree n + 1."""
+        p, span = self.p, self.spans[n]
+        below = self.spans[n - 1] if n else {}
+        cycles = []
+        for j, col in columns:
+            if j not in span:
+                vec, chain = dict(col), {j: 1}
+                _add(vec, below, p, chain)
+                if not vec:
+                    cycles.append(chain)
+        for i, (vec, _) in below.items():
+            below[i] = vec, {}
+        reps = self.hom_reps[n]
+        for z in cycles:
+            if _add(dict(z), span, p, {len(reps): 1}):
+                reps.append(z)
 
     def coords(self, n, chain):
         """Class of a cycle of degree n, as ``{representative index: coefficient}``.
@@ -386,27 +359,44 @@ def les_exactness_check(k, sub, field_spec):
     image = kernel at every node.  Expected to pass for every valid pair.
     """
     p = _parse_field(field_spec)
-    table, a, quotient = _pair_tables(k, sub)
-    cx, ca, cr = (_FieldComplex(t, p) for t in (table, a, quotient))
+    levels, in_a = k.by_dimension, _positions_of(sub, k)
+    cx, ca, cr = (_FieldComplex(len(levels), p) for _ in range(3))
+    # Top-down, X's columns of each degree are built once.  A takes those of
+    # its simplices (their faces are in A), X/A the others less A's faces
+    # (shared when they have none), and the boundaries in X of the relative
+    # representatives are kept.
+    images = {}
+    for n in range(k.dim, -1, -1):
+        column = _boundary_builder(levels, n)[1] if n else lambda s: {}
+        x = list(map(column, levels[n]))
+        keep, below = in_a[n], in_a[n - 1] if n else set()
+        cx.reduce(n, enumerate(x))
+        ca.reduce(n, ((j, c) for j, c in enumerate(x) if j in keep))
+        cr.reduce(n, (
+            (j, c if below.isdisjoint(c) else {
+                i: v for i, v in c.items() if i not in below
+            })
+            for j, c in enumerate(x) if j not in keep
+        ))
+        images[n] = [_apply(x, z) for z in cr.hom_reps[n]]
     # Each node's map to the next is induced by a chain map that lowers the
     # degree by 0 or 1: the inclusion of A, dropping the simplices of A, and
     # the boundary in X of a relative cycle, which lies in A (ca.coords
     # refuses it otherwise).  H0(X,A) maps to 0.
-    steps = (
-        ("A", ca, cx, 0, lambda n, z: z),
-        ("X", cx, cr, 0, lambda n, z: {j: c for j, c in z.items() if j in quotient[n]}),
-        ("X,A", cr, ca, 1, lambda n, z: _apply(table[n], z)),
-    )
     nodes = []
     into, rank_in = [], 0  # the map into the next node, and its rank
     for n in range(k.dim, -1, -1):
-        for name, c, target, drop, chain_map in steps:
+        dropped = [
+            {j: c for j, c in z.items() if j not in in_a[n]} for z in cx.hom_reps[n]
+        ]
+        for name, target, drop, chains in (
+            ("A", cx, 0, ca.hom_reps[n]),
+            ("X", cr, 0, dropped),
+            ("X,A", ca, 1, images[n]),
+        ):
             # The classes of the images of the representatives.
-            out = [
-                target.coords(n - drop, chain_map(n, z)) if n >= drop else {}
-                for z in c.hom_reps[n]
-            ]
-            rank_out, dim = _rank(map(dict, out), p), len(c.hom_reps[n])
+            out = [target.coords(n - drop, z) if n >= drop else {} for z in chains]
+            rank_out, dim = _rank(map(dict, out), p), len(chains)
             exact = rank_in + rank_out == dim and _kills(p, out, into)
             nodes.append(NodeReport(f"H{n}({name})", dim, rank_in, rank_out, exact))
             into, rank_in = out, rank_out

@@ -257,6 +257,31 @@ def dense_boundary(bases, n):
     return rows
 
 
+def pair_table_oracle(levels, sub=()):
+    """The boundary maps of X, A and X/A in every degree, built whole.
+
+    ``levels`` is X's simplex basis per degree and ``sub`` holds A's
+    simplices.  Each map comes from ``dense_boundary`` on X's basis, as
+    ``{column position: {row position: value}}`` keyed by X's positions in
+    increasing order: A has the columns of its simplices, and X/A has the
+    others, less the rows of A's simplices.
+    """
+    x, a, r = [], [], []
+    for n, level in enumerate(levels):
+        rows = dense_boundary(levels, n)
+        faces = levels[n - 1] if n else []
+        x.append({
+            j: {i: row[j] for i, row in enumerate(rows) if row[j]}
+            for j in range(len(level))
+        })
+        a.append({j: col for j, col in x[n].items() if level[j] in sub})
+        r.append({
+            j: {i: v for i, v in col.items() if faces[i] not in sub}
+            for j, col in x[n].items() if level[j] not in sub
+        })
+    return x, a, r
+
+
 def integer_homology_oracle(bases):
     """(Betti number, torsion) per degree, without clearing.
 

@@ -66,6 +66,21 @@ def test_parse_digraph_json_unknown_label():
         parse_digraph(json.dumps(doc), format="json")
 
 
+def test_integer_edge_entry_naming_two_vertices_exits_1(capsys):
+    # 0 is the index of the vertex labelled 5 and the label of the one at
+    # index 1; read as an index it would make the edge a loop on 5.
+    text = json.dumps({"vertices": [5, 0], "edges": [[0, 5]]})
+    with pytest.raises(InputError, match="edge entry 0 names two vertices"):
+        parse_digraph(text)
+    assert _main_with_stdin(["complex"], text) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert "edge entry 0" in doc["error"]["message"]
+    # An entry whose index and label agree, or that is only one of them, is
+    # read as before.
+    g = parse_digraph(json.dumps({"vertices": [0, 5], "edges": [[0, 5], [1, 0]]}))
+    assert sorted(g.edges()) == [(0, 1), (1, 0)]
+
+
 def test_parse_digraph_refuses_a_complex_document():
     for text in (
         '{"simplices": [{"verts": [0, 1]}]}',

@@ -7,11 +7,12 @@ exactly.  One core, ``matrices._add``, reduces a vector at its low and
 stores it when the low is a unit, over Z (p=0), Q (None), Z_2 and Z_3; it
 is held directly to its inputs: every stored vector is 1 at its low and is
 the combination of the input columns its tag gives, and over Z only a
-non-unit low is left out.  The package builds each boundary map once, as
-columns over the positions of the simplices of X (``_boundary_columns``),
-and cuts the maps of A and X/A from it (``_cut``, ``_pair_tables``).
-The oracles build their own dense maps from simplex bases, so every check
-translates between the two.  The column reduction ``_column_reduce`` is
+non-unit low is left out.  The package builds boundary columns one degree
+at a time, over the positions of the simplices of X (``_boundary_builder``),
+and never a whole map; ``pair_table_oracle`` builds the maps of X, A and
+X/A whole, from dense maps on X's simplex basis, on the same positions.
+The other oracles build their own dense maps from simplex bases, so every
+check translates between the two.  The column reduction ``_column_reduce`` is
 held to the dense Smith form and row reduction: its lows, the faces that
 clear the map below, must be distinct, and the rows there alone must carry
 invariant factors all 1 over Z and full rank over a field; matrices built
@@ -20,11 +21,13 @@ clearing is held to the oracles of ``oracles``, which reduce every full
 boundary map on its own; its columns stored unbuilt (apparent pairs) are
 held to ``_column_reduce`` on the maps built whole, which must store,
 clear and set aside the same.  The tagged tables of the long exact sequence
-check, and its test that consecutive maps compose to zero, are held to the
-dense row reduction, linear solver and matrix product of ``oracles``; the
+check, fed the whole maps of ``pair_table_oracle`` one degree at a time, and
+its test that consecutive maps compose to zero, are held to the dense row
+reduction, linear solver and matrix product of ``oracles``; the
 representatives they pick top-down with clearing, on positions of X, are
 held to ``field_complex_oracle``, which takes every boundary column
-bottom-up.
+bottom-up.  The check itself builds each column of X once and streams it
+to X, A and X/A; the tables it fills must be those fed the whole maps.
 """
 
 import random
@@ -47,6 +50,7 @@ from dvrhom import (
     homology_field,
     homology_integer,
     invariant_factors,
+    les_exactness_check,
     random_digraph,
     relative_homology,
     restrict_to,
@@ -54,11 +58,9 @@ from dvrhom import (
 from dvrhom.homology import (
     _apply,
     _boundary_builder,
-    _boundary_columns,
     _FieldComplex,
     _homology_groups,
     _kills,
-    _pair_tables,
     _positions_of,
     _reduce,
     boundary_matrix,
@@ -73,6 +75,7 @@ from oracles import (
     field_nullspace,
     field_solve,
     integer_homology_oracle,
+    pair_table_oracle,
 )
 from test_homology import RP2_FACES
 
@@ -228,12 +231,23 @@ def pair_bases(k, sub):
     return x, a, r
 
 
-def pair_parts(k, sub):
-    """(simplex bases, boundary table) of X, A and (X, A), in that order.
+def pair_tables(k, sub):
+    """The boundary maps of X, A and (X, A), built whole on X's positions."""
+    return pair_table_oracle(k.by_dimension, sub.witness)
 
-    The tables are fresh ones from ``_pair_tables``, on the positions of X.
-    """
-    return zip(pair_bases(k, sub), _pair_tables(k, sub))
+
+def pair_parts(k, sub):
+    """(simplex bases, boundary table) of X, A and (X, A), in that order."""
+    return zip(pair_bases(k, sub), pair_tables(k, sub))
+
+
+def field_complex(table, p):
+    """The ``_FieldComplex`` of whole boundary maps, fed one degree at a
+    time, top-down, as ``les_exactness_check`` feeds it."""
+    c = _FieldComplex(len(table), p)
+    for n in range(len(table) - 1, -1, -1):
+        c.reduce(n, table[n].items())
+    return c
 
 
 def positions(k, bases):
@@ -257,8 +271,8 @@ def test_echelon_homology_dimensions(pair):
     r = pair_bases(k, sub)[2]
     for spec, p in (("q", None), (2, 2), (3, 3)):
         dims = [
-            [len(reps) for reps in _FieldComplex(t, p).hom_reps]
-            for t in _pair_tables(k, sub)
+            [len(reps) for reps in field_complex(t, p).hom_reps]
+            for t in pair_tables(k, sub)
         ]
         assert dims[0] == homology_field(k, spec)
         betti_a = homology_field(sub, spec)
@@ -331,7 +345,7 @@ def test_echelon_coordinates(pair, seed):
     rng = random.Random(seed)
     for p in FIELDS:
         for bases, table in pair_parts(k, sub):
-            c = _FieldComplex(table, p)
+            c = field_complex(table, p)
             for n, basis in enumerate(positions(k, bases)):
                 check_coordinates(c, bases, n, p, rng, basis, k.by_dimension[n])
 
@@ -344,9 +358,9 @@ def test_connecting_map_refuses_a_boundary_outside_the_subcomplex(p):
     # Positions: vertices 0, 1, 2 and edges (0, 1), (0, 2), (1, 2).
     k = SimplicialComplex.from_simplices([(0, 1), (1, 2), (0, 2)])
     sub = SimplicialComplex.from_simplices([(0, 1)])
-    table, a, _ = _pair_tables(k, sub)
+    table, a, _ = pair_tables(k, sub)
     assert a == [{0: {}, 1: {}}, {0: {0: -1, 1: 1}}]
-    ca = _FieldComplex(a, p)
+    ca = field_complex(a, p)
     assert _apply(table[1], {0: 1}) == {0: -1, 1: 1}
     assert ca.coords(0, _apply(table[1], {0: 1})) == {}
     assert ca.coords(0, {1: 1}) == {0: 1}
@@ -522,8 +536,8 @@ def reductions(levels, in_a, p):
 
 
 def eager_reductions(table, p):
-    """The same, for the boundary maps ``table`` of ``_pair_tables``, built
-    whole and reduced by ``_column_reduce`` with the same clearing."""
+    """The same, for the boundary maps ``table`` of ``pair_table_oracle``,
+    built whole and reduced by ``_column_reduce`` with the same clearing."""
     out, cleared = [], ()
     for n in range(len(table) - 1, 0, -1):
         stored = {}
@@ -538,7 +552,7 @@ def check_lazy_reduction(k, sub):
     """``_reduce`` stores, clears and sets aside what the eager reduction
     does, for X and for (X, A), in every degree and ring."""
     in_a = _positions_of(sub, k)
-    x, _, quotient = _pair_tables(k, sub)
+    x, _, quotient = pair_tables(k, sub)
     for where, table in (([set()] * len(in_a), x), (in_a, quotient)):
         for p in RINGS:
             lazy = reductions(k.by_dimension, where, p)
@@ -596,7 +610,7 @@ def test_lazy_reduction_builds_fewer_columns_than_it_reduces():
             assert groups_of(homology_integer(k)) == groups
         # Every column of degree n >= 1 is reduced but those the degree
         # above cleared; the reduction builds only the ones it reads.
-        whole = [_boundary_columns(k.by_dimension, n) for n in range(k.dim + 1)]
+        whole = pair_table_oracle(k.by_dimension)[0]
         cleared = sum(len(lows) for _, lows, _ in eager_reductions(whole, 0)[:-1])
         reduced = sum(len(level) for level in k.by_dimension[1:]) - cleared
         assert len(set(built)) == len(built) < reduced
@@ -606,15 +620,56 @@ def test_lazy_reduction_builds_fewer_columns_than_it_reduces():
 @given(st.one_of(digraph_pairs(), closed_complexes(), projective_plane_pairs()))
 def test_les_representatives_match_the_non_clearing_oracle(pair):
     k, sub = pair
-    for bases, table in pair_parts(k, sub):
-        where = positions(k, bases)
-        for p in FIELDS:
+    for p in FIELDS:
+        streamed = streamed_complexes(k, sub, p)
+        for (bases, table), got in zip(pair_parts(k, sub), streamed, strict=True):
             # The oracle's positions are in the bases, the complex's in X.
+            where, oracle = positions(k, bases), field_complex_oracle(bases, p)
             expect = [
                 [{basis[i]: c for i, c in rep.items()} for rep in reps]
-                for basis, reps in zip(where, field_complex_oracle(bases, p))
+                for basis, reps in zip(where, oracle)
             ]
-            assert _FieldComplex(table, p).hom_reps == expect
+            eager = field_complex(table, p)
+            assert eager.hom_reps == expect
+            # The check streams the columns of X, A and X/A one degree at a
+            # time; its tables are those fed the whole maps.
+            assert (got.hom_reps, got.spans) == (expect, eager.spans)
+
+
+def streamed_complexes(k, sub, p):
+    """The ``_FieldComplex``s of X, A and X/A that ``les_exactness_check``
+    fills, in that order."""
+    made = []
+
+    def spy(*args):
+        made.append(_FieldComplex(*args))
+        return made[-1]
+
+    with mock.patch.object(homology, "_FieldComplex", spy):
+        les_exactness_check(k, sub, "q" if p is None else p)
+    return made
+
+
+def test_les_check_builds_each_column_of_x_once():
+    # One builder per degree of X: each column is built once, then shared by
+    # X, A and X/A and read again by the connecting map, so no second
+    # whole-complex path feeds the check.
+    shell = [q for q in product(range(3), repeat=3) if q != (1, 1, 1)]
+    for g, kept in ((circulant(20, 4), range(8)), (digital_image(shell), range(10))):
+        k = build_complex(g)
+        degrees, built = [], []
+
+        def counted(levels, n, below=()):
+            degrees.append(n)
+            pos, column = _boundary_builder(levels, n, below)
+            return pos, lambda s: built.append(s) or column(s)
+
+        with mock.patch.object(homology, "_boundary_builder", counted):
+            report = les_exactness_check(k, restrict_to(k, tuple(kept)), "q")
+        assert report.exact
+        assert sorted(degrees) == list(range(1, k.dim + 1))
+        assert len(set(built)) == len(built)
+        assert set(built) <= {s for level in k.by_dimension[1:] for s in level}
 
 
 def check_lows(columns, p):
@@ -648,7 +703,7 @@ def test_boundary_pivot_columns_are_unit_pivots(pair):
     # Every map, top-down with clearing as in ``_reduce``: the lows of the
     # columns of a map are faces, whose columns the map below skips.
     for p in RINGS:
-        for table in _pair_tables(*pair):
+        for table in pair_tables(*pair):
             cleared = ()
             for n in range(len(table) - 1, -1, -1):
                 assert set(cleared) <= set(table[n])
