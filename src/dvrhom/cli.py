@@ -243,7 +243,11 @@ def _run_pair(args, kind, obj):
     k = _complex_of(kind, obj)
     subset, sub = _subset_subcomplex(k, args.subset)
     result = relative_homology(k, sub)
-    return {"subset": list(subset), "groups": _groups_json(result.groups)}
+    return {
+        "subset": list(subset),
+        "groups": _groups_json(result.groups),
+        **({"truncated": True} if result.truncated else {}),
+    }
 
 
 def _run_les(args, kind, obj):
@@ -256,6 +260,7 @@ def _run_les(args, kind, obj):
         "subset": list(subset),
         "nodes": [dataclasses.asdict(node) for node in report.nodes],
         "exact": report.exact,
+        **({"truncated": True} if k.truncated else {}),
     }
 
 

@@ -13,10 +13,12 @@ map below.  Only Z may leave columns with a non-unit low for a dense Smith
 form.  A column that would be stored unreduced, an apparent pair (Bauer
 2021), is stored unbuilt until it is read, which leaves every stored vector
 and so every report as it was.  The long exact sequence check runs the
-same core over the field, one degree at a time: it builds X's columns of a
+same core over the field, in one top-down pass: it builds X's columns of a
 degree once and hands them to X, A and X/A, on chains keyed by X's
 positions, whose tags pick the homology representatives, write cycles in
-terms of them and give the ranks of the three induced maps.
+terms of them and give the ranks of the three induced maps.  Each node is
+checked as soon as the degree its map lands in is reduced, so each complex
+holds two degrees' tables, never one per degree.
 """
 
 from __future__ import annotations
@@ -286,28 +288,25 @@ class ExactnessReport:
 
 class _FieldComplex:
     """Chain complex over a field with explicit homology coordinates, fed
-    one degree at a time, top-down.
+    one degree at a time, top-down; it holds two tables of ``matrices._add``.
 
-    ``reduce(n, columns)`` takes the columns of degree n on X's positions.
-    Copies of them go into the table ``spans[n - 1]`` of ``matrices._add``,
-    tagged with their positions; one that reduces to zero leaves a cycle.
-    Clearing skips the lows of the boundaries of degree n + 1: their cycles
-    lie in a boundary plus the earlier cycles.  The cycles then go into
-    ``spans[n]``, which keeps those boundaries untagged (they are zero in
-    homology); a cycle that is stored is a representative, tagged with its
-    index, so every tag gives its vector's class in terms of the
-    representatives.
+    ``reduce(columns)`` takes the columns of the next degree n on X's
+    positions.  Copies of them go into a new table ``below``, for degree
+    n - 1, tagged with their positions; one that reduces to zero leaves a
+    cycle.  Clearing skips the lows of the boundaries of degree n + 1: their
+    cycles lie in a boundary plus the earlier cycles.  The cycles then go
+    into the table of degree n, which holds those boundaries untagged (they
+    are zero in homology) and becomes ``span``; a cycle that is stored is a
+    representative in ``reps``, tagged with its index, so every tag gives
+    its vector's class in terms of the representatives.
     """
 
-    def __init__(self, degrees, p):
-        self.p = p
-        self.hom_reps = [[] for _ in range(degrees)]
-        self.spans = [{} for _ in range(degrees)]
+    def __init__(self, p):
+        self.p, self.span, self.below, self.reps = p, {}, {}, []
 
-    def reduce(self, n, columns):
-        """Take the ``(position, column)`` pairs of degree n, after degree n + 1."""
-        p, span = self.p, self.spans[n]
-        below = self.spans[n - 1] if n else {}
+    def reduce(self, columns):
+        """Take the ``(position, column)`` pairs of the degree below ``span``."""
+        p, span, below = self.p, self.below, {}
         cycles = []
         for j, col in columns:
             if j not in span:
@@ -317,18 +316,20 @@ class _FieldComplex:
                     cycles.append(chain)
         for i, (vec, _) in below.items():
             below[i] = vec, {}
-        reps = self.hom_reps[n]
+        reps = []
         for z in cycles:
             if _add(dict(z), span, p, {len(reps): 1}):
                 reps.append(z)
+        self.span, self.below, self.reps = span, below, reps
 
-    def coords(self, n, chain):
-        """Class of a cycle of degree n, as ``{representative index: coefficient}``.
+    def coords(self, chain):
+        """Class of a cycle of the degree of ``span``, as
+        ``{representative index: coefficient}``.
 
         A chain that is no cycle, or that leaves the basis, is refused.
         """
         vec, tag = _normal(chain, self.p), {}
-        _low(vec, self.spans[n], self.p, tag)
+        _low(vec, self.span, self.p, tag)
         if vec:
             raise InputError("chain is not a cycle of the chain complex")
         # chain is a combination of stored vectors, each equal in homology
@@ -360,46 +361,43 @@ def les_exactness_check(k, sub, field_spec):
     """
     p = _parse_field(field_spec)
     levels, in_a = k.by_dimension, _positions_of(sub, k)
-    cx, ca, cr = (_FieldComplex(len(levels), p) for _ in range(3))
+    cx, ca, cr = (_FieldComplex(p) for _ in range(3))
     # Top-down, X's columns of each degree are built once.  A takes those of
     # its simplices (their faces are in A), X/A the others less A's faces
-    # (shared when they have none), and the boundaries in X of the relative
-    # representatives are kept.
-    images = {}
+    # (shared when they have none).  Each node's map to the next is induced
+    # by a chain map that lowers the degree by 0 or 1: the inclusion of A,
+    # dropping the simplices of A, and the boundary in X of a relative
+    # cycle, which lies in A (ca.coords refuses it otherwise).  So once
+    # degree n is reduced, H{n+1}(X,A), H{n}(A) and H{n}(X) are checked;
+    # H0(X,A) maps to 0.
+    nodes, into, rank_in = [], [], 0  # the map into the next node, and its rank
+    relative = []  # H{n+1}(X,A), with the boundaries in X of its representatives
     for n in range(k.dim, -1, -1):
         column = _boundary_builder(levels, n)[1] if n else lambda s: {}
         x = list(map(column, levels[n]))
         keep, below = in_a[n], in_a[n - 1] if n else set()
-        cx.reduce(n, enumerate(x))
-        ca.reduce(n, ((j, c) for j, c in enumerate(x) if j in keep))
-        cr.reduce(n, (
+        cx.reduce(enumerate(x))
+        ca.reduce((j, c) for j, c in enumerate(x) if j in keep)
+        cr.reduce(
             (j, c if below.isdisjoint(c) else {
                 i: v for i, v in c.items() if i not in below
             })
             for j, c in enumerate(x) if j not in keep
-        ))
-        images[n] = [_apply(x, z) for z in cr.hom_reps[n]]
-    # Each node's map to the next is induced by a chain map that lowers the
-    # degree by 0 or 1: the inclusion of A, dropping the simplices of A, and
-    # the boundary in X of a relative cycle, which lies in A (ca.coords
-    # refuses it otherwise).  H0(X,A) maps to 0.
-    nodes = []
-    into, rank_in = [], 0  # the map into the next node, and its rank
-    for n in range(k.dim, -1, -1):
-        dropped = [
-            {j: c for j, c in z.items() if j not in in_a[n]} for z in cx.hom_reps[n]
-        ]
-        for name, target, drop, chains in (
-            ("A", cx, 0, ca.hom_reps[n]),
-            ("X", cr, 0, dropped),
-            ("X,A", ca, 1, images[n]),
+        )
+        dropped = [{j: c for j, c in z.items() if j not in keep} for z in cx.reps]
+        for name, target, chains in (
+            *relative, (f"H{n}(A)", cx, ca.reps), (f"H{n}(X)", cr, dropped)
         ):
             # The classes of the images of the representatives.
-            out = [target.coords(n - drop, z) if n >= drop else {} for z in chains]
+            out = [target.coords(z) for z in chains]
             rank_out, dim = _rank(map(dict, out), p), len(chains)
             exact = rank_in + rank_out == dim and _kills(p, out, into)
-            nodes.append(NodeReport(f"H{n}({name})", dim, rank_in, rank_out, exact))
+            nodes.append(NodeReport(name, dim, rank_in, rank_out, exact))
             into, rank_in = out, rank_out
+        relative = [(f"H{n}(X,A)", ca, [_apply(x, z) for z in cr.reps])]
+    if levels:
+        dim = len(cr.reps)
+        nodes.append(NodeReport("H0(X,A)", dim, rank_in, 0, rank_in == dim))
     label = "q" if p is None else f"zp:{p}"
     return ExactnessReport(label, nodes, all(node.exact for node in nodes))
 
@@ -452,9 +450,15 @@ def pi1_presentation(k, basepoint):
     once, for the smallest such generator, and substitutes it everywhere;
     the work per move is proportional to the relators that contain the
     eliminated generator, and generators are renumbered once at the end.
+    A complex capped below dimension 2 lacks relators, and is refused.
     """
     if not k.by_dimension:
         raise InputError("fundamental group needs a nonempty complex")
+    if k.truncated and k.dim < 2:
+        raise InputError(
+            "fundamental group needs the 2-skeleton; the complex is capped at"
+            f" dimension {k.dim}"
+        )
     verts = [s[0] for s in k.by_dimension[0]]
     vset = set(verts)
     if basepoint not in vset:

@@ -153,6 +153,34 @@ def test_pair_command():
     assert all(g["betti"] == 0 and g["torsion"] == [] for g in report["groups"])
 
 
+def test_capped_complexes_are_flagged_by_pair_and_les_check():
+    # Capped at dimension 1, this complex loses its triangles and H1 reads
+    # Z^10; uncapped reports carry no flag and stay as they were.
+    _, gen_text = run(["gen", "random", "--n", "6", "--p", ".9", "--seed", "1"])
+    _, capped = run(["complex", "--max-dim", "1"], stdin_text=gen_text)
+    for argv in (["pair", "--subset", "0,1"], ["les-check", "--subset", "0,1"]):
+        report, _ = run(argv, stdin_text=capped)
+        assert report["truncated"] is True
+        report, _ = run(argv, stdin_text=gen_text)
+        assert "truncated" not in report
+    report, _ = run(["pair", "--subset", "0,1"], stdin_text=capped)
+    assert report["groups"][1]["betti"] == 10
+
+
+def test_pi1_of_a_complex_capped_below_dimension_2_exits_1(capsys):
+    _, gen_text = run(["gen", "random", "--n", "6", "--p", ".9", "--seed", "1"])
+    for cap in ("0", "1"):
+        _, capped = run(["complex", "--max-dim", cap], stdin_text=gen_text)
+        assert _main_with_stdin(["pi1"], capped) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert "2-skeleton" in doc["error"]["message"]
+    # A cap of 2 keeps every relator: the group is trivial, as uncapped.
+    _, capped = run(["complex", "--max-dim", "2"], stdin_text=gen_text)
+    for text in (capped, gen_text):
+        report, _ = run(["pi1"], stdin_text=text)
+        assert report["generators"] == [] and report["relators"] == []
+
+
 def test_fx_certify_command():
     _, gen_text = run(["gen", "circulant", "--n", "6", "--m", "2"])
     report, _ = run(["fx-certify"], stdin_text=gen_text)

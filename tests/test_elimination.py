@@ -27,7 +27,10 @@ reduction, linear solver and matrix product of ``oracles``; the
 representatives they pick top-down with clearing, on positions of X, are
 held to ``field_complex_oracle``, which takes every boundary column
 bottom-up.  The check itself builds each column of X once and streams it
-to X, A and X/A; the tables it fills must be those fed the whole maps.
+to X, A and X/A; after each degree, the table and representatives each
+holds must be those fed the whole maps.  Its nodes are held to
+``field_betti_oracle``: their order, dimensions and the ranks exactness
+leaves.
 """
 
 import random
@@ -64,6 +67,7 @@ from dvrhom.homology import (
     _positions_of,
     _reduce,
     boundary_matrix,
+    NodeReport,
 )
 from dvrhom.matrices import _add, _column_reduce, _diagonalize, smith_normal_form
 from oracles import (
@@ -243,11 +247,13 @@ def pair_parts(k, sub):
 
 def field_complex(table, p):
     """The ``_FieldComplex`` of whole boundary maps, fed one degree at a
-    time, top-down, as ``les_exactness_check`` feeds it."""
-    c = _FieldComplex(len(table), p)
+    time, top-down, as ``les_exactness_check`` feeds it.  It is yielded
+    with each degree n once n is reduced: its ``span`` and ``reps`` are
+    then degree n's, and ``coords`` reads degree n."""
+    c = _FieldComplex(p)
     for n in range(len(table) - 1, -1, -1):
-        c.reduce(n, table[n].items())
-    return c
+        c.reduce(table[n].items())
+        yield n, c
 
 
 def positions(k, bases):
@@ -271,7 +277,7 @@ def test_echelon_homology_dimensions(pair):
     r = pair_bases(k, sub)[2]
     for spec, p in (("q", None), (2, 2), (3, 3)):
         dims = [
-            [len(reps) for reps in field_complex(t, p).hom_reps]
+            [len(c.reps) for _, c in field_complex(t, p)][::-1]
             for t in pair_tables(k, sub)
         ]
         assert dims[0] == homology_field(k, spec)
@@ -308,19 +314,19 @@ def check_coordinates(c, bases, n, p, rng, basis, level):
     """Hold the classes of degree n to the dense solver.
 
     ``c`` is the ``_FieldComplex`` of the complex with simplex bases
-    ``bases``; ``basis`` holds the positions in X of ``bases[n]`` and
-    ``level`` is X's degree n.
+    ``bases``, just after degree n; ``basis`` holds the positions in X of
+    ``bases[n]`` and ``level`` is X's degree n.
     """
-    reps = c.hom_reps[n]
+    reps = c.reps
     bd_next = dense_boundary(bases, n + 1)
     for h, rep in enumerate(reps):
         unit = [int(g == h) for g in range(len(reps))]
-        assert c.coords(n, rep) == {h: 1}
-        assert c.coords(n, with_boundary(rng, basis, bd_next, reps, unit)) == {h: 1}
+        assert c.coords(rep) == {h: 1}
+        assert c.coords(with_boundary(rng, basis, bd_next, reps, unit)) == {h: 1}
     coeffs = [rng.randint(-3, 3) for _ in reps]
     z = with_boundary(rng, basis, bd_next, reps, coeffs)
     expect = [normal(a, p) for a in coeffs]
-    assert c.coords(n, z) == sparse(expect, p)
+    assert c.coords(z) == sparse(expect, p)
     # The dense solver writes z on the boundary columns followed by the
     # representatives; the classes are its last entries.
     dense = [row + [rep.get(i, 0) for rep in reps] for i, row in zip(basis, bd_next)]
@@ -331,11 +337,11 @@ def check_coordinates(c, bases, n, p, rng, basis, level):
     for j, i in enumerate(basis):
         if any(row[j] for row in bd):
             with pytest.raises(InputError):
-                c.coords(n, {i: 1})
+                c.coords({i: 1})
     # A chain on a simplex outside the basis is refused, cycle or not.
     for i in set(range(len(level))).difference(basis):
         with pytest.raises(InputError):
-            c.coords(n, {i: 1})
+            c.coords({i: 1})
 
 
 @settings(max_examples=60, deadline=None)
@@ -345,9 +351,9 @@ def test_echelon_coordinates(pair, seed):
     rng = random.Random(seed)
     for p in FIELDS:
         for bases, table in pair_parts(k, sub):
-            c = field_complex(table, p)
-            for n, basis in enumerate(positions(k, bases)):
-                check_coordinates(c, bases, n, p, rng, basis, k.by_dimension[n])
+            where = positions(k, bases)
+            for n, c in field_complex(table, p):
+                check_coordinates(c, bases, n, p, rng, where[n], k.by_dimension[n])
 
 
 @pytest.mark.parametrize("p", FIELDS)
@@ -360,12 +366,13 @@ def test_connecting_map_refuses_a_boundary_outside_the_subcomplex(p):
     sub = SimplicialComplex.from_simplices([(0, 1)])
     table, a, _ = pair_tables(k, sub)
     assert a == [{0: {}, 1: {}}, {0: {0: -1, 1: 1}}]
-    ca = field_complex(a, p)
+    *_, (n, ca) = field_complex(a, p)
+    assert n == 0
     assert _apply(table[1], {0: 1}) == {0: -1, 1: 1}
-    assert ca.coords(0, _apply(table[1], {0: 1})) == {}
-    assert ca.coords(0, {1: 1}) == {0: 1}
+    assert ca.coords(_apply(table[1], {0: 1})) == {}
+    assert ca.coords({1: 1}) == {0: 1}
     with pytest.raises(InputError):
-        ca.coords(0, _apply(table[1], {2: 1}))
+        ca.coords(_apply(table[1], {2: 1}))
 
 
 @settings(max_examples=200, deadline=None)
@@ -623,31 +630,87 @@ def test_les_representatives_match_the_non_clearing_oracle(pair):
     for p in FIELDS:
         streamed = streamed_complexes(k, sub, p)
         for (bases, table), got in zip(pair_parts(k, sub), streamed, strict=True):
-            # The oracle's positions are in the bases, the complex's in X.
+            # The oracle's positions are in the bases, the complex's in X;
+            # it goes bottom-up, the complexes top-down.
             where, oracle = positions(k, bases), field_complex_oracle(bases, p)
             expect = [
                 [{basis[i]: c for i, c in rep.items()} for rep in reps]
                 for basis, reps in zip(where, oracle)
-            ]
-            eager = field_complex(table, p)
-            assert eager.hom_reps == expect
+            ][::-1]
+            eager = [(c.span, c.reps) for _, c in field_complex(table, p)]
+            assert [reps for _, reps in eager] == expect
             # The check streams the columns of X, A and X/A one degree at a
-            # time; its tables are those fed the whole maps.
-            assert (got.hom_reps, got.spans) == (expect, eager.spans)
+            # time; after each degree, its table and representatives are
+            # those fed the whole maps.
+            assert got == eager
 
 
 def streamed_complexes(k, sub, p):
-    """The ``_FieldComplex``s of X, A and X/A that ``les_exactness_check``
-    fills, in that order."""
+    """Per degree, top-down, the ``(span, reps)`` of the ``_FieldComplex``s
+    of X, A and X/A that ``les_exactness_check`` fills, in that order."""
     made = []
 
-    def spy(*args):
-        made.append(_FieldComplex(*args))
-        return made[-1]
+    class Recorded(_FieldComplex):
+        def __init__(self, p):
+            super().__init__(p)
+            self.snapshots = []
+            made.append(self.snapshots)
 
-    with mock.patch.object(homology, "_FieldComplex", spy):
+        def reduce(self, columns):
+            super().reduce(columns)
+            self.snapshots.append((self.span, self.reps))
+
+    with mock.patch.object(homology, "_FieldComplex", Recorded):
         les_exactness_check(k, sub, "q" if p is None else p)
     return made
+
+
+def check_les_nodes(k, sub, p):
+    """The check's nodes on (k, sub) are H_n(A), H_n(X), H_n(X,A), top-down,
+    of the dimensions ``field_betti_oracle`` gives, with the ranks that
+    exactness leaves from rank_in 0; H0(X,A) maps to 0."""
+    x, a, r = (field_betti_oracle(bases, p) for bases in pair_bases(k, sub))
+    expect, rank_in = [], 0
+    for n in range(k.dim, -1, -1):
+        for name, dim in (("A", a[n]), ("X", x[n]), ("X,A", r[n])):
+            expect.append(NodeReport(f"H{n}({name})", dim, rank_in, dim - rank_in, True))
+            rank_in = dim - rank_in
+    assert rank_in == 0  # the ranks close the sequence at H0(X,A) -> 0
+    report = les_exactness_check(k, sub, "q" if p is None else p)
+    assert report.nodes == expect and report.exact
+    return report.nodes
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(digraph_pairs(), closed_complexes(), projective_plane_pairs()))
+def test_les_nodes_match_the_dense_oracle(pair):
+    for p in FIELDS:
+        check_les_nodes(*pair, p)
+
+
+def test_les_nodes_at_the_ends_of_the_pass():
+    # The fused pass checks the first nodes before any relative node and
+    # H0(X,A) after the last degree; the empty complex has no nodes.
+    empty = SimplicialComplex.from_simplices([])
+    point = SimplicialComplex.from_simplices([(0,)])
+    octahedron = build_complex(circulant(6, 2))
+    for p in FIELDS:
+        assert check_les_nodes(empty, empty, p) == []
+        assert check_les_nodes(point, empty, p) == [
+            NodeReport("H0(A)", 0, 0, 0, True),
+            NodeReport("H0(X)", 1, 0, 1, True),
+            NodeReport("H0(X,A)", 1, 1, 0, True),
+        ]
+        assert check_les_nodes(point, point, p) == [
+            NodeReport("H0(A)", 1, 0, 1, True),
+            NodeReport("H0(X)", 1, 1, 0, True),
+            NodeReport("H0(X,A)", 0, 0, 0, True),
+        ]
+        for sub in (empty, octahedron):
+            nodes = check_les_nodes(octahedron, sub, p)
+            assert [node.name for node in nodes[:4]] == [
+                "H2(A)", "H2(X)", "H2(X,A)", "H1(A)"
+            ]
 
 
 def test_les_check_builds_each_column_of_x_once():

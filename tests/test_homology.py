@@ -393,6 +393,23 @@ def test_pi1_errors():
         pi1_presentation(build_complex(from_edge_list(1, [])), 5)
 
 
+def test_pi1_refuses_a_complex_capped_below_dimension_2():
+    # Capped at 1, the complex keeps all 10 non-tree edges and none of the
+    # triangles that kill them: the group would read free of rank 10.
+    g = random_digraph(6, 0.9, 1)
+    assert abelianization(pi1_presentation(build_complex(g), 0)) == HomologyGroup(0)
+    for cap in (0, 1):
+        with pytest.raises(InputError, match="2-skeleton"):
+            pi1_presentation(build_complex(g, max_dim=cap), 0)
+    capped = build_complex(g, max_dim=2)
+    assert capped.truncated
+    assert pi1_presentation(capped, 0) == pi1_presentation(build_complex(g), 0)
+    # A cap that removes nothing leaves the complex untruncated.
+    path = build_complex(from_edge_list(3, [(0, 1), (1, 2)]), max_dim=1)
+    assert not path.truncated
+    assert pi1_presentation(path, 0).generators == ()
+
+
 def test_abelianization_examples():
     assert abelianization(Presentation((), ())) == HomologyGroup(0, ())
     assert abelianization(Presentation(("a",), ((1, 1),))) == HomologyGroup(0, (2,))
