@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from .digraph import Digraph, InputError
 
@@ -25,21 +26,24 @@ def digital_image(points):
     """Symmetric digraph on lattice points, adjacent iff max-norm gap <= 1.
 
     Diagonal neighbors count: adjacency is coordinatewise |x_i - y_i| <= 1.
+    Each point looks up its 3^d - 1 neighbour offsets in a dict of the points.
     """
     pts = [tuple(int(c) for c in p) for p in points]
-    if len(set(pts)) != len(pts):
+    index = {p: i for i, p in enumerate(pts)}
+    if len(index) != len(pts):
         raise InputError("digital image points must be distinct")
     if len({len(p) for p in pts}) > 1:
         raise InputError("digital image points must share one dimension")
-    n = len(pts)
+    d = len(pts[0]) if pts else 0
+    offsets = [o for o in product((-1, 0, 1), repeat=d) if any(o)]
     edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if all(abs(a - b) <= 1 for a, b in zip(pts[i], pts[j])):
+    for i, p in enumerate(pts):
+        for o in offsets:
+            j = index.get(tuple(a + b for a, b in zip(p, o)))
+            if j is not None:
                 edges.append((i, j))
-                edges.append((j, i))
     labels = [",".join(str(c) for c in p) for p in pts]
-    return Digraph.from_edge_list(n, edges, labels=labels)
+    return Digraph.from_edge_list(len(pts), edges, labels=labels)
 
 
 _FIGURES = {

@@ -418,21 +418,21 @@ class Presentation:
     relators: tuple
 
 
-def _free_reduce(word):
-    out = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return out
-
-
 def _cyclic_reduce(word):
-    w = _free_reduce(word)
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = _free_reduce(w[1:-1])
-    return w
+    """``word`` freely reduced, then with matching ends trimmed.  What lies
+    between two ends that cancel in a freely reduced word is still freely
+    reduced, so the ends are trimmed by index, with no second pass."""
+    w = []
+    for x in word:
+        if w and w[-1] == -x:
+            w.pop()
+        else:
+            w.append(x)
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == -w[j]:
+        i += 1
+        j -= 1
+    return w[i : j + 1]
 
 
 def _invert(word):
@@ -444,13 +444,18 @@ def pi1_presentation(k, basepoint):
 
     Spanning tree by breadth-first search from the basepoint in canonical
     vertex order; one generator per non-tree edge, one relator per triangle.
-    Elementary Tietze moves (drop trivial relators, eliminate generators
-    occurring once in some relator) are applied to a fixed point.  Each move
-    solves the first relator, in order, that holds a generator occurring
-    once, for the smallest such generator, and substitutes it everywhere;
-    the work per move is proportional to the relators that contain the
-    eliminated generator, and generators are renumbered once at the end.
-    A complex capped below dimension 2 lacks relators, and is refused.
+    Simplices are sorted tuples in lexicographic order, so adjacency lists
+    come out sorted, and every edge of a triangle a < b < c runs upward: its
+    relator is gen[a, b] gen[b, c] gen[a, c]^-1, from one table that maps
+    tree edges to 0, with the zeros dropped.  Its letters are distinct
+    generators, so it is cyclically reduced as it stands.  Elementary Tietze
+    moves (drop trivial relators, eliminate generators occurring once in
+    some relator) are applied to a fixed point.  Each move solves the first
+    relator, in order, that holds a generator occurring once, for the
+    smallest such generator, and substitutes it everywhere; the work per
+    move is proportional to the relators that contain the eliminated
+    generator, and generators are renumbered once at the end.  A complex
+    capped below dimension 2 lacks relators, and is refused.
     """
     if not k.by_dimension:
         raise InputError("fundamental group needs a nonempty complex")
@@ -468,18 +473,15 @@ def pi1_presentation(k, basepoint):
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    for v in adj:
-        adj[v].sort()
 
-    tree = set()
+    gen = {}  # tree edges map to 0, the others to their generator below
     seen = {basepoint}
     queue = [basepoint]
-    while queue:
-        u = queue.pop(0)
+    for u in queue:
         for w in adj[u]:
             if w not in seen:
                 seen.add(w)
-                tree.add((min(u, w), max(u, w)))
+                gen[(u, w) if u < w else (w, u)] = 0
                 queue.append(w)
     if seen != vset:
         stray = min(vset - seen)
@@ -488,22 +490,12 @@ def pi1_presentation(k, basepoint):
             "lie in different components"
         )
 
-    gen_edges = [e for e in edges if e not in tree]
-    gen_index = {e: i + 1 for i, e in enumerate(gen_edges)}
-
-    def letter(u, v):
-        e = (min(u, v), max(u, v))
-        g = gen_index.get(e)
-        if g is None:
-            return []
-        return [g] if (u, v) == e else [-g]
-
-    relators = []
+    gen_edges = [e for e in edges if e not in gen]
+    gen.update((e, g) for g, e in enumerate(gen_edges, start=1))
     triangles = k.by_dimension[2] if len(k.by_dimension) > 2 else []
-    for a, b, c in triangles:
-        word = letter(a, b) + letter(b, c) + _invert(letter(a, c))
-        relators.append(_cyclic_reduce(word))
-
+    relators = [
+        [x for x in (gen[a, b], gen[b, c], -gen[a, c]) if x] for a, b, c in triangles
+    ]
     symbols = [f"g{u}_{v}" for u, v in gen_edges]
     symbols, relators = _tietze_reduce(symbols, relators)
     return Presentation(tuple(symbols), tuple(tuple(w) for w in relators))
@@ -580,15 +572,19 @@ def _tietze_reduce(symbols, relators):
 
 
 def abelianization(pres):
-    """Abelianized presentation as free rank plus torsion (via Smith form)."""
+    """Abelianized presentation as free rank plus torsion (via Smith form).
+
+    A letter outside +-1..len(generators) names no generator, and is refused.
+    """
     ngen = len(pres.generators)
-    rows = []
-    for word in pres.relators:
-        row = [0] * ngen
+    sums = {}
+    for i, word in enumerate(pres.relators):
         for x in word:
-            row[abs(x) - 1] += 1 if x > 0 else -1
-        rows.append(row)
-    if not rows or ngen == 0:
-        return HomologyGroup(ngen, ())
-    d = invariant_factors(IntegerMatrix.from_rows(rows))
+            if not (isinstance(x, int) and 0 < abs(x) <= ngen):
+                raise InputError(
+                    f"relator {i} {list(word)} has letter {x!r}, outside +-1..{ngen}"
+                )
+            key = (i, abs(x) - 1)
+            sums[key] = sums.get(key, 0) + (1 if x > 0 else -1)
+    d = invariant_factors(IntegerMatrix(len(pres.relators), ngen, sums))
     return HomologyGroup(ngen - len(d), tuple(x for x in d if x > 1))

@@ -163,10 +163,11 @@ def _swap_cols(a, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-def _diagonalize(a, m, n, track):
-    """In-place Smith elimination; returns (diag, u_rows, v_rows)."""
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
-    v = [[int(i == j) for j in range(n)] for i in range(n)] if track else None
+def _diagonalize(a, m, n):
+    """In-place Smith elimination of the m x n block of ``a``; returns the
+    diagonal.  Pivots and the checks read only that block; row operations
+    act on whole rows and column operations on every row, so the rows and
+    columns ``a`` has beyond the block carry the transforms."""
     t = 0
     limit = min(m, n)
     while t < limit:
@@ -187,12 +188,8 @@ def _diagonalize(a, m, n, track):
             break
         if pi != t:
             _swap_rows(a, t, pi)
-            if track:
-                _swap_rows(u, t, pi)
         if pj != t:
             _swap_cols(a, t, pj)
-            if track:
-                _swap_cols(v, t, pj)
         while True:
             # Re-seat the pivot on the smallest entry of its own cross.
             bb = abs(a[t][t])
@@ -207,12 +204,8 @@ def _diagonalize(a, m, n, track):
                     bb, bi, bj = abs(x), t, j
             if bi != t:
                 _swap_rows(a, t, bi)
-                if track:
-                    _swap_rows(u, t, bi)
             elif bj != t:
                 _swap_cols(a, t, bj)
-                if track:
-                    _swap_cols(v, t, bj)
             p = a[t][t]
             dirty = False
             for i in range(t + 1, m):
@@ -220,13 +213,7 @@ def _diagonalize(a, m, n, track):
                 if x:
                     q = x // p
                     if q:
-                        ai, at = a[i], a[t]
-                        for jj in range(n):
-                            ai[jj] -= q * at[jj]
-                        if track:
-                            ui, ut = u[i], u[t]
-                            for jj in range(m):
-                                ui[jj] -= q * ut[jj]
+                        a[i] = [y - q * z for y, z in zip(a[i], a[t])]
                     if a[i][t]:
                         dirty = True
             for j in range(t + 1, n):
@@ -236,38 +223,22 @@ def _diagonalize(a, m, n, track):
                     if q:
                         for row in a:
                             row[j] -= q * row[t]
-                        if track:
-                            for row in v:
-                                row[j] -= q * row[t]
                     if a[t][j]:
                         dirty = True
             if not dirty:
                 break
         # Divisibility sweep: fold a bad row into the pivot row and redo.
         p = a[t][t]
-        bad = -1
         for i in range(t + 1, m):
             row = a[i]
             if any(row[j] % p for j in range(t + 1, n)):
-                bad = i
+                a[t] = [y + z for y, z in zip(a[t], row)]
                 break
-        if bad >= 0:
-            at, ab = a[t], a[bad]
-            for jj in range(n):
-                at[jj] += ab[jj]
-            if track:
-                ut, ub = u[t], u[bad]
-                for jj in range(m):
-                    ut[jj] += ub[jj]
-            continue
-        if a[t][t] < 0:
-            for jj in range(n):
-                a[t][jj] = -a[t][jj]
-            if track:
-                for jj in range(m):
-                    u[t][jj] = -u[t][jj]
-        t += 1
-    return [a[i][i] for i in range(t)], u, v
+        else:
+            if p < 0:
+                a[t] = [-y for y in a[t]]
+            t += 1
+    return [a[i][i] for i in range(t)]
 
 
 def _subtract(col, f, stored, p):
@@ -385,14 +356,19 @@ def _column_reduce(columns, p, table=None):
 
 def _dense_factors(core):
     """Invariant factors of a dense integer matrix, by ``_diagonalize``."""
-    return tuple(_diagonalize(core, len(core), len(core[0]) if core else 0, False)[0])
+    return tuple(_diagonalize(core, len(core), len(core[0]) if core else 0))
 
 
 def smith_normal_form(a):
     """Full Smith normal form of an IntegerMatrix, transforms included."""
-    work = a.to_rows()
-    d, u, v = _diagonalize(work, a.rows, a.cols, track=True)
-    return SmithForm(tuple(d), IntegerMatrix.from_rows(u), IntegerMatrix.from_rows(v))
+    m, n = a.rows, a.cols
+    # [[a, I_m], [I_n, 0]]: the top right block becomes u, the bottom left v.
+    work = [row + [int(i == j) for j in range(m)] for i, row in enumerate(a.to_rows())]
+    work += [[int(i == j) for j in range(n + m)] for i in range(n)]
+    d = _diagonalize(work, m, n)
+    u = IntegerMatrix.from_rows([row[n:] for row in work[:m]])
+    v = IntegerMatrix.from_rows([row[:n] for row in work[m:]])
+    return SmithForm(tuple(d), u, v)
 
 
 def invariant_factors(a):

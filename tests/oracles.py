@@ -10,10 +10,11 @@ serves every ring, so they check the top-down clearing and not the core;
 ``test_elimination`` holds the core itself to the dense oracles here.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from dvrhom import InputError
+from dvrhom import Digraph, InputError
 
 
 def brute_force_dvr(g, max_dim=None):
@@ -401,6 +402,58 @@ def brute_force_certificate(k, g):
                             False, count, checks, (s, tau, v, target)
                         )
     return CertificateReport(True, count, checks, None)
+
+
+def digital_image_oracle(points):
+    """Lattice points joined both ways iff every coordinate differs by at
+    most 1, by testing every pair of points."""
+    pts = [tuple(p) for p in points]
+    edges = []
+    for i, j in combinations(range(len(pts)), 2):
+        if all(abs(a - b) <= 1 for a, b in zip(pts[i], pts[j])):
+            edges += [(i, j), (j, i)]
+    labels = [",".join(str(c) for c in p) for p in pts]
+    return Digraph.from_edge_list(len(pts), edges, labels=labels)
+
+
+def edge_path_oracle(k, basepoint):
+    """The edge-path presentation before any Tietze move, from definitions.
+
+    A breadth-first tree from ``basepoint`` takes neighbours in ascending
+    order; each edge {u, v} off the tree, in the order of
+    ``k.by_dimension[1]``, is a generator ``g{u}_{v}`` read from u to v.
+    Each triangle abc gives the word ab . bc . (ac)^-1, with the tree
+    letters deleted.
+    """
+    edges = [tuple(e) for e in k.by_dimension[1]] if len(k.by_dimension) > 1 else []
+    neighbours = {s[0]: set() for s in k.by_dimension[0]}
+    for u, v in edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    tree, seen, queue = set(), {basepoint}, deque([basepoint])
+    while queue:
+        u = queue.popleft()
+        for w in sorted(neighbours[u]):
+            if w not in seen:
+                seen.add(w)
+                tree.add(frozenset((u, w)))
+                queue.append(w)
+    off_tree = [e for e in edges if frozenset(e) not in tree]
+
+    def letter(u, v):
+        for g, e in enumerate(off_tree, start=1):
+            if e == (u, v):
+                return [g]
+            if e == (v, u):
+                return [-g]
+        return []
+
+    triangles = k.by_dimension[2] if len(k.by_dimension) > 2 else []
+    relators = [
+        letter(a, b) + letter(b, c) + [-x for x in reversed(letter(a, c))]
+        for a, b, c in triangles
+    ]
+    return [f"g{u}_{v}" for u, v in off_tree], relators
 
 
 def _free_cancel(word):

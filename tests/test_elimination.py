@@ -109,7 +109,7 @@ def digraph_pairs(draw):
 
 
 def dense_factors(a):
-    d, _, _ = _diagonalize(a.to_rows(), a.rows, a.cols, track=False)
+    d = _diagonalize(a.to_rows(), a.rows, a.cols)
     return tuple(d)
 
 
@@ -445,7 +445,7 @@ def dense_homology(bases, p=0):
     for n in range(len(bases) + 1):
         rows = dense_boundary(bases, n)
         if p == 0:
-            d, _, _ = _diagonalize(rows, len(rows), len(rows[0]) if rows else 0, False)
+            d = _diagonalize(rows, len(rows), len(rows[0]) if rows else 0)
             factors.append(tuple(d))
         else:
             factors.append((1,) * len(dense_rref(rows, p)[1]))
@@ -745,7 +745,7 @@ def check_lows(columns, p):
     assert len(set(lows)) == len(lows)
     chosen = [[col.get(i, 0) for col in dense] for i in lows]
     if p == 0:
-        d, _, _ = _diagonalize(chosen, len(lows), len(dense), False)
+        d = _diagonalize(chosen, len(lows), len(dense))
         assert tuple(d) == (1,) * len(lows)
     else:
         assert not core

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvrhom import (
     InputError,
@@ -13,7 +15,7 @@ from dvrhom import (
     minimal_neighborhood,
     random_digraph,
 )
-from oracles import find_isomorphism
+from oracles import digital_image_oracle, find_isomorphism
 
 S2_POINTS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 
@@ -78,6 +80,20 @@ def test_digital_image_grid_is_contractible():
     assert k.dim == 3  # unit squares with diagonals span 3-simplices
     res = homology_integer(k, reduced=True)
     assert all(g.is_zero() for g in res)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(-2, 2)] * d), unique=True, max_size=30
+        )
+    )
+)
+def test_digital_image_lookup_matches_pair_loop(points):
+    g, oracle = digital_image(points), digital_image_oracle(points)
+    assert g == oracle
+    assert g.labels == oracle.labels
 
 
 def test_digital_image_validation():

@@ -28,7 +28,7 @@ from dvrhom import (
     smith_normal_form,
 )
 from dvrhom import homology
-from oracles import euler_characteristic, tietze_oracle
+from oracles import edge_path_oracle, euler_characteristic, tietze_oracle
 
 # Minimal 6-vertex triangulation of the real projective plane.
 RP2_FACES = [
@@ -413,10 +413,27 @@ def test_pi1_refuses_a_complex_capped_below_dimension_2():
 def test_abelianization_examples():
     assert abelianization(Presentation((), ())) == HomologyGroup(0, ())
     assert abelianization(Presentation(("a",), ((1, 1),))) == HomologyGroup(0, (2,))
+    assert abelianization(Presentation(("a", "b"), ())) == HomologyGroup(2, ())
+    assert abelianization(Presentation((), ((),))) == HomologyGroup(0, ())
 
     middle = build_complex(figure_digraph("middle"))
     pres = pi1_presentation(middle, 0)
     assert abelianization(pres) == HomologyGroup(2, ())
+
+
+@pytest.mark.parametrize(
+    "pres, letter",
+    [
+        (Presentation(("a", "b"), ((0,),)), 0),
+        (Presentation(("a",), ((2,),)), 2),
+        (Presentation(("a",), ((1, -2),)), -2),
+        (Presentation((), ((1,),)), 1),
+        (Presentation(("a",), (("a",),)), "'a'"),
+    ],
+)
+def test_abelianization_refuses_a_letter_naming_no_generator(pres, letter):
+    with pytest.raises(InputError, match=rf"relator 0 .* letter {letter},"):
+        abelianization(pres)
 
 
 def test_abelianized_pi1_matches_h1():
@@ -466,6 +483,28 @@ def test_tietze_reduce_matches_oracle_on_complex_relators(g):
             return  # disconnected
     ((symbols, relators),) = calls
     assert real(symbols, relators) == tietze_oracle(symbols, relators)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_digraphs(), st.booleans())
+def test_edge_path_relators_match_oracle(g, last):
+    # The generators and triangle words handed to the Tietze moves are those
+    # read off a breadth-first tree and the triangles by definition.
+    calls = []
+    real = homology._tietze_reduce
+
+    def record(symbols, relators):
+        calls.append((list(symbols), [list(w) for w in relators]))
+        return real(symbols, relators)
+
+    k = build_complex(g)
+    basepoint = g.n - 1 if last else 0
+    with mock.patch.object(homology, "_tietze_reduce", record):
+        try:
+            pi1_presentation(k, basepoint)
+        except InputError:
+            return  # disconnected
+    assert calls == [edge_path_oracle(k, basepoint)]
 
 
 def test_invariant_factors_match_full_snf():
