@@ -17,7 +17,6 @@ way as a domain error, without a traceback).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 from fractions import Fraction
@@ -258,7 +257,16 @@ def _run_les(args, kind, obj):
     return {
         "coefficients": label,
         "subset": list(subset),
-        "nodes": [dataclasses.asdict(node) for node in report.nodes],
+        "nodes": [
+            {
+                "name": node.name,
+                "dim": node.dim,
+                "rank_in": node.rank_in,
+                "rank_out": node.rank_out,
+                "exact": node.exact,
+            }
+            for node in report.nodes
+        ],
         "exact": report.exact,
         **({"truncated": True} if k.truncated else {}),
     }

@@ -54,16 +54,24 @@ class SimplicialComplex:
         """Abstract complex from arbitrary vertex sets, closed under faces.
 
         Witnesses default to the sorted vertex tuple (the natural reading for
-        complexes without an ambient digraph).  The closure runs top down:
-        each simplex adds only its facets to the level below, whose own
-        simplices then add theirs.
+        complexes without an ambient digraph).
         """
         by_size = {}
         for f in faces:
             f = tuple(sorted(set(f)))
-            if not f:
-                raise InputError("simplices must be nonempty")
             by_size.setdefault(len(f), set()).add(f)
+        return cls.from_faces_by_size(by_size, witnesses, digraph)
+
+    @classmethod
+    def from_faces_by_size(cls, by_size, witnesses=None, digraph=None):
+        """``from_simplices`` of faces already grouped: ``by_size[k]`` is a
+        set of sorted k-vertex tuples, and is filled in place.
+
+        The closure runs top down: each simplex adds only its facets to the
+        level below, whose own simplices then add theirs.
+        """
+        if 0 in by_size:
+            raise InputError("simplices must be nonempty")
         top = max(by_size, default=0)
         for k in range(top, 1, -1):
             below = by_size.setdefault(k - 1, set())

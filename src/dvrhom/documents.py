@@ -3,21 +3,28 @@
 A digraph document has the keys ``vertices`` and ``edges``, a complex
 document (the output of ``complex``) the keys ``f_vector``, ``simplices``
 and ``truncated``.  ``_read_document`` reads either, and checks the shape
-of every key the commands read; a complex document is read in one pass over
-``simplices`` (``_read_simplices``) that checks each item, sorts its
-vertices once and collects its witness.
+of every key the commands read.  A complex document is read in one pass
+over ``simplices`` (``_read_simplices``): it checks each item (its
+``verts`` may not repeat a vertex), sorts its vertices once, groups the
+faces by size and collects the witnesses; then
+``SimplicialComplex.from_faces_by_size`` closes the faces and checks the
+witnesses, as it does for ``from_simplices``.
 
 Every report, error reports included, is written by ``_dumps``: the text
 ``json.dumps`` gives with sorted keys and a two-space indent, made without
 json's pure-Python indenting encoder.  Strings go through the C string
-encoder and each list of plain integers through one ``join``, so a complex
-document takes under half the time.
+encoder and each list of plain integers through one ``join``.
+
+All simplices of one level have the same number of vertices, so one ``%d``
+template per level (``_simplex_template``) writes every simplex of it.
+``_write_simplices`` lays the levels out in two layouts: the indented one
+of ``_dumps``, for the ``simplices`` list of a complex document, and the
+compact one of ``_canonical``, for the input digest.
 
 An input digest is the sha256 of the compact, key-sorted JSON text of the
 canonical reconstruction of the input, so reordered edges or an edgelist
 spelling of the same digraph hash identically.  A complex's text is hashed
-level by level from a template (``_complex_digest``), without building its
-document.
+level by level (``_complex_digest``), without building its document.
 """
 
 from __future__ import annotations
@@ -99,8 +106,51 @@ def _write(x, nl, out, layouts):
         out(int.__repr__(x))
     elif t is bool or x is None:
         out(_CONSTANTS[x])
+    elif t is _Simplices:
+        _write_simplices(x.levels, x.witness, nl, out)
     else:
         out(json.dumps(x))
+
+
+class _Simplices(list):
+    """The ``simplices`` list of a complex document: one ``{"verts",
+    "witness"}`` dict per simplex, for readers of the report.  ``_write``
+    writes it from ``levels`` and ``witness``, the complex's own tuples."""
+
+    __slots__ = ("levels", "witness")
+
+
+def _simplex_template(size, nl):
+    """One simplex with ``size`` vertices as a template of its ``verts``,
+    then its ``witness``, in ``%d`` fields: compact when ``nl`` is None,
+    else as ``_dumps`` indents an item on the line ``nl`` starts."""
+    if nl is None:
+        ints = "[" + ",".join(["%d"] * size) + "]"
+        return '{"verts":' + ints + ',"witness":' + ints + "}"
+    key, entry = nl + "  ", nl + "    "
+    ints = "[" + entry + ("," + entry).join(["%d"] * size) + key + "]"
+    return "{" + key + '"verts": ' + ints + "," + key + '"witness": ' + ints + nl + "}"
+
+
+def _write_simplices(levels, witness, nl, out):
+    """Write the ``simplices`` list of a complex, level by level: as
+    ``_canonical`` does when ``nl`` is None, else as ``_dumps`` does on the
+    line ``nl`` starts."""
+    if not levels:
+        out("[]")
+        return
+    if nl is None:
+        inner, sep, comma, close = None, "[", ",", "]"
+    else:
+        inner = nl + "  "
+        sep, comma, close = "[" + inner, "," + inner, nl + "]"
+    for level in levels:
+        item = _simplex_template(len(level[0]), inner)
+        rows = map(operator.add, level, map(witness.__getitem__, level))
+        out(sep)
+        out(comma.join(map(item.__mod__, rows)))
+        sep = comma
+    out(close)
 
 
 def _digraph_doc(g):
@@ -156,13 +206,13 @@ def _read_document(text):
     for key, (what, ok) in _SHAPES.items():
         if not _list_of(doc.get(key, []), ok):
             raise InputError(f"{key!r} must be a list of {what}")
-    faces, witnesses, clash = _read_simplices(doc.get("simplices", []))
+    by_size, witnesses, clash = _read_simplices(doc.get("simplices", []))
     if type(doc.get("truncated", False)) is not bool:
         raise InputError("'truncated' must be true or false")
     if clash is not None:
         raise InputError(f"'simplices' gives two witnesses for {list(clash)}")
     if "simplices" in doc:
-        k = SimplicialComplex.from_simplices(faces, witnesses=witnesses)
+        k = SimplicialComplex.from_faces_by_size(by_size, witnesses)
         k.truncated = doc.get("truncated", False)
         return "complex", k
     if "edges" in doc or "vertices" in doc:
@@ -173,29 +223,36 @@ def _read_document(text):
 def _read_simplices(items):
     """Check a ``simplices`` list and read it in one pass.
 
-    Returns the sorted ``verts`` tuple of every item, the witness tuple of
-    every item that has one (keyed by its sorted ``verts``), and the first
-    sorted ``verts`` given two different witnesses, or None.  A shape error
-    is raised at once; a witness clash is left to the caller, which reports
-    it after the other checks.
+    Returns the sorted ``verts`` tuples grouped by size (a set per size),
+    the witness tuple of every item that has one (keyed by its sorted
+    ``verts``), and the first sorted ``verts`` given two different
+    witnesses, or None.  A shape error or a repeated vertex is raised at
+    once; a witness clash is left to the caller, which reports it after the
+    other checks.
     """
     if type(items) is not list:
         raise InputError(_BAD_SIMPLICES)
-    faces, witnesses, clash = [], {}, None
-    for item in items:
+    by_size, witnesses, clash = {}, {}, None
+    for i, item in enumerate(items):
         verts = item.get("verts") if type(item) is dict else None
-        if type(verts) is not list or not set(map(type, verts)) <= _INT:
+        if type(verts) is not list or not _INT.issuperset(map(type, verts)):
             raise InputError(_BAD_SIMPLICES)
-        verts = tuple(sorted(verts))
-        faces.append(verts)
+        face = tuple(sorted(verts))
+        size = len(face)
+        if len(set(face)) != size:
+            raise InputError(f"'simplices' item {i} repeats a vertex: {verts}")
+        faces = by_size.get(size)
+        if faces is None:
+            faces = by_size[size] = set()
+        faces.add(face)
         if "witness" in item:
             witness = item["witness"]
-            if type(witness) is not list or not set(map(type, witness)) <= _INT:
+            if type(witness) is not list or not _INT.issuperset(map(type, witness)):
                 raise InputError(_BAD_SIMPLICES)
             witness = tuple(witness)
-            if witnesses.setdefault(verts, witness) != witness and clash is None:
-                clash = verts
-    return faces, witnesses, clash
+            if witnesses.setdefault(face, witness) != witness and clash is None:
+                clash = face
+    return by_size, witnesses, clash
 
 
 def _digraph_from_doc(doc):
@@ -269,9 +326,9 @@ def parse_digraph(source, format="json"):
 
 
 def _complex_doc(k):
-    # The complex's own tuples, written as JSON lists: no list per simplex.
     witness = k.witness
-    simplices = [{"verts": s, "witness": witness[s]} for s in k.simplices()]
+    simplices = _Simplices({"verts": s, "witness": witness[s]} for s in k.simplices())
+    simplices.levels, simplices.witness = k.by_dimension, witness
     return {
         "schema": SCHEMA,
         "f_vector": list(f_vector(k)),
@@ -281,21 +338,12 @@ def _complex_doc(k):
 
 
 def _complex_digest(k):
-    """``_digest`` of the f-vector and simplices of ``_complex_doc(k)``.
-
-    The canonical text is hashed one dimension at a time, each simplex
-    formatted from one template instead of a dict.
-    """
+    """``_digest`` of the f-vector and simplices of ``_complex_doc(k)``,
+    hashed one level at a time."""
     h = hashlib.sha256()
-    h.update(f'{{"f_vector":{_canonical(list(f_vector(k)))},"simplices":['.encode())
-    sep = ""
-    for level in k.by_dimension:
-        ints = ",".join(["%d"] * len(level[0]))
-        item = '{"verts":[' + ints + '],"witness":[' + ints + "]}"
-        rows = map(operator.add, level, map(k.witness.__getitem__, level))
-        h.update((sep + ",".join(map(item.__mod__, rows))).encode())
-        sep = ","
-    h.update(b"]}")
+    h.update(f'{{"f_vector":{_canonical(list(f_vector(k)))},"simplices":'.encode())
+    _write_simplices(k.by_dimension, k.witness, None, lambda text: h.update(text.encode()))
+    h.update(b"}")
     return h.hexdigest()
 
 

@@ -146,6 +146,46 @@ def closure_oracle(faces, witnesses=None):
     return levels, witness
 
 
+def complex_document_oracle(doc):
+    """A complex document read in two steps, as (levels, witness map, truncated).
+
+    First one pass over ``simplices`` checks each item and collects its
+    sorted ``verts`` and its witness; then ``closure_oracle`` closes the
+    faces and checks the witnesses, with the messages of
+    ``SimplicialComplex.from_simplices``.  Raises the ``InputError`` messages
+    of the CLI's reader in the same order, except on a ``verts`` list that
+    repeats a vertex, which this reads as the set of its vertices.
+    """
+    bad = (
+        "'simplices' must be a list of objects with integer lists \"verts\" and"
+        ' (optional) "witness"'
+    )
+    items = doc["simplices"]
+    if type(items) is not list:
+        raise InputError(bad)
+    faces, witnesses, clash = [], {}, None
+    for item in items:
+        verts = item.get("verts") if type(item) is dict else None
+        if type(verts) is not list or not all(type(v) is int for v in verts):
+            raise InputError(bad)
+        verts = tuple(sorted(verts))
+        faces.append(verts)
+        if "witness" in item:
+            witness = item["witness"]
+            if type(witness) is not list or not all(type(v) is int for v in witness):
+                raise InputError(bad)
+            witness = tuple(witness)
+            if witnesses.setdefault(verts, witness) != witness and clash is None:
+                clash = verts
+    truncated = doc.get("truncated", False)
+    if type(truncated) is not bool:
+        raise InputError("'truncated' must be true or false")
+    if clash is not None:
+        raise InputError(f"'simplices' gives two witnesses for {list(clash)}")
+    levels, witness = closure_oracle(faces, witnesses)
+    return levels, witness, truncated
+
+
 def bron_kerbosch_cliques(g):
     """Maximal cliques of a symmetric digraph (loops ignored), with pivoting."""
     neighbors = {

@@ -1,16 +1,28 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dvrhom import InputError, figure_digraph
+from dvrhom import (
+    Digraph,
+    InputError,
+    SimplicialComplex,
+    build_complex,
+    circulant,
+    figure_digraph,
+    les_exactness_check,
+    random_digraph,
+    restrict_to,
+)
 from dvrhom import cli, documents
 from dvrhom.cli import main, parse_digraph, run_command
+from oracles import complex_document_oracle
 
 
 def run(argv, stdin_text=""):
@@ -118,6 +130,15 @@ def test_gen_random_les_pipeline():
     )
     assert report["exact"] is True
     assert all(node["exact"] for node in report["nodes"])
+
+
+def test_les_nodes_are_the_node_reports_as_dicts():
+    _, gen_text = run(["gen", "random", "--n", "7", "--p", ".5", "--seed", "4"])
+    report, _ = run(["les-check", "--subset", "0,2,5"], stdin_text=gen_text)
+    k = build_complex(parse_digraph(gen_text))
+    nodes = les_exactness_check(k, restrict_to(k, (0, 2, 5)), "q").nodes
+    assert len(nodes) > 1
+    assert report["nodes"] == [dataclasses.asdict(node) for node in nodes]
 
 
 def test_complex_roundtrip_preserves_homology():
@@ -395,6 +416,16 @@ _BAD_SIMPLICES = (
         ('{"simplices": [{"verts": [0, 1.0]}]}', _BAD_SIMPLICES),
         ('{"simplices": [{"verts": ["0"]}]}', _BAD_SIMPLICES),
         ('{"simplices": [{"verts": [0], "witness": 0}]}', _BAD_SIMPLICES),
+        # A repeated vertex, with or without a witness, names its item.
+        ('{"simplices": [{"verts": [1, 1]}]}', "'simplices' item 0 repeats a vertex: [1, 1]"),
+        (
+            '{"simplices": [{"verts": [1, 1], "witness": [1, 1]}]}',
+            "'simplices' item 0 repeats a vertex: [1, 1]",
+        ),
+        (
+            '{"simplices": [{"verts": [0, 1]}, {"verts": [2, 0, 2], "witness": [0, 2]}]}',
+            "'simplices' item 1 repeats a vertex: [2, 0, 2]",
+        ),
         (
             '{"simplices": [{"verts": [2, 0, 1], "witness": [2, 0, 1]},'
             ' {"verts": [1, 2, 0], "witness": [0, 1, 2]}]}',
@@ -494,6 +525,46 @@ _REPORT_VALUES = st.recursive(
 @given(_REPORT_VALUES)
 def test_emitter_writes_the_text_of_json_dumps(value):
     assert documents._dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@st.composite
+def _complexes(draw):
+    """Built complexes, capped ones among them, and abstract complexes with
+    witnesses that permute their simplices."""
+    if draw(st.booleans()):
+        g = random_digraph(
+            draw(st.integers(0, 8)),
+            draw(st.sampled_from((0.3, 0.6, 0.9))),
+            draw(st.integers(0, 10**6)),
+        )
+        return build_complex(g, draw(st.one_of(st.none(), st.integers(0, 3))))
+    faces = draw(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=5), max_size=6))
+    simplices = list(SimplicialComplex.from_simplices(faces).simplices())
+    chosen = draw(st.sets(st.sampled_from(simplices))) if simplices else ()
+    witnesses = {s: tuple(draw(st.permutations(s))) for s in chosen}
+    return SimplicialComplex.from_simplices(faces, witnesses=witnesses)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complexes())
+@example(build_complex(Digraph.from_edge_list(0, [])))
+@example(build_complex(Digraph.from_edge_list(1, [])))
+@example(build_complex(circulant(6, 2), 1))
+def test_complex_documents_are_written_and_hashed_level_by_level(k):
+    doc = documents._complex_doc(k)
+    plain = {
+        "schema": "1",
+        "f_vector": [len(level) for level in k.by_dimension],
+        "simplices": [{"verts": s, "witness": k.witness[s]} for s in k.simplices()],
+        "truncated": k.truncated,
+    }
+    assert doc == plain
+    for value, expected in ((doc, plain), ([1, {"x": doc}], [1, {"x": plain}])):
+        text = json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        assert documents._dumps(value) == text
+    assert documents._complex_digest(k) == documents._digest(
+        {"f_vector": plain["f_vector"], "simplices": plain["simplices"]}
+    )
 
 
 def test_reports_and_error_reports_are_json_dumps_text(capsys):
@@ -650,6 +721,34 @@ def test_fuzzed_documents_end_in_a_report_or_an_input_error(doc):
         assert type(report) is dict and not out.getvalue()[end:].strip()
         if code == 1:
             assert report["error"]["message"]
+
+
+def _read_or_message(read, doc):
+    try:
+        return read(doc)
+    except InputError as exc:
+        return str(exc)
+
+
+def _read_complex(doc):
+    kind, k = documents._read_document(json.dumps(doc))
+    assert kind == "complex"
+    return k.by_dimension, k.witness, k.truncated
+
+
+@settings(max_examples=500, deadline=None)
+@given(_DOCUMENTS)
+def test_one_pass_reader_matches_the_two_step_oracle(doc):
+    if type(doc) is not dict or "simplices" not in doc or {"vertices", "edges"} & set(doc):
+        return  # not a complex document
+    got = _read_or_message(_read_complex, doc)
+    expected = _read_or_message(complex_document_oracle, doc)
+    if got != expected:  # only a repeated vertex is read differently
+        repeat = r"'simplices' item (\d+) repeats a vertex: .*"
+        match = type(got) is str and re.fullmatch(repeat, got)
+        assert match, (got, expected)
+        verts = doc["simplices"][int(match.group(1))]["verts"]
+        assert len(set(verts)) < len(verts)
 
 
 # Argument strings: well-formed pieces, near misses and arbitrary text.
