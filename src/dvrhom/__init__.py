@@ -60,15 +60,7 @@ from .homology import (
     pi1_presentation,
     relative_homology,
 )
-from .matrices import (
-    IntegerMatrix,
-    SmithForm,
-    determinant,
-    field_rank,
-    integer_rank,
-    invariant_factors,
-    smith_normal_form,
-)
+from .matrices import IntegerMatrix, field_rank, invariant_factors
 
 __all__ = [
     "__version__",
@@ -85,7 +77,6 @@ __all__ = [
     "Simplex",
     "SimplicialComplex",
     "SimplicialMapReport",
-    "SmithForm",
     "abelianization",
     "barycenter",
     "boundary_matrix",
@@ -96,7 +87,6 @@ __all__ = [
     "circulant",
     "closure_of",
     "continuity_certificate",
-    "determinant",
     "digital_image",
     "evaluate_fx",
     "f_vector",
@@ -106,7 +96,6 @@ __all__ = [
     "homology_field",
     "homology_integer",
     "induced_subgraph",
-    "integer_rank",
     "interior_of",
     "invariant_factors",
     "is_interior_cover",
@@ -121,6 +110,5 @@ __all__ = [
     "relative_homology",
     "restrict_to",
     "sampled_continuity_check",
-    "smith_normal_form",
     "tie_set",
 ]

@@ -12,13 +12,12 @@ of each map, less those cleared by the map above, and its lows clear the
 map below.  Only Z may leave columns with a non-unit low for a dense Smith
 form.  A column that would be stored unreduced, an apparent pair (Bauer
 2021), is stored unbuilt until it is read, which leaves every stored vector
-and so every report as it was.  The long exact sequence check runs the
-same core over the field, in one top-down pass: it builds X's columns of a
-degree once and hands them to X, A and X/A, on chains keyed by X's
-positions, whose tags pick the homology representatives, write cycles in
-terms of them and give the ranks of the three induced maps.  Each node is
-checked as soon as the degree its map lands in is reduced, so each complex
-holds two degrees' tables, never one per degree.
+and so every report as it was.  The long exact sequence check orders
+each level of X with A's simplices first, which makes A in X a filtration,
+and reads every rank of the sequence off the lows of one reduction of it
+over the field, ``_filtered_ranks``: the same core, clearing and apparent
+pairs.  A second reduction, ``_reduce`` of X/A, gives the dimensions of
+the relative groups that the check holds those ranks to.
 """
 
 from __future__ import annotations
@@ -28,16 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .digraph import InputError
-from .matrices import (
-    IntegerMatrix,
-    _add,
-    _column_reduce,
-    _dense_factors,
-    _low,
-    _normal,
-    _rank,
-    invariant_factors,
-)
+from .matrices import IntegerMatrix, _column_reduce, _diagonalize, invariant_factors
 
 
 @dataclass(frozen=True)
@@ -172,15 +162,17 @@ class _Boundary:
         return self.built.items()
 
 
-def _columns(levels, n, skip, below, table):
-    """The columns of degree n outside ``skip``, less A's faces ``below``,
-    for ``_column_reduce`` to store into ``table``; an apparent pair is
-    stored there unbuilt."""
-    pos, column = _boundary_builder(levels, n, below)
-    for j, s in enumerate(levels[n]):
+def _columns(simplices, pos, column, skip, blocked, table):
+    """The columns of the ``(position, simplex)`` pairs ``simplices`` whose
+    position is not in ``skip``, in order, built by ``column`` with the face
+    positions ``pos`` of ``_boundary_builder``, for ``_column_reduce`` to
+    store into ``table``.  The low of the boundary of s is taken to be s[1:]
+    unless ``blocked`` holds it; if no stored column has that low, s is an
+    apparent pair, stored there unbuilt."""
+    for j, s in simplices:
         if j not in skip:
             low = pos[s[1:]]
-            if low in table or low in below:
+            if low in table or low in blocked:
                 yield column(s)
             else:
                 table[low] = _Boundary(s, column), None
@@ -211,14 +203,50 @@ def _reduce(levels, in_a, p):
     ranks, torsion = [0] * (top + 2), [()] * (top + 2)
     cleared = set()
     for n in range(top, 0, -1):
-        table = {}
-        columns = _columns(levels, n, cleared | in_a[n], in_a[n - 1], table)
+        table, below = {}, in_a[n - 1]
+        pos, column = _boundary_builder(levels, n, below)
+        simplices = enumerate(levels[n])
+        columns = _columns(simplices, pos, column, cleared | in_a[n], below, table)
         lows, core = _column_reduce(columns, p, table)
         cleared = set(lows)
-        d = _dense_factors(core)
+        d = _diagonalize(core)
         ranks[n] = len(lows) + len(d)
         torsion[n] = tuple(x for x in d if x > 1)
     return ranks, torsion
+
+
+def _filtered_ranks(levels, first, p):
+    """Ranks of a chain complex filtered in two steps, K in L, over a field.
+
+    ``levels[n]`` lists L's n-simplices in filtration order: K's
+    ``first[n]`` of them, then the others, each part lexicographic.  One
+    top-down reduction in this order, with ``_reduce``'s clearing, takes
+    K's columns and then the others into one table, so its lows are the
+    persistence pairs of K in L (Cohen-Steiner, Edelsbrunner, Harer and
+    Morozov, "Persistent homology for kernels, images, and cokernels",
+    2009).  Clearing holds in any order: a column whose simplex is the low
+    of a boundary is a combination of the columns before it.  Returns three
+    lists, entry n for degree n = 0 .. top + 1: the rank of K's boundary map
+    of degree n (the table's size after K's columns), the rank of L's (its
+    size at the end), and the number of lows of degree n + 1 that are K's.
+    The low of the boundary of s is s[1:] when s is K's, or when s[1:] is
+    not; then, as in ``_reduce``, it is stored unbuilt if the low is free.
+    """
+    top = len(levels) - 1
+    rank_k, rank_l, lows_in_k = ([0] * (top + 2) for _ in range(3))
+    cleared = set()
+    for n in range(top, 0, -1):
+        table, level, cut, faces_of_k = {}, levels[n], first[n], range(first[n - 1])
+        pos, column = _boundary_builder(levels, n)
+        own = _columns(enumerate(level[:cut]), pos, column, cleared, (), table)
+        rank_k[n] = len(_column_reduce(own, p, table)[0])
+        rest = enumerate(level[cut:], cut)
+        columns = _columns(rest, pos, column, cleared, faces_of_k, table)
+        lows, _ = _column_reduce(columns, p, table)
+        rank_l[n] = len(lows)
+        lows_in_k[n - 1] = sum(low in faces_of_k for low in lows)
+        cleared = set(lows)
+    return rank_k, rank_l, lows_in_k
 
 
 def _positions_of(sub, k):
@@ -286,118 +314,50 @@ class ExactnessReport:
     exact: bool
 
 
-class _FieldComplex:
-    """Chain complex over a field with explicit homology coordinates, fed
-    one degree at a time, top-down; it holds two tables of ``matrices._add``.
-
-    ``reduce(columns)`` takes the columns of the next degree n on X's
-    positions.  Copies of them go into a new table ``below``, for degree
-    n - 1, tagged with their positions; one that reduces to zero leaves a
-    cycle.  Clearing skips the lows of the boundaries of degree n + 1: their
-    cycles lie in a boundary plus the earlier cycles.  The cycles then go
-    into the table of degree n, which holds those boundaries untagged (they
-    are zero in homology) and becomes ``span``; a cycle that is stored is a
-    representative in ``reps``, tagged with its index, so every tag gives
-    its vector's class in terms of the representatives.
-    """
-
-    def __init__(self, p):
-        self.p, self.span, self.below, self.reps = p, {}, {}, []
-
-    def reduce(self, columns):
-        """Take the ``(position, column)`` pairs of the degree below ``span``."""
-        p, span, below = self.p, self.below, {}
-        cycles = []
-        for j, col in columns:
-            if j not in span:
-                vec, chain = dict(col), {j: 1}
-                _add(vec, below, p, chain)
-                if not vec:
-                    cycles.append(chain)
-        for i, (vec, _) in below.items():
-            below[i] = vec, {}
-        reps = []
-        for z in cycles:
-            if _add(dict(z), span, p, {len(reps): 1}):
-                reps.append(z)
-        self.span, self.below, self.reps = span, below, reps
-
-    def coords(self, chain):
-        """Class of a cycle of the degree of ``span``, as
-        ``{representative index: coefficient}``.
-
-        A chain that is no cycle, or that leaves the basis, is refused.
-        """
-        vec, tag = _normal(chain, self.p), {}
-        _low(vec, self.span, self.p, tag)
-        if vec:
-            raise InputError("chain is not a cycle of the chain complex")
-        # chain is a combination of stored vectors, each equal in homology
-        # to its tag; the reduction subtracted that combination from the tag.
-        return _normal({h: -c for h, c in tag.items()}, self.p)
-
-
-def _apply(columns, chain):
-    """The image of ``chain`` under the map with these columns, zeros kept."""
-    image = {}
-    for j, c in chain.items():
-        for i, v in columns[j].items():
-            image[i] = image.get(i, 0) + c * v
-    return image
-
-
-def _kills(p, out, into):
-    """Whether the classes ``out`` send each class of ``into`` to 0 over the
-    field.  Class ``h`` of ``out`` is the image of representative ``h``."""
-    return not any(_normal(_apply(out, col), p) for col in into)
-
-
 def les_exactness_check(k, sub, field_spec):
     """Verify exactness of the homology long exact sequence of (k, sub).
 
-    Works over a field (Q or Z_p) so homology is vector spaces; computes the
-    three families of groups, the induced maps between them, and checks
-    image = kernel at every node.  Expected to pass for every valid pair.
+    Works over a field (Q or Z_p), so homology is vector spaces.  Ordered
+    with A's simplices first in each degree, (k, sub) is a filtration, and
+    ``_filtered_ranks`` reduces it once.  With |A_n| the number of A's
+    n-simplices, r_n the rank of a boundary map of degree n and l_n the
+    lows of degree n + 1 that are A's:
+
+    - dim H_n(A) = |A_n| - r_n(A) - r_{n+1}(A), and dim H_n(X) alike;
+    - H_n(A) -> H_n(X) has rank |A_n| - r_n(A) - l_n;
+    - H_{n+1}(X,A) -> H_n(A) has rank l_n - r_{n+1}(A);
+    - H_n(X) -> H_n(X,A) has rank dim H_n(X) less that of H_n(A) -> H_n(X).
+
+    So the sequence is exact at each H_n(A) and H_n(X) by construction.
+    dim H_n(X,A) comes from a separate reduction of X/A (``_reduce``), and
+    the node H_n(X,A) checks that the ranks into and out of it add up to it.
+    Nodes run top-down: H_n(A), H_n(X), H_n(X,A).
     """
     p = _parse_field(field_spec)
     levels, in_a = k.by_dimension, _positions_of(sub, k)
-    cx, ca, cr = (_FieldComplex(p) for _ in range(3))
-    # Top-down, X's columns of each degree are built once.  A takes those of
-    # its simplices (their faces are in A), X/A the others less A's faces
-    # (shared when they have none).  Each node's map to the next is induced
-    # by a chain map that lowers the degree by 0 or 1: the inclusion of A,
-    # dropping the simplices of A, and the boundary in X of a relative
-    # cycle, which lies in A (ca.coords refuses it otherwise).  So once
-    # degree n is reduced, H{n+1}(X,A), H{n}(A) and H{n}(X) are checked;
-    # H0(X,A) maps to 0.
-    nodes, into, rank_in = [], [], 0  # the map into the next node, and its rank
-    relative = []  # H{n+1}(X,A), with the boundaries in X of its representatives
+    first = [len(keep) for keep in in_a]
+    ordered = [
+        [s for j, s in enumerate(level) if j in keep]
+        + [s for j, s in enumerate(level) if j not in keep]
+        for level, keep in zip(levels, in_a)
+    ]
+    rank_a, rank_x, lows_in_a = _filtered_ranks(ordered, first, p)
+    relative = _homology_groups(k, in_a, p)
+    nodes = []
     for n in range(k.dim, -1, -1):
-        column = _boundary_builder(levels, n)[1] if n else lambda s: {}
-        x = list(map(column, levels[n]))
-        keep, below = in_a[n], in_a[n - 1] if n else set()
-        cx.reduce(enumerate(x))
-        ca.reduce((j, c) for j, c in enumerate(x) if j in keep)
-        cr.reduce(
-            (j, c if below.isdisjoint(c) else {
-                i: v for i, v in c.items() if i not in below
-            })
-            for j, c in enumerate(x) if j not in keep
-        )
-        dropped = [{j: c for j, c in z.items() if j not in keep} for z in cx.reps]
-        for name, target, chains in (
-            *relative, (f"H{n}(A)", cx, ca.reps), (f"H{n}(X)", cr, dropped)
+        dim_a = first[n] - rank_a[n] - rank_a[n + 1]
+        dim_x = len(levels[n]) - rank_x[n] - rank_x[n + 1]
+        connect = lows_in_a[n] - rank_a[n + 1]  # from H{n+1}(X,A)
+        include = first[n] - rank_a[n] - lows_in_a[n]
+        project = dim_x - include
+        connect_below = lows_in_a[n - 1] - rank_a[n] if n else 0
+        for name, dim, rank_in, rank_out in (
+            ("A", dim_a, connect, include),
+            ("X", dim_x, include, project),
+            ("X,A", relative[n].betti, project, connect_below),
         ):
-            # The classes of the images of the representatives.
-            out = [target.coords(z) for z in chains]
-            rank_out, dim = _rank(map(dict, out), p), len(chains)
-            exact = rank_in + rank_out == dim and _kills(p, out, into)
-            nodes.append(NodeReport(name, dim, rank_in, rank_out, exact))
-            into, rank_in = out, rank_out
-        relative = [(f"H{n}(X,A)", ca, [_apply(x, z) for z in cr.reps])]
-    if levels:
-        dim = len(cr.reps)
-        nodes.append(NodeReport("H0(X,A)", dim, rank_in, 0, rank_in == dim))
+            exact = rank_in + rank_out == dim
+            nodes.append(NodeReport(f"H{n}({name})", dim, rank_in, rank_out, exact))
     label = "q" if p is None else f"zp:{p}"
     return ExactnessReport(label, nodes, all(node.exact for node in nodes))
 

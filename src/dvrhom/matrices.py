@@ -6,23 +6,22 @@ for Q and a prime for Z_p.  Sparse vectors are ``{index: value}`` dicts.
 One sparse core serves every ring: ``_add`` reduces a vector at its low,
 its largest index, by ``_low`` (the column reduction by lowest row of
 persistent homology) and stores it, scaled to 1 at its low, when that
-low is a unit; a tag may ride along and take the same row operations.
+low is a unit; a tag may ride along and take the same row operations
+(the chain-level oracles of the tests read homology coordinates off it).
 Over Q and Z_p every nonzero low is a unit, so the stored vectors give
-the rank (``field_rank``, and the long exact sequence check of
-``homology``, which builds its homology coordinates from the tags).  Over
+the rank (``field_rank``, and the field reductions of ``homology``).  Over
 Z only +-1 lows are stored; ``_column_reduce``, which serves
 ``invariant_factors`` and the reduction of boundary maps in ``homology``,
 sets the other columns aside and reduces them at every stored low at the
 end, and only what is left of them goes through the dense Smith normal
 form, which pivots on a minimal absolute value entry each round to keep
 coefficient growth tame.  Boundary matrices almost never leave anything
-there.  ``smith_normal_form``, which also returns the transforms, stays
-dense.
+there.  No command needs the transforms of the Smith form, so none are
+kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
 from numbers import Integral, Rational
@@ -87,13 +86,6 @@ class IntegerMatrix:
         return m
 
     @classmethod
-    def identity(cls, n):
-        m = cls(n, n)
-        for i in range(n):
-            m.entries[(i, i)] = 1
-        return m
-
-    @classmethod
     def diagonal(cls, diag, rows, cols):
         return cls(rows, cols, {(i, i): v for i, v in enumerate(diag)})
 
@@ -106,27 +98,8 @@ class IntegerMatrix:
             data[i][j] = v
         return data
 
-    def transpose(self):
-        m = IntegerMatrix(self.cols, self.rows)
-        m.entries = {(j, i): v for (i, j), v in self.entries.items()}
-        return m
-
     def is_zero(self):
         return not self.entries
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise InputError("matrix shapes do not compose")
-        rows_of_other = {}
-        for (j, k), v in other.entries.items():
-            rows_of_other.setdefault(j, []).append((k, v))
-        acc = {}
-        for (i, j), a in self.entries.items():
-            for k, b in rows_of_other.get(j, ()):
-                acc[(i, k)] = acc.get((i, k), 0) + a * b
-        out = IntegerMatrix(self.rows, other.cols)
-        out.entries = {key: v for key, v in acc.items() if v}
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, IntegerMatrix):
@@ -141,19 +114,6 @@ class IntegerMatrix:
         return f"IntegerMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    """Diagonalization u @ a @ v = diag(d) with d_i | d_{i+1}, d_i > 0."""
-
-    d: tuple
-    u: IntegerMatrix
-    v: IntegerMatrix
-
-    @property
-    def rank(self):
-        return len(self.d)
-
-
 def _swap_rows(a, i, j):
     a[i], a[j] = a[j], a[i]
 
@@ -163,11 +123,10 @@ def _swap_cols(a, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-def _diagonalize(a, m, n):
-    """In-place Smith elimination of the m x n block of ``a``; returns the
-    diagonal.  Pivots and the checks read only that block; row operations
-    act on whole rows and column operations on every row, so the rows and
-    columns ``a`` has beyond the block carry the transforms."""
+def _diagonalize(a):
+    """In-place Smith elimination of the dense rows ``a``, all of one
+    length; returns the diagonal, the invariant factors, as a tuple."""
+    m, n = len(a), len(a[0]) if a else 0
     t = 0
     limit = min(m, n)
     while t < limit:
@@ -238,7 +197,7 @@ def _diagonalize(a, m, n):
             if p < 0:
                 a[t] = [-y for y in a[t]]
             t += 1
-    return [a[i][i] for i in range(t)]
+    return tuple(a[i][i] for i in range(t))
 
 
 def _subtract(col, f, stored, p):
@@ -354,61 +313,13 @@ def _column_reduce(columns, p, table=None):
     return list(table), [[col.get(i, 0) for i in rows] for col in aside if col]
 
 
-def _dense_factors(core):
-    """Invariant factors of a dense integer matrix, by ``_diagonalize``."""
-    return tuple(_diagonalize(core, len(core), len(core[0]) if core else 0))
-
-
-def smith_normal_form(a):
-    """Full Smith normal form of an IntegerMatrix, transforms included."""
-    m, n = a.rows, a.cols
-    # [[a, I_m], [I_n, 0]]: the top right block becomes u, the bottom left v.
-    work = [row + [int(i == j) for j in range(m)] for i, row in enumerate(a.to_rows())]
-    work += [[int(i == j) for j in range(n + m)] for i in range(n)]
-    d = _diagonalize(work, m, n)
-    u = IntegerMatrix.from_rows([row[n:] for row in work[:m]])
-    v = IntegerMatrix.from_rows([row[:n] for row in work[m:]])
-    return SmithForm(tuple(d), u, v)
-
-
 def invariant_factors(a):
-    """Just the diagonal of the Smith form (cheaper: no transforms kept)."""
+    """The invariant factors of an IntegerMatrix: the diagonal of its Smith form."""
     columns = {j: {} for j in range(a.cols)}
     for (i, j), v in a.entries.items():
         columns[j][i] = v
     lows, core = _column_reduce(columns.values(), 0)
-    return (1,) * len(lows) + _dense_factors(core)
-
-
-def integer_rank(a):
-    return len(invariant_factors(a))
-
-
-def determinant(a):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if a.rows != a.cols:
-        raise InputError("determinant needs a square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    _swap_rows(m, k, i)
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return (1,) * len(lows) + _diagonalize(core)
 
 
 def field_rank(rows, p=None):

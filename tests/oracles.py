@@ -1,20 +1,34 @@
 """Independent oracles for the test suite.
 
 Everything here recomputes answers by a different route than the package:
-exhaustive enumeration, Bron-Kerbosch, Bareiss elimination.  Keeping these
+exhaustive enumeration, Bron-Kerbosch, Bareiss elimination, a Smith form
+by plain Euclidean steps that keeps its transforms.  Keeping these
 independent is the point; do not import algorithmic code from dvrhom beyond
 plain data accessors.  The homology oracles are the one exception: they
 reduce every full boundary map on its own with the package's kernels,
 ``invariant_factors`` and the elimination core ``matrices._add`` that
 serves every ring, so they check the top-down clearing and not the core;
-``test_elimination`` holds the core itself to the dense oracles here.
+``test_elimination`` holds the core itself to the dense oracles here.  The
+chain-level oracle of the long exact sequence, ``les_chain_oracle``, runs
+that core on tagged chains to pick homology representatives and map them,
+where the package reads every rank off one filtered reduction.
 """
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from dvrhom import Digraph, InputError
+from dvrhom.homology import NodeReport
+from dvrhom.matrices import (
+    IntegerMatrix,
+    _add,
+    _low,
+    _normal,
+    _rank,
+    invariant_factors,
+)
 
 
 def brute_force_dvr(g, max_dim=None):
@@ -328,8 +342,6 @@ def integer_homology_oracle(bases):
 
     Every full boundary map goes to ``invariant_factors`` on its own.
     """
-    from dvrhom.matrices import IntegerMatrix, invariant_factors
-
     factors = [
         invariant_factors(IntegerMatrix.from_rows(dense_boundary(bases, n)))
         for n in range(len(bases) + 1)
@@ -363,8 +375,6 @@ def field_complex_oracle(bases, p=None):
     order; a cycle it stores is a representative.  Representatives are
     ``{position: coefficient}`` dicts.
     """
-    from dvrhom.matrices import _add
-
     hom_reps = []
     cycles = [{j: 1} for j in range(len(bases[0]))] if bases else []
     for n in range(len(bases)):
@@ -384,6 +394,235 @@ def field_complex_oracle(bases, p=None):
         hom_reps.append(reps)
         cycles = next_cycles
     return hom_reps
+
+
+class _FieldComplex:
+    """Chain complex over a field with explicit homology coordinates, fed
+    one degree at a time, top-down; it holds two tables of ``matrices._add``.
+
+    ``reduce(columns)`` takes the columns of the next degree n on X's
+    positions.  Copies of them go into a new table ``below``, for degree
+    n - 1, tagged with their positions; one that reduces to zero leaves a
+    cycle.  Clearing skips the lows of the boundaries of degree n + 1: their
+    cycles lie in a boundary plus the earlier cycles.  The cycles then go
+    into the table of degree n, which holds those boundaries untagged (they
+    are zero in homology) and becomes ``span``; a cycle that is stored is a
+    representative in ``reps``, tagged with its index, so every tag gives
+    its vector's class in terms of the representatives.
+    """
+
+    def __init__(self, p):
+        self.p, self.span, self.below, self.reps = p, {}, {}, []
+
+    def reduce(self, columns):
+        """Take the ``(position, column)`` pairs of the degree below ``span``."""
+        p, span, below = self.p, self.below, {}
+        cycles = []
+        for j, col in columns:
+            if j not in span:
+                vec, chain = dict(col), {j: 1}
+                _add(vec, below, p, chain)
+                if not vec:
+                    cycles.append(chain)
+        for i, (vec, _) in below.items():
+            below[i] = vec, {}
+        reps = []
+        for z in cycles:
+            if _add(dict(z), span, p, {len(reps): 1}):
+                reps.append(z)
+        self.span, self.below, self.reps = span, below, reps
+
+    def coords(self, chain):
+        """Class of a cycle of the degree of ``span``, as
+        ``{representative index: coefficient}``.
+
+        A chain that is no cycle, or that leaves the basis, is refused.
+        """
+        vec, tag = _normal(chain, self.p), {}
+        _low(vec, self.span, self.p, tag)
+        if vec:
+            raise InputError("chain is not a cycle of the chain complex")
+        # chain is a combination of stored vectors, each equal in homology
+        # to its tag; the reduction subtracted that combination from the tag.
+        return _normal({h: -c for h, c in tag.items()}, self.p)
+
+
+def _apply(columns, chain):
+    """The image of ``chain`` under the map with these columns, zeros kept."""
+    image = {}
+    for j, c in chain.items():
+        for i, v in columns[j].items():
+            image[i] = image.get(i, 0) + c * v
+    return image
+
+
+def _kills(p, out, into):
+    """Whether the classes ``out`` send each class of ``into`` to 0 over the
+    field.  Class ``h`` of ``out`` is the image of representative ``h``."""
+    return not any(_normal(_apply(out, col), p) for col in into)
+
+
+def les_chain_oracle(levels, in_a, p=None):
+    """The ``NodeReport``s of the long exact sequence of (X, A) over Q
+    (p=None) or Z_p, from homology representatives and the maps of chains.
+
+    ``levels`` are X's simplex lists and ``in_a`` the positions of A's
+    simplices in each.  Top-down, X's columns of each degree are built once.
+    A takes those of its simplices (their faces are in A), X/A the others
+    less A's faces.  Each node's map to the next is induced by a chain map
+    that lowers the degree by 0 or 1: the inclusion of A, dropping the
+    simplices of A, and the boundary in X of a relative cycle, which lies in
+    A (``coords`` refuses it otherwise).  So once degree n is reduced,
+    H{n+1}(X,A), H{n}(A) and H{n}(X) are checked, each for rank_in +
+    rank_out = dim and for the composite of its two maps being zero;
+    H0(X,A) maps to 0.
+    """
+    cx, ca, cr = (_FieldComplex(p) for _ in range(3))
+    nodes, into, rank_in = [], [], 0  # the map into the next node, and its rank
+    relative = []  # H{n+1}(X,A), with the boundaries in X of its representatives
+    for n in range(len(levels) - 1, -1, -1):
+        pos = {s: i for i, s in enumerate(levels[n - 1])} if n else {}
+        x = [
+            {pos[s[:i] + s[i + 1 :]]: (-1) ** i for i in range(n + 1)} if n else {}
+            for s in levels[n]
+        ]
+        keep, below = in_a[n], in_a[n - 1] if n else set()
+        cx.reduce(enumerate(x))
+        ca.reduce((j, c) for j, c in enumerate(x) if j in keep)
+        cr.reduce(
+            (j, {i: v for i, v in c.items() if i not in below})
+            for j, c in enumerate(x) if j not in keep
+        )
+        dropped = [{j: c for j, c in z.items() if j not in keep} for z in cx.reps]
+        for name, target, chains in (
+            *relative, (f"H{n}(A)", cx, ca.reps), (f"H{n}(X)", cr, dropped)
+        ):
+            # The classes of the images of the representatives.
+            out = [target.coords(z) for z in chains]
+            rank_out, dim = _rank(map(dict, out), p), len(chains)
+            exact = rank_in + rank_out == dim and _kills(p, out, into)
+            nodes.append(NodeReport(name, dim, rank_in, rank_out, exact))
+            into, rank_in = out, rank_out
+        relative = [(f"H{n}(X,A)", ca, [_apply(x, z) for z in cr.reps])]
+    if levels:
+        dim = len(cr.reps)
+        nodes.append(NodeReport("H0(X,A)", dim, rank_in, 0, rank_in == dim))
+    return nodes
+
+
+@dataclass(frozen=True)
+class SmithForm:
+    """Diagonalization u @ a @ v = diag(d) with d_i | d_{i+1}, d_i > 0."""
+
+    d: tuple
+    u: IntegerMatrix
+    v: IntegerMatrix
+
+
+def identity(n):
+    return IntegerMatrix(n, n, {(i, i): 1 for i in range(n)})
+
+
+def transpose(a):
+    entries = {(j, i): v for (i, j), v in a.entries.items()}
+    return IntegerMatrix(a.cols, a.rows, entries)
+
+
+def matmul(a, b):
+    """The product of two IntegerMatrix objects."""
+    if a.cols != b.rows:
+        raise InputError("matrix shapes do not compose")
+    rows_of_b = {}
+    for (k, j), y in b.entries.items():
+        rows_of_b.setdefault(k, []).append((j, y))
+    product = {}
+    for (i, k), x in a.entries.items():
+        for j, y in rows_of_b.get(k, ()):
+            product[i, j] = product.get((i, j), 0) + x * y
+    return IntegerMatrix(a.rows, b.cols, product)
+
+
+def smith_normal_form(a):
+    """Smith normal form with its transforms, by Euclidean steps on dense rows.
+
+    Each round moves an entry of least absolute value to the pivot, clears
+    its row and column by integer quotients and repeats while a remainder is
+    left; a pivot that does not divide the rest of the block takes in a row
+    that it fails to divide.  Row moves act on u, column moves on v.
+    """
+    m, n = a.rows, a.cols
+    d = a.to_rows()
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def add_row(i, k, q):  # row i += q * row k
+        for x in (d, u):
+            x[i] = [s + q * t for s, t in zip(x[i], x[k])]
+
+    def add_col(j, k, q):  # column j += q * column k
+        for x in (d, v):
+            for row in x:
+                row[j] += q * row[k]
+
+    t = 0
+    while t < min(m, n):
+        block = [
+            (abs(d[i][j]), i, j) for i in range(t, m) for j in range(t, n) if d[i][j]
+        ]
+        if not block:
+            break
+        _, i, j = min(block)
+        d[t], d[i], u[t], u[i] = d[i], d[t], u[i], u[t]
+        for x in (d, v):
+            for row in x:
+                row[t], row[j] = row[j], row[t]
+        pivot = d[t][t]
+        for i in range(t + 1, m):
+            add_row(i, t, -(d[i][t] // pivot))
+        for j in range(t + 1, n):
+            add_col(j, t, -(d[t][j] // pivot))
+        if any(d[i][t] for i in range(t + 1, m)) or any(d[t][t + 1 :]):
+            continue
+        bad = [i for i in range(t + 1, m) if any(x % pivot for x in d[i][t + 1 :])]
+        if bad:
+            add_row(t, bad[0], 1)
+            continue
+        if pivot < 0:
+            d[t], u[t] = [-x for x in d[t]], [-x for x in u[t]]
+        t += 1
+    u, v = IntegerMatrix.from_rows(u), IntegerMatrix.from_rows(v)
+    return SmithForm(tuple(d[i][i] for i in range(t)), u, v)
+
+
+def integer_rank(a):
+    return len(invariant_factors(a))
+
+
+def determinant(a):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if a.rows != a.cols:
+        raise InputError("determinant needs a square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = a.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def find_isomorphism(g, h):

@@ -20,17 +20,20 @@ with non-unit lows drive its set-aside core.  The top-down reduction with
 clearing is held to the oracles of ``oracles``, which reduce every full
 boundary map on its own; its columns stored unbuilt (apparent pairs) are
 held to ``_column_reduce`` on the maps built whole, which must store,
-clear and set aside the same.  The tagged tables of the long exact sequence
-check, fed the whole maps of ``pair_table_oracle`` one degree at a time, and
-its test that consecutive maps compose to zero, are held to the dense row
+clear and set aside the same.  The long exact sequence check reads its
+ranks off one reduction of X with A's simplices first, ``_filtered_ranks``;
+its stored columns, lows and ranks are held to that reduction of the maps
+built whole and to dense ranks.  Its nodes are held to
+``field_betti_oracle`` (their order, dimensions and the ranks exactness
+leaves) and to ``les_chain_oracle`` of ``oracles``, which maps homology
+representatives through the chain maps.  The oracle's tagged tables, fed
+the whole maps of ``pair_table_oracle`` one degree at a time, and its test
+that consecutive maps compose to zero, are held to the dense row
 reduction, linear solver and matrix product of ``oracles``; the
 representatives they pick top-down with clearing, on positions of X, are
 held to ``field_complex_oracle``, which takes every boundary column
-bottom-up.  The check itself builds each column of X once and streams it
-to X, A and X/A; after each degree, the table and representatives each
-holds must be those fed the whole maps.  Its nodes are held to
-``field_betti_oracle``: their order, dimensions and the ranks exactness
-leaves.
+bottom-up, and those it streams to X, A and X/A, degree by degree, to
+those fed the whole maps.
 """
 
 import random
@@ -59,18 +62,20 @@ from dvrhom import (
     restrict_to,
 )
 from dvrhom.homology import (
-    _apply,
     _boundary_builder,
-    _FieldComplex,
+    _filtered_ranks,
     _homology_groups,
-    _kills,
     _positions_of,
     _reduce,
     boundary_matrix,
     NodeReport,
 )
-from dvrhom.matrices import _add, _column_reduce, _diagonalize, smith_normal_form
+from dvrhom.matrices import _add, _column_reduce, _diagonalize
+import oracles
 from oracles import (
+    _apply,
+    _FieldComplex,
+    _kills,
     dense_boundary,
     dense_matmul,
     dense_rref,
@@ -79,7 +84,9 @@ from oracles import (
     field_nullspace,
     field_solve,
     integer_homology_oracle,
+    les_chain_oracle,
     pair_table_oracle,
+    smith_normal_form,
 )
 from test_homology import RP2_FACES
 
@@ -109,8 +116,7 @@ def digraph_pairs(draw):
 
 
 def dense_factors(a):
-    d = _diagonalize(a.to_rows(), a.rows, a.cols)
-    return tuple(d)
+    return _diagonalize(a.to_rows())
 
 
 def column_table(a, p=0):
@@ -247,7 +253,7 @@ def pair_parts(k, sub):
 
 def field_complex(table, p):
     """The ``_FieldComplex`` of whole boundary maps, fed one degree at a
-    time, top-down, as ``les_exactness_check`` feeds it.  It is yielded
+    time, top-down, as ``les_chain_oracle`` feeds it.  It is yielded
     with each degree n once n is reduced: its ``span`` and ``reps`` are
     then degree n's, and ``coords`` reads degree n."""
     c = _FieldComplex(p)
@@ -358,9 +364,10 @@ def test_echelon_coordinates(pair, seed):
 
 @pytest.mark.parametrize("p", FIELDS)
 def test_connecting_map_refuses_a_boundary_outside_the_subcomplex(p):
-    # The LES hands the boundary in X of a relative cycle to the coordinates
-    # of A.  On the hollow triangle with A the edge (0, 1), the boundary of
-    # that edge is a cycle of A, and the boundary of (1, 2) leaves A.
+    # The chain-level LES hands the boundary in X of a relative cycle to the
+    # coordinates of A.  On the hollow triangle with A the edge (0, 1), the
+    # boundary of that edge is a cycle of A, and the boundary of (1, 2)
+    # leaves A.
     # Positions: vertices 0, 1, 2 and edges (0, 1), (0, 2), (1, 2).
     k = SimplicialComplex.from_simplices([(0, 1), (1, 2), (0, 2)])
     sub = SimplicialComplex.from_simplices([(0, 1)])
@@ -445,8 +452,7 @@ def dense_homology(bases, p=0):
     for n in range(len(bases) + 1):
         rows = dense_boundary(bases, n)
         if p == 0:
-            d = _diagonalize(rows, len(rows), len(rows[0]) if rows else 0)
-            factors.append(tuple(d))
+            factors.append(_diagonalize(rows))
         else:
             factors.append((1,) * len(dense_rref(rows, p)[1]))
     return [
@@ -639,7 +645,7 @@ def test_les_representatives_match_the_non_clearing_oracle(pair):
             ][::-1]
             eager = [(c.span, c.reps) for _, c in field_complex(table, p)]
             assert [reps for _, reps in eager] == expect
-            # The check streams the columns of X, A and X/A one degree at a
+            # The oracle streams the columns of X, A and X/A one degree at a
             # time; after each degree, its table and representatives are
             # those fed the whole maps.
             assert got == eager
@@ -647,7 +653,7 @@ def test_les_representatives_match_the_non_clearing_oracle(pair):
 
 def streamed_complexes(k, sub, p):
     """Per degree, top-down, the ``(span, reps)`` of the ``_FieldComplex``s
-    of X, A and X/A that ``les_exactness_check`` fills, in that order."""
+    of X, A and X/A that ``les_chain_oracle`` fills, in that order."""
     made = []
 
     class Recorded(_FieldComplex):
@@ -660,8 +666,8 @@ def streamed_complexes(k, sub, p):
             super().reduce(columns)
             self.snapshots.append((self.span, self.reps))
 
-    with mock.patch.object(homology, "_FieldComplex", Recorded):
-        les_exactness_check(k, sub, "q" if p is None else p)
+    with mock.patch.object(oracles, "_FieldComplex", Recorded):
+        les_chain_oracle(k.by_dimension, _positions_of(sub, k), p)
     return made
 
 
@@ -689,8 +695,9 @@ def test_les_nodes_match_the_dense_oracle(pair):
 
 
 def test_les_nodes_at_the_ends_of_the_pass():
-    # The fused pass checks the first nodes before any relative node and
-    # H0(X,A) after the last degree; the empty complex has no nodes.
+    # The top degree starts with H_top(A), whose rank_in is 0, and the
+    # sequence ends at H0(X,A), whose rank_out is 0; the empty complex has
+    # no nodes.
     empty = SimplicialComplex.from_simplices([])
     point = SimplicialComplex.from_simplices([(0,)])
     octahedron = build_complex(circulant(6, 2))
@@ -714,25 +721,113 @@ def test_les_nodes_at_the_ends_of_the_pass():
 
 
 def test_les_check_builds_each_column_of_x_once():
-    # One builder per degree of X: each column is built once, then shared by
-    # X, A and X/A and read again by the connecting map, so no second
-    # whole-complex path feeds the check.
+    # Two reductions feed the check: X in "A first" order and X/A.  Each
+    # builds a column at most once, when it reads it; most are apparent
+    # pairs and never built.
     shell = [q for q in product(range(3), repeat=3) if q != (1, 1, 1)]
     for g, kept in ((circulant(20, 4), range(8)), (digital_image(shell), range(10))):
         k = build_complex(g)
-        degrees, built = [], []
+        built = {"X": [], "X/A": []}
 
         def counted(levels, n, below=()):
-            degrees.append(n)
             pos, column = _boundary_builder(levels, n, below)
-            return pos, lambda s: built.append(s) or column(s)
+            seen = built["X/A" if levels is k.by_dimension else "X"]
+            return pos, lambda s: seen.append(s) or column(s)
 
         with mock.patch.object(homology, "_boundary_builder", counted):
             report = les_exactness_check(k, restrict_to(k, tuple(kept)), "q")
         assert report.exact
-        assert sorted(degrees) == list(range(1, k.dim + 1))
-        assert len(set(built)) == len(built)
-        assert set(built) <= {s for level in k.by_dimension[1:] for s in level}
+        simplices = sum(len(level) for level in k.by_dimension[1:])
+        for columns in built.values():
+            assert len(set(columns)) == len(columns) < simplices / 2
+
+
+def a_first(k, sub):
+    """X's levels with A's simplices first, each part lexicographic, and the
+    number of A's simplices in each."""
+    ordered = [
+        [s for s in level if s in sub.witness]
+        + [s for s in level if s not in sub.witness]
+        for level in k.by_dimension
+    ]
+    return ordered, [len(level) for level in pair_bases(k, sub)[1]]
+
+
+def check_filtered_ranks(k, sub, p):
+    """``_filtered_ranks`` stores and clears what the reduction of the maps
+    built whole does, A's columns first, and its ranks are dense ranks: of
+    A's maps, of X's, and dim (B_n(X) in C_n(A)) = rank of X's map of degree
+    n + 1 less that of its rows outside A."""
+    levels, first = a_first(k, sub)
+    caught = []
+
+    def spy(columns, p, table=None):
+        lows, core = _column_reduce(columns, p, table)
+        caught.append((dict(table), lows))
+        return lows, core
+
+    with mock.patch.object(homology, "_column_reduce", spy):
+        rank_a, rank_x, lows_in_a = _filtered_ranks(levels, first, p)
+    eager, cleared = [], ()
+    for n in range(len(levels) - 1, 0, -1):
+        rows, table = dense_boundary(levels, n), {}
+        for part in (range(first[n]), range(first[n], len(levels[n]))):
+            columns = (
+                {i: row[j] for i, row in enumerate(rows) if row[j]}
+                for j in part if j not in cleared
+            )
+            lows = _column_reduce(columns, p, table)[0]
+            eager.append((dict(table), lows))
+        cleared = set(lows)
+    assert [lows for _, lows in caught] == [lows for _, lows in eager]
+    for (stored, _), (expect, _) in zip(caught, eager):
+        assert {low: dict(vec.items()) for low, (vec, _) in stored.items()} == {
+            low: vec for low, (vec, _) in expect.items()
+        }
+    a = pair_bases(k, sub)[1]
+    for n in range(len(levels) + 1):
+        rows = dense_boundary(levels, n)
+        assert rank_a[n] == dense_rank(a, n, p)
+        assert rank_x[n] == len(dense_rref(rows, p)[1])
+        if n:
+            off_a = rows[first[n - 1] :]
+            assert lows_in_a[n - 1] == rank_x[n] - len(dense_rref(off_a, p)[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(digraph_pairs(), closed_complexes(), projective_plane_pairs()))
+def test_filtered_reduction_matches_the_eager_one_and_dense_ranks(pair):
+    for p in FIELDS:
+        check_filtered_ranks(*pair, p)
+
+
+@st.composite
+def capped_pairs(draw):
+    """A random digraph's complex, capped at a random dimension or not, and
+    A empty, A = X or the full subcomplex on a random vertex subset."""
+    n = draw(st.integers(1, 8))
+    p = draw(st.sampled_from((0.3, 0.5, 0.7, 0.9)))
+    g = random_digraph(n, p, draw(st.integers(0, 10**6)))
+    k = build_complex(g, max_dim=draw(st.sampled_from((0, 1, 2, 3, None))))
+    which = draw(st.sampled_from(("empty", "all", "subset")))
+    if which == "empty":
+        return k, restrict_to(k, ())
+    if which == "all":
+        return k, k
+    return k, restrict_to(k, tuple(sorted(draw(st.sets(st.integers(0, n - 1))))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(capped_pairs())
+def test_les_nodes_match_the_chain_level_oracle(pair):
+    # One-way edges, capped and uncapped complexes; each node's name, dim,
+    # ranks and exactness equal those the oracle reads off the chain maps.
+    k, sub = pair
+    for p in (None, 2, 3, 1000003):
+        report = les_exactness_check(k, sub, "q" if p is None else p)
+        oracle = les_chain_oracle(k.by_dimension, _positions_of(sub, k), p)
+        assert report.nodes == oracle
+        assert report.exact
 
 
 def check_lows(columns, p):
@@ -745,8 +840,7 @@ def check_lows(columns, p):
     assert len(set(lows)) == len(lows)
     chosen = [[col.get(i, 0) for col in dense] for i in lows]
     if p == 0:
-        d = _diagonalize(chosen, len(lows), len(dense))
-        assert tuple(d) == (1,) * len(lows)
+        assert _diagonalize(chosen) == (1,) * len(lows)
     else:
         assert not core
         assert len(dense_rref(chosen, p)[1]) == len(lows)
