@@ -12,7 +12,6 @@ realized complex back to the digraph.
 __version__ = "0.1.0"
 
 from .complexes import (
-    Simplex,
     SimplicialComplex,
     SimplicialMapReport,
     build_complex,
@@ -74,7 +73,6 @@ __all__ = [
     "Presentation",
     "RealizationPoint",
     "SampleReport",
-    "Simplex",
     "SimplicialComplex",
     "SimplicialMapReport",
     "abelianization",

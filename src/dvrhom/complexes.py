@@ -24,12 +24,6 @@ from itertools import combinations
 from .digraph import InputError, _iter_bits, induced_subgraph, minimal_neighborhood
 
 
-@dataclass(frozen=True)
-class Simplex:
-    verts: tuple
-    witness: tuple
-
-
 class SimplicialComplex:
     """Face-closed family of simplices, graded by dimension.
 
@@ -92,10 +86,6 @@ class SimplicialComplex:
     def simplices(self):
         for level in self.by_dimension:
             yield from level
-
-    def simplex(self, verts):
-        verts = tuple(sorted(verts))
-        return Simplex(verts, self.witness[verts])
 
     def __contains__(self, verts):
         return tuple(sorted(verts)) in self.witness

@@ -19,6 +19,17 @@ class InputError(ValueError):
     """Input outside an operation's contract (bad index, empty set, ...)."""
 
 
+# The 58,808 points of the digital shell of a 100^3 cube fit below this.
+_MAX_VERTICES = 1 << 16
+
+
+def _check_order(n):
+    """Refuse more than ``_MAX_VERTICES`` vertices, before n bitmasks of up
+    to n bits each are allocated."""
+    if n > _MAX_VERTICES:
+        raise InputError(f"{n} vertices exceed the limit of {_MAX_VERTICES}")
+
+
 def _iter_bits(mask):
     """Yield set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -63,6 +74,7 @@ class Digraph:
 
         Loops are always added; duplicate edges and explicit loops collapse.
         """
+        _check_order(n)
         out = [1 << v for v in range(n)]
         inc = [1 << v for v in range(n)]
         for pair in edges:

@@ -5,11 +5,12 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .digraph import Digraph, InputError
+from .digraph import Digraph, InputError, _check_order
 
 
 def circulant(n, m):
     """Symmetric digraph on Z_n where u ~ v iff circular distance <= m."""
+    _check_order(n)
     if n < 1:
         raise InputError("circulant needs n >= 1")
     if not (0 <= m <= n):
@@ -67,6 +68,7 @@ def figure_digraph(which):
 
 def random_digraph(n, p, seed):
     """Seeded digraph: each ordered non-loop pair gets an edge with prob p."""
+    _check_order(n)
     if n < 0:
         raise InputError("random digraph needs n >= 0")
     if not (0 <= p <= 1):

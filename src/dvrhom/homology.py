@@ -175,7 +175,7 @@ def _columns(simplices, pos, column, skip, blocked, table):
             if low in table or low in blocked:
                 yield column(s)
             else:
-                table[low] = _Boundary(s, column), None
+                table[low] = _Boundary(s, column)
 
 
 def _reduce(levels, in_a, p):

@@ -4,20 +4,18 @@ Everything runs on Python integers and fractions, so there is no overflow
 and no floating point anywhere.  The ring is named by ``p``: 0 for Z, None
 for Q and a prime for Z_p.  Sparse vectors are ``{index: value}`` dicts.
 One sparse core serves every ring: ``_add`` reduces a vector at its low,
-its largest index, by ``_low`` (the column reduction by lowest row of
-persistent homology) and stores it, scaled to 1 at its low, when that
-low is a unit; a tag may ride along and take the same row operations
-(the chain-level oracles of the tests read homology coordinates off it).
-Over Q and Z_p every nonzero low is a unit, so the stored vectors give
-the rank (``field_rank``, and the field reductions of ``homology``).  Over
-Z only +-1 lows are stored; ``_column_reduce``, which serves
-``invariant_factors`` and the reduction of boundary maps in ``homology``,
-sets the other columns aside and reduces them at every stored low at the
-end, and only what is left of them goes through the dense Smith normal
-form, which pivots on a minimal absolute value entry each round to keep
-coefficient growth tame.  Boundary matrices almost never leave anything
-there.  No command needs the transforms of the Smith form, so none are
-kept.
+its largest index (the column reduction by lowest row of persistent
+homology), and stores it, scaled to 1 at its low, in a table keyed by that
+low when the low is a unit.  Over Q and Z_p every nonzero low is a unit,
+so the stored vectors give the rank (``field_rank``, and the field
+reductions of ``homology``).  Over Z only +-1 lows are stored;
+``_column_reduce``, which serves ``invariant_factors`` and the reduction
+of boundary maps in ``homology``, sets the other columns aside and
+reduces them at every stored low at the end, and only what is left of
+them goes through the dense Smith normal form, which pivots on a minimal
+absolute value entry each round to keep coefficient growth tame.
+Boundary matrices almost never leave anything there.  No command needs
+the transforms of the Smith form, so none are kept.
 """
 
 from __future__ import annotations
@@ -212,43 +210,23 @@ def _subtract(col, f, stored, p):
             del col[i]
 
 
-def _normal(vec, p):
-    """The nonzero entries of ``vec``, taken mod p for a prime p."""
-    if p:
-        return {i: y for i, x in vec.items() if (y := x % p)}
-    return {i: x for i, x in vec.items() if x}
+def _add(col, table, p):
+    """Reduce ``col`` in place at its low, its largest index, while
+    ``table`` holds a vector there, and store the residual there if its low
+    is a unit: +-1 over Z (p=0), any entry over Q (None) or Z_p.
 
-
-def _low(col, table, p, tag=None):
-    """Reduce ``col`` in place at its low, its largest index, while a
-    stored vector has that low; returns the low left, None for zero.
-
-    ``table`` maps lows to stored ``(vector, tag)`` pairs, each vector 1 at
-    its low.  ``col`` subtracts the one at its low times its own entry
-    there, and ``tag``, if given, the stored tag times the same.  ``col``
-    holds no entry that is 0 (mod p).
+    ``table`` maps lows to stored vectors, each 1 at its low; ``col``
+    subtracts the one at its low times its own entry there, and holds no
+    entry that is 0 (mod p).  The residual is stored scaled to 1 at its low.
+    Returns whether it was stored; ``col`` keeps the residual.
     """
     while col:
         low = max(col)
         stored = table.get(low)
         if stored is None:
-            return low
-        f = col[low]
-        _subtract(col, f, stored[0], p)
-        if tag is not None:
-            _subtract(tag, f, stored[1], p)
-    return None
-
-
-def _add(col, table, p, tag=None):
-    """Reduce ``col`` and ``tag`` by ``_low``, and store the residual if its
-    low is a unit: +-1 over Z (p=0), any entry over Q (None) or Z_p.  It is
-    stored scaled to 1 at its low, with its tag scaled alike, so the tag
-    writes the stored vector in terms of whatever the inputs were tagged
-    with.  Returns whether it was stored; ``col`` keeps the residual.
-    """
-    low = _low(col, table, p, tag)
-    if low is None:
+            break
+        _subtract(col, col[low], stored, p)
+    if not col:
         return False
     v = col[low]
     if v != 1:
@@ -260,26 +238,12 @@ def _add(col, table, p, tag=None):
             s = pow(v, -1, p)
         else:
             return False  # a non-unit over Z
-        col = _scaled(col, s, p)
-        if tag is not None:
-            tag = _scaled(tag, s, p)
-    table[low] = col, tag
+        if p:
+            col = {i: x * s % p for i, x in col.items()}
+        else:
+            col = {i: x * s for i, x in col.items()}
+    table[low] = col
     return True
-
-
-def _scaled(vec, s, p):
-    """``s * vec``, mod p for a prime p."""
-    if p:
-        return {i: x * s % p for i, x in vec.items()}
-    return {i: x * s for i, x in vec.items()}
-
-
-def _rank(vectors, p):
-    """The rank of sparse vectors over Q (p=None) or Z_p; they are used up."""
-    table = {}
-    for vec in vectors:
-        _add(vec, table, p)
-    return len(table)
 
 
 def _column_reduce(columns, p, table=None):
@@ -308,7 +272,7 @@ def _column_reduce(columns, p, table=None):
             aside.append(col)
     for col in aside:
         while (low := max((i for i in col if i in table), default=None)) is not None:
-            _subtract(col, col[low], table[low][0], 0)
+            _subtract(col, col[low], table[low], 0)
     rows = sorted({i for col in aside for i in col})
     return list(table), [[col.get(i, 0) for i in rows] for col in aside if col]
 
@@ -338,5 +302,6 @@ def field_rank(rows, p=None):
         else:
             for j, x in enumerate(row):
                 _check_integer(i, j, x, f"Z_{p}")
-        vectors.append(_normal(dict(enumerate(row)), p))
-    return _rank(vectors, p)
+            row = [x % p for x in row]
+        vectors.append({j: x for j, x in enumerate(row) if x})
+    return len(_column_reduce(vectors, p)[0])

@@ -2,16 +2,17 @@
 
 Everything here recomputes answers by a different route than the package:
 exhaustive enumeration, Bron-Kerbosch, Bareiss elimination, a Smith form
-by plain Euclidean steps that keeps its transforms.  Keeping these
-independent is the point; do not import algorithmic code from dvrhom beyond
-plain data accessors.  The homology oracles are the one exception: they
-reduce every full boundary map on its own with the package's kernels,
-``invariant_factors`` and the elimination core ``matrices._add`` that
-serves every ring, so they check the top-down clearing and not the core;
-``test_elimination`` holds the core itself to the dense oracles here.  The
-chain-level oracle of the long exact sequence, ``les_chain_oracle``, runs
-that core on tagged chains to pick homology representatives and map them,
-where the package reads every rank off one filtered reduction.
+by plain Euclidean steps that keeps its transforms, and a tagged
+elimination over Z, Q and Z_p of its own.  Keeping these independent is
+the point; do not import algorithmic code from dvrhom beyond plain data
+accessors.  The one exception is ``integer_homology_oracle``, which hands
+every full boundary map on its own to the package's ``invariant_factors``,
+so it checks the top-down clearing and not the core; ``test_elimination``
+holds the core itself to the dense oracles here and to the tagged
+elimination.  The chain-level oracle of the long exact sequence,
+``les_chain_oracle``, runs that tagged elimination to pick homology
+representatives and map them, where the package reads every rank off one
+filtered reduction.
 """
 
 from collections import deque
@@ -21,14 +22,7 @@ from itertools import combinations, permutations
 
 from dvrhom import Digraph, InputError
 from dvrhom.homology import NodeReport
-from dvrhom.matrices import (
-    IntegerMatrix,
-    _add,
-    _low,
-    _normal,
-    _rank,
-    invariant_factors,
-)
+from dvrhom.matrices import IntegerMatrix, invariant_factors
 
 
 def brute_force_dvr(g, max_dim=None):
@@ -337,6 +331,66 @@ def pair_table_oracle(levels, sub=()):
     return x, a, r
 
 
+def _reduced(vec, p):
+    """The nonzero entries of a sparse vector over Z (p=0), Q (None) or Z_p."""
+    return {i: y for i, x in vec.items() if (y := x % p if p else x)}
+
+
+def _minus(x, f, y, p):
+    """The sparse vector x - f * y over the ring."""
+    out = dict(x)
+    for i, c in y.items():
+        out[i] = out.get(i, 0) - f * c
+    return _reduced(out, p)
+
+
+def _tagged_reduce(vec, tag, table, p):
+    """``(vec, tag)`` less stored pairs until no stored vector has the
+    largest index of ``vec``, its low; ``table`` maps lows to ``(vector,
+    tag)`` pairs, each vector 1 at its low.  Both inputs are left as they
+    were."""
+    vec, tag = _reduced(vec, p), _reduced(tag, p)
+    while vec and (low := max(vec)) in table:
+        stored, stored_tag = table[low]
+        f = vec[low]
+        vec, tag = _minus(vec, f, stored, p), _minus(tag, f, stored_tag, p)
+    return vec, tag
+
+
+def tagged_add(vec, tag, table, p):
+    """``_tagged_reduce``, then store the pair at its low, both scaled by the
+    inverse of the entry there, if that entry is a unit: +-1 over Z (p=0),
+    any nonzero one over Q (None) or Z_p.  Returns ``(vec, tag, stored)``,
+    unscaled.  With every input column tagged ``{its index: 1}``, each
+    stored tag gives its vector as a combination of the inputs."""
+    vec, tag = _tagged_reduce(vec, tag, table, p)
+    if not vec:
+        return vec, tag, False
+    low = max(vec)
+    unit = vec[low]
+    if p is None:
+        inverse = 1 / Fraction(unit)
+    elif p:
+        inverse = pow(unit, p - 2, p)  # Fermat
+    elif unit in (1, -1):
+        inverse = unit
+    else:
+        return vec, tag, False
+    table[low] = (
+        _reduced({i: inverse * x for i, x in vec.items()}, p),
+        _reduced({i: inverse * x for i, x in tag.items()}, p),
+    )
+    return vec, tag, True
+
+
+def _tagged_rank(vectors, p):
+    """The rank of sparse vectors over Q (p=None) or Z_p."""
+    table = {}
+    for vec in vectors:
+        tagged_add(vec, {}, table, p)
+    return len(table)
+
+
 def integer_homology_oracle(bases):
     """(Betti number, torsion) per degree, without clearing.
 
@@ -367,12 +421,12 @@ def field_betti_oracle(bases, p=None):
 def field_complex_oracle(bases, p=None):
     """Homology representatives per degree over Q (p=None) or Z_p, bottom-up.
 
-    No clearing: in each degree n the package's core ``_add`` takes every
-    column of the full boundary map of degree n + 1 into one table, keyed
-    by positions in the bases and tagged with its column, and each column
-    that reduces to zero leaves a cycle of degree n + 1.  The same table,
-    with the boundaries' tags dropped, then takes the cycles of degree n in
-    order; a cycle it stores is a representative.  Representatives are
+    No clearing: in each degree n ``tagged_add`` takes every column of the
+    full boundary map of degree n + 1 into one table, keyed by positions in
+    the bases and tagged with its column, and each column that reduces to
+    zero leaves a cycle of degree n + 1.  The same table, with the
+    boundaries' tags dropped, then takes the cycles of degree n in order; a
+    cycle it stores is a representative.  Representatives are
     ``{position: coefficient}`` dicts.
     """
     hom_reps = []
@@ -381,15 +435,15 @@ def field_complex_oracle(bases, p=None):
         table, next_cycles = {}, []
         rows = dense_boundary(bases, n + 1)
         for j in range(len(bases[n + 1]) if n + 1 < len(bases) else 0):
-            col, chain = {i: row[j] for i, row in enumerate(rows) if row[j]}, {j: 1}
-            _add(col, table, p, chain)
-            if not col:
+            col = {i: row[j] for i, row in enumerate(rows) if row[j]}
+            vec, chain, _ = tagged_add(col, {j: 1}, table, p)
+            if not vec:
                 next_cycles.append(chain)
         # Boundaries are zero in homology: their tags no longer count.
         table = {i: (vec, {}) for i, (vec, _) in table.items()}
         reps = []
         for z in cycles:
-            if _add(dict(z), table, p, {len(reps): 1}):
+            if tagged_add(z, {len(reps): 1}, table, p)[2]:
                 reps.append(z)
         hom_reps.append(reps)
         cycles = next_cycles
@@ -398,10 +452,10 @@ def field_complex_oracle(bases, p=None):
 
 class _FieldComplex:
     """Chain complex over a field with explicit homology coordinates, fed
-    one degree at a time, top-down; it holds two tables of ``matrices._add``.
+    one degree at a time, top-down; it holds two tables of ``tagged_add``.
 
     ``reduce(columns)`` takes the columns of the next degree n on X's
-    positions.  Copies of them go into a new table ``below``, for degree
+    positions.  They go into a new table ``below``, for degree
     n - 1, tagged with their positions; one that reduces to zero leaves a
     cycle.  Clearing skips the lows of the boundaries of degree n + 1: their
     cycles lie in a boundary plus the earlier cycles.  The cycles then go
@@ -420,15 +474,14 @@ class _FieldComplex:
         cycles = []
         for j, col in columns:
             if j not in span:
-                vec, chain = dict(col), {j: 1}
-                _add(vec, below, p, chain)
+                vec, chain, _ = tagged_add(col, {j: 1}, below, p)
                 if not vec:
                     cycles.append(chain)
         for i, (vec, _) in below.items():
             below[i] = vec, {}
         reps = []
         for z in cycles:
-            if _add(dict(z), span, p, {len(reps): 1}):
+            if tagged_add(z, {len(reps): 1}, span, p)[2]:
                 reps.append(z)
         self.span, self.below, self.reps = span, below, reps
 
@@ -438,13 +491,12 @@ class _FieldComplex:
 
         A chain that is no cycle, or that leaves the basis, is refused.
         """
-        vec, tag = _normal(chain, self.p), {}
-        _low(vec, self.span, self.p, tag)
+        vec, tag = _tagged_reduce(chain, {}, self.span, self.p)
         if vec:
             raise InputError("chain is not a cycle of the chain complex")
         # chain is a combination of stored vectors, each equal in homology
         # to its tag; the reduction subtracted that combination from the tag.
-        return _normal({h: -c for h, c in tag.items()}, self.p)
+        return _reduced({h: -c for h, c in tag.items()}, self.p)
 
 
 def _apply(columns, chain):
@@ -459,7 +511,7 @@ def _apply(columns, chain):
 def _kills(p, out, into):
     """Whether the classes ``out`` send each class of ``into`` to 0 over the
     field.  Class ``h`` of ``out`` is the image of representative ``h``."""
-    return not any(_normal(_apply(out, col), p) for col in into)
+    return not any(_reduced(_apply(out, col), p) for col in into)
 
 
 def les_chain_oracle(levels, in_a, p=None):
@@ -499,7 +551,7 @@ def les_chain_oracle(levels, in_a, p=None):
         ):
             # The classes of the images of the representatives.
             out = [target.coords(z) for z in chains]
-            rank_out, dim = _rank(map(dict, out), p), len(chains)
+            rank_out, dim = _tagged_rank(out, p), len(chains)
             exact = rank_in + rank_out == dim and _kills(p, out, into)
             nodes.append(NodeReport(name, dim, rank_in, rank_out, exact))
             into, rank_in = out, rank_out

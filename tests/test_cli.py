@@ -278,6 +278,16 @@ def test_negative_random_vertex_count_exits_1(capsys):
     assert "vertices" not in doc
 
 
+def test_huge_edgelist_vertex_count_exits_1(capsys):
+    # Twelve bytes that name 99,999,999,999 vertices are refused, not built.
+    code = _main_with_stdin(["homology", "--format", "edgelist"], "99999999999\n")
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["message"] == (
+        "99999999999 vertices exceed the limit of 65536"
+    )
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     def broken(args, kind, obj):
         raise RuntimeError("boom")

@@ -13,6 +13,7 @@ from dvrhom import (
     minimal_neighborhood,
     random_digraph,
 )
+from dvrhom.digraph import _MAX_VERTICES
 from oracles import interior_by_neighborhoods
 
 
@@ -29,6 +30,19 @@ def test_from_edge_list_adds_loops():
     assert g.out_set(0) == (0,)
     assert g.out_set(1) == (1,)
     assert list(g.edges()) == []
+
+
+def test_vertex_counts_above_the_bound_are_refused():
+    # One vertex above 2^16 is refused before any bitmask is allocated.
+    n = _MAX_VERTICES + 1
+    assert n == 2**16 + 1
+    for build in (
+        lambda: from_edge_list(n, []),
+        lambda: circulant(n, 1),
+        lambda: random_digraph(n, 0.5, 0),
+    ):
+        with pytest.raises(InputError, match="65537 vertices exceed the limit"):
+            build()
 
 
 def test_from_edge_list_figure_left():

@@ -5,15 +5,16 @@ row reduction ``dense_rref`` of ``oracles`` are the oracles: invariant
 factors and ranks are unique, so the sparse path must agree with them
 exactly.  One core, ``matrices._add``, reduces a vector at its low and
 stores it when the low is a unit, over Z (p=0), Q (None), Z_2 and Z_3; it
-is held directly to its inputs: every stored vector is 1 at its low and is
-the combination of the input columns its tag gives, and over Z only a
-non-unit low is left out.  The package builds boundary columns one degree
-at a time, over the positions of the simplices of X (``_boundary_builder``),
-and never a whole map; ``pair_table_oracle`` builds the maps of X, A and
-X/A whole, from dense maps on X's simplex basis, on the same positions.
-The other oracles build their own dense maps from simplex bases, so every
-check translates between the two.  The column reduction ``_column_reduce`` is
-held to the dense Smith form and row reduction: its lows, the faces that
+is held to the tagged elimination of ``oracles``, which must store the
+same vector at the same low and leave the same residual: every stored
+vector is 1 at its low, the oracle's tag, checked there, writes it as a
+combination of the input columns, and over Z only a non-unit low is left
+out.  The package builds boundary columns one degree at a time, over the
+positions of the simplices of X (``_boundary_builder``), and never a whole
+map; ``pair_table_oracle`` builds the maps of X, A and X/A whole, from
+dense maps on X's simplex basis, on the same positions.  The other oracles
+build their own dense maps from simplex bases, so every check translates
+between the two.  The column reduction ``_column_reduce`` is held to the dense Smith form and row reduction: its lows, the faces that
 clear the map below, must be distinct, and the rows there alone must carry
 invariant factors all 1 over Z and full rank over a field; matrices built
 with non-unit lows drive its set-aside core.  The top-down reduction with
@@ -87,6 +88,7 @@ from oracles import (
     les_chain_oracle,
     pair_table_oracle,
     smith_normal_form,
+    tagged_add,
 )
 from test_homology import RP2_FACES
 
@@ -193,17 +195,21 @@ def reduced(vec, p):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(integer_matrices(), non_unit_low_matrices()))
 def test_core_stores_tagged_vectors_scaled_at_their_lows(a):
-    # Every column goes into one table, tagged with itself.
+    # Every column goes into the core's table and, tagged with itself, into
+    # the oracle's; both store the same vector at the same low.
     for p in RINGS:
         columns = column_table(a, p)
-        table = {}
+        table, tagged = {}, {}
         for j, col in columns.items():
             vec = dict(col)
-            if not _add(vec, table, p, {j: 1}) and vec:
+            stored = _add(vec, table, p)
+            assert tagged_add(col, {j: 1}, tagged, p)[::2] == (vec, stored)
+            if not stored and vec:
                 # Only Z leaves a nonzero residual out, for its non-unit low.
                 low = max(vec)
                 assert p == 0 and low not in table and vec[low] not in (1, -1)
-        for low, (vec, tag) in table.items():
+        assert table == {low: vec for low, (vec, _) in tagged.items()}
+        for low, (vec, tag) in tagged.items():
             assert max(vec) == low and vec[low] == 1
             # The stored vector is the combination its tag gives of the inputs.
             combination = {}
@@ -576,10 +582,10 @@ def check_lazy_reduction(k, sub):
                 for pending in (False, True):
                     built = {
                         low: dict(vec.items())
-                        for low, (vec, _) in stored.items()
+                        for low, vec in stored.items()
                         if pending or getattr(vec, "built", True) is not None
                     }
-                    assert built == {low: expect[low][0] for low in built}
+                    assert built == {low: expect[low] for low in built}
                 assert stored.keys() == expect.keys()
 
 
@@ -781,9 +787,7 @@ def check_filtered_ranks(k, sub, p):
         cleared = set(lows)
     assert [lows for _, lows in caught] == [lows for _, lows in eager]
     for (stored, _), (expect, _) in zip(caught, eager):
-        assert {low: dict(vec.items()) for low, (vec, _) in stored.items()} == {
-            low: vec for low, (vec, _) in expect.items()
-        }
+        assert {low: dict(vec.items()) for low, vec in stored.items()} == expect
     a = pair_bases(k, sub)[1]
     for n in range(len(levels) + 1):
         rows = dense_boundary(levels, n)
