@@ -6,6 +6,10 @@ output the complex keys, so commands chain over standard streams.  Reports
 are byte-identical across runs on identical input (sorted keys, no
 timestamps).
 
+Arguments are parsed by ``_parse_args``: a call that names a command goes
+straight to that command's own parser, anything else through the
+top-level parser, which reports usage errors with its own usage.
+
 Documents are parsed, checked, written and hashed in ``documents``.  An
 ``--out`` file that cannot be written is a domain error naming the path.
 
@@ -122,10 +126,18 @@ def _parse_fraction(text):
         raise InputError(f"bad rational number {text!r} (at most 4096 bits)") from None
 
 
-@functools.lru_cache(maxsize=None)
 def _build_parser():
-    # Built on first use and shared by every later call: parse_args keeps no
-    # state between calls, and building the parser costs far more than using it.
+    return _parsers()[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _parsers():
+    """The top-level parser and each command's own parser, by name.
+
+    Built on first use and shared by every later call: parse_args keeps no
+    state between calls, and building the parsers costs far more than using
+    them.
+    """
     parser = argparse.ArgumentParser(
         prog="dvrhom",
         description="Homology of finite digraphs via directed Vietoris-Rips complexes.",
@@ -182,7 +194,25 @@ def _build_parser():
     fxs.add_argument("--samples", type=int, default=1000)
     fxs.add_argument("--delta", default="1/1000")
     fxs.add_argument("--seed", type=int, default=0)
-    return parser
+    return parser, dict(sub.choices)
+
+
+def _parse_args(argv):
+    """``_build_parser().parse_args(argv)``, with the command's own parser.
+
+    The top-level parser hands everything after a command name to that
+    command's parser and adds only the name, so a call that names a command
+    goes straight to its parser.  Anything else, and any argument the
+    command's parser leaves over, goes through the top-level parser, which
+    reports it with its own usage.
+    """
+    parser = _parsers()[1].get(argv[0]) if argv else None
+    if parser is not None:
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _run_gen(args):
@@ -273,7 +303,10 @@ def _run_les(args, kind, obj):
 
 
 def _run_pi1(args, kind, obj):
-    k = _complex_of(kind, obj)
+    # pi1 reads the 2-skeleton alone.  Capped at dimension 2, a complex is
+    # truncated only when it has 3-simplices, so it keeps its 2-simplices and
+    # pi1 accepts it; the report has no "truncated" key.
+    k = build_complex(obj, 2) if kind == "digraph" else obj
     pres = pi1_presentation(k, args.basepoint)
     ab = abelianization(pres)
     return {
@@ -347,7 +380,7 @@ def run_command(argv, stdin=None, stdout=None):
     """Execute one subcommand; returns the report written to the stream."""
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     command = " ".join(argv)
     seed = None
     if args.command == "gen":

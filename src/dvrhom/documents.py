@@ -3,7 +3,12 @@
 A digraph document has the keys ``vertices`` and ``edges``, a complex
 document (the output of ``complex``) the keys ``f_vector``, ``simplices``
 and ``truncated``.  ``_read_document`` reads either, and checks the shape
-of every key the commands read.  A complex document is read in one pass
+of every key the commands read.  A digraph document's keys are checked in
+bulk, by the set of the types of their items (and of the edges' lengths
+and entries), and its edges resolved by one label lookup per entry.  Only
+a document with an int or float entry, or an unknown label, has its edges
+walked again by ``_resolve``, one entry at a time, which resolves such an
+entry or raises the error it is due.  A complex document is read in one pass
 over ``simplices`` (``_read_simplices``): it checks each item (its
 ``verts`` may not repeat a vertex), sorts its vertices once, groups the
 faces by size and collects the witnesses; then
@@ -23,8 +28,9 @@ compact one of ``_canonical``, for the input digest.
 
 An input digest is the sha256 of the compact, key-sorted JSON text of the
 canonical reconstruction of the input, so reordered edges or an edgelist
-spelling of the same digraph hash identically.  A complex's text is hashed
-level by level (``_complex_digest``), without building its document.
+spelling of the same digraph hash identically.  A digraph's is made from
+its labels and its out-masks (``_digraph_digest``), a complex's text level
+by level (``_complex_digest``), neither by building its document.
 """
 
 from __future__ import annotations
@@ -33,10 +39,11 @@ import hashlib
 import json
 import operator
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .complexes import SimplicialComplex, f_vector
-from .digraph import Digraph, InputError
+from .digraph import Digraph, InputError, _iter_bits
 
 SCHEMA = "1"
 
@@ -159,19 +166,10 @@ def _digraph_doc(g):
     return {"schema": SCHEMA, "vertices": labels, "edges": edges}
 
 
-def _list_of(x, ok):
-    return type(x) is list and all(map(ok, x))
+_LABEL = frozenset({str, int, float})  # so no bool either
+_LIST = frozenset({list})
+_PAIR = frozenset({2})
 
-
-def _is_label(x):
-    return type(x) in (str, int, float)
-
-
-# Each digraph key the CLI reads, with the test each item of its list passes.
-_SHAPES = {
-    "vertices": ("vertex labels", _is_label),
-    "edges": ("[u, v] label pairs", lambda e: _list_of(e, _is_label) and len(e) == 2),
-}
 
 _BAD_SIMPLICES = (
     "'simplices' must be a list of objects with integer lists \"verts\" and"
@@ -203,9 +201,16 @@ def _read_document(text):
         raise InputError(
             "input json mixes complex and digraph keys: " + ", ".join(map(repr, mixed))
         )
-    for key, (what, ok) in _SHAPES.items():
-        if not _list_of(doc.get(key, []), ok):
-            raise InputError(f"{key!r} must be a list of {what}")
+    vertices, edges = doc.get("vertices", []), doc.get("edges", [])
+    if type(vertices) is not list or not _LABEL.issuperset(map(type, vertices)):
+        raise InputError("'vertices' must be a list of vertex labels")
+    if (
+        type(edges) is not list
+        or not _LIST.issuperset(map(type, edges))
+        or not _PAIR.issuperset(map(len, edges))
+        or not _LABEL.issuperset(map(type, chain.from_iterable(edges)))
+    ):
+        raise InputError("'edges' must be a list of [u, v] label pairs")
     by_size, witnesses, clash = _read_simplices(doc.get("simplices", []))
     if type(doc.get("truncated", False)) is not bool:
         raise InputError("'truncated' must be true or false")
@@ -216,7 +221,7 @@ def _read_document(text):
         k.truncated = doc.get("truncated", False)
         return "complex", k
     if "edges" in doc or "vertices" in doc:
-        return "digraph", _digraph_from_doc(doc)
+        return "digraph", _digraph_from_doc(vertices, edges)
     raise InputError("input json is neither a digraph nor a complex document")
 
 
@@ -255,30 +260,33 @@ def _read_simplices(items):
     return by_size, witnesses, clash
 
 
-def _digraph_from_doc(doc):
-    labels = [str(x) for x in doc.get("vertices", [])]
-    index = {lab: i for i, lab in enumerate(labels)}
+def _digraph_from_doc(vertices, pairs):
+    labels = list(map(str, vertices))
+    index = dict(zip(labels, range(len(labels))))
     if len(index) != len(labels):
         raise InputError("vertex labels must be unique")
-    edges = []
-    for pair in doc.get("edges", []):
-        resolved = []
-        for entry in pair:
-            if isinstance(entry, str) and entry in index:
-                resolved.append(index[entry])
-            elif isinstance(entry, int) and 0 <= entry < len(labels):
-                if index.get(str(entry), entry) != entry:
-                    raise InputError(
-                        f"edge entry {entry} names two vertices: the one at index "
-                        f"{entry} and the one labelled {str(entry)!r}"
-                    )
-                resolved.append(entry)
-            elif str(entry) in index:
-                resolved.append(index[str(entry)])
-            else:
-                raise InputError(f"unknown vertex label {entry!r}")
-        edges.append(tuple(resolved))
+    try:
+        edges = [(index[u], index[v]) for u, v in pairs]
+    except KeyError:  # an int or float entry, or an unknown label
+        edges = [tuple(_resolve(entry, index) for entry in pair) for pair in pairs]
     return Digraph.from_edge_list(len(labels), edges, labels=labels or None)
+
+
+def _resolve(entry, index):
+    """The vertex an edge entry names: the vertex with that label, else an
+    int entry's index, else the vertex labelled ``str(entry)``."""
+    if isinstance(entry, str) and entry in index:
+        return index[entry]
+    if isinstance(entry, int) and 0 <= entry < len(index):
+        if index.get(str(entry), entry) != entry:
+            raise InputError(
+                f"edge entry {entry} names two vertices: the one at index "
+                f"{entry} and the one labelled {str(entry)!r}"
+            )
+        return entry
+    if str(entry) in index:
+        return index[str(entry)]
+    raise InputError(f"unknown vertex label {entry!r}")
 
 
 def _parse_edgelist(text):
@@ -348,5 +356,15 @@ def _complex_digest(k):
 
 
 def _digraph_digest(g):
-    doc = _digraph_doc(g)
-    return _digest({"vertices": doc["vertices"], "edges": doc["edges"]})
+    """``_digest`` of the vertices and edges of ``_digraph_doc(g)``, from
+    ``g.labels`` and the out-masks: the sorted (label, label) tuples of the
+    edges serialize as its sorted [label, label] lists do."""
+    labels = g.labels or tuple(map(str, range(g.n)))
+    edges = sorted(
+        [
+            (labels[u], labels[v])
+            for u in range(g.n)
+            for v in _iter_bits(g.out_mask(u) & ~(1 << u))
+        ]
+    )
+    return _digest({"vertices": labels, "edges": edges})

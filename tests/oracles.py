@@ -15,6 +15,8 @@ representatives and map them, where the package reads every rank off one
 filtered reduction.
 """
 
+import hashlib
+import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,6 +194,68 @@ def complex_document_oracle(doc):
         raise InputError(f"'simplices' gives two witnesses for {list(clash)}")
     levels, witness = closure_oracle(faces, witnesses)
     return levels, witness, truncated
+
+
+def _is_label(x):
+    return type(x) in (str, int, float)
+
+
+def _resolve_entry(entry, index):
+    if isinstance(entry, str) and entry in index:
+        return index[entry]
+    if isinstance(entry, int) and 0 <= entry < len(index):
+        if index.get(str(entry), entry) != entry:
+            raise InputError(
+                f"edge entry {entry} names two vertices: the one at index "
+                f"{entry} and the one labelled {str(entry)!r}"
+            )
+        return entry
+    if str(entry) in index:
+        return index[str(entry)]
+    raise InputError(f"unknown vertex label {entry!r}")
+
+
+def digraph_document_oracle(doc):
+    """A digraph document read entry by entry, as (out-masks, labels or
+    None, input digest).
+
+    Each item of ``vertices`` and ``edges`` is checked on its own, each edge
+    entry resolved on its own (a label, else an int's index, else the label
+    ``str(entry)``), and the digest is the sha256 of the compact, key-sorted
+    JSON of the labels and the sorted [label, label] lists of the edges, read
+    back off the masks.  Raises the ``InputError`` messages of the CLI's
+    reader in the same order, for a dict without ``simplices``.
+    """
+    vertices, edges = doc.get("vertices", []), doc.get("edges", [])
+    if type(vertices) is not list or not all(_is_label(x) for x in vertices):
+        raise InputError("'vertices' must be a list of vertex labels")
+    if type(edges) is not list or not all(
+        type(e) is list and len(e) == 2 and all(_is_label(x) for x in e) for e in edges
+    ):
+        raise InputError("'edges' must be a list of [u, v] label pairs")
+    if type(doc.get("truncated", False)) is not bool:
+        raise InputError("'truncated' must be true or false")
+    if "vertices" not in doc and "edges" not in doc:
+        raise InputError("input json is neither a digraph nor a complex document")
+    labels = [str(x) for x in vertices]
+    index = {lab: i for i, lab in enumerate(labels)}
+    if len(index) != len(labels):
+        raise InputError("vertex labels must be unique")
+    out = [1 << v for v in range(len(labels))]
+    for pair in edges:
+        u, v = (_resolve_entry(entry, index) for entry in pair)
+        out[u] |= 1 << v
+    doc_edges = sorted(
+        [labels[u], labels[v]]
+        for u in range(len(labels))
+        for v in range(len(labels))
+        if u != v and out[u] >> v & 1
+    )
+    text = json.dumps(
+        {"vertices": labels, "edges": doc_edges}, sort_keys=True, separators=(",", ":")
+    )
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return tuple(out), tuple(labels) or None, digest
 
 
 def bron_kerbosch_cliques(g):

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -20,9 +21,9 @@ from dvrhom import (
     random_digraph,
     restrict_to,
 )
-from dvrhom import cli, documents
+from dvrhom import cli, documents, homology
 from dvrhom.cli import main, parse_digraph, run_command
-from oracles import complex_document_oracle
+from oracles import complex_document_oracle, digraph_document_oracle, les_chain_oracle
 
 
 def run(argv, stdin_text=""):
@@ -139,6 +140,89 @@ def test_les_nodes_are_the_node_reports_as_dicts():
     nodes = les_exactness_check(k, restrict_to(k, (0, 2, 5)), "q").nodes
     assert len(nodes) > 1
     assert report["nodes"] == [dataclasses.asdict(node) for node in nodes]
+
+
+# A = {} for three digraphs, over Q, Z_2 and Z_1000003: the sha256 of each
+# whole les-check report, pinned byte for byte.
+_EMPTY_SUBSET_PINS = [
+    (gen, coeff, digest)
+    for gen, digests in [
+        (
+            ["gen", "random", "--n", "9", "--p", ".5", "--seed", "3"],
+            [
+                "74739d6172d53e708a8fcce7c8ca4bf6004d3435997339c250fbcf6d55211a09",
+                "8b82ba10a86ccab360a1b5b501cb4dbbb0d8cdd62aeea4ca7ea6f17e59fb712a",
+                "f5e6e70a328438416888f52498a6c0c81dbae7c02ffe617c0055863848cd4d9a",
+            ],
+        ),
+        (
+            ["gen", "circulant", "--n", "8", "--m", "3"],
+            [
+                "96732f45f82129eb5898059c597dd5f5702ad69268c4ce8fe58424bf93e3db16",
+                "921412df1442f6f1abc710f4b5e81f6d5f3ba1758ea7fed56fd115f06c3882c6",
+                "493a8a99f386be31b88212614d80b8724674b9649c761bc06bf480fd0cfcc02b",
+            ],
+        ),
+        (
+            ["gen", "figure", "--which", "right"],
+            [
+                "be4dd8b379f67ed44b3cb9b72a4de11141d4b0e7b41ab70dda77c9738742799c",
+                "4aecd75be61337ea4e1edf57b18369f3c7f9ab2da49e21fa33528d80df26a855",
+                "a001eeb853bc2aa2b7afbab6dcf8ab41c9c9eaa76fc431dbbb5dbdd1762ab634",
+            ],
+        ),
+    ]
+    for coeff, digest in zip(("q", "zp:2", "zp:1000003"), digests)
+]
+
+
+@pytest.mark.parametrize("gen, coeff, digest", _EMPTY_SUBSET_PINS)
+def test_les_check_with_an_empty_subset_reduces_x_once(monkeypatch, gen, coeff, digest):
+    # H_n(X, {}) is H_n(X): no second reduction of X as X/A.
+    relative = []
+    groups = homology._homology_groups
+    monkeypatch.setattr(
+        homology, "_homology_groups", lambda *a: relative.append(a) or groups(*a)
+    )
+    _, gen_text = run(gen)
+    argv = ["les-check", "--subset", "", "--coeff", coeff]
+    report, text = run(argv, stdin_text=gen_text)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert not relative
+    k = build_complex(parse_digraph(gen_text))
+    p = {"q": None, "zp:2": 2, "zp:1000003": 1000003}[coeff]
+    nodes = les_chain_oracle(k.by_dimension, [set() for _ in k.by_dimension], p)
+    assert report["nodes"] == [dataclasses.asdict(node) for node in nodes]
+
+
+_SHELL_3 = ";".join(
+    f"{x},{y},{z}"
+    for x in range(3)
+    for y in range(3)
+    for z in range(3)
+    if (x, y, z) != (1, 1, 1)
+)
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [
+        ["gen", "random", "--n", "13", "--p", ".5", "--seed", "1"],
+        ["gen", "random", "--n", "14", "--p", ".5", "--seed", "2"],
+        ["gen", "circulant", "--n", "20", "--m", "4"],
+        ["gen", "digital", "--points", _SHELL_3],
+    ],
+)
+def test_pi1_of_a_digraph_reads_its_2_skeleton_alone(gen):
+    # The digraph's complex capped at dimension 2 is truncated, and its pi1
+    # report is the one of the whole complex, with no "truncated" key.
+    _, gen_text = run(gen)
+    assert build_complex(parse_digraph(gen_text), 2).truncated
+    report, _ = run(["pi1"], stdin_text=gen_text)
+    whole, _ = pipe(gen, ["complex"], ["pi1"])
+    assert "truncated" not in report
+    del report["input_digest"], whole["input_digest"]
+    assert report == whole
 
 
 def test_complex_roundtrip_preserves_homology():
@@ -761,6 +845,49 @@ def test_one_pass_reader_matches_the_two_step_oracle(doc):
         assert len(set(verts)) < len(verts)
 
 
+def _read_digraph(doc):
+    kind, g = documents._read_document(json.dumps(doc))
+    assert kind == "digraph"
+    return g._out, g.labels, documents._digraph_digest(g)
+
+
+# Digraph documents whose edge entries are mostly the vertices' labels,
+# their str() spellings or their indices.
+_LABELLED_DOCUMENTS = st.lists(_LABELS, min_size=1, max_size=6, unique_by=str).flatmap(
+    lambda labels: st.fixed_dictionaries(
+        {
+            "vertices": st.just(labels),
+            "edges": st.lists(
+                st.lists(
+                    st.sampled_from(
+                        labels + [str(x) for x in labels] + list(range(len(labels)))
+                    ),
+                    min_size=2,
+                    max_size=2,
+                ),
+                max_size=12,
+            ),
+        }
+    )
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_DOCUMENTS, _LABELLED_DOCUMENTS))
+@example(
+    {"vertices": [0, "a", 1.5, "b"], "edges": [[0, "a"], ["a", 1.5], [3, 0], ["1.5", "b"]]}
+)
+@example({"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a", "b"]]})
+@example({"vertices": ["a"], "edges": [["a"]]})
+@example({"edges": [[]]})
+def test_bulk_digraph_reader_matches_the_per_entry_oracle(doc):
+    doc = json.loads(json.dumps(doc))  # as the reader sees it
+    if type(doc) is not dict or "simplices" in doc:
+        return  # not a digraph document
+    got = _read_or_message(_read_digraph, doc)
+    assert got == _read_or_message(digraph_document_oracle, doc)
+
+
 # Argument strings: well-formed pieces, near misses and arbitrary text.
 _TOKENS = st.one_of(
     st.integers(-3, 8).map(str),
@@ -810,3 +937,51 @@ def test_fuzzed_arguments_end_in_a_report_or_an_input_error(
         assert type(report) is dict and not out.getvalue()[end:].strip()
         if code == 1:
             assert report["error"]["message"]
+
+
+# Argument vectors: command and generator names, their flags whole,
+# abbreviated or unknown, --opt=value forms, -h, unknown commands and junk.
+_COMMANDS = ["gen", "complex", "homology", "pair", "les-check", "pi1"]
+_COMMANDS += ["fx-certify", "fx-sample"]
+_FLAGS = st.sampled_from(
+    ["--format", "--out", "--max-dim", "--coeff", "--reduced", "--subset"]
+    + ["--basepoint", "--samples", "--delta", "--seed", "--n", "--m", "--p"]
+    + ["--points", "--which", "-h", "--help", "--he", "--co", "--s", "--badflag"]
+    + ["--", "-"]
+)
+_WORDS = st.one_of(
+    st.sampled_from(_COMMANDS + ["circulant", "digital", "figure", "random"]),
+    st.sampled_from(["left", "json", "edgelist", "z", "zp:2", "0,1", "1/3"]),
+    _FLAGS,
+    st.tuples(_FLAGS, _TOKENS).map("=".join),
+    _TOKENS,
+)
+_ARGVS = st.tuples(
+    st.one_of(
+        st.sampled_from(_COMMANDS + ["-h", "--help", "nosuch", "Homology"]), _TOKENS
+    ),
+    st.lists(_WORDS, max_size=6),
+).map(lambda t: [t[0], *t[1]])
+
+
+def _parse_outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            outcome = vars(parse(argv))
+        except SystemExit as exc:
+            outcome = exc.code
+    return outcome, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_ARGVS, st.just([])))
+@example(["homology", "--badflag"])
+@example(["nosuch"])
+@example(["gen", "random", "--n", "3", "--p", ".5", "extra"])
+@example(["les-check", "--subset", "0", "--coeff=zp:2"])
+def test_commands_go_straight_to_their_own_parser(argv):
+    # The same namespace as the top-level parser gives, or the same exit
+    # code with the same usage or help text.
+    expected = _parse_outcome(cli._build_parser().parse_args, argv)
+    assert _parse_outcome(cli._parse_args, argv) == expected
