@@ -126,18 +126,11 @@ def _parse_fraction(text):
         raise InputError(f"bad rational number {text!r} (at most 4096 bits)") from None
 
 
-def _build_parser():
-    return _parsers()[0]
-
-
 @functools.lru_cache(maxsize=None)
-def _parsers():
-    """The top-level parser and each command's own parser, by name.
-
-    Built on first use and shared by every later call: parse_args keeps no
-    state between calls, and building the parsers costs far more than using
-    them.
-    """
+def _build_parser():
+    # Built on first use and shared by every later call: parse_args keeps no
+    # state between calls, and building the parser costs far more than using
+    # it.  ``commands`` maps each command name to its own parser.
     parser = argparse.ArgumentParser(
         prog="dvrhom",
         description="Homology of finite digraphs via directed Vietoris-Rips complexes.",
@@ -194,7 +187,8 @@ def _parsers():
     fxs.add_argument("--samples", type=int, default=1000)
     fxs.add_argument("--delta", default="1/1000")
     fxs.add_argument("--seed", type=int, default=0)
-    return parser, dict(sub.choices)
+    parser.commands = dict(sub.choices)
+    return parser
 
 
 def _parse_args(argv):
@@ -206,13 +200,14 @@ def _parse_args(argv):
     command's parser leaves over, goes through the top-level parser, which
     reports it with its own usage.
     """
-    parser = _parsers()[1].get(argv[0]) if argv else None
+    top = _build_parser()
+    parser = top.commands.get(argv[0]) if argv else None
     if parser is not None:
         args, extra = parser.parse_known_args(argv[1:])
         if not extra:
             args.command = argv[0]
             return args
-    return _build_parser().parse_args(argv)
+    return top.parse_args(argv)
 
 
 def _run_gen(args):

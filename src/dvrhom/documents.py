@@ -28,9 +28,8 @@ compact one of ``_canonical``, for the input digest.
 
 An input digest is the sha256 of the compact, key-sorted JSON text of the
 canonical reconstruction of the input, so reordered edges or an edgelist
-spelling of the same digraph hash identically.  A digraph's is made from
-its labels and its out-masks (``_digraph_digest``), a complex's text level
-by level (``_complex_digest``), neither by building its document.
+spelling of the same digraph hash identically.  A complex's text is hashed
+level by level (``_complex_digest``), without building its document.
 """
 
 from __future__ import annotations
@@ -161,8 +160,14 @@ def _write_simplices(levels, witness, nl, out):
 
 
 def _digraph_doc(g):
-    labels = [g.label_of(v) for v in range(g.n)]
-    edges = sorted([labels[u], labels[v]] for u, v in g.edges())
+    labels = list(g.labels or map(str, range(g.n)))
+    edges = sorted(
+        [
+            [labels[u], labels[v]]
+            for u in range(g.n)
+            for v in _iter_bits(g.out_mask(u) & ~(1 << u))
+        ]
+    )
     return {"schema": SCHEMA, "vertices": labels, "edges": edges}
 
 
@@ -356,15 +361,5 @@ def _complex_digest(k):
 
 
 def _digraph_digest(g):
-    """``_digest`` of the vertices and edges of ``_digraph_doc(g)``, from
-    ``g.labels`` and the out-masks: the sorted (label, label) tuples of the
-    edges serialize as its sorted [label, label] lists do."""
-    labels = g.labels or tuple(map(str, range(g.n)))
-    edges = sorted(
-        [
-            (labels[u], labels[v])
-            for u in range(g.n)
-            for v in _iter_bits(g.out_mask(u) & ~(1 << u))
-        ]
-    )
-    return _digest({"vertices": labels, "edges": edges})
+    doc = _digraph_doc(g)
+    return _digest({"vertices": doc["vertices"], "edges": doc["edges"]})

@@ -329,9 +329,8 @@ def les_exactness_check(k, sub, field_spec):
     - H_n(X) -> H_n(X,A) has rank dim H_n(X) less that of H_n(A) -> H_n(X).
 
     So the sequence is exact at each H_n(A) and H_n(X) by construction.
-    dim H_n(X,A) comes from a separate reduction of X/A (``_reduce``), or,
-    when A is empty, is dim H_n(X); the node H_n(X,A) checks that the ranks
-    into and out of it add up to it.
+    dim H_n(X,A) comes from a separate reduction of X/A (``_reduce``), and
+    the node H_n(X,A) checks that the ranks into and out of it add up to it.
     Nodes run top-down: H_n(A), H_n(X), H_n(X,A).
     """
     p = _parse_field(field_spec)
@@ -343,10 +342,7 @@ def les_exactness_check(k, sub, field_spec):
         for level, keep in zip(levels, in_a)
     ]
     rank_a, rank_x, lows_in_a = _filtered_ranks(ordered, first, p)
-    if any(in_a):
-        relative = [group.betti for group in _homology_groups(k, in_a, p)]
-    else:  # H_n(X, {}) is H_n(X): X is reduced once
-        relative = None
+    relative = _homology_groups(k, in_a, p)
     nodes = []
     for n in range(k.dim, -1, -1):
         dim_a = first[n] - rank_a[n] - rank_a[n + 1]
@@ -358,7 +354,7 @@ def les_exactness_check(k, sub, field_spec):
         for name, dim, rank_in, rank_out in (
             ("A", dim_a, connect, include),
             ("X", dim_x, include, project),
-            ("X,A", relative[n] if relative else dim_x, project, connect_below),
+            ("X,A", relative[n].betti, project, connect_below),
         ):
             exact = rank_in + rank_out == dim
             nodes.append(NodeReport(f"H{n}({name})", dim, rank_in, rank_out, exact))
