@@ -29,7 +29,12 @@ compact one of ``_canonical``, for the input digest.
 An input digest is the sha256 of the compact, key-sorted JSON text of the
 canonical reconstruction of the input, so reordered edges or an edgelist
 spelling of the same digraph hash identically.  A complex's text is hashed
-level by level (``_complex_digest``), without building its document.
+level by level (``_complex_digest``), without building its document.  A
+digraph's text (``_digraph_digest``) is joined from its labels, each quoted
+once by the C string encoder: ``{"edges":[...],"vertices":[...]}`` with its
+edges as sorted ``[label, label]`` pairs.  ``_ranked_edges`` gives that
+order by sorting the labels once and then each edge as one integer key of
+their ranks; ``_digraph_doc``, which ``gen`` writes, takes the same order.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .complexes import SimplicialComplex, f_vector
-from .digraph import Digraph, InputError, _iter_bits
+from .digraph import Digraph, InputError
 
 SCHEMA = "1"
 
@@ -159,16 +164,35 @@ def _write_simplices(levels, witness, nl, out):
     out(close)
 
 
+def _ranked_edges(g):
+    """The canonical order of ``g``'s edges: its labels (the vertex indices
+    as strings when it has none), those labels sorted, and each edge other
+    than a loop as the key ``rank[u] * n + rank[v]`` of the labels' ranks,
+    ascending, which is the order of the sorted ``[label, label]`` lists.
+    The labels are strings, as every reader and generator makes them."""
+    n = g.n
+    labels = g.labels or tuple(map(str, range(n)))
+    order = sorted(range(n), key=labels.__getitem__)
+    rank = [0] * n
+    for r, v in enumerate(order):
+        rank[v] = r
+    keys = []
+    for u, mask in enumerate(map(g.out_mask, range(n))):
+        mask &= ~(1 << u)
+        base = rank[u] * n
+        while mask:
+            low = mask & -mask
+            keys.append(base + rank[low.bit_length() - 1])
+            mask ^= low
+    keys.sort()
+    return labels, [labels[v] for v in order], keys
+
+
 def _digraph_doc(g):
-    labels = list(g.labels or map(str, range(g.n)))
-    edges = sorted(
-        [
-            [labels[u], labels[v]]
-            for u in range(g.n)
-            for v in _iter_bits(g.out_mask(u) & ~(1 << u))
-        ]
-    )
-    return {"schema": SCHEMA, "vertices": labels, "edges": edges}
+    labels, ranked, keys = _ranked_edges(g)
+    n = g.n
+    edges = [[ranked[k // n], ranked[k % n]] for k in keys]
+    return {"schema": SCHEMA, "vertices": list(labels), "edges": edges}
 
 
 _LABEL = frozenset({str, int, float})  # so no bool either
@@ -361,5 +385,14 @@ def _complex_digest(k):
 
 
 def _digraph_digest(g):
-    doc = _digraph_doc(g)
-    return _digest({"vertices": doc["vertices"], "edges": doc["edges"]})
+    """``_digest`` of the vertices and edges of ``_digraph_doc(g)``, hashed
+    from its compact text joined from the quoted labels."""
+    labels, ranked, keys = _ranked_edges(g)
+    n = g.n
+    quoted = list(map(encode_basestring_ascii, ranked))
+    heads = ["[" + q + "," for q in quoted]
+    tails = [q + "]" for q in quoted]
+    text = ",".join([heads[k // n] + tails[k % n] for k in keys])
+    vertices = ",".join(map(encode_basestring_ascii, labels))
+    text = '{"edges":[' + text + '],"vertices":[' + vertices + "]}"
+    return hashlib.sha256(text.encode()).hexdigest()

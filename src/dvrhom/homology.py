@@ -412,10 +412,13 @@ def pi1_presentation(k, basepoint):
     moves (drop trivial relators, eliminate generators occurring once in
     some relator) are applied to a fixed point.  Each move solves the first
     relator, in order, that holds a generator occurring once, for the
-    smallest such generator, and substitutes it everywhere; the work per
-    move is proportional to the relators that contain the eliminated
-    generator, and generators are renumbered once at the end.  A complex
-    capped below dimension 2 lacks relators, and is refused.
+    smallest such generator, and substitutes it everywhere.  A move rewrites
+    only the relators that contain the eliminated generator g.  When the
+    solved relator is the one letter g^+-1, a kill, it deletes +-g from them
+    and reduces again only a word left with two or more letters.  A relator
+    waits in the queue of relators to scan at most once, and generators are
+    renumbered once at the end.  A complex capped below dimension 2 lacks
+    relators, and is refused.
     """
     if not k.by_dimension:
         raise InputError("fundamental group needs a nonempty complex")
@@ -466,21 +469,46 @@ def _tietze_reduce(symbols, relators):
     # the generators it contains, so a move rewrites only the relators that
     # hold the eliminated generator.  The moves are those of a full rescan
     # from the first relator: a relator scanned without a singleton can only
-    # gain one by being rewritten, and then it is queued again.
-    words = {}
-    holders = {}  # generator -> indices of the relators that contain it
-    for ri, word in enumerate(relators):
-        word = _cyclic_reduce(word)
-        if word:
-            words[ri] = word
-            for x in word:
-                holders.setdefault(abs(x), set()).add(ri)
-    queue = list(words)  # ascending, so already a heap
-    eliminated = set()
+    # gain one by being rewritten, and then it is queued again; it waits in
+    # the heap at most once.  A one-letter relator g^+-1 kills g at the cost
+    # of deleting +-g from each holder of g.  Only a word left with two or
+    # more letters is reduced again (the rest of the word was reduced), and
+    # the other generators' holders change only where that cancelled letters.
+    words = [w if len(w) < 2 else _cyclic_reduce(w) for w in relators]
+    holders = [set() for _ in range(len(symbols) + 1)]  # None once eliminated
+    for ri, word in enumerate(words):
+        for x in word:
+            holders[abs(x)].add(ri)
+    queue = [ri for ri, word in enumerate(words) if word]  # ascending: a heap
+    queued = set(queue)
     while queue:
         ri = heapq.heappop(queue)
-        word = words.get(ri)
-        if word is None:  # dropped since it was queued
+        queued.remove(ri)
+        word = words[ri]
+        if len(word) == 1:
+            g = abs(word[0])
+            words[ri] = ()
+            hold = holders[g]
+            holders[g] = None
+            hold.remove(ri)
+            for rj in hold:
+                old = words[rj]
+                if len(old) == 1:  # g^+-1 again
+                    words[rj] = ()
+                    continue
+                rest = [x for x in old if x != g and x != -g]
+                new = rest
+                if len(rest) > 2:
+                    new = _cyclic_reduce(rest)
+                elif len(rest) == 2 and rest[0] == -rest[1]:
+                    new = []
+                if len(new) < len(rest):
+                    for h in {abs(x) for x in rest} - {abs(x) for x in new}:
+                        holders[h].discard(rj)
+                words[rj] = new
+                if new and rj not in queued:
+                    queued.add(rj)
+                    heapq.heappush(queue, rj)
             continue
         counts = {}
         for x in word:
@@ -498,11 +526,12 @@ def _tietze_reduce(symbols, relators):
             # inverse(g) . tail == 1, so g = tail
             replacement = word[1:]
         inverse = _invert(replacement)
-        del words[ri]
+        words[ri] = ()
         for h in counts:
             holders[h].discard(ri)
-        eliminated.add(g)
-        for rj in holders.pop(g):
+        hold = holders[g]
+        holders[g] = None
+        for rj in hold:
             old = words[rj]
             new = []
             for x in old:
@@ -516,18 +545,18 @@ def _tietze_reduce(symbols, relators):
             for x in old:
                 if abs(x) != g:
                     holders[abs(x)].discard(rj)
-            if not new:
-                del words[rj]
-                continue
             words[rj] = new
             for x in new:
                 holders[abs(x)].add(rj)
-            heapq.heappush(queue, rj)
-    kept = [h for h in range(1, len(symbols) + 1) if h not in eliminated]
+            if new and rj not in queued:
+                queued.add(rj)
+                heapq.heappush(queue, rj)
+    kept = [h for h in range(1, len(symbols) + 1) if holders[h] is not None]
     renumber = {h: i for i, h in enumerate(kept, start=1)}
     return [symbols[h - 1] for h in kept], [
-        [renumber[x] if x > 0 else -renumber[-x] for x in words[ri]]
-        for ri in sorted(words)
+        [renumber[x] if x > 0 else -renumber[-x] for x in word]
+        for word in words
+        if word
     ]
 
 

@@ -845,8 +845,12 @@ def _read_digraph(doc):
 
 
 # Digraph documents whose edge entries are mostly the vertices' labels,
-# their str() spellings or their indices.
-_LABELLED_DOCUMENTS = st.lists(_LABELS, min_size=1, max_size=6, unique_by=str).flatmap(
+# their str() spellings or their indices.  The labels include escaped and
+# non-ASCII ones and numeric strings that sort against index order.
+_ODD_LABELS = st.sampled_from(["\u00e9", '"', "\\", "10", "2", ""])
+_LABELLED_DOCUMENTS = st.lists(
+    st.one_of(_LABELS, _ODD_LABELS), min_size=1, max_size=6, unique_by=str
+).flatmap(
     lambda labels: st.fixed_dictionaries(
         {
             "vertices": st.just(labels),
@@ -863,10 +867,34 @@ _LABELLED_DOCUMENTS = st.lists(_LABELS, min_size=1, max_size=6, unique_by=str).f
         }
     )
 )
+# Digraphs of 11 to 30 vertices labelled by their indices, as the digest
+# labels an unlabeled digraph, so that "10" sorts before "2".
+_INDEXED_DOCUMENTS = st.integers(11, 30).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {
+            "vertices": st.just(list(range(n))),
+            "edges": st.lists(
+                st.lists(st.integers(0, n - 1), min_size=2, max_size=2), max_size=60
+            ),
+        }
+    )
+)
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(_DOCUMENTS, _LABELLED_DOCUMENTS))
+@given(st.one_of(_DOCUMENTS, _LABELLED_DOCUMENTS, _INDEXED_DOCUMENTS))
+@example(
+    {
+        "vertices": ["2", "10", "\u00e9", '"', "\\", ""],
+        "edges": [["2", "10"], ["10", "2"], ["\u00e9", ""], ['"', "\\"], ["", "\u00e9"]],
+    }
+)
+@example(
+    {
+        "vertices": list(range(12)),
+        "edges": [[10, 2], [2, 10], [11, 1], [0, 11], [9, 10], [3, 4]],
+    }
+)
 @example(
     {"vertices": [0, "a", 1.5, "b"], "edges": [[0, "a"], ["a", 1.5], [3, 0], ["1.5", "b"]]}
 )

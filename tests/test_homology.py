@@ -1,3 +1,4 @@
+import itertools
 import random
 from unittest import mock
 
@@ -14,6 +15,7 @@ from dvrhom import (
     boundary_matrix,
     build_complex,
     circulant,
+    digital_image,
     f_vector,
     figure_digraph,
     from_edge_list,
@@ -463,6 +465,10 @@ words = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 6), st.lists(words, max_size=7))
+@example(2, [[1], [2, 1, -2]])  # the kill leaves 2 -2, which cancels: 2 has no holder
+@example(2, [[2], [1, 2, 1]])  # the kill leaves 1 1, which holds no singleton
+@example(3, [[1], [2], [3, 1, 2]])  # the last relator is rewritten twice while queued
+@example(3, [[1], [1, 2, 1, 3]])  # the killed generator occurs twice in a holder
 def test_tietze_reduce_matches_oracle_on_random_relators(ngen, relators):
     symbols = [f"s{i}" for i in range(ngen)]
     relators = [[x for x in w if abs(x) <= ngen] for w in relators]
@@ -473,6 +479,11 @@ def test_tietze_reduce_matches_oracle_on_random_relators(ngen, relators):
 
 @settings(max_examples=60, deadline=None)
 @given(small_digraphs())
+@example(circulant(13, 3))  # kills and substitutions, one generator left
+@example(circulant(20, 4))
+@example(  # the 3x3x3 digital shell
+    digital_image([p for p in itertools.product(range(3), repeat=3) if p != (1, 1, 1)])
+)
 def test_tietze_reduce_matches_oracle_on_complex_relators(g):
     calls = []
     real = homology._tietze_reduce
