@@ -35,16 +35,15 @@ class SimplicialComplex:
     such a complex is unreliable).
     """
 
-    def __init__(self, by_dimension, witness, digraph=None, truncated=False):
+    def __init__(self, by_dimension, witness, truncated=False):
         while by_dimension and not by_dimension[-1]:
             by_dimension.pop()
         self.by_dimension = by_dimension
         self.witness = witness
-        self.digraph = digraph
         self.truncated = truncated
 
     @classmethod
-    def from_simplices(cls, faces, witnesses=None, digraph=None):
+    def from_simplices(cls, faces, witnesses=None):
         """Abstract complex from arbitrary vertex sets, closed under faces.
 
         Witnesses default to the sorted vertex tuple (the natural reading for
@@ -54,10 +53,10 @@ class SimplicialComplex:
         for f in faces:
             f = tuple(sorted(set(f)))
             by_size.setdefault(len(f), set()).add(f)
-        return cls.from_faces_by_size(by_size, witnesses, digraph)
+        return cls.from_faces_by_size(by_size, witnesses)
 
     @classmethod
-    def from_faces_by_size(cls, by_size, witnesses=None, digraph=None):
+    def from_faces_by_size(cls, by_size, witnesses=None):
         """``from_simplices`` of faces already grouped: ``by_size[k]`` is a
         set of sorted k-vertex tuples, and is filled in place.
 
@@ -81,7 +80,7 @@ class SimplicialComplex:
                 if tuple(sorted(w)) != s:
                     raise InputError(f"witness {w} is not an ordering of {s}")
                 witness[s] = tuple(w)
-        return cls(by_dim, witness, digraph=digraph)
+        return cls(by_dim, witness)
 
     def simplices(self):
         for level in self.by_dimension:
@@ -171,9 +170,9 @@ def build_complex(g, max_dim=None):
         if max_dim is not None and len(levels) > max_dim:
             # Probe one level further so consumers can flag the capped degree.
             truncated = bool(_next_level(ins, sym, level, {}, first_only=True))
-            return SimplicialComplex(levels, witness, digraph=g, truncated=truncated)
+            return SimplicialComplex(levels, witness, truncated=truncated)
         level = _next_level(ins, sym, level, witness)
-    return SimplicialComplex(levels, witness, digraph=g)
+    return SimplicialComplex(levels, witness)
 
 
 def _next_level(ins, sym, prev, witness, first_only=False):
@@ -210,7 +209,7 @@ def restrict_to(k, a):
         [s for s in level if aset.issuperset(s)] for level in k.by_dimension
     ]
     witness = {s: k.witness[s] for level in by_dim for s in level}
-    return SimplicialComplex(by_dim, witness, digraph=k.digraph, truncated=k.truncated)
+    return SimplicialComplex(by_dim, witness, truncated=k.truncated)
 
 
 def check_full_subcomplex(g, a, max_dim=None):

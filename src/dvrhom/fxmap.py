@@ -237,15 +237,11 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
     if not all_simplices:
         return SampleReport(samples, delta, seed, 0, ())
     n = len(all_simplices)
-    n_bits = n.bit_length()
     scale = 2000 * delta.denominator
     checked = 0
     failures = []
     for idx in range(samples):
-        x = getrandbits(n_bits)
-        while x >= n:
-            x = getrandbits(n_bits)
-        s = all_simplices[x]
+        s = all_simplices[_below(getrandbits, n)]
         w = k.witness[s]
         d = len(w)
         # randint(1, 1000) per vertex: each weight redraws 10 bits until one
@@ -271,9 +267,7 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
             j = _below(getrandbits, d)
             while j == i:
                 j = _below(getrandbits, d)
-        r = getrandbits(10)
-        while r > 1000:
-            r = getrandbits(10)
+        r = _below(getrandbits, 1001)
         units = [wt * scale for wt in weights]
         shift = min(delta.numerator * r * total, units[i])
         units[i] -= shift

@@ -28,6 +28,7 @@ from itertools import combinations
 
 from .digraph import InputError
 from .matrices import IntegerMatrix, _column_reduce, _diagonalize, invariant_factors
+from .matrices import _PRIME_LIMIT, _is_prime
 
 
 @dataclass(frozen=True)
@@ -73,26 +74,6 @@ class HomologyResult:
 
     def betti_numbers(self):
         return tuple(g.betti for g in self.groups)
-
-
-# Miller-Rabin on the primes up to 41 is exact below this bound, the least
-# strong pseudoprime to all of them (Sorenson and Webster, 2017).
-_PRIME_LIMIT = 3317044064679887385961981
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(p):
-    """Deterministic Miller-Rabin test, exact for p < _PRIME_LIMIT."""
-    if p < 2 or any(p % a == 0 for a in _BASES):
-        return p in _BASES
-    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s, d odd
-    for a in _BASES:
-        x = pow(a, (p - 1) >> s, p)
-        if x not in (1, p - 1) and all(
-            (x := x * x % p) != p - 1 for _ in range(s - 1)
-        ):
-            return False
-    return True
 
 
 def _parse_field(spec):

@@ -2,20 +2,20 @@
 
 Everything runs on Python integers and fractions, so there is no overflow
 and no floating point anywhere.  The ring is named by ``p``: 0 for Z, None
-for Q and a prime for Z_p.  Sparse vectors are ``{index: value}`` dicts.
-One sparse core serves every ring: ``_add`` reduces a vector at its low,
-its largest index (the column reduction by lowest row of persistent
-homology), and stores it, scaled to 1 at its low, in a table keyed by that
-low when the low is a unit.  Over Q and Z_p every nonzero low is a unit,
-so the stored vectors give the rank (``field_rank``, and the field
-reductions of ``homology``).  Over Z only +-1 lows are stored;
-``_column_reduce``, which serves ``invariant_factors`` and the reduction
-of boundary maps in ``homology``, sets the other columns aside and
-reduces them at every stored low at the end, and only what is left of
-them goes through the dense Smith normal form, which pivots on a minimal
-absolute value entry each round to keep coefficient growth tame.
-Boundary matrices almost never leave anything there.  No command needs
-the transforms of the Smith form, so none are kept.
+for Q and a prime below ``_PRIME_LIMIT`` for Z_p.  Sparse vectors are
+``{index: value}`` dicts.  One sparse core serves every ring: ``_add``
+reduces a vector at its low, its largest index (the column reduction by
+lowest row of persistent homology), and stores it, scaled to 1 at its low,
+in a table keyed by that low when the low is a unit.  Over Q and Z_p every
+nonzero low is a unit, so the stored vectors give the rank (``field_rank``,
+and the field reductions of ``homology``).  Over Z only +-1 lows are
+stored; ``_column_reduce``, which serves ``invariant_factors`` and the
+reduction of boundary maps in ``homology``, sets the other columns aside
+and reduces them at every stored low at the end, and only what is left of
+them goes through the dense Smith normal form ``_diagonalize``: plain
+Euclidean steps, each on a pivot of least absolute value.  Boundary
+matrices almost never leave anything there.  No command needs the
+transforms of the Smith form, so none are kept.
 """
 
 from __future__ import annotations
@@ -48,6 +48,26 @@ def _rational(i, j, x):
             " Q takes rational and finite float entries only"
         )
     return x
+
+
+# Miller-Rabin on the primes up to 41 is exact below this bound, the least
+# strong pseudoprime to all of them (Sorenson and Webster, 2017).
+_PRIME_LIMIT = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(p):
+    """Deterministic Miller-Rabin test, exact for p < _PRIME_LIMIT."""
+    if p < 2 or any(p % a == 0 for a in _BASES):
+        return p in _BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s, d odd
+    for a in _BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if x not in (1, p - 1) and all(
+            (x := x * x % p) != p - 1 for _ in range(s - 1)
+        ):
+            return False
+    return True
 
 
 class IntegerMatrix:
@@ -112,90 +132,48 @@ class IntegerMatrix:
         return f"IntegerMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _swap_rows(a, i, j):
-    a[i], a[j] = a[j], a[i]
-
-
-def _swap_cols(a, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
 def _diagonalize(a):
     """In-place Smith elimination of the dense rows ``a``, all of one
-    length; returns the diagonal, the invariant factors, as a tuple."""
+    length; returns the diagonal, the invariant factors, as a tuple.
+
+    Each round moves an entry of least absolute value in the block left,
+    the first in row-major order, to its top-left and clears the pivot's
+    row and column by floor quotients.  If a remainder is left, the round
+    runs again.  If the pivot fails to divide some row of the rest of the
+    block, that row is added to the pivot row and the round runs again.
+    Otherwise |pivot| is a factor and its row and column are dropped.  The
+    least nonzero |entry| drops within two rounds that finish no pivot: a
+    remainder is below the pivot, which was least, and a round after a
+    fold finds a smaller entry or takes the same pivot, first in row-major
+    order, which leaves a remainder in its row.
+    """
     m, n = len(a), len(a[0]) if a else 0
     t = 0
-    limit = min(m, n)
-    while t < limit:
-        # Pivot: minimal absolute value in the remaining block, scanned
-        # row-major so ties resolve to the lowest indices.
-        best = None
-        pi = pj = -1
-        for i in range(t, m):
-            row = a[i]
-            for j in range(t, n):
-                x = row[j]
-                if x and (best is None or -best < x < best):
-                    best = abs(x)
-                    pi, pj = i, j
-            if best == 1:
-                break
-        if best is None:
+    while t < min(m, n):
+        block = [(abs(x), i, j) for i in range(t, m) for j, x in enumerate(a[i]) if x]
+        if not block:
             break
-        if pi != t:
-            _swap_rows(a, t, pi)
-        if pj != t:
-            _swap_cols(a, t, pj)
-        while True:
-            # Re-seat the pivot on the smallest entry of its own cross.
-            bb = abs(a[t][t])
-            bi = bj = t
-            for i in range(t + 1, m):
-                x = a[i][t]
-                if x and abs(x) < bb:
-                    bb, bi, bj = abs(x), i, t
-            for j in range(t + 1, n):
-                x = a[t][j]
-                if x and abs(x) < bb:
-                    bb, bi, bj = abs(x), t, j
-            if bi != t:
-                _swap_rows(a, t, bi)
-            elif bj != t:
-                _swap_cols(a, t, bj)
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                x = a[i][t]
-                if x:
-                    q = x // p
-                    if q:
-                        a[i] = [y - q * z for y, z in zip(a[i], a[t])]
-                    if a[i][t]:
-                        dirty = True
-            for j in range(t + 1, n):
-                x = a[t][j]
-                if x:
-                    q = x // p
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        dirty = True
-            if not dirty:
-                break
-        # Divisibility sweep: fold a bad row into the pivot row and redo.
+        _, i, j = min(block)
+        a[t], a[i] = a[i], a[t]
+        for row in a[t:]:
+            row[t], row[j] = row[j], row[t]
         p = a[t][t]
         for i in range(t + 1, m):
-            row = a[i]
-            if any(row[j] % p for j in range(t + 1, n)):
-                a[t] = [y + z for y, z in zip(a[t], row)]
+            if q := a[i][t] // p:
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+        for j in range(t + 1, n):
+            if q := a[t][j] // p:
+                for row in a[t:]:
+                    row[j] -= q * row[t]
+        if any(a[i][t] for i in range(t + 1, m)) or any(a[t][t + 1 :]):
+            continue
+        for row in a[t + 1 :]:
+            if any(x % p for x in row):
+                a[t] = [x + y for x, y in zip(a[t], row)]
                 break
         else:
-            if p < 0:
-                a[t] = [-y for y in a[t]]
             t += 1
-    return tuple(a[i][i] for i in range(t))
+    return tuple(abs(a[i][i]) for i in range(t))
 
 
 def _subtract(col, f, stored, p):
@@ -291,10 +269,13 @@ def field_rank(rows, p=None):
 
     Over Q a float is read exactly, as the binary fraction it holds, and an
     entry that is neither rational nor a finite float is refused; Z_p takes
-    integer entries only.
+    integer entries only; ``p`` must be a prime below ``_PRIME_LIMIT``.
     """
-    if p is not None and p < 2:
-        raise InputError(f"Z_{p} is not a field")
+    if p is not None:
+        if isinstance(p, int) and p >= _PRIME_LIMIT:
+            raise InputError(f"prime fields need p < {_PRIME_LIMIT}")
+        if not (isinstance(p, int) and _is_prime(p)):
+            raise InputError(f"Z_{p} is not a field")
     vectors = []
     for i, row in enumerate(rows):
         if p is None:

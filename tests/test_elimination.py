@@ -1,10 +1,12 @@
 """Property tests of the sparse elimination core.
 
-The dense minimal-pivot Smith elimination ``_diagonalize`` and the dense
-row reduction ``dense_rref`` of ``oracles`` are the oracles: invariant
-factors and ranks are unique, so the sparse path must agree with them
-exactly.  One core, ``matrices._add``, reduces a vector at its low and
-stores it when the low is a unit, over Z (p=0), Q (None), Z_2 and Z_3; it
+The dense Smith elimination ``_diagonalize``, by Euclidean steps on a
+pivot of least absolute value, and the Smith form with transforms
+``smith_normal_form`` and dense row reduction ``dense_rref`` of
+``oracles`` are the oracles: invariant factors and ranks are unique, so
+the sparse path must agree with them exactly.  One core,
+``matrices._add``, reduces a vector at its low and stores it when the low
+is a unit, over Z (p=0), Q (None), Z_2 and Z_3; it
 is held to the tagged elimination of ``oracles``, which must store the
 same vector at the same low and leave the same residual: every stored
 vector is 1 at its low, the oracle's tag, checked there, writes it as a
@@ -42,7 +44,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dvrhom import (
@@ -140,8 +142,13 @@ def boundaries(k, sub):
 
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices())
+@example(IntegerMatrix.from_rows([[2, 0], [0, 3]]))  # (1, 6): row 1 is folded in
+@example(IntegerMatrix.from_rows([[-4]]))  # (4,)
+@example(IntegerMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))  # (2, 6, 12)
+@example(IntegerMatrix(2, 0))
+@example(IntegerMatrix(0, 3))
 def test_invariant_factors_match_dense_oracle(a):
-    assert invariant_factors(a) == dense_factors(a)
+    assert invariant_factors(a) == dense_factors(a) == smith_normal_form(a).d
 
 
 @settings(max_examples=300, deadline=None)
