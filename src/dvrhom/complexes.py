@@ -17,8 +17,8 @@ For symmetric digraphs the construction degenerates to the clique complex.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from itertools import combinations
 
 from .digraph import InputError, _iter_bits, induced_subgraph, minimal_neighborhood
@@ -245,14 +245,14 @@ def check_cone(g, x):
     return all(tuple(sorted(set(s) | {apex})) in k for s in k.simplices())
 
 
-@dataclass(frozen=True)
-class SimplicialMapReport:
-    """Image data of a vertex map applied simplexwise."""
+SimplicialMapReport = namedtuple(
+    "SimplicialMapReport", "vertex_map entries degenerate all_images_present"
+)
+SimplicialMapReport.__doc__ = """Image data of a vertex map applied simplexwise.
 
-    vertex_map: tuple
-    entries: tuple  # pairs (source simplex, image simplex)
-    degenerate: tuple  # source simplices whose image drops dimension
-    all_images_present: bool
+``entries`` pairs each source simplex with its image simplex, and
+``degenerate`` lists the source simplices whose image drops dimension.
+"""
 
 
 def map_complex(f, source, target):

@@ -16,15 +16,14 @@ relative to the carrier given.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, repeat
 
 from .digraph import InputError
 
 
-@dataclass(frozen=True)
-class RealizationPoint:
+class RealizationPoint(namedtuple("RealizationPoint", "witness coords")):
     """A point of one realized simplex, in barycentric coordinates.
 
     ``witness`` is the carrier simplex's witness ordering; ``coords[i]`` is
@@ -32,14 +31,11 @@ class RealizationPoint:
     sum to one.
     """
 
-    witness: tuple
-    coords: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        witness = tuple(self.witness)
-        coords = tuple(Fraction(c) for c in self.coords)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "coords", coords)
+    def __new__(cls, witness, coords):
+        witness = tuple(witness)
+        coords = tuple(map(Fraction, coords))
         if len(witness) != len(set(witness)):
             raise InputError("carrier witness repeats a vertex")
         if len(coords) != len(witness):
@@ -50,6 +46,12 @@ class RealizationPoint:
             raise InputError("barycentric coordinates must be nonnegative")
         if sum(coords) != 1:
             raise InputError("barycentric coordinates must sum to 1")
+        return super().__new__(cls, witness, coords)
+
+    @classmethod
+    def _make(cls, iterable):
+        # The inherited _make, which _replace calls, would skip the checks.
+        return cls(*iterable)
 
 
 def point_in(k, verts, coords):
@@ -104,12 +106,10 @@ def carrier_point(k, p):
     return RealizationPoint(w, tuple(support[v] for v in w))
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    passed: bool
-    simplices: int
-    checks: int
-    counterexample: tuple | None  # (simplex, tie subset, vertex, target)
+# counterexample: None, or (simplex, tie subset, vertex, target)
+CertificateReport = namedtuple(
+    "CertificateReport", "passed simplices checks counterexample"
+)
 
 
 def continuity_certificate(k, g):
@@ -157,22 +157,17 @@ def _first_failure(g, s, w, count, checks):
     raise AssertionError("unreachable: a failing witness prefix has a failing pair")
 
 
-@dataclass(frozen=True)
-class SampleFailure:
-    index: int
-    carrier: tuple
-    base_value: int
-    perturbed_value: int
-    pass_delta: Fraction | None  # first halved radius at which the check passes
+# pass_delta: the first halved radius at which the check passes, or None
+SampleFailure = namedtuple(
+    "SampleFailure", "index carrier base_value perturbed_value pass_delta"
+)
 
 
-@dataclass(frozen=True)
-class SampleReport:
-    samples: int
-    delta: Fraction
-    seed: int
-    checked: int
-    failures: tuple
+class SampleReport(namedtuple("SampleReport", "samples delta seed checked failures")):
+    """Outcome of ``sampled_continuity_check``: ``failures`` holds a
+    ``SampleFailure`` for each of the ``checked`` samples that failed."""
+
+    __slots__ = ()
 
     @property
     def failure_count(self):

@@ -23,20 +23,19 @@ the relative groups that the check holds those ranks to.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .digraph import InputError
 from .matrices import IntegerMatrix, _column_reduce, _diagonalize, invariant_factors
-from .matrices import _PRIME_LIMIT, _is_prime
+from .matrices import _PRIME_LIMIT, _is_prime  # importable from here too
+from .matrices import _check_prime
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(namedtuple("HomologyGroup", "betti torsion", defaults=((),))):
     """Free rank plus ordered torsion coefficients of one degree."""
 
-    betti: int
-    torsion: tuple = ()
+    __slots__ = ()
 
     def is_zero(self):
         return self.betti == 0 and not self.torsion
@@ -51,17 +50,31 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass
 class HomologyResult:
     """Homology groups per degree, with bookkeeping flags.
 
     ``truncated`` marks results computed from a dimension-capped complex,
     whose top degree may be missing boundaries and is therefore unreliable.
+    A plain class, not a tuple: iterating, indexing and ``len`` walk the groups.
     """
 
-    groups: list
-    reduced: bool = False
-    truncated: bool = False
+    def __init__(self, groups, reduced=False, truncated=False):
+        self.groups = groups
+        self.reduced = reduced
+        self.truncated = truncated
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.groups, self.reduced, self.truncated) == (
+            other.groups, other.reduced, other.truncated
+        )
+
+    def __repr__(self):
+        return (
+            f"HomologyResult(groups={self.groups!r}, reduced={self.reduced!r}, "
+            f"truncated={self.truncated!r})"
+        )
 
     def __iter__(self):
         return iter(self.groups)
@@ -82,13 +95,7 @@ def _parse_field(spec):
         if spec.lower() == "q":
             return None
         raise InputError(f"unknown coefficient field {spec!r}")
-    if not isinstance(spec, int):
-        raise InputError(f"coefficient field {spec!r} is not an integer")
-    if spec >= _PRIME_LIMIT:
-        raise InputError(f"prime fields need p < {_PRIME_LIMIT}")
-    if not _is_prime(spec):
-        raise InputError(f"{spec} is not prime")
-    return spec
+    return _check_prime(spec)
 
 
 def _boundary_builder(levels, n, below=()):
@@ -279,20 +286,8 @@ def relative_homology(k, sub):
 # Long exact sequence of a pair, verified over a field.
 
 
-@dataclass(frozen=True)
-class NodeReport:
-    name: str
-    dim: int
-    rank_in: int
-    rank_out: int
-    exact: bool
-
-
-@dataclass
-class ExactnessReport:
-    field: str
-    nodes: list
-    exact: bool
+NodeReport = namedtuple("NodeReport", "name dim rank_in rank_out exact")
+ExactnessReport = namedtuple("ExactnessReport", "field nodes exact")
 
 
 def les_exactness_check(k, sub, field_spec):
@@ -347,16 +342,12 @@ def les_exactness_check(k, sub, field_spec):
 # Fundamental group of the 2-skeleton via a spanning tree.
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """Group presentation: generator symbols plus relator words.
+Presentation = namedtuple("Presentation", "generators relators")
+Presentation.__doc__ = """Group presentation: generator symbols plus relator words.
 
-    A word is a tuple of nonzero integers; letter g > 0 stands for
-    ``generators[g-1]`` and -g for its inverse.
-    """
-
-    generators: tuple
-    relators: tuple
+A word is a tuple of nonzero integers; letter g > 0 stands for
+``generators[g-1]`` and -g for its inverse.
+"""
 
 
 def _cyclic_reduce(word):

@@ -70,6 +70,17 @@ def _is_prime(p):
     return True
 
 
+def _check_prime(p):
+    """``p`` if it is a prime below ``_PRIME_LIMIT``; anything else is refused."""
+    if not isinstance(p, int):
+        raise InputError(f"coefficient field {p!r} is not an integer")
+    if p >= _PRIME_LIMIT:
+        raise InputError(f"prime fields need p < {_PRIME_LIMIT}")
+    if not _is_prime(p):
+        raise InputError(f"{p} is not prime")
+    return p
+
+
 class IntegerMatrix:
     """Sparse integer matrix: a map (row, col) -> nonzero integer."""
 
@@ -150,10 +161,16 @@ def _diagonalize(a):
     m, n = len(a), len(a[0]) if a else 0
     t = 0
     while t < min(m, n):
-        block = [(abs(x), i, j) for i in range(t, m) for j, x in enumerate(a[i]) if x]
-        if not block:
+        v = 0  # the least nonzero |entry|, first reached in row i
+        for r in range(t, m):
+            x = min(map(abs, filter(None, a[r])), default=0)
+            if x and (not v or x < v):
+                v, i = x, r
+                if v == 1:
+                    break
+        if not v:
             break
-        _, i, j = min(block)
+        j = [*map(abs, a[i])].index(v)
         a[t], a[i] = a[i], a[t]
         for row in a[t:]:
             row[t], row[j] = row[j], row[t]
@@ -272,10 +289,7 @@ def field_rank(rows, p=None):
     integer entries only; ``p`` must be a prime below ``_PRIME_LIMIT``.
     """
     if p is not None:
-        if isinstance(p, int) and p >= _PRIME_LIMIT:
-            raise InputError(f"prime fields need p < {_PRIME_LIMIT}")
-        if not (isinstance(p, int) and _is_prime(p)):
-            raise InputError(f"Z_{p} is not a field")
+        _check_prime(p)
     vectors = []
     for i, row in enumerate(rows):
         if p is None:

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -139,7 +138,7 @@ def test_les_nodes_are_the_node_reports_as_dicts():
     k = build_complex(parse_digraph(gen_text))
     nodes = les_exactness_check(k, restrict_to(k, (0, 2, 5)), "q").nodes
     assert len(nodes) > 1
-    assert report["nodes"] == [dataclasses.asdict(node) for node in nodes]
+    assert report["nodes"] == [node._asdict() for node in nodes]
 
 
 # A = {} for three digraphs, over Q, Z_2 and Z_1000003: the sha256 of each
@@ -185,7 +184,7 @@ def test_les_check_with_an_empty_subset_matches_the_chain_oracle(gen, coeff, dig
     k = build_complex(parse_digraph(gen_text))
     p = {"q": None, "zp:2": 2, "zp:1000003": 1000003}[coeff]
     nodes = les_chain_oracle(k.by_dimension, [set() for _ in k.by_dimension], p)
-    assert report["nodes"] == [dataclasses.asdict(node) for node in nodes]
+    assert report["nodes"] == [node._asdict() for node in nodes]
 
 
 _SHELL_3 = ";".join(
