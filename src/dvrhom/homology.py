@@ -11,24 +11,23 @@ Z_p: the column reduction by lowest face of ``matrices`` takes the columns
 of each map, less those cleared by the map above, and its lows clear the
 map below.  Only Z may leave columns with a non-unit low for a dense Smith
 form.  A column that would be stored unreduced, an apparent pair (Bauer
-2021), is stored unbuilt until it is read, which leaves every stored vector
-and so every report as it was.  The long exact sequence check orders
-each level of X with A's simplices first, which makes A in X a filtration,
-and reads every rank of the sequence off the lows of one reduction of it
-over the field, ``_filtered_ranks``: the same core, clearing and apparent
-pairs.  A second reduction, ``_reduce`` of X/A, gives the dimensions of
+2021), is stored as its bare simplex and built in place when first read,
+which leaves every stored vector and so every report as it was.  The long
+exact sequence check orders each level of X with A's simplices first,
+which makes A in X a filtration, and reads every rank of the sequence off
+the lows of one reduction of it over the field, ``_filtered_ranks``: the
+same core, clearing and apparent pairs.  A second reduction, ``_reduce`` of X/A, gives the dimensions of
 the relative groups that the check holds those ranks to.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import combinations
 
 from .digraph import InputError
 from .matrices import IntegerMatrix, _column_reduce, _diagonalize, invariant_factors
-from .matrices import _PRIME_LIMIT, _is_prime  # importable from here too
 from .matrices import _check_prime
 
 
@@ -135,35 +134,21 @@ def boundary_matrix(k, n):
     return mat
 
 
-class _Boundary:
-    """The column of ``simplex``, built by ``column`` when it is first read:
-    the reduction reads a stored vector only by ``items()``."""
-
-    __slots__ = ("simplex", "column", "built")
-
-    def __init__(self, simplex, column):
-        self.simplex, self.column, self.built = simplex, column, None
-
-    def items(self):
-        if self.built is None:
-            self.built = self.column(self.simplex)
-        return self.built.items()
-
-
 def _columns(simplices, pos, column, skip, blocked, table):
     """The columns of the ``(position, simplex)`` pairs ``simplices`` whose
     position is not in ``skip``, in order, built by ``column`` with the face
     positions ``pos`` of ``_boundary_builder``, for ``_column_reduce`` to
     store into ``table``.  The low of the boundary of s is taken to be s[1:]
     unless ``blocked`` holds it; if no stored column has that low, s is an
-    apparent pair, stored there unbuilt."""
+    apparent pair, stored there as the bare tuple s, for ``_column_reduce``
+    to build with ``column`` when it first reads it."""
     for j, s in simplices:
         if j not in skip:
             low = pos[s[1:]]
             if low in table or low in blocked:
                 yield column(s)
             else:
-                table[low] = _Boundary(s, column)
+                table[low] = s
 
 
 def _reduce(levels, in_a, p):
@@ -183,9 +168,10 @@ def _reduce(levels, in_a, p):
     Apparent pairs (Bauer 2021): positions are lexicographic, so the low of
     the boundary of s is s[1:], with entry +1.  If no stored column has that
     low and A does not hold it, ``_add`` would store the column unchanged,
-    so ``_columns`` stores it unbuilt, a ``_Boundary``, which is built when
-    a later column reads it.  Stored vectors, lows, cleared columns and the
-    core are those of the map built whole; so are the ranks and torsion.
+    so ``_columns`` stores it as its simplex, which ``_column_reduce``
+    builds in place when it first reads it.  Stored vectors, lows, cleared
+    columns and the core are those of the map built whole; so are the ranks
+    and torsion.
     """
     top = len(levels) - 1
     ranks, torsion = [0] * (top + 2), [()] * (top + 2)
@@ -195,7 +181,7 @@ def _reduce(levels, in_a, p):
         pos, column = _boundary_builder(levels, n, below)
         simplices = enumerate(levels[n])
         columns = _columns(simplices, pos, column, cleared | in_a[n], below, table)
-        lows, core = _column_reduce(columns, p, table)
+        lows, core = _column_reduce(columns, p, table, column)
         cleared = set(lows)
         d = _diagonalize(core)
         ranks[n] = len(lows) + len(d)
@@ -218,7 +204,8 @@ def _filtered_ranks(levels, first, p):
     of degree n (the table's size after K's columns), the rank of L's (its
     size at the end), and the number of lows of degree n + 1 that are K's.
     The low of the boundary of s is s[1:] when s is K's, or when s[1:] is
-    not; then, as in ``_reduce``, it is stored unbuilt if the low is free.
+    not; then, as in ``_reduce``, it is stored as its simplex if the low is
+    free, and either call may build it.
     """
     top = len(levels) - 1
     rank_k, rank_l, lows_in_k = ([0] * (top + 2) for _ in range(3))
@@ -227,10 +214,10 @@ def _filtered_ranks(levels, first, p):
         table, level, cut, faces_of_k = {}, levels[n], first[n], range(first[n - 1])
         pos, column = _boundary_builder(levels, n)
         own = _columns(enumerate(level[:cut]), pos, column, cleared, (), table)
-        rank_k[n] = len(_column_reduce(own, p, table)[0])
+        rank_k[n] = len(_column_reduce(own, p, table, column)[0])
         rest = enumerate(level[cut:], cut)
         columns = _columns(rest, pos, column, cleared, faces_of_k, table)
-        lows, _ = _column_reduce(columns, p, table)
+        lows, _ = _column_reduce(columns, p, table, column)
         rank_l[n] = len(lows)
         lows_in_k[n - 1] = sum(low in faces_of_k for low in lows)
         cleared = set(lows)
@@ -380,17 +367,14 @@ def pi1_presentation(k, basepoint):
     come out sorted, and every edge of a triangle a < b < c runs upward: its
     relator is gen[a, b] gen[b, c] gen[a, c]^-1, from one table that maps
     tree edges to 0, with the zeros dropped.  Its letters are distinct
-    generators, so it is cyclically reduced as it stands.  Elementary Tietze
-    moves (drop trivial relators, eliminate generators occurring once in
-    some relator) are applied to a fixed point.  Each move solves the first
-    relator, in order, that holds a generator occurring once, for the
-    smallest such generator, and substitutes it everywhere.  A move rewrites
-    only the relators that contain the eliminated generator g.  When the
-    solved relator is the one letter g^+-1, a kill, it deletes +-g from them
-    and reduces again only a word left with two or more letters.  A relator
-    waits in the queue of relators to scan at most once, and generators are
-    renumbered once at the end.  A complex capped below dimension 2 lacks
-    relators, and is refused.
+    generators, so it is cyclically reduced as it stands and goes straight
+    to ``_tietze_moves``.  Elementary Tietze moves (drop trivial relators,
+    eliminate generators occurring once in some relator) are applied to a
+    fixed point.  Each move solves the first relator, in order, that holds a
+    generator occurring once, for the smallest such generator, and
+    substitutes it everywhere; in a word of distinct letters, as a triangle
+    word is until rewritten, that is its least |letter|.  A complex capped
+    below dimension 2 lacks relators, and is refused.
     """
     if not k.by_dimension:
         raise InputError("fundamental group needs a nonempty complex")
@@ -432,21 +416,28 @@ def pi1_presentation(k, basepoint):
         [x for x in (gen[a, b], gen[b, c], -gen[a, c]) if x] for a, b, c in triangles
     ]
     symbols = [f"g{u}_{v}" for u, v in gen_edges]
-    symbols, relators = _tietze_reduce(symbols, relators)
+    symbols, relators = _tietze_moves(symbols, relators)
     return Presentation(tuple(symbols), tuple(tuple(w) for w in relators))
 
 
 def _tietze_reduce(symbols, relators):
-    # Generator ids stay fixed until the end, and each relator is indexed by
-    # the generators it contains, so a move rewrites only the relators that
-    # hold the eliminated generator.  The moves are those of a full rescan
-    # from the first relator: a relator scanned without a singleton can only
-    # gain one by being rewritten, and then it is queued again; it waits in
-    # the heap at most once.  A one-letter relator g^+-1 kills g at the cost
-    # of deleting +-g from each holder of g.  Only a word left with two or
-    # more letters is reduced again (the rest of the word was reduced), and
-    # the other generators' holders change only where that cancelled letters.
-    words = [w if len(w) < 2 else _cyclic_reduce(w) for w in relators]
+    """``_tietze_moves`` on arbitrary words, each cyclically reduced first."""
+    return _tietze_moves(symbols, [*map(_cyclic_reduce, relators)])
+
+
+def _tietze_moves(symbols, words):
+    # The words are cyclically reduced; the caller's lists are left as they
+    # are.  Generator ids stay fixed until the end, and each relator is
+    # indexed by the generators it contains, so a move rewrites only the
+    # relators that hold the eliminated generator.  The moves are those of a
+    # full rescan from the first relator: a relator scanned without a
+    # singleton can only gain one by being rewritten, and then it is queued
+    # again; it waits in the heap at most once.  A one-letter relator g^+-1
+    # kills g at the cost of deleting +-g from each holder of g.  Only a word
+    # left with two or more letters is reduced again (the rest of the word
+    # was reduced), and the other generators' holders change only where that
+    # cancelled letters.
+    words = list(words)
     holders = [set() for _ in range(len(symbols) + 1)]  # None once eliminated
     for ri, word in enumerate(words):
         for x in word:
@@ -457,6 +448,8 @@ def _tietze_reduce(symbols, relators):
         ri = heapq.heappop(queue)
         queued.remove(ri)
         word = words[ri]
+        if not word:  # emptied while it waited
+            continue
         if len(word) == 1:
             g = abs(word[0])
             words[ri] = ()
@@ -482,14 +475,14 @@ def _tietze_reduce(symbols, relators):
                     queued.add(rj)
                     heapq.heappush(queue, rj)
             continue
-        counts = {}
-        for x in word:
-            counts[abs(x)] = counts.get(abs(x), 0) + 1
-        singles = [h for h, c in counts.items() if c == 1]
-        if not singles:
-            continue
+        letters = [*map(abs, word)]
+        distinct = singles = set(letters)  # all singletons unless one repeats
+        if len(distinct) < len(word):
+            singles = [h for h, c in Counter(letters).items() if c == 1]
+            if not singles:
+                continue
         g = min(singles)
-        pos = next(i for i, x in enumerate(word) if abs(x) == g)
+        pos = letters.index(g)
         word = word[pos:] + word[:pos]
         if word[0] == g:
             # g . tail == 1, so g = inverse(tail)
@@ -499,7 +492,7 @@ def _tietze_reduce(symbols, relators):
             replacement = word[1:]
         inverse = _invert(replacement)
         words[ri] = ()
-        for h in counts:
+        for h in distinct:
             holders[h].discard(ri)
         hold = holders[g]
         holders[g] = None

@@ -205,21 +205,25 @@ def _subtract(col, f, stored, p):
             del col[i]
 
 
-def _add(col, table, p):
+def _add(col, table, p, build=None):
     """Reduce ``col`` in place at its low, its largest index, while
     ``table`` holds a vector there, and store the residual there if its low
     is a unit: +-1 over Z (p=0), any entry over Q (None) or Z_p.
 
     ``table`` maps lows to stored vectors, each 1 at its low; ``col``
     subtracts the one at its low times its own entry there, and holds no
-    entry that is 0 (mod p).  The residual is stored scaled to 1 at its low.
-    Returns whether it was stored; ``col`` keeps the residual.
+    entry that is 0 (mod p).  A stored tuple is a pending vector: ``build``
+    of it, which replaces it in ``table`` when first read.  The residual is
+    stored scaled to 1 at its low.  Returns whether it was stored; ``col``
+    keeps the residual.
     """
     while col:
         low = max(col)
         stored = table.get(low)
         if stored is None:
             break
+        if type(stored) is tuple:
+            stored = table[low] = build(stored)
         _subtract(col, col[low], stored, p)
     if not col:
         return False
@@ -241,33 +245,35 @@ def _add(col, table, p):
     return True
 
 
-def _column_reduce(columns, p, table=None):
+def _column_reduce(columns, p, table=None, build=None):
     """Reduce sparse columns by their lows with ``_add``; returns (lows, core).
 
     ``columns`` is an iterable of ``{row: value}`` dicts with no entry that
     is 0 (mod p), and is used up; they are taken in its order, and ``lows``
     lists the lows of the stored ones in ``table`` (empty by default).  A
     generator may store a column into ``table`` itself, between two reads,
-    as ``_add`` would store it: unchanged, 1 at a free low; a stored vector
-    is read only by ``items()``.  Over Z (p=0) a column left with a
-    non-unit low is set aside, and at the end reduced at every row that is
-    a low, largest first.  ``core`` is what is left, one dense row per
-    nonzero set-aside column, on the rows that are not lows; a later column
-    may have taken its low, so it may hold units.  The moves are unimodular
-    column operations, and the stored columns are unitriangular on the rows
-    ``lows``, where the core is zero: the invariant factors are
-    ``(1,) * len(lows)`` and the core's, the rank over any field is
-    ``len(lows)`` plus the core's, and the rows ``lows`` alone have
-    invariant factors all 1.  Over Q and Z_p every low is a unit, so the
-    core is empty and ``len(lows)`` is the rank.
+    as ``_add`` would store it: unchanged, 1 at a free low, or pending, as
+    a tuple t whose column ``build(t)`` is built in place when first read.
+    Over Z (p=0) a column left with a non-unit low is set aside, and at the
+    end reduced at every row that is a low, largest first.  ``core`` is
+    what is left, one dense row per nonzero set-aside column, on the rows
+    that are not lows; a later column may have taken its low, so it may
+    hold units.  The moves are unimodular column operations, and the
+    stored columns are unitriangular on the rows ``lows``, where the core
+    is zero: the invariant factors are ``(1,) * len(lows)`` and the core's,
+    the rank over any field is ``len(lows)`` plus the core's, and the rows
+    ``lows`` alone have invariant factors all 1.  Over Q and Z_p every low
+    is a unit, so the core is empty and ``len(lows)`` is the rank.
     """
     table, aside = {} if table is None else table, []
     for col in columns:
-        if not _add(col, table, p) and col:
+        if not _add(col, table, p, build) and col:
             aside.append(col)
     for col in aside:
         while (low := max((i for i in col if i in table), default=None)) is not None:
-            _subtract(col, col[low], table[low], 0)
+            if type(stored := table[low]) is tuple:
+                stored = table[low] = build(stored)
+            _subtract(col, col[low], stored, 0)
     rows = sorted({i for col in aside for i in col})
     return list(table), [[col.get(i, 0) for i in rows] for col in aside if col]
 

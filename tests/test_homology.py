@@ -28,7 +28,7 @@ from dvrhom import (
     relative_homology,
     restrict_to,
 )
-from dvrhom import homology
+from dvrhom import homology, matrices
 from oracles import (
     edge_path_oracle,
     euler_characteristic,
@@ -179,24 +179,24 @@ def test_prime_fields_are_checked_exactly():
     # Trial division is the oracle below 20000.
     for n in range(-3, 20000):
         trial = n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
-        assert homology._is_prime(n) == trial
+        assert matrices._is_prime(n) == trial
     # Strong pseudoprimes to every base up to 31 and up to 37, and others.
     # The limit, 1287836182261 * 2575672364521, fools every base up to 41,
     # so homology_field rejects it for its size.
     for n in (3825123056546413051, 399165290221 * 798330580441,
               2**61 + 1, 561, 3215031751):
-        assert not homology._is_prime(n)
+        assert not matrices._is_prime(n)
     # Primes near 2^61, 2^64, 10^18 and 10^24 (also passed by 64 random
     # Miller-Rabin bases).
     for p in (2**61 - 1, 2**64 - 59, 10**18 + 3, 10**18 + 9, 10**24 + 7):
-        assert homology._is_prime(p)
+        assert matrices._is_prime(p)
 
 
 def test_prime_field_limits_and_non_integers():
     k = build_complex(circulant(6, 2))
     assert homology_field(k, 2**61 - 1) == [1, 0, 1]
     assert homology_field(k, 10**24 + 7) == [1, 0, 1]
-    for spec in (10**400, homology._PRIME_LIMIT, 2**89 - 1, 2.5, 3.0, "3", None):
+    for spec in (10**400, matrices._PRIME_LIMIT, 2**89 - 1, 2.5, 3.0, "3", None):
         with pytest.raises(InputError):
             homology_field(k, spec)
     with pytest.raises(InputError, match="not an integer"):
@@ -486,18 +486,23 @@ def test_tietze_reduce_matches_oracle_on_random_relators(ngen, relators):
 )
 def test_tietze_reduce_matches_oracle_on_complex_relators(g):
     calls = []
-    real = homology._tietze_reduce
+    real = homology._tietze_moves
 
     def record(symbols, relators):
         calls.append((list(symbols), [list(w) for w in relators]))
         return real(symbols, relators)
 
-    with mock.patch.object(homology, "_tietze_reduce", record):
+    with mock.patch.object(homology, "_tietze_moves", record):
         try:
             pi1_presentation(build_complex(g), 0)
         except InputError:
             return  # disconnected
     ((symbols, relators),) = calls
+    # pi1 skips the cyclic reduction of _tietze_reduce: every triangle word
+    # has distinct generators, so it is its own cyclic reduction.
+    for word in relators:
+        assert len({abs(x) for x in word}) == len(word)
+        assert homology._cyclic_reduce(word) == word
     assert real(symbols, relators) == tietze_oracle(symbols, relators)
 
 
@@ -507,7 +512,7 @@ def test_edge_path_relators_match_oracle(g, last):
     # The generators and triangle words handed to the Tietze moves are those
     # read off a breadth-first tree and the triangles by definition.
     calls = []
-    real = homology._tietze_reduce
+    real = homology._tietze_moves
 
     def record(symbols, relators):
         calls.append((list(symbols), [list(w) for w in relators]))
@@ -515,12 +520,32 @@ def test_edge_path_relators_match_oracle(g, last):
 
     k = build_complex(g)
     basepoint = g.n - 1 if last else 0
-    with mock.patch.object(homology, "_tietze_reduce", record):
+    with mock.patch.object(homology, "_tietze_moves", record):
         try:
             pi1_presentation(k, basepoint)
         except InputError:
             return  # disconnected
     assert calls == [edge_path_oracle(k, basepoint)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.lists(words, max_size=7))
+@example(3, [[1], [2], [3, 1, 2]])  # the last word is rewritten twice
+@example(2, [[1, 2], [-1, 2, 2]])  # a substitution rewrites the second word
+def test_tietze_moves_leave_the_callers_lists_alone(ngen, relators):
+    symbols = [f"s{i}" for i in range(ngen)]
+    relators = [[x for x in w if abs(x) <= ngen] for w in relators]
+    reduced = [homology._cyclic_reduce(w) for w in relators]
+    for moves, words in (
+        (homology._tietze_reduce, relators),
+        (homology._tietze_moves, reduced),
+    ):
+        before = [list(w) for w in words]
+        symbols_before = list(symbols)
+        result = moves(symbols, words)
+        assert words == before and symbols == symbols_before
+        # A second call on the same lists gives the same answer.
+        assert moves(symbols, words) == result == tietze_oracle(symbols, relators)
 
 
 def test_invariant_factors_match_full_snf():
