@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
-from itertools import combinations
+from itertools import chain, combinations, groupby, repeat
 
 from .digraph import InputError, _iter_bits, induced_subgraph, minimal_neighborhood
 
@@ -49,37 +49,46 @@ class SimplicialComplex:
         Witnesses default to the sorted vertex tuple (the natural reading for
         complexes without an ambient digraph).
         """
-        by_size = {}
-        for f in faces:
-            f = tuple(sorted(set(f)))
-            by_size.setdefault(len(f), set()).add(f)
+        faces = sorted(map(tuple, map(sorted, map(set, faces))), key=len)
+        by_size = {size: dict.fromkeys(level) for size, level in groupby(faces, len)}
         return cls.from_faces_by_size(by_size, witnesses)
 
     @classmethod
     def from_faces_by_size(cls, by_size, witnesses=None):
         """``from_simplices`` of faces already grouped: ``by_size[k]`` is a
-        set of sorted k-vertex tuples, and is filled in place.
+        dict keyed by sorted k-vertex tuples, and is filled in place.
 
-        The closure runs top down: each simplex adds only its facets to the
-        level below, whose own simplices then add theirs.
+        The closure runs top down: each level adds the facets of all its
+        simplices to the level below in one update, and that level then adds
+        its own.  A dict keeps the given faces first, in the order given, so
+        a closed and sorted input sorts again in linear time.  The witnesses
+        are checked in bulk, their faces by membership and their orderings
+        by comparing the list of their sorted tuples with the faces; only a
+        failing table is walked, in the order given, to name its first
+        witness that is missing or not an ordering.
         """
         if 0 in by_size:
             raise InputError("simplices must be nonempty")
         top = max(by_size, default=0)
         for k in range(top, 1, -1):
-            below = by_size.setdefault(k - 1, set())
-            for s in by_size[k]:
-                below.update(combinations(s, k - 1))
+            below = by_size.setdefault(k - 1, {})
+            below |= dict.fromkeys(
+                chain.from_iterable(map(combinations, by_size[k], repeat(k - 1)))
+            )
         by_dim = [sorted(by_size[k]) for k in range(1, top + 1)]
-        witness = {s: s for level in by_dim for s in level}
+        witness = dict(zip(chain.from_iterable(by_dim), chain.from_iterable(by_dim)))
         if witnesses:
-            for s, w in witnesses.items():
-                s = tuple(s)
-                if s not in witness:
-                    raise InputError(f"witness given for missing simplex {s}")
-                if tuple(sorted(w)) != s:
-                    raise InputError(f"witness {w} is not an ordering of {s}")
-                witness[s] = tuple(w)
+            faces = list(map(tuple, witnesses))
+            orders = list(map(tuple, witnesses.values()))
+            if not all(map(witness.__contains__, faces)) or faces != list(
+                map(tuple, map(sorted, orders))
+            ):
+                for s, w in zip(faces, witnesses.values()):
+                    if s not in witness:
+                        raise InputError(f"witness given for missing simplex {s}")
+                    if tuple(sorted(w)) != s:
+                        raise InputError(f"witness {w} is not an ordering of {s}")
+            witness.update(zip(faces, orders))
         return cls(by_dim, witness)
 
     def simplices(self):

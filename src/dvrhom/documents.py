@@ -8,12 +8,12 @@ bulk, by the set of the types of their items (and of the edges' lengths
 and entries), and its edges resolved by one label lookup per entry.  Only
 a document with an int or float entry, or an unknown label, has its edges
 walked again by ``_resolve``, one entry at a time, which resolves such an
-entry or raises the error it is due.  A complex document is read in one pass
-over ``simplices`` (``_read_simplices``): it checks each item (its
-``verts`` may not repeat a vertex), sorts its vertices once, groups the
-faces by size and collects the witnesses; then
-``SimplicialComplex.from_faces_by_size`` closes the faces and checks the
-witnesses, as it does for ``from_simplices``.
+entry or raises the error it is due.  A complex document's ``simplices``
+are read in bulk too (``_read_simplices``): their shapes by type sets, a
+repeated vertex by set lengths, the witnesses by one dict; only a list that
+fails is walked item by item, to raise or name its first error.  Then
+``SimplicialComplex.from_faces_by_size`` closes the faces a level at a time
+and checks the witnesses in bulk, as it does for ``from_simplices``.
 
 Every report, error reports included, is written by ``_dumps``: the text
 ``json.dumps`` gives with sorted keys and a two-space indent, made without
@@ -43,7 +43,7 @@ import hashlib
 import json
 import operator
 import sys
-from itertools import chain
+from itertools import chain, compress, groupby, repeat
 from json.encoder import encode_basestring_ascii
 
 from .complexes import SimplicialComplex, f_vector
@@ -197,6 +197,7 @@ def _digraph_doc(g):
 
 _LABEL = frozenset({str, int, float})  # so no bool either
 _LIST = frozenset({list})
+_DICT = frozenset({dict})
 _PAIR = frozenset({2})
 
 
@@ -255,30 +256,48 @@ def _read_document(text):
 
 
 def _read_simplices(items):
-    """Check a ``simplices`` list and read it in one pass.
+    """Check a ``simplices`` list and read it in bulk.
 
-    Returns the sorted ``verts`` tuples grouped by size (a set per size),
-    the witness tuple of every item that has one (keyed by its sorted
-    ``verts``), and the first sorted ``verts`` given two different
-    witnesses, or None.  A shape error or a repeated vertex is raised at
-    once; a witness clash is left to the caller, which reports it after the
-    other checks.
+    Returns the sorted ``verts`` tuples grouped by size (a dict per size,
+    used as an ordered set), the witness tuple of every item that has one
+    (keyed by its sorted ``verts``), and None or the first face given two
+    different witnesses, which the caller reports after its other checks.
+    Shapes are checked by the type sets of the items, their ``verts`` and
+    witnesses and those lists' entries; a repeated vertex by the lists'
+    lengths against their sets'; a clash by reading every witness back from
+    the witness dict.  Only a list failing one of these (or the empty list,
+    in no steps) is walked item by item, to raise its first shape error or
+    repeated vertex, or return its first clash with no faces.
     """
     if type(items) is not list:
         raise InputError(_BAD_SIMPLICES)
-    by_size, witnesses, clash = {}, {}, None
+    if items and _DICT.issuperset(map(type, items)):
+        verts = list(map(dict.get, items, repeat("verts")))
+        has = list(map(dict.__contains__, items, repeat("witness")))
+        orders = list(map(operator.itemgetter("witness"), compress(items, has)))
+        if (
+            _LIST.issuperset(map(type, chain(verts, orders)))
+            and _INT.issuperset(map(type, chain.from_iterable(chain(verts, orders))))
+            and list(map(len, map(set, verts))) == list(map(len, verts))
+        ):
+            faces = list(map(tuple, map(sorted, verts)))
+            witnessed = list(compress(faces, has))
+            orders = list(map(tuple, orders))
+            witnesses = dict(zip(witnessed, orders))
+            if len(witnesses) == len(orders) or (
+                list(map(witnesses.__getitem__, witnessed)) == orders
+            ):
+                faces.sort(key=len)
+                by_size = {size: dict.fromkeys(level) for size, level in groupby(faces, len)}
+                return by_size, witnesses, None
+    witnesses, clash = {}, None
     for i, item in enumerate(items):
         verts = item.get("verts") if type(item) is dict else None
         if type(verts) is not list or not _INT.issuperset(map(type, verts)):
             raise InputError(_BAD_SIMPLICES)
         face = tuple(sorted(verts))
-        size = len(face)
-        if len(set(face)) != size:
+        if len(set(face)) != len(face):
             raise InputError(f"'simplices' item {i} repeats a vertex: {verts}")
-        faces = by_size.get(size)
-        if faces is None:
-            faces = by_size[size] = set()
-        faces.add(face)
         if "witness" in item:
             witness = item["witness"]
             if type(witness) is not list or not _INT.issuperset(map(type, witness)):
@@ -286,7 +305,7 @@ def _read_simplices(items):
             witness = tuple(witness)
             if witnesses.setdefault(face, witness) != witness and clash is None:
                 clash = face
-    return by_size, witnesses, clash
+    return {}, witnesses, clash
 
 
 def _digraph_from_doc(vertices, pairs):

@@ -180,16 +180,6 @@ class SampleReport(namedtuple("SampleReport", "samples delta seed checked failur
         return Fraction(len(self.failures), self.checked)
 
 
-def _below(getrandbits, n):
-    """``randrange(n)`` from ``getrandbits``: n.bit_length() bits, redrawn
-    until the value is below n."""
-    bits = n.bit_length()
-    x = getrandbits(bits)
-    while x >= n:
-        x = getrandbits(bits)
-    return x
-
-
 def sampled_continuity_check(k, g, samples, delta, seed=0):
     """Randomized continuity probe of the nearest-vertex map.
 
@@ -212,6 +202,14 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
     retry t scales every unit by 2^t and keeps the shift, which halves the
     move t times.
 
+    The image is the last maximum, the largest (units, position) pair.  Let
+    b0 be the base image's position.  When i is not b0 and keeps some mass,
+    every coordinate but j ends at or below its start and none passes
+    (top, b0), b0's own pair (j's too, if j is b0): the image is w[j] if
+    (units of j, j) is larger, else the base image.  Only a move out of b0,
+    or one that drains i and so sends the point to a face, is evaluated on
+    every coordinate.
+
     Every random number comes from one ``random.Random(seed).getrandbits``
     under ``randrange``'s rejection rule: a number below m is m.bit_length()
     bits, drawn again until it is below m.  Each sample draws, in order, its
@@ -232,11 +230,16 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
     if not all_simplices:
         return SampleReport(samples, delta, seed, 0, ())
     n = len(all_simplices)
+    n_bits = n.bit_length()
+    ins = g._in
     scale = 2000 * delta.denominator
     checked = 0
     failures = []
     for idx in range(samples):
-        s = all_simplices[_below(getrandbits, n)]
+        x = getrandbits(n_bits)
+        while x >= n:
+            x = getrandbits(n_bits)
+        s = all_simplices[x]
         w = k.witness[s]
         d = len(w)
         # randint(1, 1000) per vertex: each weight redraws 10 bits until one
@@ -249,31 +252,40 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
         if d == 1:
             continue  # no room to move inside a vertex: not checked
         checked += 1
-        base_value = _last_max(w, weights)
+        top = max(weights)
+        b0 = d - 1 - weights[::-1].index(top)
+        base_value = w[b0]
         total = sum(weights)
         # sample(range(d), 2): j is drawn from the d - 1 indices left with
         # d - 1 moved into i's place, or past 21 indices redrawn until j != i.
-        i = _below(getrandbits, d)
-        if d <= 21:
-            j = _below(getrandbits, d - 1)
-            if j == i:
-                j = d - 1
+        i = d
+        while i >= d:
+            i = getrandbits(d.bit_length())
+        m = d - 1 if d <= 21 else d
+        j = m
+        while j >= m or (j == i and m == d):
+            j = getrandbits(m.bit_length())
+        if j == i:
+            j = d - 1
+        r = getrandbits(10)
+        while r > 1000:
+            r = getrandbits(10)
+        held = weights[i] * scale
+        shift = min(delta.numerator * r * total, held)
+        if shift < held and i != b0:  # j passes b0 or the image stays
+            moved_j = (weights[j] * scale + shift, j)
+            perturbed_value = w[j] if moved_j > (top * scale, b0) else base_value
         else:
-            j = _below(getrandbits, d)
-            while j == i:
-                j = _below(getrandbits, d)
-        r = _below(getrandbits, 1001)
-        units = [wt * scale for wt in weights]
-        shift = min(delta.numerator * r * total, units[i])
-        units[i] -= shift
-        units[j] += shift
-        if units[i]:
-            perturbed_value = _last_max(w, units)
-        else:  # the point left w[i]: evaluate it on the face's own witness
-            face_w = _face_witness(k, tuple(sorted(w[:i] + w[i + 1 :])))
-            at = dict(zip(w, units))
-            perturbed_value = _last_max(face_w, [at[v] for v in face_w])
-        if g.has_edge(perturbed_value, base_value):
+            units = [wt * scale for wt in weights]
+            units[i] -= shift
+            units[j] += shift
+            if units[i]:
+                perturbed_value = _last_max(w, units)
+            else:  # the point left w[i]: evaluate it on the face's own witness
+                face_w = _face_witness(k, tuple(sorted(w[:i] + w[i + 1 :])))
+                at = dict(zip(w, units))
+                perturbed_value = _last_max(face_w, [at[v] for v in face_w])
+        if ins[base_value] >> perturbed_value & 1:
             continue
         pass_delta = None
         for t in range(1, 81):
@@ -281,7 +293,7 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
             moved = [wt * scale << t for wt in weights]
             moved[i] -= shift
             moved[j] += shift
-            if g.has_edge(_last_max(w, moved), base_value):
+            if ins[base_value] >> _last_max(w, moved) & 1:
                 pass_delta = Fraction(shift, scale * total << (t - 1))
                 break
         failures.append(

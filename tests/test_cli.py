@@ -822,8 +822,71 @@ def _read_complex(doc):
     return k.by_dimension, k.witness, k.truncated
 
 
+_CORRUPTIONS = (None, "type", "entry", "repeat", "order", "clash", "missing")
+
+
+@st.composite
+def _bulk_documents(draw):
+    """Complex documents of the shapes the reader checks in bulk: ``complex``
+    reports of random digraphs, or the simplices of a ``from_simplices``
+    complex with permuted, absent or duplicated witnesses, shuffled, some
+    dropped for the closure to add back.  At most one item, at a drawn
+    position, is then corrupted so that one bulk check fails."""
+    if draw(st.booleans()):
+        g = random_digraph(
+            draw(st.integers(1, 7)),
+            draw(st.sampled_from((0.3, 0.6, 0.9))),
+            draw(st.integers(0, 10**6)),
+        )
+        k = build_complex(g, draw(st.sampled_from((None, 0, 1, 2))))
+        doc = json.loads(documents._dumps(documents._complex_doc(k)))
+        items = doc["simplices"]
+    else:
+        faces = st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True)
+        k = SimplicialComplex.from_simplices(draw(st.lists(faces, min_size=1, max_size=5)))
+        doc, items = {}, []
+        for s in k.simplices():
+            kind = draw(st.sampled_from(("witness", "bare", "drop")))
+            if kind == "witness":
+                items.append({"verts": list(s), "witness": draw(st.permutations(s))})
+            elif kind == "bare":
+                items.append({"verts": list(s)})
+        items = draw(st.permutations(items))
+        for i in draw(st.lists(st.integers(0, len(items)), max_size=3)):
+            if items:
+                items.insert(i, json.loads(json.dumps(items[i % len(items)])))
+        if draw(st.booleans()):
+            doc["truncated"] = draw(st.booleans())
+        doc["simplices"] = items
+    corruption = draw(st.sampled_from(_CORRUPTIONS))
+    if corruption is None or not items:
+        return doc
+    item = items[draw(st.integers(0, len(items) - 1))]
+    verts = item["verts"]
+    if corruption == "type":  # a non-list verts or witness
+        item[draw(st.sampled_from(("verts", "witness")))] = draw(
+            st.one_of(st.none(), st.integers(), st.text(max_size=2), st.just({}))
+        )
+    elif corruption == "entry":
+        entries = item["witness"] if "witness" in item and draw(st.booleans()) else verts
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(
+            st.sampled_from((1.0, 2.5, True, False))
+        )
+    elif corruption == "repeat":
+        verts.insert(draw(st.integers(0, len(verts))), draw(st.sampled_from(verts)))
+    elif corruption == "order":
+        item["witness"] = draw(st.sampled_from((verts[:-1], verts + [7], [7] + verts[1:])))
+    elif corruption == "clash":
+        witness = item.setdefault("witness", sorted(verts))
+        twin = {"verts": list(verts), "witness": witness[::-1] if len(verts) > 1 else [7]}
+        items.insert(draw(st.integers(0, len(items))), twin)
+    else:
+        del item["verts"]
+    return doc
+
+
 @settings(max_examples=500, deadline=None)
-@given(_DOCUMENTS)
+@given(st.one_of(_DOCUMENTS, _bulk_documents()))
 def test_one_pass_reader_matches_the_two_step_oracle(doc):
     if type(doc) is not dict or "simplices" not in doc or {"vertices", "edges"} & set(doc):
         return  # not a complex document
@@ -833,8 +896,14 @@ def test_one_pass_reader_matches_the_two_step_oracle(doc):
         repeat = r"'simplices' item (\d+) repeats a vertex: .*"
         match = type(got) is str and re.fullmatch(repeat, got)
         assert match, (got, expected)
-        verts = doc["simplices"][int(match.group(1))]["verts"]
+        index = int(match.group(1))
+        verts = doc["simplices"][index]["verts"]
         assert len(set(verts)) < len(verts)
+        # ... and it is the first error: no item before it is ill-shaped
+        # or repeats a vertex.
+        before = dict(doc, simplices=doc["simplices"][:index], truncated=False)
+        assert _read_or_message(complex_document_oracle, before) != documents._BAD_SIMPLICES
+        assert all(len(set(x["verts"])) == len(x["verts"]) for x in before["simplices"])
 
 
 def _read_digraph(doc):

@@ -447,15 +447,21 @@ def closed_complexes(draw):
 
 @st.composite
 def projective_plane_pairs(draw):
-    """RP^2 with a few random cells glued on, and a random subcomplex.
+    """RP^2 with a few random cells glued on, its vertices relabelled, and a
+    random subcomplex.
 
     Cells of degree 3 clear columns of the map of degree 2, whose set-aside
-    core carries the torsion.
+    core carries the torsion.  The relabelling changes which columns are
+    stored pending and so which of them the set-aside pass over Z reads
+    first (as in ``RP2_RENAMED``).
     """
     extra = draw(
         st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4), max_size=3)
     )
-    k = SimplicialComplex.from_simplices(RP2_FACES + extra)
+    rename = draw(st.permutations(range(8)))
+    k = SimplicialComplex.from_simplices(
+        [[rename[v] for v in f] for f in RP2_FACES + extra]
+    )
     kept = draw(st.lists(st.sampled_from(list(k.simplices())), max_size=5))
     return k, SimplicialComplex.from_simplices(kept)
 

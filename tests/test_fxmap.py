@@ -4,7 +4,7 @@ from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dvrhom import (
@@ -275,12 +275,16 @@ def test_sampled_check_rejects_bad_delta():
         sampled_continuity_check(k, g, 10, 0, seed=0)
 
 
-def fraction_sampled_check(k, g, samples, delta, seed):
+def fraction_sampled_check(k, g, samples, delta, seed, seen=None):
     """Reference sampler: every sample in exact ``Fraction`` coordinates.
 
     Draws from the generator in the same order as the package and evaluates
     each point through the public ``RealizationPoint``, ``carrier_point``
-    and ``evaluate_fx``.
+    and ``evaluate_fx``.  If ``seen`` is a set, the names of the cases a
+    checked sample falls in are added to it: ``"i"`` and ``"j"`` when the
+    coordinate that loses or gains mass holds the base image, ``"tie"`` when
+    two coordinates share the top weight, ``"drained"`` when the move
+    empties coordinate i.
     """
     import random
 
@@ -301,6 +305,12 @@ def fraction_sampled_check(k, g, samples, delta, seed):
         checked += 1
         i, j = rng.sample(range(len(w)), 2)
         amount = min(delta * rng.randint(0, 1000) / 2000, coords[i])
+        if seen is not None:
+            top = max(coords)
+            held = w.index(base_value)
+            cases = {"i": i == held, "j": j == held, "tie": coords.count(top) > 1}
+            cases["drained"] = amount == coords[i]
+            seen.update(name for name, hit in cases.items() if hit)
 
         def value_at(a):
             moved = list(coords)
@@ -338,6 +348,75 @@ def test_sampled_check_matches_fraction_reference():
             assert rep == fraction_sampled_check(k, g, samples, delta, seed)
             failures += rep.failure_count
     assert failures > 0
+
+
+# Digraphs of up to 9 vertices: drawn edge lists, whose one-way edges make
+# most failures, and seeded random digraphs of three densities.
+_SMALL_DIGRAPHS = st.one_of(
+    st.integers(1, 9).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4 * n
+        ).map(lambda edges: from_edge_list(n, edges))
+    ),
+    st.builds(
+        random_digraph,
+        st.integers(1, 9),
+        st.sampled_from((0.3, 0.6, 0.9)),
+        st.integers(0, 10**6),
+    ),
+)
+_RADII = st.one_of(
+    st.sampled_from(
+        (Fraction(1, 10**6), Fraction(1, 1000), Fraction(1, 3), Fraction(1), Fraction(2))
+    ),
+    st.fractions(min_value=0, max_value=3, max_denominator=10**4).filter(bool),
+)
+# Each of these draws, among its 150 samples, a coordinate i that holds the
+# base image, a j that holds it, two tied top weights and a drained i.  The
+# last two also fail a sampler that breaks a tie the wrong way: between two
+# top weights, or (on the transitive tournament) when a move lifts j
+# exactly to the top weight.
+_SAMPLE_EXAMPLES = [
+    (figure_digraph("left"), 7, Fraction(2)),
+    (random_digraph(9, 0.6, 1), 2, Fraction(1)),
+    (from_edge_list(5, [(0, 1), (1, 2), (2, 0), (3, 4), (0, 4)]), 7, Fraction(7, 5)),
+    (
+        from_edge_list(
+            9, [(0, 3), (3, 3), (1, 6), (6, 1), (8, 3), (3, 7), (1, 3), (1, 8), (2, 3)]
+        ),
+        3437908509,
+        Fraction(2),
+    ),
+    (from_edge_list(4, list(combinations(range(4), 2))), 3, Fraction(1075, 11312)),
+]
+
+
+def _with_examples(cases):
+    def decorate(test):
+        for g, seed, delta in cases:
+            test = example(g=g, seed=seed, delta=delta)(test)
+        return test
+
+    return decorate
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_SMALL_DIGRAPHS, seed=st.integers(0, 2**32), delta=_RADII)
+@_with_examples(_SAMPLE_EXAMPLES)
+def test_sampled_check_matches_fraction_reference_on_drawn_digraphs(g, seed, delta):
+    # The sampler's rule for a move that keeps the carrier reads only the
+    # base maximum and the two moved coordinates, unless i held the maximum;
+    # a drained i sends the point to a face.  Every report must be exact.
+    k = build_complex(g)
+    rep = sampled_continuity_check(k, g, 150, delta, seed)
+    assert rep == fraction_sampled_check(k, g, 150, delta, seed)
+
+
+def test_sample_examples_cover_every_case():
+    for g, seed, delta in _SAMPLE_EXAMPLES:
+        seen = set()
+        fraction_sampled_check(build_complex(g), g, 150, delta, seed, seen)
+        assert seen == {"i", "j", "tie", "drained"}, (seed, seen)
 
 
 class _CountedWitnesses(dict):
