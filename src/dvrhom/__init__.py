@@ -52,14 +52,13 @@ from .homology import (
     HomologyResult,
     Presentation,
     abelianization,
-    boundary_matrix,
     homology_field,
     homology_integer,
     les_exactness_check,
     pi1_presentation,
     relative_homology,
 )
-from .matrices import IntegerMatrix, field_rank, invariant_factors
+from .matrices import invariant_factors
 
 __all__ = [
     "__version__",
@@ -69,7 +68,6 @@ __all__ = [
     "HomologyGroup",
     "HomologyResult",
     "InputError",
-    "IntegerMatrix",
     "Presentation",
     "RealizationPoint",
     "SampleReport",
@@ -77,7 +75,6 @@ __all__ = [
     "SimplicialMapReport",
     "abelianization",
     "barycenter",
-    "boundary_matrix",
     "build_complex",
     "carrier_point",
     "check_cone",
@@ -88,7 +85,6 @@ __all__ = [
     "digital_image",
     "evaluate_fx",
     "f_vector",
-    "field_rank",
     "figure_digraph",
     "from_edge_list",
     "homology_field",

@@ -16,8 +16,9 @@ which leaves every stored vector and so every report as it was.  The long
 exact sequence check orders each level of X with A's simplices first,
 which makes A in X a filtration, and reads every rank of the sequence off
 the lows of one reduction of it over the field, ``_filtered_ranks``: the
-same core, clearing and apparent pairs.  A second reduction, ``_reduce`` of X/A, gives the dimensions of
-the relative groups that the check holds those ranks to.
+same core, clearing and apparent pairs.  A second reduction, ``_reduce``
+of X/A, gives the dimensions of the relative groups that the check holds
+those ranks to.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from collections import Counter, namedtuple
 from itertools import combinations
 
 from .digraph import InputError
-from .matrices import IntegerMatrix, _column_reduce, _diagonalize, invariant_factors
-from .matrices import _check_prime
+from .matrices import _check_prime, _column_reduce, _diagonalize, invariant_factors
 
 
 class HomologyGroup(namedtuple("HomologyGroup", "betti torsion", defaults=((),))):
@@ -111,27 +111,6 @@ def _boundary_builder(levels, n, below=()):
         return {i: c for i, c in col if i not in below} if below else dict(col)
 
     return pos, column
-
-
-def boundary_matrix(k, n):
-    """Matrix of the n-th boundary map, columns indexed by n-simplices.
-
-    Rows follow the canonical order of (n-1)-simplices; the entry for
-    deleting the i-th vertex of the sorted support is (-1)^i.  The 0-th
-    boundary is the zero map to a rank-0 target; degrees above the top
-    dimension give zero matrices of the appropriate shape.
-    """
-    if n < 0:
-        raise InputError("boundary degree must be >= 0")
-    levels = k.by_dimension
-    size = len(levels[n]) if n < len(levels) else 0
-    mat = IntegerMatrix(len(levels[n - 1]) if 0 < n <= len(levels) else 0, size)
-    if n and size:
-        column = _boundary_builder(levels, n)[1]
-        mat.entries = {
-            (i, j): v for j, s in enumerate(levels[n]) for i, v in column(s).items()
-        }
-    return mat
 
 
 def _columns(simplices, pos, column, skip, blocked, table):
@@ -420,11 +399,6 @@ def pi1_presentation(k, basepoint):
     return Presentation(tuple(symbols), tuple(tuple(w) for w in relators))
 
 
-def _tietze_reduce(symbols, relators):
-    """``_tietze_moves`` on arbitrary words, each cyclically reduced first."""
-    return _tietze_moves(symbols, [*map(_cyclic_reduce, relators)])
-
-
 def _tietze_moves(symbols, words):
     # The words are cyclically reduced; the caller's lists are left as they
     # are.  Generator ids stay fixed until the end, and each relator is
@@ -529,16 +503,19 @@ def abelianization(pres):
     """Abelianized presentation as free rank plus torsion (via Smith form).
 
     A letter outside +-1..len(generators) names no generator, and is refused.
+    Each relator gives the column ``{generator: exponent sum}``, the
+    transpose of the relation matrix, which has the same invariant factors.
     """
     ngen = len(pres.generators)
-    sums = {}
+    columns = []
     for i, word in enumerate(pres.relators):
+        sums = Counter()
         for x in word:
             if not (isinstance(x, int) and 0 < abs(x) <= ngen):
                 raise InputError(
                     f"relator {i} {list(word)} has letter {x!r}, outside +-1..{ngen}"
                 )
-            key = (i, abs(x) - 1)
-            sums[key] = sums.get(key, 0) + (1 if x > 0 else -1)
-    d = invariant_factors(IntegerMatrix(len(pres.relators), ngen, sums))
+            sums[abs(x) - 1] += 1 if x > 0 else -1
+        columns.append({g: e for g, e in sums.items() if e})
+    d = invariant_factors(columns)
     return HomologyGroup(ngen - len(d), tuple(x for x in d if x > 1))

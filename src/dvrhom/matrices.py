@@ -7,8 +7,8 @@ for Q and a prime below ``_PRIME_LIMIT`` for Z_p.  Sparse vectors are
 reduces a vector at its low, its largest index (the column reduction by
 lowest row of persistent homology), and stores it, scaled to 1 at its low,
 in a table keyed by that low when the low is a unit.  Over Q and Z_p every
-nonzero low is a unit, so the stored vectors give the rank (``field_rank``,
-and the field reductions of ``homology``).  Over Z only +-1 lows are
+nonzero low is a unit, so the stored vectors give the rank, which is all
+the field reductions of ``homology`` read.  Over Z only +-1 lows are
 stored; ``_column_reduce``, which serves ``invariant_factors`` and the
 reduction of boundary maps in ``homology``, sets the other columns aside
 and reduces them at every stored low at the end, and only what is left of
@@ -21,33 +21,8 @@ transforms of the Smith form, so none are kept.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isfinite
-from numbers import Integral, Rational
 
 from .digraph import InputError
-
-
-def _check_integer(i, j, x, ring):
-    """Refuse the entry ``x`` at (i, j) unless it is an integer."""
-    if not isinstance(x, Integral):
-        raise InputError(
-            f"entry ({i}, {j}) = {x!r} is not an integer;"
-            f" {ring} takes integer entries only"
-        )
-
-
-def _rational(i, j, x):
-    """The entry ``x`` at (i, j) as an exact rational: a finite float is the
-    binary fraction it holds, and anything else that is not rational is
-    refused."""
-    if isinstance(x, float) and isfinite(x):
-        return Fraction(x)
-    if not isinstance(x, Rational):
-        raise InputError(
-            f"entry ({i}, {j}) = {x!r} is not rational;"
-            " Q takes rational and finite float entries only"
-        )
-    return x
 
 
 # Miller-Rabin on the primes up to 41 is exact below this bound, the least
@@ -79,68 +54,6 @@ def _check_prime(p):
     if not _is_prime(p):
         raise InputError(f"{p} is not prime")
     return p
-
-
-class IntegerMatrix:
-    """Sparse integer matrix: a map (row, col) -> nonzero integer."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries=None):
-        if rows < 0 or cols < 0:
-            raise InputError("matrix dimensions must be nonnegative")
-        self.rows = rows
-        self.cols = cols
-        self.entries = {}
-        if entries:
-            for (i, j), v in entries.items():
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise InputError(f"entry ({i}, {j}) out of range")
-                _check_integer(i, j, v, "IntegerMatrix")
-                if v:
-                    self.entries[(i, j)] = int(v)
-
-    @classmethod
-    def from_rows(cls, data):
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        m = cls(rows, cols)
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise InputError("ragged rows")
-            for j, v in enumerate(row):
-                _check_integer(i, j, v, "IntegerMatrix")
-                if v:
-                    m.entries[(i, j)] = int(v)
-        return m
-
-    @classmethod
-    def diagonal(cls, diag, rows, cols):
-        return cls(rows, cols, {(i, i): v for i, v in enumerate(diag)})
-
-    def __getitem__(self, key):
-        return self.entries.get(key, 0)
-
-    def to_rows(self):
-        data = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            data[i][j] = v
-        return data
-
-    def is_zero(self):
-        return not self.entries
-
-    def __eq__(self, other):
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"IntegerMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
 def _diagonalize(a):
@@ -278,31 +191,9 @@ def _column_reduce(columns, p, table=None, build=None):
     return list(table), [[col.get(i, 0) for i in rows] for col in aside if col]
 
 
-def invariant_factors(a):
-    """The invariant factors of an IntegerMatrix: the diagonal of its Smith form."""
-    columns = {j: {} for j in range(a.cols)}
-    for (i, j), v in a.entries.items():
-        columns[j][i] = v
-    lows, core = _column_reduce(columns.values(), 0)
+def invariant_factors(columns):
+    """The invariant factors, the diagonal of the Smith form, of the matrix
+    whose columns are the sparse ``{row: value}`` dicts ``columns``, none
+    with a zero entry; they are used up."""
+    lows, core = _column_reduce(columns, 0)
     return (1,) * len(lows) + _diagonalize(core)
-
-
-def field_rank(rows, p=None):
-    """Rank of dense rows over Q (p=None) or Z_p.
-
-    Over Q a float is read exactly, as the binary fraction it holds, and an
-    entry that is neither rational nor a finite float is refused; Z_p takes
-    integer entries only; ``p`` must be a prime below ``_PRIME_LIMIT``.
-    """
-    if p is not None:
-        _check_prime(p)
-    vectors = []
-    for i, row in enumerate(rows):
-        if p is None:
-            row = [_rational(i, j, x) for j, x in enumerate(row)]
-        else:
-            for j, x in enumerate(row):
-                _check_integer(i, j, x, f"Z_{p}")
-            row = [x % p for x in row]
-        vectors.append({j: x for j, x in enumerate(row) if x})
-    return len(_column_reduce(vectors, p)[0])

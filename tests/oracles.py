@@ -6,10 +6,11 @@ by plain Euclidean steps that keeps its transforms, and a tagged
 elimination over Z, Q and Z_p of its own.  Keeping these independent is
 the point; do not import algorithmic code from dvrhom beyond plain data
 accessors.  The one exception is ``integer_homology_oracle``, which hands
-every full boundary map on its own to the package's ``invariant_factors``,
-so it checks the top-down clearing and not the core; ``test_elimination``
-holds the core itself to the dense oracles here and to the tagged
-elimination.  The chain-level oracle of the long exact sequence,
+the ``columns`` of every full boundary map on its own to the package's
+``invariant_factors``, so it checks the top-down clearing and not the
+core; ``test_elimination`` holds the core itself to the dense oracles here
+and to the tagged elimination.  ``IntegerMatrix`` is the oracles' own
+sparse container.  The chain-level oracle of the long exact sequence,
 ``les_chain_oracle``, runs that tagged elimination to pick homology
 representatives and map them, where the package reads every rank off one
 filtered reduction.
@@ -24,7 +25,7 @@ from itertools import combinations, permutations
 
 from dvrhom import Digraph, InputError
 from dvrhom.homology import NodeReport
-from dvrhom.matrices import IntegerMatrix, invariant_factors
+from dvrhom.matrices import invariant_factors
 
 
 def brute_force_dvr(g, max_dim=None):
@@ -461,7 +462,7 @@ def integer_homology_oracle(bases):
     Every full boundary map goes to ``invariant_factors`` on its own.
     """
     factors = [
-        invariant_factors(IntegerMatrix.from_rows(dense_boundary(bases, n)))
+        invariant_factors(columns(IntegerMatrix.from_rows(dense_boundary(bases, n))))
         for n in range(len(bases) + 1)
     ]
     return [
@@ -626,6 +627,65 @@ def les_chain_oracle(levels, in_a, p=None):
     return nodes
 
 
+class IntegerMatrix:
+    """Sparse integer matrix: a map (row, col) -> nonzero integer."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows, cols, entries=None):
+        if rows < 0 or cols < 0:
+            raise InputError("matrix dimensions must be nonnegative")
+        self.rows = rows
+        self.cols = cols
+        self.entries = {}
+        for (i, j), v in (entries or {}).items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise InputError(f"entry ({i}, {j}) out of range")
+            if v:
+                self.entries[(i, j)] = v
+
+    @classmethod
+    def from_rows(cls, data):
+        cols = len(data[0]) if data else 0
+        if any(len(row) != cols for row in data):
+            raise InputError("ragged rows")
+        cells = {(i, j): v for i, row in enumerate(data) for j, v in enumerate(row)}
+        return cls(len(data), cols, cells)
+
+    @classmethod
+    def diagonal(cls, diag, rows, cols):
+        return cls(rows, cols, {(i, i): v for i, v in enumerate(diag)})
+
+    def __getitem__(self, key):
+        return self.entries.get(key, 0)
+
+    def to_rows(self):
+        data = [[0] * self.cols for _ in range(self.rows)]
+        for (i, j), v in self.entries.items():
+            data[i][j] = v
+        return data
+
+    def is_zero(self):
+        return not self.entries
+
+    def __eq__(self, other):
+        if not isinstance(other, IntegerMatrix):
+            return NotImplemented
+        return (
+            self.rows == other.rows
+            and self.cols == other.cols
+            and self.entries == other.entries
+        )
+
+    def __repr__(self):
+        return f"IntegerMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+
+
+def columns(a):
+    """The columns of ``a`` as ``{row: value}`` dicts, for ``invariant_factors``."""
+    return [{i: v for i, v in enumerate(col) if v} for col in zip(*a.to_rows())]
+
+
 @dataclass(frozen=True)
 class SmithForm:
     """Diagonalization u @ a @ v = diag(d) with d_i | d_{i+1}, d_i > 0."""
@@ -708,10 +768,6 @@ def smith_normal_form(a):
         t += 1
     u, v = IntegerMatrix.from_rows(u), IntegerMatrix.from_rows(v)
     return SmithForm(tuple(d[i][i] for i in range(t)), u, v)
-
-
-def integer_rank(a):
-    return len(invariant_factors(a))
 
 
 def determinant(a):

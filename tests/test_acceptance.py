@@ -15,10 +15,8 @@ import pytest
 
 from dvrhom import (
     HomologyGroup,
-    IntegerMatrix,
     RealizationPoint,
     abelianization,
-    boundary_matrix,
     build_complex,
     check_cone,
     check_full_subcomplex,
@@ -40,7 +38,14 @@ from dvrhom import (
 )
 from dvrhom.cli import run_command
 from dvrhom.digraph import InputError
-from oracles import brute_force_dvr, find_isomorphism, matmul, smith_normal_form
+from oracles import (
+    IntegerMatrix,
+    brute_force_dvr,
+    find_isomorphism,
+    matmul,
+    smith_normal_form,
+)
+from test_homology import boundary_matrix
 
 S2_POINTS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 PS = (0.2, 0.4, 0.7)

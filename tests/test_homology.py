@@ -12,7 +12,6 @@ from dvrhom import (
     Presentation,
     SimplicialComplex,
     abelianization,
-    boundary_matrix,
     build_complex,
     circulant,
     digital_image,
@@ -30,11 +29,14 @@ from dvrhom import (
 )
 from dvrhom import homology, matrices
 from oracles import (
+    IntegerMatrix,
+    columns,
     edge_path_oracle,
     euler_characteristic,
     matmul,
     smith_normal_form,
     tietze_oracle,
+    transpose,
 )
 
 # Minimal 6-vertex triangulation of the real projective plane.
@@ -54,6 +56,21 @@ RP2_FACES = [
 
 def rp2():
     return SimplicialComplex.from_simplices(RP2_FACES)
+
+
+def boundary_matrix(k, n):
+    """The n-th boundary map of ``k``, n >= 0, with its columns built by
+    ``_boundary_builder``, the boundary path of every command.  Degree 0
+    and degrees above the top give zero maps of the right shape."""
+    levels = k.by_dimension
+    size = len(levels[n]) if n < len(levels) else 0
+    a = IntegerMatrix(len(levels[n - 1]) if 0 < n <= len(levels) else 0, size)
+    if n and size:
+        column = homology._boundary_builder(levels, n)[1]
+        a.entries = {
+            (i, j): v for j, s in enumerate(levels[n]) for i, v in column(s).items()
+        }
+    return a
 
 
 def corpus(count, max_n=7, seed0=4000):
@@ -83,8 +100,6 @@ def test_boundary_above_top_dimension():
     assert m.rows == 1 and m.cols == 0  # rows = one 1-simplex, no 2-simplices
     m = boundary_matrix(k, 5)
     assert m.rows == 0 and m.cols == 0
-    with pytest.raises(InputError):
-        boundary_matrix(k, -1)
 
 
 def test_boundary_octahedron_edge_columns_sum_to_zero():
@@ -422,6 +437,15 @@ def test_abelianization_examples():
     assert abelianization(Presentation(("a",), ((1, 1),))) == HomologyGroup(0, (2,))
     assert abelianization(Presentation(("a", "b"), ())) == HomologyGroup(2, ())
     assert abelianization(Presentation((), ((),))) == HomologyGroup(0, ())
+    # Exponent sums that cancel leave no entry; an unused generator is free.
+    commutator = (1, 2, -1, -2)
+    assert abelianization(Presentation(("a", "b"), (commutator,))) == HomologyGroup(2)
+    assert abelianization(
+        Presentation(("a", "b"), (commutator, (1, 1)))
+    ) == HomologyGroup(1, (2,))
+    assert abelianization(
+        Presentation(("a", "b", "c"), ((1, 1), (3, -1, 3, 3, 1)))
+    ) == HomologyGroup(1, (6,))
 
     middle = build_complex(figure_digraph("middle"))
     pres = pi1_presentation(middle, 0)
@@ -472,9 +496,8 @@ words = st.lists(
 def test_tietze_reduce_matches_oracle_on_random_relators(ngen, relators):
     symbols = [f"s{i}" for i in range(ngen)]
     relators = [[x for x in w if abs(x) <= ngen] for w in relators]
-    assert homology._tietze_reduce(symbols, relators) == tietze_oracle(
-        symbols, relators
-    )
+    words = [*map(homology._cyclic_reduce, relators)]
+    assert homology._tietze_moves(symbols, words) == tietze_oracle(symbols, relators)
 
 
 @settings(max_examples=60, deadline=None)
@@ -498,8 +521,8 @@ def test_tietze_reduce_matches_oracle_on_complex_relators(g):
         except InputError:
             return  # disconnected
     ((symbols, relators),) = calls
-    # pi1 skips the cyclic reduction of _tietze_reduce: every triangle word
-    # has distinct generators, so it is its own cyclic reduction.
+    # pi1 hands the triangle words to _tietze_moves without cyclic reduction:
+    # every one has distinct generators, so it is its own cyclic reduction.
     for word in relators:
         assert len({abs(x) for x in word}) == len(word)
         assert homology._cyclic_reduce(word) == word
@@ -536,8 +559,11 @@ def test_tietze_moves_leave_the_callers_lists_alone(ngen, relators):
     symbols = [f"s{i}" for i in range(ngen)]
     relators = [[x for x in w if abs(x) <= ngen] for w in relators]
     reduced = [homology._cyclic_reduce(w) for w in relators]
+    def reduce_then_move(symbols, words):
+        return homology._tietze_moves(symbols, [*map(homology._cyclic_reduce, words)])
+
     for moves, words in (
-        (homology._tietze_reduce, relators),
+        (reduce_then_move, relators),
         (homology._tietze_moves, reduced),
     ):
         before = [list(w) for w in words]
@@ -549,12 +575,14 @@ def test_tietze_moves_leave_the_callers_lists_alone(ngen, relators):
 
 
 def test_invariant_factors_match_full_snf():
-    from dvrhom import IntegerMatrix
-
+    # abelianization hands over the transpose of the relation matrix, so the
+    # transpose must give the same factors.
     rng = random.Random(3)
     for _ in range(20):
         m_rows = rng.randint(1, 5)
         n_cols = rng.randint(1, 5)
         rows = [[rng.randint(-6, 6) for _ in range(n_cols)] for _ in range(m_rows)]
         m = IntegerMatrix.from_rows(rows)
-        assert invariant_factors(m) == smith_normal_form(m).d
+        d = smith_normal_form(m).d
+        assert invariant_factors(columns(m)) == d
+        assert invariant_factors(columns(transpose(m))) == d
