@@ -6,9 +6,11 @@ output the complex keys, so commands chain over standard streams.  Reports
 are byte-identical across runs on identical input (sorted keys, no
 timestamps).
 
-Arguments are parsed by ``_parse_args``: a call that names a command goes
-straight to that command's own parser, anything else through the
-top-level parser, which reports usage errors with its own usage.
+Arguments are parsed by ``_parse_args`` on one of two paths.  A command
+line that spells each option of its command exactly is read straight off
+that command's own argparse actions; anything else (abbreviations,
+``--opt=value``, help, ``gen``, usage errors) goes through the top-level
+parser, which alone writes usage and error text.
 
 Documents are parsed, checked, written and hashed in ``documents``.  An
 ``--out`` file that cannot be written is a domain error naming the path.
@@ -192,22 +194,67 @@ def _build_parser():
 
 
 def _parse_args(argv):
-    """``_build_parser().parse_args(argv)``, with the command's own parser.
+    """``_build_parser().parse_args(argv)``, read off the command's own table.
 
     The top-level parser hands everything after a command name to that
-    command's parser and adds only the name, so a call that names a command
-    goes straight to its parser.  Anything else, and any argument the
-    command's parser leaves over, goes through the top-level parser, which
-    reports it with its own usage.
+    command's parser and adds only the name.  When each word after the name
+    is an exact option string of a plain store or store_true action, each
+    value is a word that does not start with "-", converts with the action's
+    type and is one of its choices, and every required option is given, the
+    namespace is read straight off that parser's actions, the last value of
+    a repeated option winning as in argparse.  Anything else (abbreviations,
+    ``--opt=value``, help, negative numbers, ``--``, a bad value, a missing
+    or extra argument, ``gen`` with its positional generator) goes through
+    the top-level parser, which decides it and reports errors with its own
+    usage.
     """
     top = _build_parser()
     parser = top.commands.get(argv[0]) if argv else None
     if parser is not None:
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            args.command = argv[0]
+        values = _read_exact(parser, argv[1:])
+        if values is not None:
+            args = argparse.Namespace(command=argv[0])
+            vars(args).update(values)
             return args
     return top.parse_args(argv)
+
+
+def _read_exact(parser, words):
+    """The dest -> value dict ``parser`` gives ``words``, or None when the
+    words are not in the exactly spelled form ``_parse_args`` describes."""
+    table = parser._option_string_actions
+    given = {}
+    i, n = 0, len(words)
+    while i < n:
+        action = table.get(words[i])
+        if type(action) is argparse._StoreTrueAction:
+            given[action] = action.const
+            i += 1
+            continue
+        if (
+            type(action) is not argparse._StoreAction
+            or action.nargs is not None
+            or i + 1 == n
+            or words[i + 1].startswith("-")
+        ):
+            return None
+        try:
+            value = (action.type or str)(words[i + 1])
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action] = value
+        i += 2
+    values = {}
+    for action in parser._actions:
+        if action in given:
+            values[action.dest] = given[action]
+        elif action.required or not action.option_strings:
+            return None
+        elif action.default != argparse.SUPPRESS:  # all but -h
+            values[action.dest] = action.default
+    return values
 
 
 def _run_gen(args):

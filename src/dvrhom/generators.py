@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 from .digraph import Digraph, InputError, _check_order
 
@@ -27,7 +27,9 @@ def digital_image(points):
     """Symmetric digraph on lattice points, adjacent iff max-norm gap <= 1.
 
     Diagonal neighbors count: adjacency is coordinatewise |x_i - y_i| <= 1.
-    Each point looks up its 3^d - 1 neighbour offsets in a dict of the points.
+    With at least 3^d points, each point looks up its 3^d - 1 neighbour
+    offsets in a dict of the points; with fewer, every pair of points is
+    tested, so a few points with many coordinates cost no 3^d offsets.
     """
     pts = [tuple(int(c) for c in p) for p in points]
     index = {p: i for i, p in enumerate(pts)}
@@ -36,13 +38,18 @@ def digital_image(points):
     if len({len(p) for p in pts}) > 1:
         raise InputError("digital image points must share one dimension")
     d = len(pts[0]) if pts else 0
-    offsets = [o for o in product((-1, 0, 1), repeat=d) if any(o)]
     edges = []
-    for i, p in enumerate(pts):
-        for o in offsets:
-            j = index.get(tuple(a + b for a, b in zip(p, o)))
-            if j is not None:
-                edges.append((i, j))
+    if 3**d > len(pts):
+        for (i, p), (j, q) in combinations(enumerate(pts), 2):
+            if all(-1 <= a - b <= 1 for a, b in zip(p, q)):
+                edges += [(i, j), (j, i)]
+    else:
+        offsets = [o for o in product((-1, 0, 1), repeat=d) if any(o)]
+        for i, p in enumerate(pts):
+            for o in offsets:
+                j = index.get(tuple(a + b for a, b in zip(p, o)))
+                if j is not None:
+                    edges.append((i, j))
     labels = [",".join(str(c) for c in p) for p in pts]
     return Digraph.from_edge_list(len(pts), edges, labels=labels)
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -1053,6 +1054,55 @@ _ARGVS = st.tuples(
 ).map(lambda t: [t[0], *t[1]])
 
 
+# Well-formed argument vectors for every command: its options shuffled, some
+# repeated, the required --subset dropped and -h inserted at times, with
+# values that convert, fail to convert or start with "-".
+_IO_OPTIONS = ["--format", "--out"]
+_COMMAND_OPTIONS = {
+    ("complex",): _IO_OPTIONS + ["--max-dim"],
+    ("homology",): _IO_OPTIONS + ["--coeff", "--reduced", "--max-dim"],
+    ("pair",): _IO_OPTIONS + ["--subset"],
+    ("les-check",): _IO_OPTIONS + ["--subset", "--coeff"],
+    ("pi1",): _IO_OPTIONS + ["--basepoint"],
+    ("fx-certify",): _IO_OPTIONS,
+    ("fx-sample",): _IO_OPTIONS + ["--samples", "--delta", "--seed"],
+    ("gen", "circulant"): ["--n", "--m", "--out"],
+    ("gen", "digital"): ["--points", "--out"],
+    ("gen", "figure"): ["--which", "--out"],
+    ("gen", "random"): ["--n", "--p", "--seed", "--out"],
+}
+_GOOD_VALUES = {
+    "--format": ["json", "edgelist", "xml"],
+    "--coeff": ["z", "q", "zp:2"],
+    "--subset": ["0,1", "0"],
+    "--delta": ["1/3"],
+    "--points": ["0,0;1,1"],
+    "--which": ["left"],
+    "--p": [".5"],
+}
+_ODD_VALUES = ["", " 7 ", "1_0", "\u0663", "-1", "--", "x"]  # ARABIC-INDIC DIGIT THREE
+
+
+@st.composite
+def _well_formed_argvs(draw):
+    head = draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
+    options = _COMMAND_OPTIONS[head]
+    names = options + draw(st.lists(st.sampled_from(options), max_size=3))
+    if draw(st.integers(0, 4)) == 0:
+        names = [name for name in names if name != "--subset"]
+    names = draw(st.permutations(names))
+    if draw(st.integers(0, 9)) == 0:
+        names.insert(draw(st.integers(0, len(names))), "-h")
+    argv = list(head)
+    for name in names:
+        argv.append(name)
+        if name not in ("--reduced", "-h"):
+            odd = draw(st.integers(0, 7)) == 0
+            values = _ODD_VALUES if odd else _GOOD_VALUES.get(name, ["0", "3"])
+            argv.append(draw(st.sampled_from(values)))
+    return argv
+
+
 def _parse_outcome(parse, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1064,13 +1114,44 @@ def _parse_outcome(parse, argv):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(_ARGVS, st.just([])))
+@given(st.one_of(_ARGVS, _well_formed_argvs(), st.just([])))
 @example(["homology", "--badflag"])
 @example(["nosuch"])
 @example(["gen", "random", "--n", "3", "--p", ".5", "extra"])
 @example(["les-check", "--subset", "0", "--coeff=zp:2"])
+@example(["homology", "--coeff", "z", "--coeff", "q"])
+@example(["pi1", "--basepoint", "-1"])
 def test_commands_go_straight_to_their_own_parser(argv):
     # The same namespace as the top-level parser gives, or the same exit
     # code with the same usage or help text.
     expected = _parse_outcome(cli._build_parser().parse_args, argv)
     assert _parse_outcome(cli._parse_args, argv) == expected
+
+
+def test_workload_command_lines_never_reach_argparse(monkeypatch):
+    # Exactly spelled command lines of every shape the benchmark times are
+    # read off the command's own table; a silent fall-back would show here.
+    argvs = [
+        ["complex"],
+        ["homology", "--coeff", "z"],
+        ["pair", "--subset", "0,1"],
+        ["les-check", "--subset", "0", "--coeff", "zp:2"],
+        ["pi1", "--basepoint", "0"],
+        ["fx-certify"],
+        ["fx-sample", "--samples", "5", "--delta", "1/3", "--seed", "2"],
+    ]
+    expected = [vars(cli._build_parser().parse_args(argv)) for argv in argvs]
+    calls = []
+    for name in ("parse_args", "parse_known_args"):
+        method = getattr(argparse.ArgumentParser, name)
+
+        def spy(self, *args, _method=method, **kwargs):
+            calls.append(_method.__name__)
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, name, spy)
+    assert [vars(cli._parse_args(argv)) for argv in argvs] == expected
+    assert calls == []
+    # The spy sees an abbreviation, which argparse decides.
+    assert cli._parse_args(["homology", "--co", "q"]).coeff == "q"
+    assert calls

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,16 +86,40 @@ def test_digital_image_grid_is_contractible():
 
 @settings(max_examples=120, deadline=None)
 @given(
-    st.integers(1, 4).flatmap(
-        lambda d: st.lists(
-            st.tuples(*[st.integers(-2, 2)] * d), unique=True, max_size=30
-        )
+    st.one_of(
+        st.integers(1, 4).flatmap(
+            lambda d: st.lists(
+                st.tuples(*[st.integers(-2, 2)] * d), unique=True, max_size=30
+            )
+        ),
+        # Fewer points than 3^d, where pairs are tested instead of offsets;
+        # one wide coordinate makes some pairs adjacent and some not.
+        st.integers(5, 24).flatmap(
+            lambda d: st.lists(
+                st.tuples(st.integers(-2, 2), *[st.integers(0, 1)] * (d - 1)),
+                unique=True,
+                max_size=6,
+            )
+        ),
     )
 )
 def test_digital_image_lookup_matches_pair_loop(points):
     g, oracle = digital_image(points), digital_image_oracle(points)
     assert g == oracle
     assert g.labels == oracle.labels
+
+
+def test_digital_image_of_one_point_allocates_no_offsets():
+    # 3^13 - 1 neighbour offsets of one 13-coordinate point would take
+    # about 240 MB to find that it has no neighbour.
+    tracemalloc.start()
+    try:
+        g = digital_image([(0,) * 13])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 1 and list(g.edges()) == []
+    assert peak < 5 * 2**20
 
 
 def test_digital_image_validation():
