@@ -47,48 +47,59 @@ class SimplicialComplex:
         """Abstract complex from arbitrary vertex sets, closed under faces.
 
         Witnesses default to the sorted vertex tuple (the natural reading for
-        complexes without an ambient digraph).
+        complexes without an ambient digraph).  Given ones are checked here,
+        in bulk: their faces by membership in the closure and their
+        orderings by comparing the list of their sorted tuples with the
+        faces.  Only a failing table is walked, in the order given, to name
+        its first witness that is missing or not an ordering.
         """
         faces = sorted(map(tuple, map(sorted, map(set, faces))), key=len)
         by_size = {size: dict.fromkeys(level) for size, level in groupby(faces, len)}
-        return cls.from_faces_by_size(by_size, witnesses)
+        k = cls.from_faces_by_size(by_size)
+        if witnesses:
+            faces = list(map(tuple, witnesses))
+            orders = list(map(tuple, witnesses.values()))
+            if not all(map(k.witness.__contains__, faces)) or faces != list(
+                map(tuple, map(sorted, orders))
+            ):
+                for s, w in zip(faces, witnesses.values()):
+                    if s not in k.witness:
+                        raise InputError(f"witness given for missing simplex {s}")
+                    if tuple(sorted(w)) != s:
+                        raise InputError(f"witness {w} is not an ordering of {s}")
+            k.witness.update(zip(faces, orders))
+        return k
 
     @classmethod
     def from_faces_by_size(cls, by_size, witnesses=None):
-        """``from_simplices`` of faces already grouped: ``by_size[k]`` is a
-        dict keyed by sorted k-vertex tuples, and is filled in place.
+        """The complex of faces already grouped: ``by_size[k]`` is a dict
+        keyed by sorted k-vertex tuples, and is filled in place.
 
-        The closure runs top down: each level adds the facets of all its
-        simplices to the level below in one update, and that level then adds
-        its own.  A dict keeps the given faces first, in the order given, so
-        a closed and sorted input sorts again in linear time.  The witnesses
-        are checked in bulk, their faces by membership and their orderings
-        by comparing the list of their sorted tuples with the faces; only a
-        failing table is walked, in the order given, to name its first
-        witness that is missing or not an ordering.
+        The closure runs top down: each level tests the facets of all its
+        simplices for membership in the level below, and adds them in one
+        update only when one is missing; that level then does the same.  A
+        dict keeps the given faces first, in the order given, so a closed
+        and sorted input sorts again in linear time.
+
+        ``witnesses`` maps faces to witness tuples and is not checked: its
+        caller has checked that each key is a face and each value an
+        ordering of it (``from_simplices`` and the document reader do).
+        When it covers every face it becomes the complex's witness dict;
+        otherwise the faces it leaves out get their sorted tuple.
         """
         if 0 in by_size:
             raise InputError("simplices must be nonempty")
         top = max(by_size, default=0)
         for k in range(top, 1, -1):
             below = by_size.setdefault(k - 1, {})
-            below |= dict.fromkeys(
-                chain.from_iterable(map(combinations, by_size[k], repeat(k - 1)))
-            )
+            if not all(map(below.__contains__, _facets(by_size[k], k))):
+                below |= dict.fromkeys(_facets(by_size[k], k))
         by_dim = [sorted(by_size[k]) for k in range(1, top + 1)]
+        if witnesses is not None and len(witnesses) == sum(map(len, by_dim)):
+            return cls(by_dim, witnesses)
         witness = dict(zip(chain.from_iterable(by_dim), chain.from_iterable(by_dim)))
         if witnesses:
-            faces = list(map(tuple, witnesses))
-            orders = list(map(tuple, witnesses.values()))
-            if not all(map(witness.__contains__, faces)) or faces != list(
-                map(tuple, map(sorted, orders))
-            ):
-                for s, w in zip(faces, witnesses.values()):
-                    if s not in witness:
-                        raise InputError(f"witness given for missing simplex {s}")
-                    if tuple(sorted(w)) != s:
-                        raise InputError(f"witness {w} is not an ordering of {s}")
-            witness.update(zip(faces, orders))
+            witness.update(witnesses)
         return cls(by_dim, witness)
 
     def simplices(self):
@@ -111,6 +122,11 @@ class SimplicialComplex:
 
     def __repr__(self):
         return f"SimplicialComplex(f_vector={f_vector(self)!r})"
+
+
+def _facets(level, k):
+    """Every facet of every k-vertex tuple in ``level``, repeats included."""
+    return chain.from_iterable(map(combinations, level, repeat(k - 1)))
 
 
 def is_simplex(g, s):

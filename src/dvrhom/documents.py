@@ -9,11 +9,16 @@ and entries), and its edges resolved by one label lookup per entry.  Only
 a document with an int or float entry, or an unknown label, has its edges
 walked again by ``_resolve``, one entry at a time, which resolves such an
 entry or raises the error it is due.  A complex document's ``simplices``
-are read in bulk too (``_read_simplices``): their shapes by type sets, a
-repeated vertex by set lengths, the witnesses by one dict; only a list that
-fails is walked item by item, to raise or name its first error.  Then
-``SimplicialComplex.from_faces_by_size`` closes the faces a level at a time
-and checks the witnesses in bulk, as it does for ``from_simplices``.
+are read in bulk too, each check made once (``_read_in_bulk``): their
+shapes by type sets; their faces from the sorted witnesses when every item
+has one and those equal the ``verts`` lists, which also shows every witness
+an ordering, else from the sorted ``verts`` with the witnesses compared
+with them; a clash by one witness dict.  Then
+``SimplicialComplex.from_faces_by_size`` closes the faces a level at a
+time, testing each level's facets before it adds them, and a repeated
+vertex shows as a pair (x, x) among the closed 2-faces.  Only a list that
+fails is walked item by item (``_read_complex``), to raise or name its
+first error.
 
 Every report, error reports included, is written by ``_dumps``: the text
 ``json.dumps`` gives with sorted keys and a two-space indent, made without
@@ -241,55 +246,32 @@ def _read_document(text):
         or not _LABEL.issuperset(map(type, chain.from_iterable(edges)))
     ):
         raise InputError("'edges' must be a list of [u, v] label pairs")
-    by_size, witnesses, clash = _read_simplices(doc.get("simplices", []))
-    if type(doc.get("truncated", False)) is not bool:
-        raise InputError("'truncated' must be true or false")
-    if clash is not None:
-        raise InputError(f"'simplices' gives two witnesses for {list(clash)}")
     if "simplices" in doc:
-        k = SimplicialComplex.from_faces_by_size(by_size, witnesses)
-        k.truncated = doc.get("truncated", False)
-        return "complex", k
+        return "complex", _read_complex(doc["simplices"], doc.get("truncated", False))
+    _check_truncated(doc.get("truncated", False))
     if "edges" in doc or "vertices" in doc:
         return "digraph", _digraph_from_doc(vertices, edges)
     raise InputError("input json is neither a digraph nor a complex document")
 
 
-def _read_simplices(items):
-    """Check a ``simplices`` list and read it in bulk.
+def _check_truncated(truncated):
+    if type(truncated) is not bool:
+        raise InputError("'truncated' must be true or false")
 
-    Returns the sorted ``verts`` tuples grouped by size (a dict per size,
-    used as an ordered set), the witness tuple of every item that has one
-    (keyed by its sorted ``verts``), and None or the first face given two
-    different witnesses, which the caller reports after its other checks.
-    Shapes are checked by the type sets of the items, their ``verts`` and
-    witnesses and those lists' entries; a repeated vertex by the lists'
-    lengths against their sets'; a clash by reading every witness back from
-    the witness dict.  Only a list failing one of these (or the empty list,
-    in no steps) is walked item by item, to raise its first shape error or
-    repeated vertex, or return its first clash with no faces.
+
+def _read_complex(items, truncated):
+    """The complex of a ``simplices`` list, read by ``_read_in_bulk``, or
+    the first error of the list as an item-by-item walk finds it: the first
+    item that is ill-shaped or repeats a vertex, then a bad ``truncated``,
+    then a face given two witnesses, then an empty ``verts``, then the
+    first witness that is not an ordering.  Only a list that the bulk read
+    gives up on is walked.
     """
     if type(items) is not list:
         raise InputError(_BAD_SIMPLICES)
-    if items and _DICT.issuperset(map(type, items)):
-        verts = list(map(dict.get, items, repeat("verts")))
-        has = list(map(dict.__contains__, items, repeat("witness")))
-        orders = list(map(operator.itemgetter("witness"), compress(items, has)))
-        if (
-            _LIST.issuperset(map(type, chain(verts, orders)))
-            and _INT.issuperset(map(type, chain.from_iterable(chain(verts, orders))))
-            and list(map(len, map(set, verts))) == list(map(len, verts))
-        ):
-            faces = list(map(tuple, map(sorted, verts)))
-            witnessed = list(compress(faces, has))
-            orders = list(map(tuple, orders))
-            witnesses = dict(zip(witnessed, orders))
-            if len(witnesses) == len(orders) or (
-                list(map(witnesses.__getitem__, witnessed)) == orders
-            ):
-                faces.sort(key=len)
-                by_size = {size: dict.fromkeys(level) for size, level in groupby(faces, len)}
-                return by_size, witnesses, None
+    k = _read_in_bulk(items, truncated)
+    if k is not None:
+        return k
     witnesses, clash = {}, None
     for i, item in enumerate(items):
         verts = item.get("verts") if type(item) is dict else None
@@ -305,7 +287,64 @@ def _read_simplices(items):
             witness = tuple(witness)
             if witnesses.setdefault(face, witness) != witness and clash is None:
                 clash = face
-    return {}, witnesses, clash
+    _check_truncated(truncated)
+    if clash is not None:
+        raise InputError(f"'simplices' gives two witnesses for {list(clash)}")
+    # _read_in_bulk gives up on a well-shaped list without a clash only at
+    # an empty verts.
+    raise InputError("simplices must be nonempty")
+
+
+def _read_in_bulk(items, truncated):
+    """The complex of a ``simplices`` list, each check made once, or None
+    for a list with an ill-shaped item, a repeated vertex, a clash or an
+    empty ``verts``.
+
+    When every item has a witness and the sorted witnesses equal the
+    ``verts`` lists, that one comparison shows each ``verts`` sorted and
+    each witness an ordering of it.  A sorted face that repeats a vertex x
+    holds the pair (x, x), so once ``from_faces_by_size`` has closed the
+    faces, the 2-faces hold such a pair exactly when some ``verts``
+    repeats a vertex.
+    """
+    if not _DICT.issuperset(map(type, items)):
+        return None
+    verts = list(map(dict.get, items, repeat("verts")))
+    has = list(map(dict.__contains__, items, repeat("witness")))
+    orders = list(map(operator.itemgetter("witness"), compress(items, has)))
+    if not (
+        _LIST.issuperset(map(type, chain(verts, orders)))
+        and _INT.issuperset(map(type, chain.from_iterable(chain(verts, orders))))
+    ):
+        return None
+    sorted_orders = list(map(tuple, map(sorted, orders)))
+    if len(orders) == len(items) and list(map(tuple, verts)) == sorted_orders:
+        faces = witnessed = sorted_orders
+        ordered = True
+    else:
+        faces = list(map(tuple, map(sorted, verts)))
+        witnessed = list(compress(faces, has))
+        ordered = witnessed == sorted_orders
+    orders = list(map(tuple, orders))
+    witnesses = dict(zip(witnessed, orders))
+    if len(witnesses) != len(orders) and (
+        list(map(witnesses.__getitem__, witnessed)) != orders
+    ):
+        return None
+    faces.sort(key=len)
+    by_size = {size: dict.fromkeys(level) for size, level in groupby(faces, len)}
+    if 0 in by_size:
+        return None
+    k = SimplicialComplex.from_faces_by_size(by_size, witnesses)
+    if any(a == b for a, b in by_size.get(2, ())):
+        return None
+    _check_truncated(truncated)
+    if not ordered:
+        for s, w in witnesses.items():
+            if tuple(sorted(w)) != s:
+                raise InputError(f"witness {w} is not an ordering of {s}")
+    k.truncated = truncated
+    return k
 
 
 def _digraph_from_doc(vertices, pairs):

@@ -233,6 +233,7 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
     n_bits = n.bit_length()
     ins = g._in
     scale = 2000 * delta.denominator
+    step = delta.numerator
     checked = 0
     failures = []
     for idx in range(samples):
@@ -259,19 +260,21 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
         # sample(range(d), 2): j is drawn from the d - 1 indices left with
         # d - 1 moved into i's place, or past 21 indices redrawn until j != i.
         i = d
+        i_bits = d.bit_length()
         while i >= d:
-            i = getrandbits(d.bit_length())
+            i = getrandbits(i_bits)
         m = d - 1 if d <= 21 else d
         j = m
+        j_bits = m.bit_length()
         while j >= m or (j == i and m == d):
-            j = getrandbits(m.bit_length())
+            j = getrandbits(j_bits)
         if j == i:
             j = d - 1
         r = getrandbits(10)
         while r > 1000:
             r = getrandbits(10)
         held = weights[i] * scale
-        shift = min(delta.numerator * r * total, held)
+        shift = min(step * r * total, held)
         if shift < held and i != b0:  # j passes b0 or the image stays
             moved_j = (weights[j] * scale + shift, j)
             perturbed_value = w[j] if moved_j > (top * scale, b0) else base_value

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -513,10 +514,32 @@ _BAD_SIMPLICES = (
             '{"simplices": [{"verts": [0, 1]}, {"verts": [2, 0, 2], "witness": [0, 2]}]}',
             "'simplices' item 1 repeats a vertex: [2, 0, 2]",
         ),
+        # A vertex repeated only in a facet, (3, 3) of [1, 3, 3], names its
+        # item before a later error of any kind.
+        (
+            '{"simplices": [{"verts": [0, 1]}, {"verts": [1, 3, 3]}]}',
+            "'simplices' item 1 repeats a vertex: [1, 3, 3]",
+        ),
+        (
+            '{"simplices": [{"verts": []}, {"verts": [3, 1, 3], "witness": [1, 3, 3]},'
+            ' {"verts": [0, 1], "witness": [0, 0]}], "truncated": 1}',
+            "'simplices' item 1 repeats a vertex: [3, 1, 3]",
+        ),
         (
             '{"simplices": [{"verts": [2, 0, 1], "witness": [2, 0, 1]},'
             ' {"verts": [1, 2, 0], "witness": [0, 1, 2]}]}',
             "'simplices' gives two witnesses for [0, 1, 2]",
+        ),
+        # An empty verts comes before a witness that is not an ordering, and
+        # of those the first is named.
+        (
+            '{"simplices": [{"verts": [0, 1], "witness": [0, 0]}, {"verts": []}]}',
+            "simplices must be nonempty",
+        ),
+        (
+            '{"simplices": [{"verts": [0, 1], "witness": [1, 0]},'
+            ' {"verts": [0, 2], "witness": [0, 0]}, {"verts": [1, 2], "witness": [1, 1]}]}',
+            "witness (0, 0) is not an ordering of (0, 2)",
         ),
         # A witness clash is reported after every shape check, as one pass
         # over the items finds it before the shape error of a later item.
@@ -820,10 +843,37 @@ def _read_or_message(read, doc):
 def _read_complex(doc):
     kind, k = documents._read_document(json.dumps(doc))
     assert kind == "complex"
-    return k.by_dimension, k.witness, k.truncated
+    return k.by_dimension, k.witness, k.truncated, documents._complex_digest(k)
 
 
-_CORRUPTIONS = (None, "type", "entry", "repeat", "order", "clash", "missing")
+def _complex_document_and_digest_oracle(doc):
+    """``complex_document_oracle`` and the input digest of what it read,
+    hashed from the plain document."""
+    levels, witness, truncated = complex_document_oracle(doc)
+    digest = documents._digest(
+        {
+            "f_vector": [len(level) for level in levels],
+            "simplices": [
+                {"verts": s, "witness": witness[s]} for level in levels for s in level
+            ],
+        }
+    )
+    return levels, witness, truncated, digest
+
+
+_CORRUPTIONS = (
+    None,
+    "type",
+    "entry",
+    "repeat",
+    "order",
+    "clash",
+    "missing",
+    "null",
+    "unsorted",
+    "facet-repeat",
+    "drop-facet",
+)
 
 
 @st.composite
@@ -832,7 +882,11 @@ def _bulk_documents(draw):
     reports of random digraphs, or the simplices of a ``from_simplices``
     complex with permuted, absent or duplicated witnesses, shuffled, some
     dropped for the closure to add back.  At most one item, at a drawn
-    position, is then corrupted so that one bulk check fails."""
+    position, is then corrupted so that one bulk check fails, or changed so
+    that the document leaves the reader's shortcut for ``complex`` reports:
+    every item given a witness and one ``verts`` reversed, an item that
+    repeats a vertex only one of its facets shows, or one facet dropped from
+    a closed document."""
     if draw(st.booleans()):
         g = random_digraph(
             draw(st.integers(1, 7)),
@@ -875,14 +929,42 @@ def _bulk_documents(draw):
         )
     elif corruption == "repeat":
         verts.insert(draw(st.integers(0, len(verts))), draw(st.sampled_from(verts)))
-    elif corruption == "order":
-        item["witness"] = draw(st.sampled_from((verts[:-1], verts + [7], [7] + verts[1:])))
+    elif corruption == "order":  # verts stays sorted
+        item["witness"] = draw(
+            st.sampled_from(
+                (verts[:-1], verts + [7], [7] + verts[1:], verts[:1] * len(verts))
+            )
+        )
     elif corruption == "clash":
         witness = item.setdefault("witness", sorted(verts))
         twin = {"verts": list(verts), "witness": witness[::-1] if len(verts) > 1 else [7]}
         items.insert(draw(st.integers(0, len(items))), twin)
-    else:
+    elif corruption == "missing":
         del item["verts"]
+    elif corruption == "null":
+        item["witness"] = None
+    elif corruption == "unsorted":  # every item has a witness, one verts is reversed
+        for other in items:
+            other.setdefault("witness", list(other["verts"]))
+        item["verts"].reverse()
+    elif corruption == "facet-repeat":  # [a, b, b]: only the facet (b, b) repeats
+        a, b = draw(st.lists(st.integers(0, 7), min_size=2, max_size=2, unique=True))
+        twins = [{"verts": [a, b, b]}]
+        if draw(st.booleans()):
+            twins[0]["witness"] = draw(st.permutations([a, b, b]))
+        if draw(st.booleans()):
+            twins.append({"verts": sorted([a, b])})
+        for twin in draw(st.permutations(twins)):
+            items.insert(draw(st.integers(0, len(items))), twin)
+    else:  # drop one facet of another item from a closed document
+        facets = {
+            face
+            for other in items
+            for face in combinations(other["verts"], len(other["verts"]) - 1)
+        }
+        dropped = [i for i, other in enumerate(items) if tuple(other["verts"]) in facets]
+        if dropped:
+            del items[draw(st.sampled_from(dropped))]
     return doc
 
 
@@ -892,7 +974,7 @@ def test_one_pass_reader_matches_the_two_step_oracle(doc):
     if type(doc) is not dict or "simplices" not in doc or {"vertices", "edges"} & set(doc):
         return  # not a complex document
     got = _read_or_message(_read_complex, doc)
-    expected = _read_or_message(complex_document_oracle, doc)
+    expected = _read_or_message(_complex_document_and_digest_oracle, doc)
     if got != expected:  # only a repeated vertex is read differently
         repeat = r"'simplices' item (\d+) repeats a vertex: .*"
         match = type(got) is str and re.fullmatch(repeat, got)

@@ -332,6 +332,20 @@ def test_closure_error_messages(faces, witnesses, message):
         assert str(exc.value) == message
 
 
+def test_from_faces_by_size_takes_a_covering_witness_dict_as_given():
+    def triangle():
+        return {3: {(0, 1, 2): None}, 2: {(0, 2): None}}
+
+    faces = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    witnesses = {s: s[::-1] for s in faces}
+    k = SimplicialComplex.from_faces_by_size(triangle(), witnesses)
+    assert k.witness is witnesses
+    partial = {(0, 2): (2, 0), (0, 1, 2): (1, 0, 2)}
+    k = SimplicialComplex.from_faces_by_size(triangle(), partial)
+    assert k.witness == {**{s: s for s in faces}, **partial}
+    assert k.by_dimension == [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     small_digraphs(),
