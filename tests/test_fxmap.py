@@ -9,23 +9,25 @@ from hypothesis import strategies as st
 
 from dvrhom import (
     InputError,
-    RealizationPoint,
     SampleReport,
-    barycenter,
     build_complex,
-    carrier_point,
     circulant,
     continuity_certificate,
-    evaluate_fx,
     figure_digraph,
     from_edge_list,
-    point_in,
     random_digraph,
     sampled_continuity_check,
-    tie_set,
 )
 from dvrhom.fxmap import SampleFailure
-from oracles import brute_force_certificate
+from oracles import (
+    RealizationPoint,
+    barycenter,
+    brute_force_certificate,
+    carrier_point,
+    evaluate_fx,
+    point_in,
+    tie_set,
+)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -279,8 +281,8 @@ def fraction_sampled_check(k, g, samples, delta, seed, seen=None):
     """Reference sampler: every sample in exact ``Fraction`` coordinates.
 
     Draws from the generator in the same order as the package and evaluates
-    each point through the public ``RealizationPoint``, ``carrier_point``
-    and ``evaluate_fx``.  If ``seen`` is a set, the names of the cases a
+    each point through the reference ``RealizationPoint``, ``carrier_point``
+    and ``evaluate_fx`` of ``oracles``.  If ``seen`` is a set, the names of the cases a
     checked sample falls in are added to it: ``"i"`` and ``"j"`` when the
     coordinate that loses or gains mass holds the base image, ``"tie"`` when
     two coordinates share the top weight, ``"drained"`` when the move

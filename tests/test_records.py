@@ -2,9 +2,14 @@
 
 Every CLI call is a fresh process, so the records are built without
 ``dataclasses``, which generates and execs the source of their methods
-at every import; the first test holds the CLI's import to that.
+at every import; the first test holds the CLI's import to that.  The last
+two tests hold the package's public surface: ``__all__`` is what a star
+import binds, and every public top-level function or class in ``src/`` has
+a caller there.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -13,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import dvrhom
 from dvrhom import (
     CertificateReport,
     ExactnessReport,
@@ -20,12 +26,14 @@ from dvrhom import (
     HomologyResult,
     InputError,
     Presentation,
-    RealizationPoint,
     SampleReport,
     SimplicialMapReport,
 )
 from dvrhom.fxmap import SampleFailure
 from dvrhom.homology import NodeReport
+from oracles import RealizationPoint
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dvrhom"
 
 
 def test_cli_import_pulls_in_no_code_generators():
@@ -33,7 +41,7 @@ def test_cli_import_pulls_in_no_code_generators():
         "import sys; before = set(sys.modules); import dvrhom.cli; "
         "print(*sorted(set(sys.modules) - before))"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     added = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
@@ -188,3 +196,75 @@ def test_realization_points_are_checked_through_every_constructor(
         RealizationPoint._make((witness, coords))
     with pytest.raises(InputError, match=message):
         POINT._replace(witness=witness, coords=coords)
+
+
+# Names that no command called; they live in tests/oracles.py.
+MOVED = {
+    "is_simplex", "check_full_subcomplex", "check_cone", "RealizationPoint",
+    "point_in", "barycenter", "tie_set", "evaluate_fx", "carrier_point",
+    "closure_of", "interior_of", "minimal_neighborhood", "induced_subgraph",
+    "is_symmetric",
+}
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from dvrhom import *", namespace)
+    del namespace["__builtins__"]
+    assert len(set(dvrhom.__all__)) == len(dvrhom.__all__)
+    assert namespace.keys() == set(dvrhom.__all__)
+    assert all(namespace[name] is getattr(dvrhom, name) for name in namespace)
+    modules = [dvrhom] + [
+        importlib.import_module(f"dvrhom.{path.stem}")
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    for module in modules:
+        assert not MOVED & vars(module).keys(), module.__name__
+
+
+# Public names that no command calls yet, kept for planned work: map_complex
+# is ROADMAP item 10 (induced maps through the mapping cone), and
+# is_interior_cover is item 12 (Mayer-Vietoris for interior covers).
+UNCALLED = {"map_complex", "is_interior_cover"}
+
+
+def _names(node):
+    """Every name that ``node`` reads, attribute names and imports included."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+def test_every_public_definition_in_src_has_a_caller():
+    """A public top-level function or class (or a record made by a call,
+    such as a named tuple) must be named somewhere in ``src/`` outside its
+    own definition.  ``__init__.py`` does not count: exporting a name does
+    not call it."""
+    defined = {}
+    referenced = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            # An assignment's targets (``X.__doc__ = ...``) do not use X.
+            names = set(_names(node.value if isinstance(node, ast.Assign) else node))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = path.name
+                names.discard(node.name)
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        defined[target.id] = path.name
+                        names.discard(target.id)
+            if path.name != "__init__.py":
+                referenced |= names
+    uncalled = {
+        name: module
+        for name, module in defined.items()
+        if not name.startswith("_") and name not in referenced | UNCALLED
+    }
+    assert not uncalled
+    assert UNCALLED <= defined.keys()
