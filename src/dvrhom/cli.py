@@ -6,11 +6,10 @@ output the complex keys, so commands chain over standard streams.  Reports
 are byte-identical across runs on identical input (sorted keys, no
 timestamps).
 
-Arguments are parsed by ``_parse_args`` on one of two paths.  A command
-line that spells each option of its command exactly is read straight off
-that command's own argparse actions; anything else (abbreviations,
-``--opt=value``, help, ``gen``, usage errors) goes through the top-level
-parser, which alone writes usage and error text.
+Each command is declared once, in ``_COMMANDS`` (``gen`` in ``_GENERATORS``):
+its help, options and runner.  A command line that spells each option exactly
+is read straight off that table; anything else (abbreviations, help, ``gen``,
+usage errors) goes through the argparse parser built from it.
 
 Documents are parsed, checked, written and hashed in ``documents``.  An
 ``--out`` file that cannot be written is a domain error naming the path.
@@ -58,7 +57,7 @@ from .homology import (
 def _load_input(args, stdin):
     """Read stdin into (kind, object, input digest)."""
     text = stdin.read()
-    if getattr(args, "format", "json") == "edgelist":
+    if args.format == "edgelist":
         g = _parse_edgelist(text)
         return "digraph", g, _digraph_digest(g)
     kind, obj = _read_document(text)
@@ -128,140 +127,10 @@ def _parse_fraction(text):
         raise InputError(f"bad rational number {text!r} (at most 4096 bits)") from None
 
 
-@functools.lru_cache(maxsize=None)
-def _build_parser():
-    # Built on first use and shared by every later call: parse_args keeps no
-    # state between calls, and building the parser costs far more than using
-    # it.  ``commands`` maps each command name to its own parser.
-    parser = argparse.ArgumentParser(
-        prog="dvrhom",
-        description="Homology of finite digraphs via directed Vietoris-Rips complexes.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="emit a generated digraph document")
-    gsub = gen.add_subparsers(dest="generator", required=True)
-    g_circ = gsub.add_parser("circulant")
-    g_circ.add_argument("--n", type=int, required=True)
-    g_circ.add_argument("--m", type=int, required=True)
-    g_dig = gsub.add_parser("digital")
-    g_dig.add_argument(
-        "--points",
-        required=True,
-        help="semicolon-separated lattice points, e.g. '1,0;0,1;-1,0'",
-    )
-    g_fig = gsub.add_parser("figure")
-    g_fig.add_argument("--which", choices=("left", "middle", "right"), required=True)
-    g_rand = gsub.add_parser("random")
-    g_rand.add_argument("--n", type=int, required=True)
-    g_rand.add_argument("--p", type=float, required=True)
-    g_rand.add_argument("--seed", type=int, default=0)
-    for p in (g_circ, g_dig, g_fig, g_rand):
-        p.add_argument("--out")
-
-    def io_command(name, **kwargs):
-        c = sub.add_parser(name, **kwargs)
-        c.add_argument("--format", choices=("json", "edgelist"), default="json")
-        c.add_argument("--out")
-        return c
-
-    cx = io_command("complex", help="build the complex, emit f-vector and witnesses")
-    cx.add_argument("--max-dim", type=int, default=None)
-
-    hom = io_command("homology", help="homology groups of the complex")
-    hom.add_argument("--coeff", default="z")
-    hom.add_argument("--reduced", action="store_true")
-    hom.add_argument("--max-dim", type=int, default=None)
-
-    pair = io_command("pair", help="relative homology against a vertex subset")
-    pair.add_argument("--subset", required=True)
-
-    les = io_command("les-check", help="long-exact-sequence exactness report")
-    les.add_argument("--subset", required=True)
-    les.add_argument("--coeff", default="q")
-
-    pi1 = io_command("pi1", help="fundamental group presentation")
-    pi1.add_argument("--basepoint", type=int, default=0)
-
-    io_command("fx-certify", help="combinatorial continuity certificate")
-
-    fxs = io_command("fx-sample", help="sampled continuity check")
-    fxs.add_argument("--samples", type=int, default=1000)
-    fxs.add_argument("--delta", default="1/1000")
-    fxs.add_argument("--seed", type=int, default=0)
-    parser.commands = dict(sub.choices)
-    return parser
-
-
-def _parse_args(argv):
-    """``_build_parser().parse_args(argv)``, read off the command's own table.
-
-    The top-level parser hands everything after a command name to that
-    command's parser and adds only the name.  When each word after the name
-    is an exact option string of a plain store or store_true action, each
-    value is a word that does not start with "-", converts with the action's
-    type and is one of its choices, and every required option is given, the
-    namespace is read straight off that parser's actions, the last value of
-    a repeated option winning as in argparse.  Anything else (abbreviations,
-    ``--opt=value``, help, negative numbers, ``--``, a bad value, a missing
-    or extra argument, ``gen`` with its positional generator) goes through
-    the top-level parser, which decides it and reports errors with its own
-    usage.
-    """
-    top = _build_parser()
-    parser = top.commands.get(argv[0]) if argv else None
-    if parser is not None:
-        values = _read_exact(parser, argv[1:])
-        if values is not None:
-            args = argparse.Namespace(command=argv[0])
-            vars(args).update(values)
-            return args
-    return top.parse_args(argv)
-
-
-def _read_exact(parser, words):
-    """The dest -> value dict ``parser`` gives ``words``, or None when the
-    words are not in the exactly spelled form ``_parse_args`` describes."""
-    table = parser._option_string_actions
-    given = {}
-    i, n = 0, len(words)
-    while i < n:
-        action = table.get(words[i])
-        if type(action) is argparse._StoreTrueAction:
-            given[action] = action.const
-            i += 1
-            continue
-        if (
-            type(action) is not argparse._StoreAction
-            or action.nargs is not None
-            or i + 1 == n
-            or words[i + 1].startswith("-")
-        ):
-            return None
-        try:
-            value = (action.type or str)(words[i + 1])
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
-            return None
-        if action.choices is not None and value not in action.choices:
-            return None
-        given[action] = value
-        i += 2
-    values = {}
-    for action in parser._actions:
-        if action in given:
-            values[action.dest] = given[action]
-        elif action.required or not action.option_strings:
-            return None
-        elif action.default != argparse.SUPPRESS:  # all but -h
-            values[action.dest] = action.default
-    return values
-
-
 def _run_gen(args):
     if args.generator == "circulant":
         g = circulant(args.n, args.m)
         params = {"generator": "circulant", "n": args.n, "m": args.m}
-        seed = None
     elif args.generator == "digital":
         points = []
         for chunk in args.points.split(";"):
@@ -273,16 +142,18 @@ def _run_gen(args):
                     raise InputError(f"bad lattice point {chunk!r}") from None
         g = digital_image(points)
         params = {"generator": "digital", "points": [list(p) for p in points]}
-        seed = None
     elif args.generator == "figure":
         g = figure_digraph(args.which)
         params = {"generator": "figure", "which": args.which}
-        seed = None
     else:
         g = random_digraph(args.n, args.p, args.seed)
         params = {"generator": "random", "n": args.n, "p": args.p, "seed": args.seed}
-        seed = args.seed
-    return _digraph_doc(g), _digest(params), seed
+    seeded = {"seed": args.seed} if "seed" in params else {}
+    return {**_digraph_doc(g), **seeded}, _digest(params)
+
+
+def _run_complex(args, kind, obj):
+    return _complex_doc(build_complex(_require_digraph(kind, obj), args.max_dim))
 
 
 def _run_homology(args, kind, obj):
@@ -396,6 +267,7 @@ def _run_fx_sample(args, kind, obj):
         for f in rep.failures
     ]
     return {
+        "seed": args.seed,
         "samples": rep.samples,
         "delta": str(rep.delta),
         "checked": rep.checked,
@@ -403,6 +275,139 @@ def _run_fx_sample(args, kind, obj):
         "failure_rate": str(rep.failure_rate),
         "failures": failures,
     }
+
+
+# Options as add_argument keywords, of which the exact reader knows type,
+# choices, default, required and action="store_true".
+_NEEDED = {"required": True}
+_NEEDED_INT = {"type": int, "required": True}
+_INT = {"type": int}
+_SEED = {"type": int, "default": 0}
+_POINTS = "semicolon-separated lattice points, e.g. '1,0;0,1;-1,0'"
+_GENERATORS = {  # each then takes --out
+    "circulant": {"--n": _NEEDED_INT, "--m": _NEEDED_INT},
+    "digital": {"--points": {"required": True, "help": _POINTS}},
+    "figure": {"--which": {"choices": ("left", "middle", "right"), "required": True}},
+    "random": {
+        "--n": _NEEDED_INT, "--p": {"type": float, "required": True}, "--seed": _SEED
+    },
+}
+# Each command but gen: its help, the runner that turns (args, input kind,
+# input object) into its report's keys, and its options after _IO.
+_IO = {"--format": {"choices": ("json", "edgelist"), "default": "json"}, "--out": {}}
+_COMMANDS = {
+    "complex": (
+        "build the complex, emit f-vector and witnesses",
+        _run_complex,
+        {"--max-dim": _INT},
+    ),
+    "homology": (
+        "homology groups of the complex",
+        _run_homology,
+        {
+            "--coeff": {"default": "z"},
+            "--reduced": {"action": "store_true"},
+            "--max-dim": _INT,
+        },
+    ),
+    "pair": (
+        "relative homology against a vertex subset", _run_pair, {"--subset": _NEEDED}
+    ),
+    "les-check": (
+        "long-exact-sequence exactness report",
+        _run_les,
+        {"--subset": _NEEDED, "--coeff": {"default": "q"}},
+    ),
+    "pi1": (
+        "fundamental group presentation",
+        _run_pi1,
+        {"--basepoint": {"type": int, "default": 0}},
+    ),
+    "fx-certify": ("combinatorial continuity certificate", _run_fx_certify, {}),
+    "fx-sample": (
+        "sampled continuity check",
+        _run_fx_sample,
+        {
+            "--samples": {"type": int, "default": 1000},
+            "--delta": {"default": "1/1000"},
+            "--seed": _SEED,
+        },
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _build_parser():
+    # Built on first use and shared: parse_args keeps no state between calls,
+    # and building the parser costs far more than using it.
+    parser = argparse.ArgumentParser(
+        prog="dvrhom",
+        description="Homology of finite digraphs via directed Vietoris-Rips complexes.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    gen = sub.add_parser("gen", help="emit a generated digraph document")
+    gsub = gen.add_subparsers(dest="generator", required=True)
+    parsers = [(gsub.add_parser(g), {**o, "--out": {}}) for g, o in _GENERATORS.items()]
+    for name, (text, _, options) in _COMMANDS.items():
+        parsers.append((sub.add_parser(name, help=text), {**_IO, **options}))
+    for command, options in parsers:
+        for flag, keywords in options.items():
+            command.add_argument(flag, **keywords)
+    return parser
+
+
+def _exact_table(options):
+    """The flags, defaults and required dests that ``_read_exact`` reads."""
+    flags, defaults, required = {}, {}, set()
+    for flag, keywords in {**_IO, **options}.items():
+        dest = flag[2:].replace("-", "_")
+        store_true = keywords.get("action") == "store_true"
+        convert = None if store_true else keywords.get("type", str)
+        flags[flag] = dest, convert, keywords.get("choices")
+        if keywords.get("required"):
+            required.add(dest)
+        else:
+            defaults[dest] = keywords.get("default", False if store_true else None)
+    return flags, defaults, required
+
+
+_EXACT = {name: _exact_table(options) for name, (_, _, options) in _COMMANDS.items()}
+
+
+def _parse_args(argv):
+    """``_build_parser().parse_args(argv)``, read off ``_EXACT`` when each word
+    is a flag of the command or a value that does not start with "-",
+    converts and is one of the choices, and no required option is missing."""
+    table = _EXACT.get(argv[0]) if argv else None
+    if table is not None:
+        values = _read_exact(table, argv[1:])
+        if values is not None:
+            return argparse.Namespace(command=argv[0], **values)
+    return _build_parser().parse_args(argv)
+
+
+def _read_exact(table, words):
+    """``words`` as a dest -> value dict, or None to leave them to argparse."""
+    flags, defaults, required = table
+    given = {}
+    words = iter(words)
+    for word in words:
+        if word not in flags:
+            return None
+        dest, convert, choices = flags[word]
+        if convert is None:
+            given[dest] = True
+            continue
+        word = next(words, "-")
+        if word.startswith("-"):
+            return None
+        try:
+            given[dest] = value = convert(word)
+        except (TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+    return {**defaults, **given} if required <= given.keys() else None
 
 
 def _emit(report, out_path, stdout):
@@ -420,43 +425,21 @@ def _emit(report, out_path, stdout):
 
 def run_command(argv, stdin=None, stdout=None):
     """Execute one subcommand; returns the report written to the stream."""
-    stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     args = _parse_args(argv)
-    command = " ".join(argv)
-    seed = None
     if args.command == "gen":
-        extra, digest, seed = _run_gen(args)
+        extra, digest = _run_gen(args)
     else:
-        kind, obj, digest = _load_input(args, stdin)
-        if args.command == "complex":
-            g = _require_digraph(kind, obj)
-            extra = _complex_doc(build_complex(g, args.max_dim))
-        elif args.command == "homology":
-            extra = _run_homology(args, kind, obj)
-        elif args.command == "pair":
-            extra = _run_pair(args, kind, obj)
-        elif args.command == "les-check":
-            extra = _run_les(args, kind, obj)
-        elif args.command == "pi1":
-            extra = _run_pi1(args, kind, obj)
-        elif args.command == "fx-certify":
-            extra = _run_fx_certify(args, kind, obj)
-        elif args.command == "fx-sample":
-            extra = _run_fx_sample(args, kind, obj)
-            seed = args.seed
-        else:  # pragma: no cover - argparse rejects unknown commands
-            raise InputError(f"unknown command {args.command!r}")
+        kind, obj, digest = _load_input(args, sys.stdin if stdin is None else stdin)
+        extra = _COMMANDS[args.command][1](args, kind, obj)
     report = {
         "schema": SCHEMA,
-        "command": command,
+        "command": " ".join(argv),
         "input_digest": digest,
         "tool": {"name": "dvrhom", "version": __version__},
+        **extra,
     }
-    if seed is not None:
-        report["seed"] = seed
-    report.update(extra)
-    _emit(report, getattr(args, "out", None), stdout)
+    _emit(report, args.out, stdout)
     return report
 
 

@@ -48,26 +48,19 @@ class SimplicialComplex:
 
         Witnesses default to the sorted vertex tuple (the natural reading for
         complexes without an ambient digraph).  Given ones are checked here,
-        in bulk: their faces by membership in the closure and their
-        orderings by comparing the list of their sorted tuples with the
-        faces.  Only a failing table is walked, in the order given, to name
-        its first witness that is missing or not an ordering.
+        in the order given: the first that names no face of the closure, or
+        is not an ordering of its face, is an error.
         """
         faces = sorted(map(tuple, map(sorted, map(set, faces))), key=len)
         by_size = {size: dict.fromkeys(level) for size, level in groupby(faces, len)}
         k = cls.from_faces_by_size(by_size)
-        if witnesses:
-            faces = list(map(tuple, witnesses))
-            orders = list(map(tuple, witnesses.values()))
-            if not all(map(k.witness.__contains__, faces)) or faces != list(
-                map(tuple, map(sorted, orders))
-            ):
-                for s, w in zip(faces, witnesses.values()):
-                    if s not in k.witness:
-                        raise InputError(f"witness given for missing simplex {s}")
-                    if tuple(sorted(w)) != s:
-                        raise InputError(f"witness {w} is not an ordering of {s}")
-            k.witness.update(zip(faces, orders))
+        for s, w in (witnesses or {}).items():
+            s = tuple(s)
+            if s not in k.witness:
+                raise InputError(f"witness given for missing simplex {s}")
+            if tuple(sorted(w)) != s:
+                raise InputError(f"witness {w} is not an ordering of {s}")
+            k.witness[s] = tuple(w)
         return k
 
     @classmethod

@@ -20,9 +20,13 @@ reference definitions that the package's bitmask code and sampler are
 tested against.  The chain-level oracle of the long exact sequence,
 ``les_chain_oracle``, runs that tagged elimination to pick homology
 representatives and map them, where the package reads every rank off one
-filtered reduction.
+filtered reduction.  ``cli_parser_oracle`` is the command-line parser
+written out one argparse call at a time, the reference for the help texts
+and namespaces of the parsers that ``dvrhom.cli`` builds from its table.
 """
 
+import argparse
+import functools
 import hashlib
 import json
 from collections import deque, namedtuple
@@ -1131,3 +1135,69 @@ def tietze_oracle(symbols, relators):
             [x - 1 if x > g else x + 1 if x < -g else x for x in w] for w in out
         ]
         symbols = symbols[: g - 1] + symbols[g:]
+
+
+@functools.lru_cache(maxsize=None)
+def cli_parser_oracle():
+    """The argparse parser of ``dvrhom``, one call per option."""
+    # Built on first use and shared by every later call: parse_args keeps no
+    # state between calls, and building the parser costs far more than using
+    # it.  ``commands`` maps each command name to its own parser.
+    parser = argparse.ArgumentParser(
+        prog="dvrhom",
+        description="Homology of finite digraphs via directed Vietoris-Rips complexes.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    gen = sub.add_parser("gen", help="emit a generated digraph document")
+    gsub = gen.add_subparsers(dest="generator", required=True)
+    g_circ = gsub.add_parser("circulant")
+    g_circ.add_argument("--n", type=int, required=True)
+    g_circ.add_argument("--m", type=int, required=True)
+    g_dig = gsub.add_parser("digital")
+    g_dig.add_argument(
+        "--points",
+        required=True,
+        help="semicolon-separated lattice points, e.g. '1,0;0,1;-1,0'",
+    )
+    g_fig = gsub.add_parser("figure")
+    g_fig.add_argument("--which", choices=("left", "middle", "right"), required=True)
+    g_rand = gsub.add_parser("random")
+    g_rand.add_argument("--n", type=int, required=True)
+    g_rand.add_argument("--p", type=float, required=True)
+    g_rand.add_argument("--seed", type=int, default=0)
+    for p in (g_circ, g_dig, g_fig, g_rand):
+        p.add_argument("--out")
+
+    def io_command(name, **kwargs):
+        c = sub.add_parser(name, **kwargs)
+        c.add_argument("--format", choices=("json", "edgelist"), default="json")
+        c.add_argument("--out")
+        return c
+
+    cx = io_command("complex", help="build the complex, emit f-vector and witnesses")
+    cx.add_argument("--max-dim", type=int, default=None)
+
+    hom = io_command("homology", help="homology groups of the complex")
+    hom.add_argument("--coeff", default="z")
+    hom.add_argument("--reduced", action="store_true")
+    hom.add_argument("--max-dim", type=int, default=None)
+
+    pair = io_command("pair", help="relative homology against a vertex subset")
+    pair.add_argument("--subset", required=True)
+
+    les = io_command("les-check", help="long-exact-sequence exactness report")
+    les.add_argument("--subset", required=True)
+    les.add_argument("--coeff", default="q")
+
+    pi1 = io_command("pi1", help="fundamental group presentation")
+    pi1.add_argument("--basepoint", type=int, default=0)
+
+    io_command("fx-certify", help="combinatorial continuity certificate")
+
+    fxs = io_command("fx-sample", help="sampled continuity check")
+    fxs.add_argument("--samples", type=int, default=1000)
+    fxs.add_argument("--delta", default="1/1000")
+    fxs.add_argument("--seed", type=int, default=0)
+    parser.commands = dict(sub.choices)
+    return parser

@@ -1,9 +1,11 @@
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
 import json
 import math
+import pathlib
 import re
 from itertools import combinations
 
@@ -24,7 +26,12 @@ from dvrhom import (
 )
 from dvrhom import cli, documents
 from dvrhom.cli import main, parse_digraph, run_command
-from oracles import complex_document_oracle, digraph_document_oracle, les_chain_oracle
+from oracles import (
+    cli_parser_oracle,
+    complex_document_oracle,
+    digraph_document_oracle,
+    les_chain_oracle,
+)
 
 
 def run(argv, stdin_text=""):
@@ -370,7 +377,8 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     def broken(args, kind, obj):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "_run_pi1", broken)
+    text, _, options = cli._COMMANDS["pi1"]
+    monkeypatch.setitem(cli._COMMANDS, "pi1", (text, broken, options))
     code = _main_with_stdin(["pi1"], '{"vertices": ["a"], "edges": []}')
     assert code == 3
     captured = capsys.readouterr()
@@ -1237,3 +1245,59 @@ def test_workload_command_lines_never_reach_argparse(monkeypatch):
     # The spy sees an abbreviation, which argparse decides.
     assert cli._parse_args(["homology", "--co", "q"]).coeff == "q"
     assert calls
+
+
+def test_the_command_table_builds_the_reference_parsers():
+    # Every help text, and the namespaces of the benchmark's command lines,
+    # as the parser written out call by call gives them: a typo in a help,
+    # default or choice of the table shows here.
+    reference, parser = cli_parser_oracle(), cli._build_parser()
+    assert parser.format_help() == reference.format_help()
+    heads = [[name] for name in reference.commands]
+    heads += [["gen", name] for name in ("circulant", "digital", "figure", "random")]
+    for head in heads:
+        expected = _parse_outcome(reference.parse_args, [*head, "-h"])
+        assert expected[0] == 0 and expected[1].startswith("usage: dvrhom " + " ".join(head))
+        assert _parse_outcome(parser.parse_args, [*head, "-h"]) == expected
+    # Each command with its required options alone shows every default.
+    argvs = [
+        ["gen", "random", "--n", "14", "--p", ".65", "--seed", "1"],
+        ["gen", "random", "--n", "14", "--p", ".65"],
+        ["gen", "circulant", "--n", "20", "--m", "4"],
+        ["gen", "digital", "--points", "0,0;0,1", "--out", "x.json"],
+        ["gen", "figure", "--which", "right"],
+        ["complex"],
+        ["complex", "--max-dim", "2", "--format", "edgelist"],
+        ["homology"],
+        ["homology", "--coeff", "zp:3"],
+        ["homology", "--reduced"],
+        ["pair", "--subset", "0,1,2,3,4,5,6"],
+        ["les-check", "--subset", "0,1,2,3"],
+        ["les-check", "--subset", "0,1,2,3", "--coeff", "zp:2"],
+        ["pi1"],
+        ["pi1", "--basepoint", "0"],
+        ["fx-certify"],
+        ["fx-sample"],
+        ["fx-sample", "--samples", "300", "--delta", "1/1000000", "--seed", "7"],
+    ]
+    for argv in argvs:
+        expected = vars(reference.parse_args(argv))
+        assert vars(parser.parse_args(argv)) == expected
+        assert vars(cli._parse_args(argv)) == expected
+
+
+def test_cli_reads_no_private_name_of_argparse():
+    # Names that start with "_" are not argparse's interface and may change
+    # with any Python release; cli.py reads no such attribute of anything,
+    # dunders such as __name__ aside.
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    names = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    names += [
+        node.args[1].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("getattr", "hasattr")
+        and isinstance(node.args[1], ast.Constant)
+    ]
+    private = [x for x in names if str(x).startswith("_") and not str(x).endswith("__")]
+    assert private == []

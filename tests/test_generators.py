@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dvrhom import (
@@ -90,13 +90,13 @@ def test_digital_image_grid_is_contractible():
 @settings(max_examples=120, deadline=None)
 @given(
     st.one_of(
-        st.integers(1, 4).flatmap(
+        st.integers(1, 5).flatmap(
             lambda d: st.lists(
                 st.tuples(*[st.integers(-2, 2)] * d), unique=True, max_size=30
             )
         ),
-        # Fewer points than 3^d, where pairs are tested instead of offsets;
-        # one wide coordinate makes some pairs adjacent and some not.
+        # Few points in many coordinates; one wide coordinate makes some
+        # pairs adjacent and some not.
         st.integers(5, 24).flatmap(
             lambda d: st.lists(
                 st.tuples(st.integers(-2, 2), *[st.integers(0, 1)] * (d - 1)),
@@ -106,6 +106,8 @@ def test_digital_image_grid_is_contractible():
         ),
     )
 )
+@example([(0,) * 24])
+@example([(0,) * 24, (1,) + (0,) * 23, (1,) * 24, (2,) + (1,) * 23])
 def test_digital_image_lookup_matches_pair_loop(points):
     g, oracle = digital_image(points), digital_image_oracle(points)
     assert g == oracle
