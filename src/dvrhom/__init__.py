@@ -19,7 +19,7 @@ from .complexes import (
     map_complex,
     restrict_to,
 )
-from .digraph import Digraph, InputError, from_edge_list, is_interior_cover
+from .digraph import Digraph, InputError, is_interior_cover
 from .fxmap import (
     CertificateReport,
     SampleReport,
@@ -30,7 +30,6 @@ from .generators import circulant, digital_image, figure_digraph, random_digraph
 from .homology import (
     ExactnessReport,
     HomologyGroup,
-    HomologyResult,
     Presentation,
     abelianization,
     homology_field,
@@ -47,7 +46,6 @@ __all__ = [
     "Digraph",
     "ExactnessReport",
     "HomologyGroup",
-    "HomologyResult",
     "InputError",
     "Presentation",
     "SampleReport",
@@ -60,7 +58,6 @@ __all__ = [
     "digital_image",
     "f_vector",
     "figure_digraph",
-    "from_edge_list",
     "homology_field",
     "homology_integer",
     "invariant_factors",

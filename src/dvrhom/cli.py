@@ -14,15 +14,17 @@ usage errors) goes through the argparse parser built from it.
 Documents are parsed, checked, written and hashed in ``documents``.  An
 ``--out`` file that cannot be written is a domain error naming the path.
 
-Exit codes: 0 success, 1 domain error (structured error report on stdout),
-2 usage error, 3 internal error (an unexpected exception, reported the same
-way as a domain error, without a traceback).
+Exit codes: 0 success, 1 domain error (structured error report on stdout)
+or stdout closed by its reader before the report was written, 2 usage
+error, 3 internal error (an unexpected exception, reported the same way as
+a domain error, without a traceback).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 
@@ -160,7 +162,7 @@ def _run_homology(args, kind, obj):
     label, coeff = _parse_coeff(args.coeff)
     k = _complex_of(kind, obj, args.max_dim)
     if coeff == "z":
-        groups = homology_integer(k, reduced=args.reduced).groups
+        groups = homology_integer(k, reduced=args.reduced)
     else:
         betti = homology_field(k, coeff, reduced=args.reduced)
         groups = [HomologyGroup(b) for b in betti]
@@ -184,11 +186,10 @@ def _subset_subcomplex(k, subset_text):
 def _run_pair(args, kind, obj):
     k = _complex_of(kind, obj)
     subset, sub = _subset_subcomplex(k, args.subset)
-    result = relative_homology(k, sub)
     return {
         "subset": list(subset),
-        "groups": _groups_json(result.groups),
-        **({"truncated": True} if result.truncated else {}),
+        "groups": _groups_json(relative_homology(k, sub)),
+        **({"truncated": True} if k.truncated else {}),
     }
 
 
@@ -455,14 +456,23 @@ def _report_error(argv, message):
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        run_command(argv)
-    except InputError as exc:
-        _report_error(argv, str(exc))
+        try:
+            run_command(argv)
+            code = 0
+        except InputError as exc:
+            _report_error(argv, str(exc))
+            code = 1
+        except BrokenPipeError:
+            raise
+        except Exception as exc:
+            _report_error(argv, f"internal error: {type(exc).__name__}: {exc}")
+            code = 3
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: the flush at exit goes to os.devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except Exception as exc:
-        _report_error(argv, f"internal error: {type(exc).__name__}: {exc}")
-        return 3
-    return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

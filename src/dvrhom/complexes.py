@@ -68,11 +68,10 @@ class SimplicialComplex:
         """The complex of faces already grouped: ``by_size[k]`` is a dict
         keyed by sorted k-vertex tuples, and is filled in place.
 
-        The closure runs top down: each level tests the facets of all its
-        simplices for membership in the level below, and adds them in one
-        update only when one is missing; that level then does the same.  A
-        dict keeps the given faces first, in the order given, so a closed
-        and sorted input sorts again in linear time.
+        The closure runs top down: each level adds the facets of all its
+        simplices to the level below in one update; that level then does the
+        same.  A dict keeps the given faces first, in the order given, so a
+        closed and sorted input sorts again in linear time.
 
         ``witnesses`` maps faces to witness tuples and is not checked: its
         caller has checked that each key is a face and each value an
@@ -85,8 +84,7 @@ class SimplicialComplex:
         top = max(by_size, default=0)
         for k in range(top, 1, -1):
             below = by_size.setdefault(k - 1, {})
-            if not all(map(below.__contains__, _facets(by_size[k], k))):
-                below |= dict.fromkeys(_facets(by_size[k], k))
+            below |= dict.fromkeys(_facets(by_size[k], k))
         by_dim = [sorted(by_size[k]) for k in range(1, top + 1)]
         if witnesses is not None and len(witnesses) == sum(map(len, by_dim)):
             return cls(by_dim, witnesses)

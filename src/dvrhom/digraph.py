@@ -108,18 +108,12 @@ class Digraph:
     def sym_mask(self, u):
         return self._sym[u]
 
-    def vertices(self):
-        return range(self.n)
-
-    def edges(self, include_loops=False):
-        """Ordered pairs (u, v), sorted; loops skipped unless asked for."""
+    def edges(self):
+        """Ordered pairs (u, v) other than loops, sorted."""
         for u in range(self.n):
             for v in _iter_bits(self._out[u]):
-                if include_loops or u != v:
+                if u != v:
                     yield (u, v)
-
-    def label_of(self, v):
-        return self.labels[v] if self.labels is not None else str(v)
 
     # Equality is vertex count plus edge set; labels are presentation-only.
     def __eq__(self, other):
@@ -142,10 +136,6 @@ def _vertex_set(g, a):
         if not (0 <= v < g.n):
             raise InputError(f"vertex {v} out of range for {g.n} vertices")
     return tuple(vs)
-
-
-def from_edge_list(n, edges, labels=None):
-    return Digraph.from_edge_list(n, edges, labels=labels)
 
 
 def _closure_mask(g, mask):

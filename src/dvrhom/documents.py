@@ -15,15 +15,14 @@ has one and those equal the ``verts`` lists, which also shows every witness
 an ordering, else from the sorted ``verts`` with the witnesses compared
 with them; a clash by one witness dict.  Then
 ``SimplicialComplex.from_faces_by_size`` closes the faces a level at a
-time, testing each level's facets before it adds them, and a repeated
-vertex shows as a pair (x, x) among the closed 2-faces.  Only a list that
-fails is walked item by item (``_read_complex``), to raise or name its
-first error.
+time, and a repeated vertex shows as a pair (x, x) among the closed
+2-faces.  Only a list that fails is walked item by item
+(``_read_complex``), to raise or name its first error.
 
 Every report, error reports included, is written by ``_dumps``: the text
 ``json.dumps`` gives with sorted keys and a two-space indent, made without
 json's pure-Python indenting encoder.  Strings go through the C string
-encoder and each list of plain integers through one ``join``.
+encoder.
 
 All simplices of one level have the same number of vertices, so one ``%d``
 template per level (``_simplex_template``) writes every simplex of it.
@@ -66,7 +65,6 @@ def _digest(obj):
 
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
-_INT = frozenset({int})
 
 
 def _dumps(obj):
@@ -78,44 +76,36 @@ def _dumps(obj):
     ``json.dumps`` one at a time.
     """
     chunks = []
-    _write(obj, "\n", chunks.append, {})
+    _write(obj, "\n", chunks.append)
     chunks.append("\n")
     return "".join(chunks)
 
 
-def _write(x, nl, out, layouts):
-    # ``nl`` is the newline and indent of the line x starts on; ``layouts``
-    # maps it to the text around and between the items of a container there.
+def _write(x, nl, out):
+    # ``nl`` is the newline and indent of the line x starts on.
     t = type(x)
     if t is dict or t is list or t is tuple:
         if not x:
             out("{}" if t is dict else "[]")
             return
-        layout = layouts.get(nl)
-        if layout is None:
-            inner = nl + "  "
-            layout = layouts[nl] = (
-                inner, "," + inner, "{" + inner, nl + "}", "[" + inner, nl + "]"
-            )
+        inner = nl + "  "
+        comma = "," + inner
         if t is dict:
-            inner, comma, sep, close, _, _ = layout
+            sep = "{" + inner
             for key in sorted(x):
                 out(sep)
                 out(encode_basestring_ascii(key))
                 out(": ")
-                _write(x[key], inner, out, layouts)
+                _write(x[key], inner, out)
                 sep = comma
+            out(nl + "}")
         else:
-            inner, comma, _, _, sep, close = layout
-            if set(map(type, x)) <= _INT:  # so no bool either
+            sep = "[" + inner
+            for item in x:
                 out(sep)
-                out(comma.join(map(int.__repr__, x)))
-            else:
-                for item in x:
-                    out(sep)
-                    _write(item, inner, out, layouts)
-                    sep = comma
-        out(close)
+                _write(item, inner, out)
+                sep = comma
+            out(nl + "]")
     elif t is str:
         out(encode_basestring_ascii(x))
     elif t is int:
@@ -201,6 +191,7 @@ def _digraph_doc(g):
 
 
 _LABEL = frozenset({str, int, float})  # so no bool either
+_INT = frozenset({int})
 _LIST = frozenset({list})
 _DICT = frozenset({dict})
 _PAIR = frozenset({2})
@@ -385,7 +376,7 @@ def _parse_edgelist(text):
             continue
         fields = line.split()
         if n is None:
-            if len(fields) != 1 or not fields[0].isdigit():
+            if len(fields) != 1 or not fields[0].isdecimal():
                 raise InputError(f"line {lineno}: expected the vertex count")
             n = int(fields[0])
             continue

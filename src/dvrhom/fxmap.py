@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations
 
 from .digraph import InputError
 
@@ -177,8 +177,8 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
         w = k.witness[s]
         d = len(w)
         # randint(1, 1000) per vertex: each weight redraws 10 bits until one
-        # is below 1000, so the weights are the first d draws accepted.
-        weights = [wt + 1 for wt in map(getrandbits, repeat(10, d)) if wt < 1000]
+        # is below 1000.
+        weights = []
         while len(weights) < d:
             wt = getrandbits(10)
             if wt < 1000:

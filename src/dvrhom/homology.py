@@ -49,45 +49,6 @@ class HomologyGroup(namedtuple("HomologyGroup", "betti torsion", defaults=((),))
         return " + ".join(parts) if parts else "0"
 
 
-class HomologyResult:
-    """Homology groups per degree, with bookkeeping flags.
-
-    ``truncated`` marks results computed from a dimension-capped complex,
-    whose top degree may be missing boundaries and is therefore unreliable.
-    A plain class, not a tuple: iterating, indexing and ``len`` walk the groups.
-    """
-
-    def __init__(self, groups, reduced=False, truncated=False):
-        self.groups = groups
-        self.reduced = reduced
-        self.truncated = truncated
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.groups, self.reduced, self.truncated) == (
-            other.groups, other.reduced, other.truncated
-        )
-
-    def __repr__(self):
-        return (
-            f"HomologyResult(groups={self.groups!r}, reduced={self.reduced!r}, "
-            f"truncated={self.truncated!r})"
-        )
-
-    def __iter__(self):
-        return iter(self.groups)
-
-    def __len__(self):
-        return len(self.groups)
-
-    def __getitem__(self, i):
-        return self.groups[i]
-
-    def betti_numbers(self):
-        return tuple(g.betti for g in self.groups)
-
-
 def _parse_field(spec):
     """None for the rationals, a verified prime below _PRIME_LIMIT for Z_p."""
     if isinstance(spec, str):
@@ -226,9 +187,8 @@ def _homology_groups(k, in_a, p, reduced=False):
 
 
 def homology_integer(k, reduced=False):
-    """Integer homology of the complex: Betti numbers and torsion."""
-    groups = _homology_groups(k, [set()] * (k.dim + 1), 0, reduced)
-    return HomologyResult(groups, reduced=reduced, truncated=k.truncated)
+    """Integer homology of the complex: one ``HomologyGroup`` per degree."""
+    return _homology_groups(k, [set()] * (k.dim + 1), 0, reduced)
 
 
 def homology_field(k, field_spec, reduced=False):
@@ -244,8 +204,7 @@ def relative_homology(k, sub):
     The quotient basis in each degree is the simplices of ``k`` outside
     ``sub``; boundary entries landing in ``sub`` are deleted.
     """
-    groups = _homology_groups(k, _positions_of(sub, k), 0)
-    return HomologyResult(groups, truncated=k.truncated)
+    return _homology_groups(k, _positions_of(sub, k), 0)
 
 
 # ---------------------------------------------------------------------------

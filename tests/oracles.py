@@ -847,8 +847,9 @@ def find_isomorphism(g, h):
     """A vertex bijection carrying edges exactly, or None (brute force)."""
     if g.n != h.n:
         return None
-    g_edges = {(u, v) for u, v in g.edges(include_loops=True)}
-    h_edges = {(u, v) for u, v in h.edges(include_loops=True)}
+    # Every vertex has a loop, and edges() skips the loops.
+    g_edges = {*g.edges(), *((v, v) for v in range(g.n))}
+    h_edges = {*h.edges(), *((v, v) for v in range(h.n))}
     if len(g_edges) != len(h_edges):
         return None
     g_deg = sorted((len(g.out_set(v)), len(g.in_set(v))) for v in range(g.n))
@@ -900,7 +901,7 @@ def induced_subgraph(g, a):
         raise InputError("induced subgraph needs a nonempty vertex set")
     pos = {v: i for i, v in enumerate(a)}
     edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
-    labels = tuple(map(g.label_of, a)) if g.labels is not None else None
+    labels = tuple(map(g.labels.__getitem__, a)) if g.labels is not None else None
     return Digraph.from_edge_list(len(a), edges, labels=labels), a
 
 

@@ -5,8 +5,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -62,6 +65,36 @@ def test_parse_digraph_edgelist_errors_carry_line_numbers():
         parse_digraph("3\n0 1\n5 9\n", format="edgelist")
     with pytest.raises(InputError, match="line 2"):
         parse_digraph("2\n0 1 2\n", format="edgelist")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # A superscript two passes str.isdigit, but int() refuses it.
+        ("\u00b2\n", "line 1: expected the vertex count"),
+        ("3\n0 x\n", "line 2: expected two integers"),
+        ("# nothing\n\n", "empty edgelist input"),
+    ],
+)
+def test_edgelist_errors_exit_1_with_their_message(capsys, text, message):
+    code = _main_with_stdin(["homology", "--format", "edgelist"], text)
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == message
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        parse_digraph(text, format="edgelist")
+
+
+def test_parse_digraph_refuses_an_unknown_format():
+    with pytest.raises(InputError, match="^unknown input format 'xml'$"):
+        parse_digraph("3\n", format="xml")
+
+
+def test_duplicate_vertex_labels_exit_1(capsys):
+    # Labels are read as strings, so 1 and "1" are one label.
+    code = _main_with_stdin(["homology"], '{"vertices": ["a", 1, "1"], "edges": []}')
+    assert code == 1
+    message = json.loads(capsys.readouterr().out)["error"]["message"]
+    assert message == "vertex labels must be unique"
 
 
 def test_parse_digraph_edgelist_comments():
@@ -386,6 +419,57 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert doc["command"] == "pi1"
     assert doc["error"]["message"] == "internal error: RuntimeError: boom"
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["les-check", "--subset", "0", "--coeff", "z"],
+            "this command needs field coefficients (q or zp:<p>)",
+        ),
+        (["homology", "--max-dim", "-1"], "dimension cap must be >= 0"),
+    ],
+)
+def test_option_values_a_command_refuses_exit_1(capsys, argv, message):
+    _, gen_text = run(["gen", "circulant", "--n", "4", "--m", "1"])
+    code = _main_with_stdin(argv, gen_text)
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == message
+
+
+_BIG_DIGRAPH = run(["gen", "random", "--n", "9", "--p", ".7", "--seed", "1"])[1]
+_SMALL_DIGRAPH = run(["gen", "circulant", "--n", "4", "--m", "1"])[1]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        # A report longer than stdout's buffer fails as it is written, a
+        # short one or an error report when it is flushed.
+        (["complex"], _BIG_DIGRAPH),
+        (["homology"], _SMALL_DIGRAPH),
+        (["homology"], "not json at all"),
+    ],
+    ids=["long-report", "short-report", "error-report"],
+)
+def test_stdout_closed_by_its_reader_exits_1_without_a_traceback(argv, text):
+    assert len(run(["complex"], _BIG_DIGRAPH)[1]) > io.DEFAULT_BUFFER_SIZE
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the command writes
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "dvrhom.cli", *argv],
+            input=text.encode(),
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+            check=False,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def _main_with_stdin(argv, text):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvrhom import (
+    Digraph,
     InputError,
     SimplicialComplex,
     build_complex,
@@ -13,7 +14,6 @@ from dvrhom import (
     digital_image,
     f_vector,
     figure_digraph,
-    from_edge_list,
     map_complex,
     random_digraph,
     restrict_to,
@@ -36,7 +36,7 @@ S2_POINTS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)
 
 
 def test_is_simplex_singleton():
-    g = from_edge_list(3, [])
+    g = Digraph.from_edge_list(3, [])
     assert is_simplex(g, [2]) == (2,)
 
 
@@ -46,13 +46,13 @@ def test_is_simplex_figure_left_triangle():
 
 
 def test_is_simplex_strict_cycle_has_no_witness():
-    g = from_edge_list(3, [(0, 1), (1, 2), (2, 0)])
+    g = Digraph.from_edge_list(3, [(0, 1), (1, 2), (2, 0)])
     assert is_simplex(g, [0, 1, 2]) is None
     assert (0, 1, 2) not in brute_force_dvr(g)
 
 
 def test_is_simplex_rejects_bad_input():
-    g = from_edge_list(3, [])
+    g = Digraph.from_edge_list(3, [])
     with pytest.raises(InputError):
         is_simplex(g, [])
     with pytest.raises(InputError):
@@ -83,8 +83,8 @@ def test_build_complex_octahedron():
 
 
 def test_f_vector_small_cases():
-    assert f_vector(build_complex(from_edge_list(1, []))) == (1,)
-    assert f_vector(build_complex(from_edge_list(0, []))) == ()
+    assert f_vector(build_complex(Digraph.from_edge_list(1, []))) == (1,)
+    assert f_vector(build_complex(Digraph.from_edge_list(0, []))) == ()
     assert f_vector(build_complex(digital_image(S2_POINTS))) == (6, 12, 8)
 
 
@@ -115,7 +115,7 @@ def test_symmetric_case_matches_clique_complex():
     for seed in range(8):
         g = random_digraph(10, 0.5, 900 + seed)
         sym_edges = [(u, v) for u, v in g.edges() if g.has_edge(v, u)]
-        sg = from_edge_list(10, sym_edges + [(v, u) for u, v in sym_edges])
+        sg = Digraph.from_edge_list(10, sym_edges + [(v, u) for u, v in sym_edges])
         assert is_symmetric(sg)
         assert set(build_complex(sg).simplices()) == clique_complex_faces(sg)
 
@@ -193,7 +193,7 @@ def test_check_full_subcomplex_campaign():
 
 
 def test_check_cone_examples():
-    assert check_cone(from_edge_list(3, []), 0)
+    assert check_cone(Digraph.from_edge_list(3, []), 0)
     assert check_cone(circulant(6, 2), 0)
     middle = figure_digraph("middle")
     assert minimal_neighborhood(middle, 3) == (1, 2, 3)

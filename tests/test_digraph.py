@@ -1,10 +1,10 @@
 import pytest
 
 from dvrhom import (
+    Digraph,
     InputError,
     circulant,
     figure_digraph,
-    from_edge_list,
     is_interior_cover,
     random_digraph,
 )
@@ -28,7 +28,7 @@ def random_corpus(count, max_n=6, seed0=100):
 
 
 def test_from_edge_list_adds_loops():
-    g = from_edge_list(2, [])
+    g = Digraph.from_edge_list(2, [])
     assert g.out_set(0) == (0,)
     assert g.out_set(1) == (1,)
     assert list(g.edges()) == []
@@ -39,7 +39,7 @@ def test_vertex_counts_above_the_bound_are_refused():
     n = _MAX_VERTICES + 1
     assert n == 2**16 + 1
     for build in (
-        lambda: from_edge_list(n, []),
+        lambda: Digraph.from_edge_list(n, []),
         lambda: circulant(n, 1),
         lambda: random_digraph(n, 0.5, 0),
     ):
@@ -48,25 +48,32 @@ def test_vertex_counts_above_the_bound_are_refused():
 
 
 def test_from_edge_list_figure_left():
-    g = from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
+    g = Digraph.from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
     assert g == figure_digraph("left")
     assert g.out_set(0) == (0, 1, 2, 3)
 
 
 def test_from_edge_list_directed_cycle():
-    g = from_edge_list(3, [(0, 1), (1, 2), (2, 0)])
+    g = Digraph.from_edge_list(3, [(0, 1), (1, 2), (2, 0)])
     assert g.out_set(0) == (0, 1)
     assert g.in_set(0) == (0, 2)
 
 
+def test_labels_must_name_each_vertex_once():
+    with pytest.raises(InputError, match="^1 labels for 2 vertices$"):
+        Digraph.from_edge_list(2, [], labels=["a"])
+    with pytest.raises(InputError, match="^vertex labels must be unique$"):
+        Digraph.from_edge_list(2, [], labels=["a", "a"])
+
+
 def test_from_edge_list_rejects_out_of_range():
     with pytest.raises(InputError, match=r"\(5, 9\)"):
-        from_edge_list(3, [(0, 1), (5, 9)])
+        Digraph.from_edge_list(3, [(0, 1), (5, 9)])
 
 
 def test_from_edge_list_absorbs_duplicates_and_loops():
-    g = from_edge_list(3, [(0, 1), (0, 1), (1, 1)])
-    assert g == from_edge_list(3, [(0, 1)])
+    g = Digraph.from_edge_list(3, [(0, 1), (0, 1), (1, 1)])
+    assert g == Digraph.from_edge_list(3, [(0, 1)])
 
 
 def test_closure_of_empty_set():
@@ -75,7 +82,7 @@ def test_closure_of_empty_set():
 
 def test_closure_of_examples():
     assert closure_of(figure_digraph("left"), [0]) == (0, 1, 2, 3)
-    cycle = from_edge_list(3, [(0, 1), (1, 2), (2, 0)])
+    cycle = Digraph.from_edge_list(3, [(0, 1), (1, 2), (2, 0)])
     assert closure_of(cycle, [0, 1]) == (0, 1, 2)
 
 
@@ -124,7 +131,7 @@ def test_interior_duality_and_oracle():
 
 
 def test_minimal_neighborhood_examples():
-    assert minimal_neighborhood(from_edge_list(1, []), 0) == (0,)
+    assert minimal_neighborhood(Digraph.from_edge_list(1, []), 0) == (0,)
     assert minimal_neighborhood(figure_digraph("left"), 3) == (0, 1, 2, 3)
     assert minimal_neighborhood(circulant(6, 2), 0) == (0, 1, 2, 4, 5)
 
@@ -151,6 +158,11 @@ def test_is_interior_cover():
     for g in random_corpus(20):
         family = [minimal_neighborhood(g, x) for x in range(g.n)]
         assert is_interior_cover(g, family)
+
+
+def test_is_interior_cover_refuses_a_vertex_out_of_range():
+    with pytest.raises(InputError, match="^vertex 4 out of range for 4 vertices$"):
+        is_interior_cover(figure_digraph("left"), [range(4), [4]])
 
 
 def test_induced_subgraph_whole():
@@ -180,12 +192,12 @@ def test_induced_subgraph_preserves_symmetry():
 
 
 def test_is_symmetric():
-    assert is_symmetric(from_edge_list(3, []))
+    assert is_symmetric(Digraph.from_edge_list(3, []))
     assert is_symmetric(circulant(6, 2))
     assert not is_symmetric(figure_digraph("left"))
 
 
 def test_equality_ignores_labels():
-    g = from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
+    g = Digraph.from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
     assert g == figure_digraph("left")
     assert hash(g) == hash(figure_digraph("left"))

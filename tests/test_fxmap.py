@@ -8,13 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dvrhom import (
+    Digraph,
     InputError,
     SampleReport,
     build_complex,
     circulant,
     continuity_certificate,
     figure_digraph,
-    from_edge_list,
     random_digraph,
     sampled_continuity_check,
 )
@@ -129,7 +129,7 @@ def test_face_local_evaluation_agrees_for_symmetric_witnesses():
 
 
 def test_continuity_certificate_vertex_only_complex():
-    g = from_edge_list(3, [])
+    g = Digraph.from_edge_list(3, [])
     rep = continuity_certificate(build_complex(g), g)
     assert rep.passed
     assert rep.checks == 3
@@ -222,7 +222,7 @@ def test_sampled_check_failures_vanish_at_smaller_radius():
 
 
 def test_sampled_check_barycenter_perturbations_stay_in_neighborhood():
-    g = from_edge_list(3, [(0, 1), (0, 2), (1, 2)])
+    g = Digraph.from_edge_list(3, [(0, 1), (0, 2), (1, 2)])
     k = build_complex(g)
     b = barycenter(k, (0, 1, 2))
     base = evaluate_fx(b)
@@ -245,7 +245,7 @@ def test_sampled_check_barycenter_perturbations_stay_in_neighborhood():
 
 def test_sampled_check_counts_only_checked_samples():
     # Samples drawn on a vertex cannot be perturbed, so they are not checked.
-    g = from_edge_list(3, [])
+    g = Digraph.from_edge_list(3, [])
     rep = sampled_continuity_check(build_complex(g), g, 50, Fraction(1, 10), seed=0)
     assert rep.samples == 50
     assert rep.checked == 0
@@ -358,7 +358,7 @@ _SMALL_DIGRAPHS = st.one_of(
     st.integers(1, 9).flatmap(
         lambda n: st.lists(
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4 * n
-        ).map(lambda edges: from_edge_list(n, edges))
+        ).map(lambda edges: Digraph.from_edge_list(n, edges))
     ),
     st.builds(
         random_digraph,
@@ -381,15 +381,23 @@ _RADII = st.one_of(
 _SAMPLE_EXAMPLES = [
     (figure_digraph("left"), 7, Fraction(2)),
     (random_digraph(9, 0.6, 1), 2, Fraction(1)),
-    (from_edge_list(5, [(0, 1), (1, 2), (2, 0), (3, 4), (0, 4)]), 7, Fraction(7, 5)),
     (
-        from_edge_list(
+        Digraph.from_edge_list(5, [(0, 1), (1, 2), (2, 0), (3, 4), (0, 4)]),
+        7,
+        Fraction(7, 5),
+    ),
+    (
+        Digraph.from_edge_list(
             9, [(0, 3), (3, 3), (1, 6), (6, 1), (8, 3), (3, 7), (1, 3), (1, 8), (2, 3)]
         ),
         3437908509,
         Fraction(2),
     ),
-    (from_edge_list(4, list(combinations(range(4), 2))), 3, Fraction(1075, 11312)),
+    (
+        Digraph.from_edge_list(4, list(combinations(range(4), 2))),
+        3,
+        Fraction(1075, 11312),
+    ),
 ]
 
 
@@ -440,9 +448,9 @@ def test_sampled_check_matches_fraction_reference_on_dense_and_tiny_complexes():
     # across one-way edges and 2 also drains coordinates onto faces.
     cases = [(random_digraph(14, 0.65, s), 400, s) for s in (1, 2, 3)]
     cases += [
-        (from_edge_list(1, []), 200, 5),
-        (from_edge_list(2, []), 200, 6),
-        (from_edge_list(3, [(0, 1)]), 600, 7),
+        (Digraph.from_edge_list(1, []), 200, 5),
+        (Digraph.from_edge_list(2, []), 200, 6),
+        (Digraph.from_edge_list(3, [(0, 1)]), 600, 7),
     ]
     counts = set()
     failures = 0
@@ -470,7 +478,7 @@ def test_sampled_check_matches_fraction_reference_past_the_sample_pool():
     # witness; only a few of them are offered to the sampler, with the
     # facets a drained coordinate leads to.
     n = 22
-    g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    g = Digraph.from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
     drawn = [tuple(range(n)), tuple(range(21)), tuple(range(1, n)), (3, 9)]
     witness = {}
     for s in drawn:

@@ -1,4 +1,4 @@
-"""The report records: named tuples, and ``HomologyResult``, a plain class.
+"""The report records, all named tuples.
 
 Every CLI call is a fresh process, so the records are built without
 ``dataclasses``, which generates and execs the source of their methods
@@ -23,7 +23,6 @@ from dvrhom import (
     CertificateReport,
     ExactnessReport,
     HomologyGroup,
-    HomologyResult,
     InputError,
     Presentation,
     SampleReport,
@@ -101,13 +100,6 @@ RECORDS = [
      ("field", "q"), False),
     (Presentation, {"generators": ("a",), "relators": ((1, 1),)},
      ("relators", ()), True),
-    (
-        HomologyResult,
-        {"groups": [HomologyGroup(1), HomologyGroup(0, (2,))], "reduced": True,
-         "truncated": False},
-        ("truncated", True),
-        False,
-    ),
 ]
 
 
@@ -127,8 +119,6 @@ def test_records_construct_compare_and_hash(cls, fields, change, hashable):
     else:
         with pytest.raises(TypeError):
             hash(by_keyword)
-    if cls is HomologyResult:  # a mutable class
-        return
     assert by_keyword == tuple(fields.values())
     assert by_keyword._asdict() == fields
     assert by_keyword._replace(**{key: value}) == cls(**{**fields, key: value})
@@ -140,11 +130,6 @@ def test_records_construct_compare_and_hash(cls, fields, change, hashable):
 def test_record_defaults_and_derived_values():
     assert HomologyGroup(3).torsion == ()
     assert HomologyGroup(0).is_zero() and not HomologyGroup(0, (2,)).is_zero()
-    result = HomologyResult([HomologyGroup(1)])
-    assert (result.reduced, result.truncated) == (False, False)
-    assert list(result) == [HomologyGroup(1)] and len(result) == 1
-    assert result.betti_numbers() == (1,)
-    assert result != (result.groups, False, False)
     report = SampleReport(10, Fraction(1, 3), 4, 8, (FAILURE,))
     assert (report.failure_count, report.failure_rate) == (1, Fraction(1, 8))
     assert SampleReport(0, Fraction(1), 0, 0, ()).failure_rate == 0
@@ -154,10 +139,6 @@ def test_record_reprs():
     assert repr(HomologyGroup(0)) == "0"
     assert repr(HomologyGroup(1, (2,))) == "Z + Z/2"
     assert repr(HomologyGroup(3, (2, 4))) == "Z^3 + Z/2 + Z/4"
-    assert (
-        repr(HomologyResult([HomologyGroup(1), HomologyGroup(0, (2,))], reduced=True))
-        == "HomologyResult(groups=[Z, Z/2], reduced=True, truncated=False)"
-    )
     assert repr(NODE) == (
         "NodeReport(name='H1(A)', dim=1, rank_in=0, rank_out=1, exact=True)"
     )
