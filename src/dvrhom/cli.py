@@ -202,13 +202,7 @@ def _run_les(args, kind, obj):
         "coefficients": label,
         "subset": list(subset),
         "nodes": [
-            {
-                "name": node.name,
-                "dim": node.dim,
-                "rank_in": node.rank_in,
-                "rank_out": node.rank_out,
-                "exact": node.exact,
-            }
+            dict(zip(("name", "dim", "rank_in", "rank_out", "exact"), node))
             for node in report.nodes
         ],
         "exact": report.exact,
@@ -358,9 +352,13 @@ def _build_parser():
 
 
 def _exact_table(options):
-    """The flags, defaults and required dests that ``_read_exact`` reads."""
+    """The flags, defaults and required dests that ``_read_exact`` reads;
+    an option with a keyword that it does not read is refused."""
     flags, defaults, required = {}, {}, set()
     for flag, keywords in {**_IO, **options}.items():
+        extra = keywords.keys() - {"type", "choices", "default", "required", "help"}
+        if extra - {"action"} or keywords.get("action", "store_true") != "store_true":
+            raise ValueError(f"{flag}: _read_exact does not read {keywords}")
         dest = flag[2:].replace("-", "_")
         store_true = keywords.get("action") == "store_true"
         convert = None if store_true else keywords.get("type", str)

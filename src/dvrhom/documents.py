@@ -382,11 +382,11 @@ def _parse_edgelist(text):
             continue
         if len(fields) != 2:
             raise InputError(f"line {lineno}: expected 'u v'")
-        try:
-            u, v = int(fields[0]), int(fields[1])
+        try:  # a field that is not decimal digits leaves fewer than two
+            u, v = map(int, filter(str.isdecimal, fields))
         except ValueError:
             raise InputError(f"line {lineno}: expected two integers") from None
-        if not (0 <= u < n and 0 <= v < n):
+        if u >= n or v >= n:
             raise InputError(
                 f"line {lineno}: edge ({u}, {v}) out of range for {n} vertices"
             )

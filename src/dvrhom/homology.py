@@ -3,8 +3,9 @@
 Simplices are oriented by their sorted vertex tuple, so boundary signs do
 not depend on witnesses.  One builder, ``_boundary_builder``, gives the
 boundary column ``{face position: +-1}`` of a simplex over the positions of
-``k.by_dimension``.  A pair (X, A) keeps X's positions: X/A has the columns
-of the simplices outside A, less A's faces, so X, A and X/A share one index.
+its level.  A pair (X, A) puts each level of X in A-first order
+(``_a_first``): A's simplices, then the others, each part lexicographic.
+So X/A has the columns and rows past A's, and A in X is a filtration.
 All homology, absolute homology being relative to the empty subcomplex,
 comes from one top-down reduction, ``_reduce``, over Z (p=0), Q (None) or
 Z_p: the column reduction by lowest face of ``matrices`` takes the columns
@@ -13,12 +14,8 @@ map below.  Only Z may leave columns with a non-unit low for a dense Smith
 form.  A column that would be stored unreduced, an apparent pair (Bauer
 2021), is stored as its bare simplex and built in place when first read,
 which leaves every stored vector and so every report as it was.  The long
-exact sequence check orders each level of X with A's simplices first,
-which makes A in X a filtration, and reads every rank of the sequence off
-the lows of one reduction of it over the field, ``_filtered_ranks``: the
-same core, clearing and apparent pairs.  A second reduction, ``_reduce``
-of X/A, gives the dimensions of the relative groups that the check holds
-those ranks to.
+exact sequence check reads every rank of the sequence off the lows of one
+reduction of X over the field, ``_filtered_ranks``, on the same levels.
 """
 
 from __future__ import annotations
@@ -58,18 +55,19 @@ def _parse_field(spec):
     return _check_prime(spec)
 
 
-def _boundary_builder(levels, n, below=()):
+def _boundary_builder(levels, n, cut=0):
     """The position of each (n-1)-simplex, and the builder of the boundary
     columns of degree n >= 1: an n-simplex maps to ``{face position: +-1}``,
-    deleting the i-th vertex with sign (-1)^i, less the faces ``below``
-    (A's, for X/A)."""
-    pos = {s: i for i, s in enumerate(levels[n - 1])}
+    deleting the i-th vertex with sign (-1)^i, less the faces at positions
+    below ``cut`` (A's, for X/A)."""
+    faces = levels[n - 1]
+    pos = dict(zip(faces, range(len(faces))))
     face = pos.__getitem__
-    signs = [(-1) ** i for i in range(n, -1, -1)]  # last vertex deleted first
+    signs = ((1, -1), (-1, 1))[n % 2] * (n // 2 + 1)  # (-1)^i for i = n .. 0
 
     def column(s):
         col = zip(map(face, combinations(s, n)), signs)
-        return {i: c for i, c in col if i not in below} if below else dict(col)
+        return {i: c for i, c in col if i >= cut} if cut else dict(col)
 
     return pos, column
 
@@ -79,25 +77,26 @@ def _columns(simplices, pos, column, skip, blocked, table):
     position is not in ``skip``, in order, built by ``column`` with the face
     positions ``pos`` of ``_boundary_builder``, for ``_column_reduce`` to
     store into ``table``.  The low of the boundary of s is taken to be s[1:]
-    unless ``blocked`` holds it; if no stored column has that low, s is an
-    apparent pair, stored there as the bare tuple s, for ``_column_reduce``
-    to build with ``column`` when it first reads it."""
+    unless its position is below ``blocked``; if no stored column has that
+    low, s is an apparent pair, stored there as the bare tuple s, for
+    ``_column_reduce`` to build with ``column`` when it first reads it."""
     for j, s in simplices:
         if j not in skip:
             low = pos[s[1:]]
-            if low in table or low in blocked:
+            if low in table or low < blocked:
                 yield column(s)
             else:
                 table[low] = s
 
 
-def _reduce(levels, in_a, p):
+def _reduce(levels, first, p):
     """Ranks and torsion of the boundary maps of (X, A), top-down.
 
-    ``levels`` are X's simplex lists and ``in_a`` the positions of A's
-    simplices in each (all empty for absolute homology).  Entry n of each
-    list is for degree n = 0 .. top + 1, over Z (p=0), Q (None) or Z_p.
-    One degree is held at a time, and a column is built only when read.
+    ``levels`` are X's simplex lists in A-first order, A having ``first[n]``
+    n-simplices (none for absolute homology): X/A has the columns from
+    position ``first[n]`` on and the rows from ``first[n - 1]`` on.  Entry n
+    of each list is for degree n = 0 .. top + 1, over Z (p=0), Q (None) or
+    Z_p.  One degree is held at a time, and a column is built only when read.
     Clearing: the map d of degree n skips the lows L of the column
     reduction of the map B above it.  The reduction moves B's columns
     unimodularly to ones that are unitriangular on the rows L (the stored
@@ -105,27 +104,27 @@ def _reduce(levels, in_a, p):
     field, full rank), hence an integer right inverse X, and d B = 0 gives
     d[:, L] = -d[:, ~L] B[~L, :] X: d keeps its invariant factors without
     those columns.  Lows of set-aside columns never clear.
-    Apparent pairs (Bauer 2021): positions are lexicographic, so the low of
-    the boundary of s is s[1:], with entry +1.  If no stored column has that
-    low and A does not hold it, ``_add`` would store the column unchanged,
-    so ``_columns`` stores it as its simplex, which ``_column_reduce``
-    builds in place when it first reads it.  Stored vectors, lows, cleared
-    columns and the core are those of the map built whole; so are the ranks
-    and torsion.
+    Apparent pairs (Bauer 2021): outside A the order is lexicographic, so
+    the low of the boundary of s is s[1:], with entry +1, when A does not
+    hold s[1:].  If no stored column has that low, ``_add`` would store the
+    column unchanged, so ``_columns`` stores it as its simplex, built in
+    place when first read.  Stored vectors, lows, cleared columns and core
+    are those of the map built whole, whose ranks and torsion no order moves.
     """
     top = len(levels) - 1
     ranks, torsion = [0] * (top + 2), [()] * (top + 2)
-    cleared = set()
+    cleared = ()
     for n in range(top, 0, -1):
-        table, below = {}, in_a[n - 1]
+        table, cut, below = {}, first[n], first[n - 1]
         pos, column = _boundary_builder(levels, n, below)
-        simplices = enumerate(levels[n])
-        columns = _columns(simplices, pos, column, cleared | in_a[n], below, table)
+        simplices = enumerate(levels[n][cut:], cut)
+        columns = _columns(simplices, pos, column, cleared, below, table)
         lows, core = _column_reduce(columns, p, table, column)
-        cleared = set(lows)
-        d = _diagonalize(core)
-        ranks[n] = len(lows) + len(d)
-        torsion[n] = tuple(x for x in d if x > 1)
+        cleared = set(table)
+        ranks[n] = len(lows)
+        if core:
+            d = _diagonalize(core)
+            ranks[n], torsion[n] = len(lows) + len(d), tuple(x for x in d if x > 1)
     return ranks, torsion
 
 
@@ -143,58 +142,64 @@ def _filtered_ranks(levels, first, p):
     lists, entry n for degree n = 0 .. top + 1: the rank of K's boundary map
     of degree n (the table's size after K's columns), the rank of L's (its
     size at the end), and the number of lows of degree n + 1 that are K's.
-    The low of the boundary of s is s[1:] when s is K's, or when s[1:] is
-    not; then, as in ``_reduce``, it is stored as its simplex if the low is
-    free, and either call may build it.
+    The low of the boundary of s is s[1:] unless s[1:] is K's and s is not;
+    as in ``_reduce``, s may be stored as its simplex, for either call to build.
     """
     top = len(levels) - 1
     rank_k, rank_l, lows_in_k = ([0] * (top + 2) for _ in range(3))
-    cleared = set()
+    cleared = ()
     for n in range(top, 0, -1):
-        table, level, cut, faces_of_k = {}, levels[n], first[n], range(first[n - 1])
+        table, level, cut, below = {}, levels[n], first[n], first[n - 1]
         pos, column = _boundary_builder(levels, n)
-        own = _columns(enumerate(level[:cut]), pos, column, cleared, (), table)
+        own = _columns(enumerate(level[:cut]), pos, column, cleared, 0, table)
         rank_k[n] = len(_column_reduce(own, p, table, column)[0])
-        rest = enumerate(level[cut:], cut)
-        columns = _columns(rest, pos, column, cleared, faces_of_k, table)
-        lows, _ = _column_reduce(columns, p, table, column)
-        rank_l[n] = len(lows)
-        lows_in_k[n - 1] = sum(low in faces_of_k for low in lows)
-        cleared = set(lows)
+        rest = _columns(enumerate(level[cut:], cut), pos, column, cleared, below, table)
+        _column_reduce(rest, p, table, column)
+        rank_l[n] = len(table)
+        lows_in_k[n - 1] = sum(low < below for low in table)
+        cleared = set(table)
     return rank_k, rank_l, lows_in_k
 
 
-def _positions_of(sub, k):
-    """The positions of the simplices of ``sub`` in each level of ``k``."""
-    for s in sub.simplices():
-        if s not in k.witness:
-            raise InputError(f"simplex {s} of the subcomplex is not in the complex")
-    return [{j for j, s in enumerate(lv) if s in sub.witness} for lv in k.by_dimension]
+def _a_first(k, sub):
+    """The levels of ``k`` in A-first order, A being ``sub``: A's simplices,
+    then the others, each part lexicographic; and the number of A's in each.
+    A simplex of ``sub`` that is not in ``k`` is refused."""
+    levels, first, held = [], [], sub.witness
+    for level in k.by_dimension:
+        own, rest = [], []
+        for s in level:
+            (own if s in held else rest).append(s)
+        levels.append(own + rest)
+        first.append(len(own))
+    if sum(first) < len(sub.witness):
+        s = next(s for s in sub.simplices() if s not in k.witness)
+        raise InputError(f"simplex {s} of the subcomplex is not in the complex")
+    return levels, first
 
 
-def _homology_groups(k, in_a, p, reduced=False):
-    """Homology groups of (k, A), for the positions ``in_a`` of A in ``k``
-    (none for absolute homology); ``reduced`` adds the augmentation."""
-    levels = k.by_dimension
-    ranks, torsion = _reduce(levels, in_a, p)
+def _homology_groups(levels, first, p, reduced=False):
+    """Homology groups of (X, A) for X's ``levels`` in A-first order, A
+    having ``first[n]`` n-simplices (none for absolute homology);
+    ``reduced`` adds the augmentation."""
+    ranks, torsion = _reduce(levels, first, p)
     if reduced and levels:
         ranks[0] = 1
-    sizes = [len(level) - len(keep) for level, keep in zip(levels, in_a)]
     return [
-        HomologyGroup(size - ranks[n] - ranks[n + 1], torsion[n + 1])
-        for n, size in enumerate(sizes)
+        HomologyGroup(len(level) - cut - ranks[n] - ranks[n + 1], torsion[n + 1])
+        for n, (level, cut) in enumerate(zip(levels, first))
     ]
 
 
 def homology_integer(k, reduced=False):
     """Integer homology of the complex: one ``HomologyGroup`` per degree."""
-    return _homology_groups(k, [set()] * (k.dim + 1), 0, reduced)
+    return _homology_groups(k.by_dimension, [0] * len(k.by_dimension), 0, reduced)
 
 
 def homology_field(k, field_spec, reduced=False):
     """Betti numbers over Q (field_spec="q") or Z_p (p prime, p < 3.3e24)."""
     p = _parse_field(field_spec)
-    groups = _homology_groups(k, [set()] * (k.dim + 1), p, reduced)
+    groups = _homology_groups(k.by_dimension, [0] * len(k.by_dimension), p, reduced)
     return [g.betti for g in groups]
 
 
@@ -204,7 +209,7 @@ def relative_homology(k, sub):
     The quotient basis in each degree is the simplices of ``k`` outside
     ``sub``; boundary entries landing in ``sub`` are deleted.
     """
-    return _homology_groups(k, _positions_of(sub, k), 0)
+    return _homology_groups(*_a_first(k, sub), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +223,8 @@ ExactnessReport = namedtuple("ExactnessReport", "field nodes exact")
 def les_exactness_check(k, sub, field_spec):
     """Verify exactness of the homology long exact sequence of (k, sub).
 
-    Works over a field (Q or Z_p), so homology is vector spaces.  Ordered
-    with A's simplices first in each degree, (k, sub) is a filtration, and
+    Works over a field (Q or Z_p), so homology is vector spaces.  In
+    A-first order (``_a_first``), (k, sub) is a filtration, and
     ``_filtered_ranks`` reduces it once.  With |A_n| the number of A's
     n-simplices, r_n the rank of a boundary map of degree n and l_n the
     lows of degree n + 1 that are A's:
@@ -230,32 +235,27 @@ def les_exactness_check(k, sub, field_spec):
     - H_n(X) -> H_n(X,A) has rank dim H_n(X) less that of H_n(A) -> H_n(X).
 
     So the sequence is exact at each H_n(A) and H_n(X) by construction.
-    dim H_n(X,A) comes from a separate reduction of X/A (``_reduce``), and
-    the node H_n(X,A) checks that the ranks into and out of it add up to it.
+    dim H_n(X,A) comes from ``_reduce`` of X/A on the same levels, and the
+    node H_n(X,A) checks that the ranks into and out of it add up to it.
     Nodes run top-down: H_n(A), H_n(X), H_n(X,A).
     """
     p = _parse_field(field_spec)
-    levels, in_a = k.by_dimension, _positions_of(sub, k)
-    first = [len(keep) for keep in in_a]
-    ordered = [
-        [s for j, s in enumerate(level) if j in keep]
-        + [s for j, s in enumerate(level) if j not in keep]
-        for level, keep in zip(levels, in_a)
-    ]
-    rank_a, rank_x, lows_in_a = _filtered_ranks(ordered, first, p)
-    relative = _homology_groups(k, in_a, p)
+    levels, first = _a_first(k, sub)
+    rank_a, rank_x, lows_of_a = _filtered_ranks(levels, first, p)
+    relative = _reduce(levels, first, p)[0]
     nodes = []
     for n in range(k.dim, -1, -1):
         dim_a = first[n] - rank_a[n] - rank_a[n + 1]
         dim_x = len(levels[n]) - rank_x[n] - rank_x[n + 1]
-        connect = lows_in_a[n] - rank_a[n + 1]  # from H{n+1}(X,A)
-        include = first[n] - rank_a[n] - lows_in_a[n]
+        dim_r = len(levels[n]) - first[n] - relative[n] - relative[n + 1]
+        connect = lows_of_a[n] - rank_a[n + 1]  # from H{n+1}(X,A)
+        include = first[n] - rank_a[n] - lows_of_a[n]
         project = dim_x - include
-        connect_below = lows_in_a[n - 1] - rank_a[n] if n else 0
+        connect_below = lows_of_a[n - 1] - rank_a[n] if n else 0
         for name, dim, rank_in, rank_out in (
             ("A", dim_a, connect, include),
             ("X", dim_x, include, project),
-            ("X,A", relative[n].betti, project, connect_below),
+            ("X,A", dim_r, project, connect_below),
         ):
             exact = rank_in + rank_out == dim
             nodes.append(NodeReport(f"H{n}({name})", dim, rank_in, rank_out, exact))

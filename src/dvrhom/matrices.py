@@ -182,6 +182,8 @@ def _column_reduce(columns, p, table=None, build=None):
     for col in columns:
         if not _add(col, table, p, build) and col:
             aside.append(col)
+    if not aside:
+        return list(table), []
     for col in aside:
         while (low := max((i for i in col if i in table), default=None)) is not None:
             if type(stored := table[low]) is tuple:

@@ -625,12 +625,12 @@ def _kills(p, out, into):
     return not any(_reduced(_apply(out, col), p) for col in into)
 
 
-def les_chain_oracle(levels, in_a, p=None):
+def les_chain_oracle(levels, sub=(), p=None):
     """The ``NodeReport``s of the long exact sequence of (X, A) over Q
     (p=None) or Z_p, from homology representatives and the maps of chains.
 
-    ``levels`` are X's simplex lists and ``in_a`` the positions of A's
-    simplices in each.  Top-down, X's columns of each degree are built once.
+    ``levels`` are X's simplex lists and ``sub`` holds A's simplices.
+    Chains are on X's positions.  Top-down, X's columns of each degree are built once.
     A takes those of its simplices (their faces are in A), X/A the others
     less A's faces.  Each node's map to the next is induced by a chain map
     that lowers the degree by 0 or 1: the inclusion of A, dropping the
@@ -643,6 +643,7 @@ def les_chain_oracle(levels, in_a, p=None):
     cx, ca, cr = (_FieldComplex(p) for _ in range(3))
     nodes, into, rank_in = [], [], 0  # the map into the next node, and its rank
     relative = []  # H{n+1}(X,A), with the boundaries in X of its representatives
+    in_a = [{j for j, s in enumerate(level) if s in sub} for level in levels]
     for n in range(len(levels) - 1, -1, -1):
         pos = {s: i for i, s in enumerate(levels[n - 1])} if n else {}
         x = [

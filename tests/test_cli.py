@@ -73,6 +73,9 @@ def test_parse_digraph_edgelist_errors_carry_line_numbers():
         # A superscript two passes str.isdigit, but int() refuses it.
         ("\u00b2\n", "line 1: expected the vertex count"),
         ("3\n0 x\n", "line 2: expected two integers"),
+        # int() reads both of these, but they are not decimal digits.
+        ("2\n0 1_0\n", "line 2: expected two integers"),
+        ("2\n+0 -0\n", "line 2: expected two integers"),
         ("# nothing\n\n", "empty edgelist input"),
     ],
 )
@@ -225,7 +228,7 @@ def test_les_check_with_an_empty_subset_matches_the_chain_oracle(gen, coeff, dig
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     k = build_complex(parse_digraph(gen_text))
     p = {"q": None, "zp:2": 2, "zp:1000003": 1000003}[coeff]
-    nodes = les_chain_oracle(k.by_dimension, [set() for _ in k.by_dimension], p)
+    nodes = les_chain_oracle(k.by_dimension, (), p)
     assert report["nodes"] == [node._asdict() for node in nodes]
 
 
@@ -1300,6 +1303,18 @@ def test_commands_go_straight_to_their_own_parser(argv):
     # code with the same usage or help text.
     expected = _parse_outcome(cli._build_parser().parse_args, argv)
     assert _parse_outcome(cli._parse_args, argv) == expected
+
+
+def test_every_option_uses_only_keywords_the_exact_reader_reads():
+    # The exact reader knows type, choices, default, required, help and
+    # action="store_true"; an option table with anything else is refused
+    # when it is read, at import for the commands.
+    tables = [options for _, _, options in cli._COMMANDS.values()]
+    for options in tables + [*cli._GENERATORS.values(), cli._IO]:
+        cli._exact_table(options)
+    for keywords in ({"nargs": "+"}, {"action": "append"}, {"action": "count"}):
+        with pytest.raises(ValueError, match="^--many: _read_exact does not read"):
+            cli._exact_table({"--many": keywords})
 
 
 def test_workload_command_lines_never_reach_argparse(monkeypatch):

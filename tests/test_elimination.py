@@ -13,8 +13,9 @@ vector is 1 at its low, the oracle's tag, checked there, writes it as a
 combination of the input columns, and over Z only a non-unit low is left
 out.  The package builds boundary columns one degree at a time, over the
 positions of the simplices of X (``_boundary_builder``), and never a whole
-map; ``pair_table_oracle`` builds the maps of X, A and X/A whole, from
-dense maps on X's simplex basis, on the same positions.  The other oracles
+map; a pair is reduced on X's levels in A-first order (``_a_first``).
+``pair_table_oracle`` builds the maps of X, A and X/A whole, from dense
+maps on a simplex basis of X, on the same positions.  The other oracles
 build their own dense maps from simplex bases, so every check translates
 between the two.  The column reduction ``_column_reduce`` is held to the dense Smith form and row reduction: its lows, the faces that
 clear the map below, must be distinct, and the rows there alone must carry
@@ -66,10 +67,10 @@ from dvrhom import (
     restrict_to,
 )
 from dvrhom.homology import (
+    _a_first,
     _boundary_builder,
     _filtered_ranks,
     _homology_groups,
-    _positions_of,
     _reduce,
     NodeReport,
 )
@@ -494,18 +495,18 @@ def check_pair(k, sub):
     """Hold every homology of (k, sub) to the oracles and to dense elimination."""
     # X, A on its own positions (padded to the degrees of X), and X/A.
     x, a, r = pair_bases(k, sub)
-    for bases, c, in_a in (
-        (x, k, [set()] * len(x)),
-        (a, sub, [set()] * len(sub.by_dimension)),
-        (r, k, _positions_of(sub, k)),
+    for bases, levels, first in (
+        (x, k.by_dimension, [0] * len(x)),
+        (a, sub.by_dimension, [0] * len(sub.by_dimension)),
+        (r, *_a_first(k, sub)),
     ):
-        pad = [(0, ())] * (len(bases) - len(in_a))
+        pad = [(0, ())] * (len(bases) - len(first))
         expect = integer_homology_oracle(bases)
-        assert groups_of(_homology_groups(c, in_a, 0)) + pad == expect
+        assert groups_of(_homology_groups(levels, first, 0)) + pad == expect
         assert dense_homology(bases) == expect
         for p in FIELDS:
             betti = field_betti_oracle(bases, p)
-            groups = _homology_groups(c, in_a, p)
+            groups = _homology_groups(levels, first, p)
             assert [g.betti for g in groups] + [0] * len(pad) == betti
             assert [b for b, _ in dense_homology(bases, p)] == betti
     assert groups_of(homology_integer(k)) == integer_homology_oracle(k.by_dimension)
@@ -548,7 +549,7 @@ def test_projective_plane_torsion_survives_clearing():
     vertex = SimplicialComplex.from_simplices([(0,)])
     assert groups_of(homology_integer(k)) == [(1, ()), (0, (2,)), (0, ())]
     assert groups_of(relative_homology(k, vertex)) == [(0, ()), (0, (2,)), (0, ())]
-    assert _reduce(k.by_dimension, [set()] * (k.dim + 1), 0) == (
+    assert _reduce(k.by_dimension, [0] * (k.dim + 1), 0) == (
         [0, 5, 10, 0], [(), (), (2,), ()]
     )
     # A tetrahedron on the face (0, 1, 4) clears a column of that map.
@@ -556,12 +557,12 @@ def test_projective_plane_torsion_survives_clearing():
     assert groups_of(homology_integer(coned)) == [
         (1, ()), (0, (2,)), (0, ()), (0, ())
     ]
-    assert _reduce(coned.by_dimension, [set()] * (coned.dim + 1), 0) == (
+    assert _reduce(coned.by_dimension, [0] * (coned.dim + 1), 0) == (
         [0, 6, 12, 1, 0], [(), (), (2,), (), ()]
     )
 
 
-def reductions(levels, in_a, p):
+def reductions(levels, first, p):
     """Per degree, top-down: ``(table, lows, core, build)`` of ``_reduce``'s
     column reductions, each caught where it calls ``_column_reduce``, with
     the level's column builder."""
@@ -573,7 +574,7 @@ def reductions(levels, in_a, p):
         return lows, core
 
     with mock.patch.object(homology, "_column_reduce", spy):
-        _reduce(levels, in_a, p)
+        _reduce(levels, first, p)
     return caught
 
 
@@ -602,12 +603,16 @@ def pending_built(stored, build, pending):
 
 def check_lazy_reduction(k, sub):
     """``_reduce`` stores, clears and sets aside what the eager reduction
-    does, for X and for (X, A), in every degree and ring."""
-    in_a = _positions_of(sub, k)
-    x, _, quotient = pair_tables(k, sub)
-    for where, table in (([set()] * len(in_a), x), (in_a, quotient)):
+    does, for X and for (X, A), in every degree and ring; (X, A) on X's
+    levels in A-first order, which the eager maps are built on too."""
+    levels, first = _a_first(k, sub)
+    assert (levels, first) == a_first(k, sub)
+    x = pair_tables(k, sub)[0]
+    quotient = pair_table_oracle(levels, sub.witness)[2]
+    absolute = (k.by_dimension, [0] * len(first))
+    for order, table in ((absolute, x), ((levels, first), quotient)):
         for p in RINGS:
-            lazy = reductions(k.by_dimension, where, p)
+            lazy = reductions(*order, p)
             eager = eager_reductions(table, p)
             assert [r[1:3] for r in lazy] == [r[1:] for r in eager]
             for (stored, _, _, build), (expect, _, _) in zip(lazy, eager):
@@ -659,7 +664,7 @@ def test_pending_columns_are_built_where_they_are_first_read():
     # set-aside pass of RP^2's torsion, and _filtered_ranks's second call
     # reading a column that its first call stored.
     levels = RP2_RENAMED.by_dimension
-    reads = pending_reads(lambda: _reduce(levels, [set()] * len(levels), 0))
+    reads = pending_reads(lambda: _reduce(levels, [0] * len(levels), 0))
     assert (False, False) in reads
     levels, first = a_first(OCTAHEDRON, restrict_to(OCTAHEDRON, (0, 1, 2)))
     for p in FIELDS:
@@ -692,8 +697,8 @@ def test_lazy_reduction_builds_fewer_columns_than_it_reduces():
         k = build_complex(g)
         built = []
 
-        def counted(levels, n, below=()):
-            pos, column = _boundary_builder(levels, n, below)
+        def counted(levels, n, cut=0):
+            pos, column = _boundary_builder(levels, n, cut)
             return pos, lambda s: built.append(s) or column(s)
 
         with mock.patch.object(homology, "_boundary_builder", counted):
@@ -744,7 +749,7 @@ def streamed_complexes(k, sub, p):
             self.snapshots.append((self.span, self.reps))
 
     with mock.patch.object(oracles, "_FieldComplex", Recorded):
-        les_chain_oracle(k.by_dimension, _positions_of(sub, k), p)
+        les_chain_oracle(k.by_dimension, sub.witness, p)
     return made
 
 
@@ -798,20 +803,28 @@ def test_les_nodes_at_the_ends_of_the_pass():
 
 
 def test_les_check_builds_each_column_of_x_once():
-    # Two reductions feed the check: X in "A first" order and X/A.  Each
-    # builds a column at most once, when it reads it; most are apparent
-    # pairs and never built.
+    # Two reductions feed the check, both on X in "A first" order: X, then
+    # X/A (``_reduce``).  Each builds a column at most once, when it reads
+    # it; most are apparent pairs and never built.
     shell = [q for q in product(range(3), repeat=3) if q != (1, 1, 1)]
     for g, kept in ((circulant(20, 4), range(8)), (digital_image(shell), range(10))):
         k = build_complex(g)
         built = {"X": [], "X/A": []}
+        reducing = ["X"]
 
-        def counted(levels, n, below=()):
-            pos, column = _boundary_builder(levels, n, below)
-            seen = built["X/A" if levels is k.by_dimension else "X"]
+        def counted(levels, n, cut=0):
+            pos, column = _boundary_builder(levels, n, cut)
+            seen = built[reducing[0]]
             return pos, lambda s: seen.append(s) or column(s)
 
-        with mock.patch.object(homology, "_boundary_builder", counted):
+        def relative(*args):
+            reducing[0] = "X/A"
+            return _reduce(*args)
+
+        with (
+            mock.patch.object(homology, "_boundary_builder", counted),
+            mock.patch.object(homology, "_reduce", relative),
+        ):
             report = les_exactness_check(k, restrict_to(k, tuple(kept)), "q")
         assert report.exact
         simplices = sum(len(level) for level in k.by_dimension[1:])
@@ -878,6 +891,48 @@ def test_filtered_reduction_matches_the_eager_one_and_dense_ranks(pair):
 
 
 @st.composite
+def subcomplex_pairs(draw):
+    """A random digraph's complex X, and A empty, A = X or the closure of a
+    few of X's simplices, which need not be a full subcomplex."""
+    k = draw(digraph_pairs())[0]
+    which = draw(st.sampled_from(("empty", "all", "faces")))
+    if which == "empty":
+        return k, SimplicialComplex.from_simplices([])
+    if which == "all":
+        return k, k
+    kept = draw(st.lists(st.sampled_from(list(k.simplices())), min_size=1, max_size=6))
+    return k, SimplicialComplex.from_simplices(kept)
+
+
+@settings(max_examples=80, deadline=None)
+@given(subcomplex_pairs())
+def test_a_first_order_matches_the_dense_oracles(pair):
+    # Over Z, Q, Z_2 and Z_3: relative homology, the lazy reduction of X/A
+    # in A-first order and the filtered reduction, and the nodes of the LES.
+    check_pair(*pair)
+    check_lazy_reduction(*pair)
+    for p in FIELDS:
+        check_filtered_ranks(*pair, p)
+        check_les_nodes(*pair, p)
+
+
+@pytest.mark.parametrize(
+    "faces, outside",
+    [([(0, 2)], (0, 2)), ([(0, 1, 2)], (0, 2)), ([(0, 1), (3,)], (3,))],
+)
+def test_a_subcomplex_outside_the_complex_is_refused(faces, outside):
+    # The path 0 - 1 - 2; the first simplex of A, in A's order, that the
+    # path lacks is named.
+    k = SimplicialComplex.from_simplices([(0, 1), (1, 2)])
+    sub = SimplicialComplex.from_simplices(faces)
+    message = f"simplex {outside} of the subcomplex is not in the complex"
+    for call in (lambda: relative_homology(k, sub), lambda: les_exactness_check(k, sub, "q")):
+        with pytest.raises(InputError) as caught:
+            call()
+        assert str(caught.value) == message
+
+
+@st.composite
 def capped_pairs(draw):
     """A random digraph's complex, capped at a random dimension or not, and
     A empty, A = X or the full subcomplex on a random vertex subset."""
@@ -901,7 +956,7 @@ def test_les_nodes_match_the_chain_level_oracle(pair):
     k, sub = pair
     for p in (None, 2, 3, 1000003):
         report = les_exactness_check(k, sub, "q" if p is None else p)
-        oracle = les_chain_oracle(k.by_dimension, _positions_of(sub, k), p)
+        oracle = les_chain_oracle(k.by_dimension, sub.witness, p)
         assert report.nodes == oracle
         assert report.exact
 
