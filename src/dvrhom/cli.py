@@ -39,6 +39,7 @@ from .documents import (  # parse_digraph is importable from here too
     _digraph_digest,
     _digraph_doc,
     _dumps,
+    _Nodes,
     _parse_edgelist,
     _read_document,
     parse_digraph,
@@ -201,10 +202,10 @@ def _run_les(args, kind, obj):
     return {
         "coefficients": label,
         "subset": list(subset),
-        "nodes": [
+        "nodes": _Nodes(
             dict(zip(("name", "dim", "rank_in", "rank_out", "exact"), node))
             for node in report.nodes
-        ],
+        ),
         "exact": report.exact,
         **({"truncated": True} if k.truncated else {}),
     }

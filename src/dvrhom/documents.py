@@ -26,6 +26,9 @@ encoder.
 
 All simplices of one level have the same number of vertices, so one ``%d``
 template per level (``_simplex_template``) writes every simplex of it.
+Likewise every node of a ``les-check`` report has the same five keys, so
+its ``nodes`` list, a ``_Nodes``, is written from one template per indent
+(``_write_nodes``).
 ``_write_simplices`` lays the levels out in two layouts: the indented one
 of ``_dumps``, for the ``simplices`` list of a complex document, and the
 compact one of ``_canonical``, for the input digest.
@@ -51,7 +54,7 @@ from itertools import chain, compress, groupby, repeat
 from json.encoder import encode_basestring_ascii
 
 from .complexes import SimplicialComplex, f_vector
-from .digraph import Digraph, InputError
+from .digraph import _MAX_VERTICES, Digraph, InputError
 
 SCHEMA = "1"
 
@@ -114,6 +117,8 @@ def _write(x, nl, out):
         out(_CONSTANTS[x])
     elif t is _Simplices:
         _write_simplices(x.levels, x.witness, nl, out)
+    elif t is _Nodes:
+        _write_nodes(x, nl, out)
     else:
         out(json.dumps(x))
 
@@ -124,6 +129,37 @@ class _Simplices(list):
     writes it from ``levels`` and ``witness``, the complex's own tuples."""
 
     __slots__ = ("levels", "witness")
+
+
+class _Nodes(list):
+    """The ``nodes`` list of a ``les-check`` report: one dict per node, with
+    the keys ``dim``, ``exact``, ``name``, ``rank_in`` and ``rank_out``,
+    an int, a bool, a string and two ints.  ``_write`` writes every node
+    from one template (``_write_nodes``)."""
+
+    __slots__ = ()
+
+
+_NODE_FIELDS = (
+    '"dim": %d', '"exact": %s', '"name": %s', '"rank_in": %d', '"rank_out": %d'
+)
+
+
+def _write_nodes(nodes, nl, out):
+    """Write a ``_Nodes`` list as ``_dumps`` does on the line ``nl`` starts:
+    every node from one template of its five values, in key order."""
+    if not nodes:
+        out("[]")
+        return
+    inner, key = nl + "  ", "," + nl + "    "
+    item = "{" + key[1:] + key.join(_NODE_FIELDS) + inner + "}"
+    quote, word = encode_basestring_ascii, _CONSTANTS
+    text = [
+        item
+        % (d["dim"], word[d["exact"]], quote(d["name"]), d["rank_in"], d["rank_out"])
+        for d in nodes
+    ]
+    out("[" + inner + ("," + inner).join(text) + nl + "]")
 
 
 def _simplex_template(size, nl):
@@ -367,6 +403,20 @@ def _resolve(entry, index):
     raise InputError(f"unknown vertex label {entry!r}")
 
 
+_COUNT_DIGITS = len(str(_MAX_VERTICES))
+
+
+def _vertex_count(digits):
+    """The vertex count written in the decimal ``digits``.  One with more
+    digits than ``_MAX_VERTICES``, leading zeros aside, exceeds it, and is
+    refused before ``int()``, which refuses more than 4,300 digits."""
+    if any(map(int, digits[:-_COUNT_DIGITS])):
+        raise InputError(
+            f"{digits.lstrip('0')} vertices exceed the limit of {_MAX_VERTICES}"
+        )
+    return int(digits[-_COUNT_DIGITS:])
+
+
 def _parse_edgelist(text):
     n = None
     edges = []
@@ -378,7 +428,7 @@ def _parse_edgelist(text):
         if n is None:
             if len(fields) != 1 or not fields[0].isdecimal():
                 raise InputError(f"line {lineno}: expected the vertex count")
-            n = int(fields[0])
+            n = _vertex_count(fields[0])
             continue
         if len(fields) != 2:
             raise InputError(f"line {lineno}: expected 'u v'")

@@ -10,19 +10,23 @@ All homology, absolute homology being relative to the empty subcomplex,
 comes from one top-down reduction, ``_reduce``, over Z (p=0), Q (None) or
 Z_p: the column reduction by lowest face of ``matrices`` takes the columns
 of each map, less those cleared by the map above, and its lows clear the
-map below.  Only Z may leave columns with a non-unit low for a dense Smith
-form.  A column that would be stored unreduced, an apparent pair (Bauer
-2021), is stored as its bare simplex and built in place when first read,
-which leaves every stored vector and so every report as it was.  The long
-exact sequence check reads every rank of the sequence off the lows of one
-reduction of X over the field, ``_filtered_ranks``, on the same levels.
+map below, through a mask of one byte per column (``_kept``).  Only Z may
+leave columns with a non-unit low for a dense Smith form.  A column that
+would be stored unreduced, an apparent pair (Bauer 2021), is stored as its
+bare simplex and built in place when first read, which leaves every stored
+vector and so every report as it was.  The long exact sequence check reads
+every rank of the sequence off the lows of one reduction of X over the
+field, ``_filtered_ranks``, on the same levels, and dim H_n(X,A) off the
+reduction of X/A that ``_reduce`` runs, one ``_reduce_degree`` at a time.
+Both run in one top-down pass over the degrees, which builds each degree's
+face positions (``_positions``) once for the two.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter, namedtuple
-from itertools import combinations
+from itertools import combinations, compress
 
 from .digraph import InputError
 from .matrices import _check_prime, _column_reduce, _diagonalize, invariant_factors
@@ -55,13 +59,16 @@ def _parse_field(spec):
     return _check_prime(spec)
 
 
-def _boundary_builder(levels, n, cut=0):
-    """The position of each (n-1)-simplex, and the builder of the boundary
-    columns of degree n >= 1: an n-simplex maps to ``{face position: +-1}``,
-    deleting the i-th vertex with sign (-1)^i, less the faces at positions
-    below ``cut`` (A's, for X/A)."""
-    faces = levels[n - 1]
-    pos = dict(zip(faces, range(len(faces))))
+def _positions(level):
+    """The position of each simplex of ``level``."""
+    return dict(zip(level, range(len(level))))
+
+
+def _boundary_builder(pos, n, cut=0):
+    """The builder of the boundary columns of degree n >= 1, over the
+    positions ``pos`` of the (n-1)-simplices: an n-simplex maps to ``{face
+    position: +-1}``, deleting the i-th vertex with sign (-1)^i, less the
+    faces at positions below ``cut`` (A's, for X/A)."""
     face = pos.__getitem__
     signs = ((1, -1), (-1, 1))[n % 2] * (n // 2 + 1)  # (-1)^i for i = n .. 0
 
@@ -69,24 +76,32 @@ def _boundary_builder(levels, n, cut=0):
         col = zip(map(face, combinations(s, n)), signs)
         return {i: c for i, c in col if i >= cut} if cut else dict(col)
 
-    return pos, column
+    return column
 
 
-def _columns(simplices, pos, column, skip, blocked, table):
-    """The columns of the ``(position, simplex)`` pairs ``simplices`` whose
-    position is not in ``skip``, in order, built by ``column`` with the face
-    positions ``pos`` of ``_boundary_builder``, for ``_column_reduce`` to
-    store into ``table``.  The low of the boundary of s is taken to be s[1:]
-    unless its position is below ``blocked``; if no stored column has that
-    low, s is an apparent pair, stored there as the bare tuple s, for
+def _kept(size, lows):
+    """The mask of the columns of a map with ``size`` columns that the
+    ``lows`` of the map above leave to reduce: one byte per column, 0 at a
+    low, 1 elsewhere, for ``compress``."""
+    keep = bytearray(b"\1") * size
+    for i in lows:
+        keep[i] = 0
+    return keep
+
+
+def _columns(simplices, pos, column, blocked, table):
+    """The columns of ``simplices``, in order, built by ``column`` over the
+    face positions ``pos`` (``_boundary_builder``), for ``_column_reduce``
+    to store into ``table``.  The low of the boundary of s is taken to be
+    s[1:] unless its position is below ``blocked``; if no stored column has
+    that low, s is an apparent pair, stored there as the bare tuple s, for
     ``_column_reduce`` to build with ``column`` when it first reads it."""
-    for j, s in simplices:
-        if j not in skip:
-            low = pos[s[1:]]
-            if low in table or low < blocked:
-                yield column(s)
-            else:
-                table[low] = s
+    for s in simplices:
+        low = pos[s[1:]]
+        if low in table or low < blocked:
+            yield column(s)
+        else:
+            table[low] = s
 
 
 def _reduce(levels, first, p):
@@ -96,7 +111,8 @@ def _reduce(levels, first, p):
     n-simplices (none for absolute homology): X/A has the columns from
     position ``first[n]`` on and the rows from ``first[n - 1]`` on.  Entry n
     of each list is for degree n = 0 .. top + 1, over Z (p=0), Q (None) or
-    Z_p.  One degree is held at a time, and a column is built only when read.
+    Z_p.  One degree is held at a time (``_reduce_degree``), and a column is
+    built only when read.
     Clearing: the map d of degree n skips the lows L of the column
     reduction of the map B above it.  The reduction moves B's columns
     unimodularly to ones that are unitriangular on the rows L (the stored
@@ -113,52 +129,60 @@ def _reduce(levels, first, p):
     """
     top = len(levels) - 1
     ranks, torsion = [0] * (top + 2), [()] * (top + 2)
-    cleared = ()
+    keep = _kept(len(levels[top]), ()) if levels else None
     for n in range(top, 0, -1):
-        table, cut, below = {}, first[n], first[n - 1]
-        pos, column = _boundary_builder(levels, n, below)
-        simplices = enumerate(levels[n][cut:], cut)
-        columns = _columns(simplices, pos, column, cleared, below, table)
-        lows, core = _column_reduce(columns, p, table, column)
-        cleared = set(table)
-        ranks[n] = len(lows)
-        if core:
-            d = _diagonalize(core)
-            ranks[n], torsion[n] = len(lows) + len(d), tuple(x for x in d if x > 1)
+        pos = _positions(levels[n - 1])
+        ranks[n], torsion[n], keep = _reduce_degree(levels, first, n, pos, keep, p)
     return ranks, torsion
 
 
-def _filtered_ranks(levels, first, p):
-    """Ranks of a chain complex filtered in two steps, K in L, over a field.
+def _reduce_degree(levels, first, n, pos, keep, p):
+    """Degree n of ``_reduce``, over the positions ``pos`` of level n - 1,
+    on the columns that the mask ``keep`` (``_kept``) leaves: the rank and
+    the torsion of the map of X/A, and the mask that its lows leave to
+    degree n - 1.  The table is dropped on return."""
+    table, cut, below = {}, first[n], first[n - 1]
+    column = _boundary_builder(pos, n, below)
+    simplices = compress(levels[n][cut:], keep[cut:])
+    lows, core = _column_reduce(
+        _columns(simplices, pos, column, below, table), p, table, column
+    )
+    keep = _kept(len(pos), lows)
+    if not core:
+        return len(lows), (), keep
+    d = _diagonalize(core)
+    return len(lows) + len(d), tuple(x for x in d if x > 1), keep
+
+
+def _filtered_ranks(levels, first, n, pos, keep, p):
+    """Degree n of the reduction of a chain complex filtered in two steps,
+    K in L, over a field, over the positions ``pos`` of level n - 1.
 
     ``levels[n]`` lists L's n-simplices in filtration order: K's
-    ``first[n]`` of them, then the others, each part lexicographic.  One
-    top-down reduction in this order, with ``_reduce``'s clearing, takes
-    K's columns and then the others into one table, so its lows are the
-    persistence pairs of K in L (Cohen-Steiner, Edelsbrunner, Harer and
-    Morozov, "Persistent homology for kernels, images, and cokernels",
-    2009).  Clearing holds in any order: a column whose simplex is the low
-    of a boundary is a combination of the columns before it.  Returns three
-    lists, entry n for degree n = 0 .. top + 1: the rank of K's boundary map
-    of degree n (the table's size after K's columns), the rank of L's (its
-    size at the end), and the number of lows of degree n + 1 that are K's.
+    ``first[n]`` of them, then the others, each part lexicographic.  The
+    reduction runs top-down, one call per degree, with ``_reduce``'s
+    clearing: it takes the columns that the mask ``keep`` of the call above
+    leaves.  It takes K's columns and then the others into one table, so
+    its lows are the persistence pairs of K in L (Cohen-Steiner,
+    Edelsbrunner, Harer and Morozov, "Persistent homology for kernels,
+    images, and cokernels", 2009).  Clearing holds in any order: a column
+    whose simplex is the low of a boundary is a combination of the columns
+    before it.  Returns the
+    rank of K's boundary map of degree n (the table's size after K's
+    columns), the rank of L's (its size at the end), the number of its lows
+    that are K's (n-1)-simplices, and the mask that its lows leave to degree
+    n - 1; the table is dropped.
     The low of the boundary of s is s[1:] unless s[1:] is K's and s is not;
-    as in ``_reduce``, s may be stored as its simplex, for either call to build.
+    as in ``_reduce``, s may be stored as its simplex, for either part to build.
     """
-    top = len(levels) - 1
-    rank_k, rank_l, lows_in_k = ([0] * (top + 2) for _ in range(3))
-    cleared = ()
-    for n in range(top, 0, -1):
-        table, level, cut, below = {}, levels[n], first[n], first[n - 1]
-        pos, column = _boundary_builder(levels, n)
-        own = _columns(enumerate(level[:cut]), pos, column, cleared, 0, table)
-        rank_k[n] = len(_column_reduce(own, p, table, column)[0])
-        rest = _columns(enumerate(level[cut:], cut), pos, column, cleared, below, table)
-        _column_reduce(rest, p, table, column)
-        rank_l[n] = len(table)
-        lows_in_k[n - 1] = sum(low < below for low in table)
-        cleared = set(table)
-    return rank_k, rank_l, lows_in_k
+    table, level, cut, below = {}, levels[n], first[n], first[n - 1]
+    column = _boundary_builder(pos, n)
+    own = _columns(compress(level[:cut], keep), pos, column, 0, table)
+    rank_k = len(_column_reduce(own, p, table, column)[0])
+    rest = _columns(compress(level[cut:], keep[cut:]), pos, column, below, table)
+    _column_reduce(rest, p, table, column)
+    lows_in_k = sum(low < below for low in table)
+    return rank_k, len(table), lows_in_k, _kept(len(pos), table)
 
 
 def _a_first(k, sub):
@@ -225,7 +249,7 @@ def les_exactness_check(k, sub, field_spec):
 
     Works over a field (Q or Z_p), so homology is vector spaces.  In
     A-first order (``_a_first``), (k, sub) is a filtration, and
-    ``_filtered_ranks`` reduces it once.  With |A_n| the number of A's
+    ``_filtered_ranks`` reduces it.  With |A_n| the number of A's
     n-simplices, r_n the rank of a boundary map of degree n and l_n the
     lows of degree n + 1 that are A's:
 
@@ -235,14 +259,26 @@ def les_exactness_check(k, sub, field_spec):
     - H_n(X) -> H_n(X,A) has rank dim H_n(X) less that of H_n(A) -> H_n(X).
 
     So the sequence is exact at each H_n(A) and H_n(X) by construction.
-    dim H_n(X,A) comes from ``_reduce`` of X/A on the same levels, and the
-    node H_n(X,A) checks that the ranks into and out of it add up to it.
-    Nodes run top-down: H_n(A), H_n(X), H_n(X,A).
+    dim H_n(X,A) comes from the reduction of X/A that ``_reduce`` runs, one
+    ``_reduce_degree`` at a time, and the node H_n(X,A) checks that the
+    ranks into and out of it add up to it.  Both reductions run in one
+    top-down pass over the degrees.  Each degree's face positions are built
+    once and serve both, the filtered reduction first, then X/A, and each
+    drops its table before the other starts; between degrees each keeps
+    only its mask of the columns left to reduce.  Nodes run top-down:
+    H_n(A), H_n(X), H_n(X,A).
     """
     p = _parse_field(field_spec)
     levels, first = _a_first(k, sub)
-    rank_a, rank_x, lows_of_a = _filtered_ranks(levels, first, p)
-    relative = _reduce(levels, first, p)[0]
+    top = len(levels) - 1
+    rank_a, rank_x, lows_of_a, relative = ([0] * (top + 2) for _ in range(4))
+    keep_x = keep_r = _kept(len(levels[top]), ()) if levels else None
+    for n in range(top, 0, -1):
+        pos = _positions(levels[n - 1])
+        rank_a[n], rank_x[n], lows_of_a[n - 1], keep_x = _filtered_ranks(
+            levels, first, n, pos, keep_x, p
+        )
+        relative[n], _, keep_r = _reduce_degree(levels, first, n, pos, keep_r, p)
     nodes = []
     for n in range(k.dim, -1, -1):
         dim_a = first[n] - rank_a[n] - rank_a[n + 1]

@@ -21,6 +21,7 @@ transforms of the Smith form, so none are kept.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .digraph import InputError
 
@@ -168,15 +169,16 @@ def _column_reduce(columns, p, table=None, build=None):
     as ``_add`` would store it: unchanged, 1 at a free low, or pending, as
     a tuple t whose column ``build(t)`` is built in place when first read.
     Over Z (p=0) a column left with a non-unit low is set aside, and at the
-    end reduced at every row that is a low, largest first.  ``core`` is
-    what is left, one dense row per nonzero set-aside column, on the rows
-    that are not lows; a later column may have taken its low, so it may
-    hold units.  The moves are unimodular column operations, and the
-    stored columns are unitriangular on the rows ``lows``, where the core
-    is zero: the invariant factors are ``(1,) * len(lows)`` and the core's,
-    the rank over any field is ``len(lows)`` plus the core's, and the rows
-    ``lows`` alone have invariant factors all 1.  Over Q and Z_p every low
-    is a unit, so the core is empty and ``len(lows)`` is the rank.
+    end reduced at every row that is a low, largest first, the rows taken
+    from a heap of the column's lows.  ``core`` is what is left, one dense
+    row per nonzero set-aside column, on the rows that are not lows; a
+    later column may have taken its low, so it may hold units.  The moves
+    are unimodular column operations, and the stored columns are
+    unitriangular on the rows ``lows``, where the core is zero: the
+    invariant factors are ``(1,) * len(lows)`` and the core's, the rank
+    over any field is ``len(lows)`` plus the core's, and the rows ``lows``
+    alone have invariant factors all 1.  Over Q and Z_p every low is a
+    unit, so the core is empty and ``len(lows)`` is the rank.
     """
     table, aside = {} if table is None else table, []
     for col in columns:
@@ -185,9 +187,20 @@ def _column_reduce(columns, p, table=None, build=None):
     if not aside:
         return list(table), []
     for col in aside:
-        while (low := max((i for i in col if i in table), default=None)) is not None:
+        # A max-heap of the column's rows that are lows; a row that has
+        # cancelled is skipped, and one that a subtraction brings in is
+        # pushed, so each pop is the largest low left in the column.
+        heap = [-i for i in col if i in table]
+        heapify(heap)
+        while heap:
+            low = -heappop(heap)
+            if low not in col:
+                continue
             if type(stored := table[low]) is tuple:
                 stored = table[low] = build(stored)
+            for i in stored:
+                if i not in col and i in table:
+                    heappush(heap, -i)
             _subtract(col, col[low], stored, 0)
     rows = sorted({i for col in aside for i in col})
     return list(table), [[col.get(i, 0) for i in rows] for col in aside if col]

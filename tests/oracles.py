@@ -20,7 +20,10 @@ reference definitions that the package's bitmask code and sampler are
 tested against.  The chain-level oracle of the long exact sequence,
 ``les_chain_oracle``, runs that tagged elimination to pick homology
 representatives and map them, where the package reads every rank off one
-filtered reduction.  ``cli_parser_oracle`` is the command-line parser
+filtered reduction.  ``column_reduce_rescan`` is the sparse column
+reduction over Z written out with the set-aside pass that rescans each
+column for its largest low after every subtraction, the reference for the
+package's heap of lows.  ``cli_parser_oracle`` is the command-line parser
 written out one argparse call at a time, the reference for the help texts
 and namespaces of the parsers that ``dvrhom.cli`` builds from its table.
 """
@@ -763,6 +766,41 @@ def matmul(a, b):
         for j, y in rows_of_b.get(k, ()):
             product[i, j] = product.get((i, j), 0) + x * y
     return IntegerMatrix(a.rows, b.cols, product)
+
+
+def column_reduce_rescan(columns):
+    """``(lows, core)`` of the sparse integer ``{row: value}`` columns, as
+    ``matrices._column_reduce`` returns them over Z, by its steps written
+    out on copies: a column is reduced at its largest row while a stored
+    vector has that low, and stored there, scaled to 1, if its entry is
+    +-1, else set aside.  Each set-aside column is then reduced at its
+    largest row that is a low, found by a rescan of the whole column after
+    every subtraction."""
+    table, aside = {}, []
+
+    def subtract(col, f, stored):
+        for i, x in stored.items():
+            if y := col.get(i, 0) - f * x:
+                col[i] = y
+            else:
+                del col[i]
+
+    for col in map(dict, columns):
+        while col and max(col) in table:
+            low = max(col)
+            subtract(col, col[low], table[low])
+        if not col:
+            continue
+        v = col[max(col)]
+        if v in (1, -1):
+            table[max(col)] = {i: x * v for i, x in col.items()}
+        else:
+            aside.append(col)
+    for col in aside:
+        while (low := max((i for i in col if i in table), default=None)) is not None:
+            subtract(col, col[low], table[low])
+    rows = sorted({i for col in aside for i in col})
+    return list(table), [[col.get(i, 0) for i in rows] for col in aside if col]
 
 
 def smith_normal_form(a):

@@ -409,6 +409,21 @@ def test_huge_edgelist_vertex_count_exits_1(capsys):
     )
 
 
+def test_edgelist_vertex_count_past_the_int_digit_limit_exits_1(capsys):
+    # int() refuses more than 4,300 digits, so the count is refused by its
+    # length first, as any other count above the bound; leading zeros do
+    # not count.
+    count = "9" * 5000
+    code = _main_with_stdin(["homology", "--format", "edgelist"], count + "\n")
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["message"] == f"{count} vertices exceed the limit of 65536"
+    for text in ("1" + "0" * 5, "0" * 5000 + "65537"):
+        with pytest.raises(InputError, match=f"^{text.lstrip('0')} vertices exceed"):
+            parse_digraph(text + "\n", format="edgelist")
+    assert parse_digraph("0" * 5000 + "3\n0 1\n", format="edgelist").n == 3
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     def broken(args, kind, obj):
         raise RuntimeError("boom")
@@ -709,13 +724,26 @@ _REPORT_SCALARS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324]),
     _STRINGS,
 )
+_NODES = st.lists(
+    st.fixed_dictionaries(
+        {
+            "name": _STRINGS,
+            "dim": st.integers(),
+            "rank_in": st.integers(),
+            "rank_out": st.integers(),
+            "exact": st.booleans(),
+        }
+    ),
+    max_size=4,
+).map(documents._Nodes)
 # Report-shaped values: nested dicts, lists and tuples, empty ones among
-# them, and integer lists that may hide a bool.
+# them, integer lists that may hide a bool, and les-check node lists.
 _REPORT_VALUES = st.recursive(
     st.one_of(
         _REPORT_SCALARS,
         st.lists(st.integers(), max_size=5),
         st.lists(st.one_of(st.integers(-3, 3), st.booleans()), max_size=5),
+        _NODES,
     ),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
@@ -775,17 +803,31 @@ def test_complex_documents_are_written_and_hashed_level_by_level(k):
 def test_reports_and_error_reports_are_json_dumps_text(capsys):
     _, gen_text = run(["gen", "random", "--n", "7", "--p", ".6", "--seed", "2"])
     _, complex_text = run(["complex"], stdin_text=gen_text)
+    _, capped = run(["complex", "--max-dim", "1"], stdin_text=gen_text)
     calls = [
         (["complex"], gen_text),
         (["homology", "--coeff", "zp:3"], complex_text),
         (["les-check", "--subset", "0,2,5"], gen_text),
+        # les-check's nodes, written from their template: A = {}, A = X,
+        # the empty complex, whose nodes are [], a capped complex and a
+        # large prime.
+        (["les-check", "--subset", ""], gen_text),
+        (["les-check", "--subset", "0,1,2,3,4,5,6"], gen_text),
+        (["les-check", "--subset", ""], '{"vertices": [], "edges": []}'),
+        (["les-check", "--subset", "0,1"], capped),
+        (["les-check", "--subset", "0,2,5", "--coeff", "zp:1000003"], gen_text),
         (["pi1"], complex_text),
         (["fx-certify"], gen_text),
         (["fx-sample", "--samples", "30", "--seed", "1"], gen_text),
     ]
+    shapes = []
     for argv, text in calls:
         report, written = run(argv, stdin_text=text)
         assert written == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        if argv[0] == "les-check":
+            assert type(report["nodes"]) is documents._Nodes
+            shapes.append((len(report["nodes"]), "truncated" in report))
+    assert shapes[3:5] == [(0, False), (6, True)]
     bad_label = '{"vertices": ["a"], "edges": [["a", "\u00e9\\n"]]}'
     assert _main_with_stdin(["homology"], bad_label) == 1
     written = capsys.readouterr().out

@@ -26,9 +26,10 @@ boundary map on its own; its columns stored pending, as their bare
 simplices (apparent pairs), are built with the level's column builder and
 held to ``_column_reduce`` on the maps built whole, which must store,
 clear and set aside the same.  The long exact sequence check reads its
-ranks off one reduction of X with A's simplices first, ``_filtered_ranks``;
-its stored columns, lows and ranks are held to that reduction of the maps
-built whole and to dense ranks.  Its nodes are held to
+ranks off one reduction of X with A's simplices first, ``_filtered_ranks``,
+called once per degree of the check's top-down pass; its stored columns,
+lows, masks and ranks are held to that reduction of the maps built whole
+and to dense ranks.  Its nodes are held to
 ``field_betti_oracle`` (their order, dimensions and the ranks exactness
 leaves) and to ``les_chain_oracle`` of ``oracles``, which maps homology
 representatives through the chain maps.  The oracle's tagged tables, fed
@@ -72,6 +73,7 @@ from dvrhom.homology import (
     _filtered_ranks,
     _homology_groups,
     _reduce,
+    _reduce_degree,
     NodeReport,
 )
 from dvrhom.matrices import _add, _column_reduce, _diagonalize
@@ -666,9 +668,10 @@ def test_pending_columns_are_built_where_they_are_first_read():
     levels = RP2_RENAMED.by_dimension
     reads = pending_reads(lambda: _reduce(levels, [0] * len(levels), 0))
     assert (False, False) in reads
-    levels, first = a_first(OCTAHEDRON, restrict_to(OCTAHEDRON, (0, 1, 2)))
+    sub = restrict_to(OCTAHEDRON, (0, 1, 2))
     for p in FIELDS:
-        assert (True, True) in pending_reads(lambda: _filtered_ranks(levels, first, p))
+        check = lambda: les_exactness_check(OCTAHEDRON, sub, "q" if p is None else p)
+        assert (True, True) in pending_reads(check)
 
 
 @pytest.mark.parametrize("extra", [[], [(0, 1, 4, 6)]])
@@ -697,9 +700,9 @@ def test_lazy_reduction_builds_fewer_columns_than_it_reduces():
         k = build_complex(g)
         built = []
 
-        def counted(levels, n, cut=0):
-            pos, column = _boundary_builder(levels, n, cut)
-            return pos, lambda s: built.append(s) or column(s)
+        def counted(pos, n, cut=0):
+            column = _boundary_builder(pos, n, cut)
+            return lambda s: built.append(s) or column(s)
 
         with mock.patch.object(homology, "_boundary_builder", counted):
             assert groups_of(homology_integer(k)) == groups
@@ -803,33 +806,43 @@ def test_les_nodes_at_the_ends_of_the_pass():
 
 
 def test_les_check_builds_each_column_of_x_once():
-    # Two reductions feed the check, both on X in "A first" order: X, then
-    # X/A (``_reduce``).  Each builds a column at most once, when it reads
-    # it; most are apparent pairs and never built.
+    # Two reductions feed the check, both on X in "A first" order: X
+    # (``_filtered_ranks``), then X/A (``_reduce_degree``), degree by degree
+    # over one face-position dict per degree.  Each builds a column at most
+    # once, when it reads it; most are apparent pairs and never built.
     shell = [q for q in product(range(3), repeat=3) if q != (1, 1, 1)]
     for g, kept in ((circulant(20, 4), range(8)), (digital_image(shell), range(10))):
         k = build_complex(g)
         built = {"X": [], "X/A": []}
-        reducing = ["X"]
+        reducing, faces = ["X"], []
 
-        def counted(levels, n, cut=0):
-            pos, column = _boundary_builder(levels, n, cut)
+        def counted(pos, n, cut=0):
+            faces.append(pos)
+            column = _boundary_builder(pos, n, cut)
             seen = built[reducing[0]]
-            return pos, lambda s: seen.append(s) or column(s)
+            return lambda s: seen.append(s) or column(s)
 
-        def relative(*args):
-            reducing[0] = "X/A"
-            return _reduce(*args)
+        def step(name, run):
+            def spy(*args):
+                reducing[0] = name
+                return run(*args)
+
+            return spy
 
         with (
             mock.patch.object(homology, "_boundary_builder", counted),
-            mock.patch.object(homology, "_reduce", relative),
+            mock.patch.object(homology, "_filtered_ranks", step("X", _filtered_ranks)),
+            mock.patch.object(homology, "_reduce_degree", step("X/A", _reduce_degree)),
         ):
             report = les_exactness_check(k, restrict_to(k, tuple(kept)), "q")
         assert report.exact
         simplices = sum(len(level) for level in k.by_dimension[1:])
         for columns in built.values():
             assert len(set(columns)) == len(columns) < simplices / 2
+        # Both reductions of a degree read one face-position dict, made once.
+        assert len(faces) == 2 * k.dim
+        assert all(faces[i] is faces[i + 1] for i in range(0, len(faces), 2))
+        assert len({id(pos) for pos in faces}) == k.dim
 
 
 def a_first(k, sub):
@@ -856,8 +869,28 @@ def check_filtered_ranks(k, sub, p):
         caught.append((dict(table), lows, build))
         return lows, core
 
-    with mock.patch.object(homology, "_column_reduce", spy):
-        rank_a, rank_x, lows_in_a = _filtered_ranks(levels, first, p)
+    size = len(levels) + 1
+    rank_a, rank_x, lows_in_a = [0] * size, [0] * size, [0] * size
+
+    def mask(size, lows):
+        return bytearray(j not in lows for j in range(size))
+
+    def degree(levels, first, n, pos, keep, p):
+        # The mask passed down leaves the columns that are not lows of the
+        # degree above.
+        above = caught[-1][1] if n < len(levels) - 1 else ()
+        assert keep == mask(len(levels[n]), above)
+        ranks = _filtered_ranks(levels, first, n, pos, keep, p)
+        rank_a[n], rank_x[n], lows_in_a[n - 1], kept = ranks
+        assert kept == mask(len(levels[n - 1]), caught[-1][1])
+        return ranks
+
+    with (
+        mock.patch.object(homology, "_column_reduce", spy),
+        mock.patch.object(homology, "_filtered_ranks", degree),
+        mock.patch.object(homology, "_reduce_degree", lambda *args: (0, (), ())),
+    ):
+        les_exactness_check(k, sub, "q" if p is None else p)
     eager, cleared = [], ()
     for n in range(len(levels) - 1, 0, -1):
         rows, table = dense_boundary(levels, n), {}

@@ -66,7 +66,7 @@ def boundary_matrix(k, n):
     size = len(levels[n]) if n < len(levels) else 0
     a = IntegerMatrix(len(levels[n - 1]) if 0 < n <= len(levels) else 0, size)
     if n and size:
-        column = homology._boundary_builder(levels, n)[1]
+        column = homology._boundary_builder(homology._positions(levels[n - 1]), n)
         a.entries = {
             (i, j): v for j, s in enumerate(levels[n]) for i, v in column(s).items()
         }

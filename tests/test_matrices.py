@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dvrhom import InputError, invariant_factors
 from dvrhom.matrices import _PRIME_LIMIT, _check_prime, _column_reduce
 from oracles import (
     IntegerMatrix,
+    column_reduce_rescan,
     columns,
     dense_rref,
     determinant,
@@ -161,3 +164,36 @@ def test_field_nullspace_and_solve():
     x = field_solve([[1, 1], [0, 1]], [3, 2])
     assert x == [1, 2]
     assert field_solve([[1, 0], [1, 0]], [1, 2]) is None
+
+
+# Sparse integer columns on six rows with entries +-1..+-3: many lows are
+# non-units, so columns are set aside, and the stored vectors they are
+# reduced by bring in rows of their own, lows among them.  Half the draws
+# put the columns with a non-unit low first, so that the rows of the ones
+# set aside are taken as lows after them; about one draw in eight fills in
+# a low.
+_SPARSE_COLUMNS = st.lists(
+    st.dictionaries(
+        st.integers(0, 5),
+        st.sampled_from((-3, -2, -1, 1, 2, 3)),
+        min_size=2,
+        max_size=4,
+    ),
+    max_size=10,
+)
+_SPARSE_COLUMNS |= _SPARSE_COLUMNS.map(
+    lambda cols: sorted(cols, key=lambda col: col[max(col)] in (1, -1))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPARSE_COLUMNS)
+# The set-aside {1: 1, 3: 2} is reduced at 3 by {0: 1, 3: 1}, which brings
+# in the low 0, and then at 0.
+@example([{1: 1, 3: 2}, {0: 1}, {0: 1, 3: 1}])
+def test_set_aside_columns_reduce_as_by_the_rescan(cols):
+    lows, core = _column_reduce([dict(col) for col in cols], 0)
+    assert (lows, core) == column_reduce_rescan(cols)
+    entries = {(i, j): v for j, col in enumerate(cols) for i, v in col.items()}
+    d = smith_normal_form(IntegerMatrix(6, len(cols), entries)).d
+    assert invariant_factors([dict(col) for col in cols]) == d
