@@ -17,7 +17,6 @@ from .complexes import (
     build_complex,
     f_vector,
     map_complex,
-    restrict_to,
 )
 from .digraph import Digraph, InputError, is_interior_cover
 from .fxmap import (
@@ -67,6 +66,5 @@ __all__ = [
     "pi1_presentation",
     "random_digraph",
     "relative_homology",
-    "restrict_to",
     "sampled_continuity_check",
 ]

@@ -29,14 +29,12 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .complexes import build_complex, restrict_to
+from .complexes import build_complex
 from .digraph import InputError
 from .documents import (  # parse_digraph is importable from here too
     SCHEMA,
-    _complex_digest,
     _complex_doc,
     _digest,
-    _digraph_digest,
     _digraph_doc,
     _dumps,
     _Nodes,
@@ -61,11 +59,8 @@ def _load_input(args, stdin):
     """Read stdin into (kind, object, input digest)."""
     text = stdin.read()
     if args.format == "edgelist":
-        g = _parse_edgelist(text)
-        return "digraph", g, _digraph_digest(g)
-    kind, obj = _read_document(text)
-    digest = _complex_digest if kind == "complex" else _digraph_digest
-    return kind, obj, digest(obj)
+        return ("digraph", *_parse_edgelist(text))
+    return _read_document(text)
 
 
 def _require_digraph(kind, obj):
@@ -175,21 +170,12 @@ def _run_homology(args, kind, obj):
     }
 
 
-def _subset_subcomplex(k, subset_text):
-    subset = _parse_subset(subset_text)
-    vertex_ids = {s[0] for s in k.by_dimension[0]} if k.by_dimension else set()
-    for v in subset:
-        if v not in vertex_ids:
-            raise InputError(f"subset vertex {v} is not a vertex of the complex")
-    return subset, restrict_to(k, subset)
-
-
 def _run_pair(args, kind, obj):
     k = _complex_of(kind, obj)
-    subset, sub = _subset_subcomplex(k, args.subset)
+    subset = _parse_subset(args.subset)
     return {
         "subset": list(subset),
-        "groups": _groups_json(relative_homology(k, sub)),
+        "groups": _groups_json(relative_homology(k, subset)),
         **({"truncated": True} if k.truncated else {}),
     }
 
@@ -197,8 +183,8 @@ def _run_pair(args, kind, obj):
 def _run_les(args, kind, obj):
     label, coeff = _parse_coeff(args.coeff, allow_integer=False)
     k = _complex_of(kind, obj)
-    subset, sub = _subset_subcomplex(k, args.subset)
-    report = les_exactness_check(k, sub, coeff)
+    subset = _parse_subset(args.subset)
+    report = les_exactness_check(k, subset, coeff)
     return {
         "coefficients": label,
         "subset": list(subset),

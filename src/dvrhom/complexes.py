@@ -179,16 +179,6 @@ def f_vector(k):
     return tuple(len(level) for level in k.by_dimension)
 
 
-def restrict_to(k, a):
-    """Full subcomplex of ``k`` on the vertex subset ``a`` (same ids)."""
-    aset = set(a)
-    by_dim = [
-        [s for s in level if aset.issuperset(s)] for level in k.by_dimension
-    ]
-    witness = {s: k.witness[s] for level in by_dim for s in level}
-    return SimplicialComplex(by_dim, witness, truncated=k.truncated)
-
-
 SimplicialMapReport = namedtuple(
     "SimplicialMapReport", "vertex_map entries degenerate all_images_present"
 )

@@ -20,6 +20,8 @@ Digraph values are immutable after construction.
 
 from __future__ import annotations
 
+import operator
+
 
 class InputError(ValueError):
     """Input outside an operation's contract (bad index, empty set, ...)."""
@@ -61,16 +63,14 @@ class Digraph:
     __slots__ = ("n", "_out", "_in", "_sym", "labels")
 
     def __init__(self, n, out_masks, in_masks, labels=None):
+        """The digraph of out- and in-masks that agree and hold every loop,
+        taken as given: its maker, ``from_edge_list`` or a document reader,
+        has checked them and ``labels``, a tuple of n distinct labels or
+        None."""
         self.n = n
         self._out = tuple(out_masks)
         self._in = tuple(in_masks)
-        self._sym = tuple(o | i for o, i in zip(out_masks, in_masks))
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise InputError(f"{len(labels)} labels for {n} vertices")
-            if len(set(labels)) != n:
-                raise InputError("vertex labels must be unique")
+        self._sym = tuple(map(operator.or_, out_masks, in_masks))
         self.labels = labels
 
     @classmethod
@@ -88,7 +88,13 @@ class Digraph:
                 raise InputError(f"edge ({u}, {v}) out of range for {n} vertices")
             out[u] |= 1 << v
             inc[v] |= 1 << u
-        return cls(n, out, inc, labels=labels)
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != n:
+                raise InputError(f"{len(labels)} labels for {n} vertices")
+            if len(set(labels)) != n:
+                raise InputError("vertex labels must be unique")
+        return cls(n, out, inc, labels)
 
     def has_edge(self, u, v):
         return (self._out[u] >> v) & 1 == 1

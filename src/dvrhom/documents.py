@@ -3,17 +3,21 @@
 A digraph document has the keys ``vertices`` and ``edges``, a complex
 document (the output of ``complex``) the keys ``f_vector``, ``simplices``
 and ``truncated``.  ``_read_document`` reads either, and checks the shape
-of every key the commands read.  A digraph document's keys are checked in
-bulk, by the set of the types of their items (and of the edges' lengths
-and entries), and its edges resolved by one label lookup per entry.  Only
-a document with an int or float entry, or an unknown label, has its edges
-walked again by ``_resolve``, one entry at a time, which resolves such an
-entry or raises the error it is due.  A complex document's ``simplices``
-are read in bulk too, each check made once (``_read_in_bulk``): their
-shapes by type sets; their faces from the sorted witnesses when every item
-has one and those equal the ``verts`` lists, which also shows every witness
-an ordering, else from the sorted ``verts`` with the witnesses compared
-with them; a clash by one witness dict.  Then
+of every key the commands read, and gives the input digest of what it
+read.  A digraph document's keys are checked in bulk, by the set of the
+types of their items (and of the edges' lengths and entries), and its edges
+read in one walk (``_edge_walk``): each step looks up the vertices of a
+label pair, sets their out- and in-masks and records the edge's key in the
+canonical edge order.  Only a document with an entry that is not one of
+its labels, an int or float entry or an unknown label, has its edges
+resolved first by ``_resolve``, one entry at a time, which resolves such an
+entry or raises the error it is due; the walk then takes the vertices.
+Every error is found before a mask is allocated.  A complex document's
+``simplices`` are read in bulk too, each check made once
+(``_read_in_bulk``): their shapes by type sets; their faces from the sorted
+witnesses when every item has one and those equal the ``verts`` lists,
+which also shows every witness an ordering, else from the sorted ``verts``
+with the witnesses compared with them; a clash by one witness dict.  Then
 ``SimplicialComplex.from_faces_by_size`` closes the faces a level at a
 time, and a repeated vertex shows as a pair (x, x) among the closed
 2-faces.  Only a list that fails is walked item by item
@@ -37,11 +41,13 @@ An input digest is the sha256 of the compact, key-sorted JSON text of the
 canonical reconstruction of the input, so reordered edges or an edgelist
 spelling of the same digraph hash identically.  A complex's text is hashed
 level by level (``_complex_digest``), without building its document.  A
-digraph's text (``_digraph_digest``) is joined from its labels, each quoted
-once by the C string encoder: ``{"edges":[...],"vertices":[...]}`` with its
-edges as sorted ``[label, label]`` pairs.  ``_ranked_edges`` gives that
-order by sorting the labels once and then each edge as one integer key of
-their ranks; ``_digraph_doc``, which ``gen`` writes, takes the same order.
+digraph's text is joined from its labels, each quoted once by the C string
+encoder: ``{"edges":[...],"vertices":[...]}`` with its edges as sorted
+``[label, label]`` pairs.  ``_ranks`` gives that order as one integer key
+per edge, ``rank[u] * n + rank[v]`` of its labels' ranks; ``_edge_walk``
+records the keys as it reads the edges, ``_read_edges`` hashes them for
+both input formats, and ``_digraph_doc``, which ``gen`` writes, lists the
+edges of a built digraph in their order.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from itertools import chain, compress, groupby, repeat
 from json.encoder import encode_basestring_ascii
 
 from .complexes import SimplicialComplex, f_vector
-from .digraph import _MAX_VERTICES, Digraph, InputError
+from .digraph import _MAX_VERTICES, Digraph, InputError, _check_order
 
 SCHEMA = "1"
 
@@ -195,35 +201,60 @@ def _write_simplices(levels, witness, nl, out):
     out(close)
 
 
-def _ranked_edges(g):
-    """The canonical order of ``g``'s edges: its labels (the vertex indices
-    as strings when it has none), those labels sorted, and each edge other
-    than a loop as the key ``rank[u] * n + rank[v]`` of the labels' ranks,
-    ascending, which is the order of the sorted ``[label, label]`` lists.
-    The labels are strings, as every reader and generator makes them."""
-    n = g.n
-    labels = g.labels or tuple(map(str, range(n)))
-    order = sorted(range(n), key=labels.__getitem__)
-    rank = [0] * n
-    for r, v in enumerate(order):
-        rank[v] = r
-    keys = []
-    for u, mask in enumerate(map(g.out_mask, range(n))):
-        mask &= ~(1 << u)
-        base = rank[u] * n
-        while mask:
-            low = mask & -mask
-            keys.append(base + rank[low.bit_length() - 1])
-            mask ^= low
-    keys.sort()
-    return labels, [labels[v] for v in order], keys
+def _ranks(labels):
+    """The canonical edge order of a digraph on ``labels``, n distinct
+    strings: the labels sorted, and each vertex's rank among them.  An edge
+    (u, v) has the key ``rank[u] * n + rank[v]``, so the keys ascend as the
+    sorted ``[label, label]`` lists do."""
+    ranked = sorted(labels)
+    return ranked, list(map(dict(zip(ranked, range(len(labels)))).__getitem__, labels))
+
+
+def _edge_walk(labels, index, pairs):
+    """One walk of the edge list ``pairs`` on the vertices ``labels``, n
+    distinct strings, each entry a key of ``index`` (a label dict, or
+    ``range(n)`` for vertex indices).  Returns the out- and in-masks of the
+    spatial digraph, the labels sorted, and the keys (``_ranks``) of its
+    edges other than loops, ascending; a repeated edge has one key."""
+    n = len(labels)
+    ranked, rank = _ranks(labels)
+    bits = [1 << v for v in range(n)]
+    out, inc, keys = bits.copy(), bits.copy(), set()
+    add = keys.add
+    for a, b in pairs:
+        u, v = index[a], index[b]
+        out[u] |= bits[v]
+        inc[v] |= bits[u]
+        add(rank[u] * n + rank[v])
+    keys.difference_update(range(0, n * n, n + 1))  # the loops' keys
+    return out, inc, ranked, sorted(keys)
+
+
+def _read_edges(labels, index, pairs):
+    """The out- and in-masks of an edge list, as ``_edge_walk`` takes it,
+    and its input digest: the ``_digest`` of the vertices and edges of its
+    digraph document, hashed from the compact text joined from the quoted
+    labels."""
+    n = len(labels)
+    out, inc, ranked, keys = _edge_walk(labels, index, pairs)
+    quoted = list(map(encode_basestring_ascii, ranked))
+    heads = ["[" + q + "," for q in quoted]
+    tails = [q + "]" for q in quoted]
+    text = ",".join([heads[k // n] + tails[k % n] for k in keys])
+    vertices = ",".join(map(encode_basestring_ascii, labels))
+    text = '{"edges":[' + text + '],"vertices":[' + vertices + "]}"
+    return out, inc, hashlib.sha256(text.encode()).hexdigest()
 
 
 def _digraph_doc(g):
-    labels, ranked, keys = _ranked_edges(g)
+    """The digraph document of ``g``, its edges in canonical order.  An
+    unlabeled digraph is labelled by its vertex indices as strings."""
     n = g.n
+    labels = list(g.labels or map(str, range(n)))
+    ranked, rank = _ranks(labels)
+    keys = sorted(rank[u] * n + rank[v] for u, v in g.edges())
     edges = [[ranked[k // n], ranked[k % n]] for k in keys]
-    return {"schema": SCHEMA, "vertices": list(labels), "edges": edges}
+    return {"schema": SCHEMA, "vertices": labels, "edges": edges}
 
 
 _LABEL = frozenset({str, int, float})  # so no bool either
@@ -242,8 +273,9 @@ _BAD_SIMPLICES = (
 def _read_document(text):
     """Parse a JSON document and check the shape of every key the CLI reads.
 
-    Returns ("complex", complex) for a document with ``simplices``, and
-    ("digraph", digraph) for one with ``vertices`` or ``edges``.
+    Returns ("complex", complex, input digest) for a document with
+    ``simplices``, and ("digraph", digraph, input digest) for one with
+    ``vertices`` or ``edges``.
     """
     try:
         doc = json.loads(text)
@@ -274,10 +306,11 @@ def _read_document(text):
     ):
         raise InputError("'edges' must be a list of [u, v] label pairs")
     if "simplices" in doc:
-        return "complex", _read_complex(doc["simplices"], doc.get("truncated", False))
+        k = _read_complex(doc["simplices"], doc.get("truncated", False))
+        return "complex", k, _complex_digest(k)
     _check_truncated(doc.get("truncated", False))
     if "edges" in doc or "vertices" in doc:
-        return "digraph", _digraph_from_doc(vertices, edges)
+        return ("digraph", *_digraph_from_doc(vertices, edges))
     raise InputError("input json is neither a digraph nor a complex document")
 
 
@@ -375,15 +408,22 @@ def _read_in_bulk(items, truncated):
 
 
 def _digraph_from_doc(vertices, pairs):
+    """The digraph of a document's shape-checked ``vertices`` and ``edges``,
+    and its input digest.  A repeated label is refused first, then the
+    first edge entry that names no vertex or two, then a vertex count over
+    the limit, all before ``_read_edges`` allocates a mask."""
     labels = list(map(str, vertices))
-    index = dict(zip(labels, range(len(labels))))
-    if len(index) != len(labels):
+    n = len(labels)
+    index = dict(zip(labels, range(n)))
+    if len(index) != n:
         raise InputError("vertex labels must be unique")
-    try:
-        edges = [(index[u], index[v]) for u, v in pairs]
-    except KeyError:  # an int or float entry, or an unknown label
-        edges = [tuple(_resolve(entry, index) for entry in pair) for pair in pairs]
-    return Digraph.from_edge_list(len(labels), edges, labels=labels or None)
+    if not index.keys() >= set(chain.from_iterable(pairs)):
+        # an int or float entry, or an unknown label
+        pairs = [(_resolve(u, index), _resolve(v, index)) for u, v in pairs]
+        index = range(n)
+    _check_order(n)
+    out, inc, digest = _read_edges(labels, index, pairs)
+    return Digraph(n, out, inc, tuple(labels) or None), digest
 
 
 def _resolve(entry, index):
@@ -418,6 +458,8 @@ def _vertex_count(digits):
 
 
 def _parse_edgelist(text):
+    """The digraph of an edgelist, unlabeled, and its input digest, which
+    labels each vertex by its index as a string."""
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -443,7 +485,9 @@ def _parse_edgelist(text):
         edges.append((u, v))
     if n is None:
         raise InputError("empty edgelist input")
-    return Digraph.from_edge_list(n, edges)
+    _check_order(n)
+    out, inc, digest = _read_edges(list(map(str, range(n))), range(n), edges)
+    return Digraph(n, out, inc), digest
 
 
 def parse_digraph(source, format="json"):
@@ -452,9 +496,9 @@ def parse_digraph(source, format="json"):
     A complex document is refused, as the digraph-only commands refuse it.
     """
     if format == "edgelist":
-        return _parse_edgelist(source)
+        return _parse_edgelist(source)[0]
     if format == "json":
-        kind, g = _read_document(source)
+        kind, g, _ = _read_document(source)
         if kind == "complex":
             raise InputError("expected a digraph document, got a complex document")
         return g
@@ -482,16 +526,3 @@ def _complex_digest(k):
     h.update(b"}")
     return h.hexdigest()
 
-
-def _digraph_digest(g):
-    """``_digest`` of the vertices and edges of ``_digraph_doc(g)``, hashed
-    from its compact text joined from the quoted labels."""
-    labels, ranked, keys = _ranked_edges(g)
-    n = g.n
-    quoted = list(map(encode_basestring_ascii, ranked))
-    heads = ["[" + q + "," for q in quoted]
-    tails = [q + "]" for q in quoted]
-    text = ",".join([heads[k // n] + tails[k % n] for k in keys])
-    vertices = ",".join(map(encode_basestring_ascii, labels))
-    text = '{"edges":[' + text + '],"vertices":[' + vertices + "]}"
-    return hashlib.sha256(text.encode()).hexdigest()

@@ -3,8 +3,9 @@
 Simplices are oriented by their sorted vertex tuple, so boundary signs do
 not depend on witnesses.  One builder, ``_boundary_builder``, gives the
 boundary column ``{face position: +-1}`` of a simplex over the positions of
-its level.  A pair (X, A) puts each level of X in A-first order
-(``_a_first``): A's simplices, then the others, each part lexicographic.
+its level.  A pair (X, A), A a subcomplex or the full subcomplex on a
+vertex set, puts each level of X in A-first order (``_a_first``): A's
+simplices, then the others, each part lexicographic.
 So X/A has the columns and rows past A's, and A in X is a filtration.
 All homology, absolute homology being relative to the empty subcomplex,
 comes from one top-down reduction, ``_reduce``, over Z (p=0), Q (None) or
@@ -28,6 +29,7 @@ import heapq
 from collections import Counter, namedtuple
 from itertools import combinations, compress
 
+from .complexes import SimplicialComplex
 from .digraph import InputError
 from .matrices import _check_prime, _column_reduce, _diagonalize, invariant_factors
 
@@ -185,19 +187,32 @@ def _filtered_ranks(levels, first, n, pos, keep, p):
     return rank_k, len(table), lows_in_k, _kept(len(pos), table)
 
 
-def _a_first(k, sub):
-    """The levels of ``k`` in A-first order, A being ``sub``: A's simplices,
-    then the others, each part lexicographic; and the number of A's in each.
-    A simplex of ``sub`` that is not in ``k`` is refused."""
-    levels, first, held = [], [], sub.witness
+def _a_first(k, a):
+    """The levels of ``k`` in A-first order: A's simplices, then the others,
+    each part lexicographic; and the number of A's in each.
+
+    A is a subcomplex of ``k``, whose witness dict tells its simplices, or
+    a collection of vertices of ``k``, which stands for the full subcomplex
+    on them: the simplices of ``k`` that they hold.  A simplex of the
+    subcomplex that is not in ``k``, or the first vertex of the collection
+    that is not one of ``k``'s, is refused."""
+    if isinstance(a, SimplicialComplex):
+        held, size = a.witness.__contains__, len(a.witness)
+    else:
+        a = tuple(a)  # an iterator would be used up by the check
+        for v in a:
+            if (v,) not in k.witness:
+                raise InputError(f"subset vertex {v} is not a vertex of the complex")
+        held, size = frozenset(a).issuperset, 0  # its vertices are checked
+    levels, first = [], []
     for level in k.by_dimension:
         own, rest = [], []
         for s in level:
-            (own if s in held else rest).append(s)
+            (own if held(s) else rest).append(s)
         levels.append(own + rest)
         first.append(len(own))
-    if sum(first) < len(sub.witness):
-        s = next(s for s in sub.simplices() if s not in k.witness)
+    if sum(first) < size:
+        s = next(s for s in a.simplices() if s not in k.witness)
         raise InputError(f"simplex {s} of the subcomplex is not in the complex")
     return levels, first
 
@@ -227,13 +242,15 @@ def homology_field(k, field_spec, reduced=False):
     return [g.betti for g in groups]
 
 
-def relative_homology(k, sub):
-    """Homology of the quotient chain complex of the pair (k, sub).
+def relative_homology(k, a):
+    """Homology of the quotient chain complex of the pair (k, A).
 
-    The quotient basis in each degree is the simplices of ``k`` outside
-    ``sub``; boundary entries landing in ``sub`` are deleted.
+    A is a subcomplex of ``k``, or a collection of vertices of ``k`` that
+    stands for the full subcomplex on them (``_a_first``).  The quotient
+    basis in each degree is the simplices of ``k`` outside A; boundary
+    entries landing in A are deleted.
     """
-    return _homology_groups(*_a_first(k, sub), 0)
+    return _homology_groups(*_a_first(k, a), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +261,13 @@ NodeReport = namedtuple("NodeReport", "name dim rank_in rank_out exact")
 ExactnessReport = namedtuple("ExactnessReport", "field nodes exact")
 
 
-def les_exactness_check(k, sub, field_spec):
-    """Verify exactness of the homology long exact sequence of (k, sub).
+def les_exactness_check(k, a, field_spec):
+    """Verify exactness of the homology long exact sequence of (k, A).
 
-    Works over a field (Q or Z_p), so homology is vector spaces.  In
-    A-first order (``_a_first``), (k, sub) is a filtration, and
+    A is a subcomplex of ``k``, or a collection of vertices of ``k`` that
+    stands for the full subcomplex on them; the pair is checked before the
+    field.  Works over a field (Q or Z_p), so homology is vector spaces.  In
+    A-first order (``_a_first``), (k, A) is a filtration, and
     ``_filtered_ranks`` reduces it.  With |A_n| the number of A's
     n-simplices, r_n the rank of a boundary map of degree n and l_n the
     lows of degree n + 1 that are A's:
@@ -268,8 +287,8 @@ def les_exactness_check(k, sub, field_spec):
     only its mask of the columns left to reduce.  Nodes run top-down:
     H_n(A), H_n(X), H_n(X,A).
     """
+    levels, first = _a_first(k, a)
     p = _parse_field(field_spec)
-    levels, first = _a_first(k, sub)
     top = len(levels) - 1
     rank_a, rank_x, lows_of_a, relative = ([0] * (top + 2) for _ in range(4))
     keep_x = keep_r = _kept(len(levels[top]), ()) if levels else None

@@ -26,6 +26,12 @@ column for its largest low after every subtraction, the reference for the
 package's heap of lows.  ``cli_parser_oracle`` is the command-line parser
 written out one argparse call at a time, the reference for the help texts
 and namespaces of the parsers that ``dvrhom.cli`` builds from its table.
+``restrict_to`` builds the full subcomplex on a vertex subset, the
+reference for the package's pairs given by their vertices, and
+``digraph_digest_oracle`` hashes a digraph's document as ``json.dumps``
+writes it, the reference for the input digest of the package's one-walk
+reader; ``digraph_document_oracle`` builds its digraph with the package's
+``Digraph.from_edge_list``, which that reader does not call.
 """
 
 import argparse
@@ -37,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from dvrhom import Digraph, InputError, build_complex
+from dvrhom import Digraph, InputError, SimplicialComplex, build_complex
 from dvrhom.homology import NodeReport
 from dvrhom.matrices import invariant_factors
 
@@ -165,6 +171,14 @@ def check_full_subcomplex(g, a, max_dim=None):
     return restricted == set(build_complex(sub, max_dim).simplices())
 
 
+def restrict_to(k, a):
+    """Full subcomplex of ``k`` on the vertex subset ``a`` (same ids)."""
+    aset = set(a)
+    by_dim = [[s for s in level if aset.issuperset(s)] for level in k.by_dimension]
+    witness = {s: k.witness[s] for level in by_dim for s in level}
+    return SimplicialComplex(by_dim, witness, truncated=k.truncated)
+
+
 def check_cone(g, x):
     """Whether the package's complex of the induced subgraph on U_x is a
     combinatorial cone with apex x: the paper's cone lemma, expected to
@@ -265,15 +279,26 @@ def _resolve_entry(entry, index):
     raise InputError(f"unknown vertex label {entry!r}")
 
 
-def digraph_document_oracle(doc):
-    """A digraph document read entry by entry, as (out-masks, labels or
-    None, input digest).
+def digraph_digest_oracle(g):
+    """The input digest of the digraph ``g``: the sha256 of the compact,
+    key-sorted JSON of its labels (the vertex indices as strings when it
+    has none) and the sorted [label, label] lists of its edges other than
+    loops, read back off the masks."""
+    labels = list(g.labels or map(str, range(g.n)))
+    edges = sorted([labels[u], labels[v]] for u, v in g.edges())
+    text = json.dumps(
+        {"vertices": labels, "edges": edges}, sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    Each item of ``vertices`` and ``edges`` is checked on its own, each edge
-    entry resolved on its own (a label, else an int's index, else the label
-    ``str(entry)``), and the digest is the sha256 of the compact, key-sorted
-    JSON of the labels and the sorted [label, label] lists of the edges, read
-    back off the masks.  Raises the ``InputError`` messages of the CLI's
+
+def digraph_document_oracle(doc):
+    """A digraph document read entry by entry, as (the digraph that
+    ``Digraph.from_edge_list`` makes, its ``digraph_digest_oracle``).
+
+    Each item of ``vertices`` and ``edges`` is checked on its own, and each
+    edge entry resolved on its own (a label, else an int's index, else the
+    label ``str(entry)``).  Raises the ``InputError`` messages of the CLI's
     reader in the same order, for a dict without ``simplices``.
     """
     vertices, edges = doc.get("vertices", []), doc.get("edges", [])
@@ -291,21 +316,9 @@ def digraph_document_oracle(doc):
     index = {lab: i for i, lab in enumerate(labels)}
     if len(index) != len(labels):
         raise InputError("vertex labels must be unique")
-    out = [1 << v for v in range(len(labels))]
-    for pair in edges:
-        u, v = (_resolve_entry(entry, index) for entry in pair)
-        out[u] |= 1 << v
-    doc_edges = sorted(
-        [labels[u], labels[v]]
-        for u in range(len(labels))
-        for v in range(len(labels))
-        if u != v and out[u] >> v & 1
-    )
-    text = json.dumps(
-        {"vertices": labels, "edges": doc_edges}, sort_keys=True, separators=(",", ":")
-    )
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return tuple(out), tuple(labels) or None, digest
+    pairs = [tuple(_resolve_entry(entry, index) for entry in pair) for pair in edges]
+    g = Digraph.from_edge_list(len(labels), pairs, labels=labels or None)
+    return g, digraph_digest_oracle(g)
 
 
 def bron_kerbosch_cliques(g):

@@ -27,7 +27,6 @@ from dvrhom import (
     les_exactness_check,
     pi1_presentation,
     random_digraph,
-    restrict_to,
     sampled_continuity_check,
 )
 from dvrhom.cli import run_command
@@ -43,6 +42,7 @@ from oracles import (
     induced_subgraph,
     matmul,
     minimal_neighborhood,
+    restrict_to,
     smith_normal_form,
 )
 from test_homology import boundary_matrix

@@ -10,7 +10,7 @@ import pathlib
 import re
 import subprocess
 import sys
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +25,7 @@ from dvrhom import (
     figure_digraph,
     les_exactness_check,
     random_digraph,
-    restrict_to,
+    relative_homology,
 )
 from dvrhom import cli, documents
 from dvrhom.cli import main, parse_digraph, run_command
@@ -34,6 +34,7 @@ from oracles import (
     complex_document_oracle,
     digraph_document_oracle,
     les_chain_oracle,
+    restrict_to,
 )
 
 
@@ -295,6 +296,46 @@ def test_pair_command():
     assert all(g["betti"] == 0 and g["torsion"] == [] for g in report["groups"])
 
 
+# A complex document whose vertex ids skip numbers: vertices 5 and 7.
+_SKIPPING_IDS = json.dumps({"simplices": [{"verts": [5, 7]}]})
+_RANDOM_DOCUMENTS = st.builds(
+    lambda n, p, seed: json.dumps(documents._digraph_doc(random_digraph(n, p, seed))),
+    st.integers(0, 8),
+    st.sampled_from((0.3, 0.5, 0.8)),
+    st.integers(0, 10**6),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.just(_SKIPPING_IDS), _RANDOM_DOCUMENTS), st.data())
+def test_vertex_subsets_split_as_their_full_subcomplexes(text, data):
+    # pair and les-check pass their parsed subset to the library, which
+    # splits each level by it; the empty subset, one vertex, all vertices
+    # and a drawn subset give what the full subcomplex on them gives, over
+    # Z (pair) and Q, Z_2 and Z_3 (les-check).  The library takes any
+    # iterable of vertices, an iterator too.
+    kind, obj, _ = documents._read_document(text)
+    k = cli._complex_of(kind, obj)
+    vertices = [s[0] for s in k.by_dimension[0]] if k.by_dimension else []
+    drawn = data.draw(st.lists(st.sampled_from(vertices), unique=True)) if vertices else []
+    for subset in {(), tuple(vertices[:1]), tuple(vertices), tuple(sorted(drawn))}:
+        arg = ",".join(map(str, subset))
+        sub = restrict_to(k, subset)
+        expected = relative_homology(k, sub)
+        assert relative_homology(k, subset) == expected
+        assert relative_homology(k, iter(subset)) == expected
+        report, _ = run(["pair", "--subset", arg], stdin_text=text)
+        assert report["subset"] == list(subset)
+        assert report["groups"] == cli._groups_json(expected)
+        for coeff, field in (("q", "q"), ("zp:2", 2), ("zp:3", 3)):
+            expected = les_exactness_check(k, sub, field)
+            assert les_exactness_check(k, subset, field) == expected
+            assert les_exactness_check(k, (v for v in subset), field) == expected
+            report, _ = run(["les-check", "--subset", arg, "--coeff", coeff], text)
+            assert report["nodes"] == [node._asdict() for node in expected.nodes]
+            assert report["exact"] is expected.exact
+
+
 def test_capped_complexes_are_flagged_by_pair_and_les_check():
     # Capped at dimension 1, this complex loses its triangles and H1 reads
     # Z^10; uncapped reports carry no flag and stay as they were.
@@ -409,6 +450,22 @@ def test_huge_edgelist_vertex_count_exits_1(capsys):
     )
 
 
+def test_digraph_document_errors_at_the_vertex_bound_come_in_order():
+    # Repeated labels, then the first edge entry that names no vertex, then
+    # the vertex count: all found before any mask is allocated.
+    labels = list(map(str, range(65537)))
+    cases = [
+        (labels, [["0", "1"], ["0", "zz"]], "unknown vertex label 'zz'"),
+        (labels, [["0", "1"], [0, 70000]], "unknown vertex label 70000"),
+        (labels, [["0", "65536"], [65536, 0]], "65537 vertices exceed the limit of 65536"),
+        (labels[:-1] + ["0"], [["0", "zz"]], "vertex labels must be unique"),
+    ]
+    for vertices, edges, message in cases:
+        with pytest.raises(InputError) as exc:
+            parse_digraph(json.dumps({"vertices": vertices, "edges": edges}))
+        assert str(exc.value) == message
+
+
 def test_edgelist_vertex_count_past_the_int_digit_limit_exits_1(capsys):
     # int() refuses more than 4,300 digits, so the count is refused by its
     # length first, as any other count above the bound; leading zeros do
@@ -515,6 +572,19 @@ def test_bad_prime_fields_exit_1(capsys, spec):
         doc = json.loads(capsys.readouterr().out)
         assert doc["error"]["message"]
         assert "internal error" not in doc["error"]["message"]
+
+
+def test_a_subset_vertex_outside_the_complex_is_named_before_the_field(capsys):
+    # zp:4 names no field, but the subset is checked first.
+    _, gen_text = run(["gen", "circulant", "--n", "6", "--m", "2"])
+    for argv, text, vertex in (
+        (["les-check", "--subset", "99", "--coeff", "zp:4"], gen_text, 99),
+        (["les-check", "--subset", "99,5,6", "--coeff", "zp:4"], _SKIPPING_IDS, 6),
+        (["pair", "--subset", "7,6"], _SKIPPING_IDS, 6),
+    ):
+        assert _main_with_stdin(argv, text) == 1
+        message = json.loads(capsys.readouterr().out)["error"]["message"]
+        assert message == f"subset vertex {vertex} is not a vertex of the complex"
 
 
 @pytest.mark.parametrize(
@@ -978,9 +1048,9 @@ def _read_or_message(read, doc):
 
 
 def _read_complex(doc):
-    kind, k = documents._read_document(json.dumps(doc))
+    kind, k, digest = documents._read_document(json.dumps(doc))
     assert kind == "complex"
-    return k.by_dimension, k.witness, k.truncated, documents._complex_digest(k)
+    return k.by_dimension, k.witness, k.truncated, digest
 
 
 def _complex_document_and_digest_oracle(doc):
@@ -1126,16 +1196,47 @@ def test_one_pass_reader_matches_the_two_step_oracle(doc):
         assert all(len(set(x["verts"])) == len(x["verts"]) for x in before["simplices"])
 
 
+def _masks_labels_digest(g, digest):
+    return g._out, g._in, g._sym, g.labels, digest
+
+
 def _read_digraph(doc):
-    kind, g = documents._read_document(json.dumps(doc))
+    """The one-walk reader on ``doc``, and on the edgelist spelling of it
+    when its labels are "0" .. "n-1" and its edge entries ints: the same
+    masks and digest, without labels."""
+    kind, g, digest = documents._read_document(json.dumps(doc))
     assert kind == "digraph"
-    return g._out, g.labels, documents._digraph_digest(g)
+    got = _masks_labels_digest(g, digest)
+    vertices, edges = doc.get("vertices", []), doc.get("edges", [])
+    if list(map(str, vertices)) == list(map(str, range(len(vertices)))) and all(
+        type(x) is int for x in chain.from_iterable(edges)
+    ):
+        # One spelling per line in turn: plain, a leading zero, a comment.
+        lines = [f"# {len(edges)} edges", f" {len(vertices)} "] + [
+            (f"{u} {v}", f"0{u}\t{v}", f"{u} {v}  # edge {i}")[i % 3]
+            for i, (u, v) in enumerate(edges)
+        ]
+        h, spelled = documents._parse_edgelist("\n".join(lines))
+        assert h.labels is None
+        assert _masks_labels_digest(h, spelled) == got[:3] + (None, digest)
+    return got
+
+
+def _digraph_oracle(doc):
+    return _masks_labels_digest(*digraph_document_oracle(doc))
+
+
+def _with_repeats(edges):
+    """``edges`` with every other edge repeated and the first entry of every
+    third one made a loop."""
+    return edges + edges[::2] + [[e[0], e[0]] for e in edges[::3]]
 
 
 # Digraph documents whose edge entries are mostly the vertices' labels,
-# their str() spellings or their indices.  The labels include escaped and
-# non-ASCII ones and numeric strings that sort against index order.
-_ODD_LABELS = st.sampled_from(["\u00e9", '"', "\\", "10", "2", ""])
+# their str() spellings or their indices, with repeated edges and loops.
+# The labels include escaped and non-ASCII ones, numeric strings that sort
+# against index order and a float that an int entry does not name.
+_ODD_LABELS = st.sampled_from(["\u00e9", '"', "\\", "10", "2", "", 2.0])
 _LABELLED_DOCUMENTS = st.lists(
     st.one_of(_LABELS, _ODD_LABELS), min_size=1, max_size=6, unique_by=str
 ).flatmap(
@@ -1145,25 +1246,29 @@ _LABELLED_DOCUMENTS = st.lists(
             "edges": st.lists(
                 st.lists(
                     st.sampled_from(
-                        labels + [str(x) for x in labels] + list(range(len(labels)))
+                        labels
+                        + [str(x) for x in labels]
+                        + list(range(len(labels)))
+                        + [float(i) for i in range(len(labels))]
                     ),
                     min_size=2,
                     max_size=2,
                 ),
                 max_size=12,
-            ),
+            ).map(_with_repeats),
         }
     )
 )
 # Digraphs of 11 to 30 vertices labelled by their indices, as the digest
-# labels an unlabeled digraph, so that "10" sorts before "2".
+# labels an unlabeled digraph, so that "10" sorts before "2"; their int
+# edge entries are read from their edgelist spelling too.
 _INDEXED_DOCUMENTS = st.integers(11, 30).flatmap(
     lambda n: st.fixed_dictionaries(
         {
             "vertices": st.just(list(range(n))),
             "edges": st.lists(
                 st.lists(st.integers(0, n - 1), min_size=2, max_size=2), max_size=60
-            ),
+            ).map(_with_repeats),
         }
     )
 )
@@ -1189,12 +1294,17 @@ _INDEXED_DOCUMENTS = st.integers(11, 30).flatmap(
 @example({"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a", "b"]]})
 @example({"vertices": ["a"], "edges": [["a"]]})
 @example({"edges": [[]]})
+@example(
+    {"vertices": [1.5, 2.0, "x"], "edges": [[1.5, 2.0], ["2.0", "x"], [2, 2], [1.5, 2.0]]}
+)
+@example({"vertices": [0, 1, 2], "edges": [[0, 0], [0, 1], [0, 1], [1, 0], [2, 2]]})
+@example({"vertices": [0, 1], "edges": [[0, 1.0]]})
 def test_bulk_digraph_reader_matches_the_per_entry_oracle(doc):
     doc = json.loads(json.dumps(doc))  # as the reader sees it
     if type(doc) is not dict or "simplices" in doc:
         return  # not a digraph document
     got = _read_or_message(_read_digraph, doc)
-    assert got == _read_or_message(digraph_document_oracle, doc)
+    assert got == _read_or_message(_digraph_oracle, doc)
 
 
 # Argument strings: well-formed pieces, near misses and arbitrary text.

@@ -16,7 +16,6 @@ from dvrhom import (
     figure_digraph,
     map_complex,
     random_digraph,
-    restrict_to,
 )
 from oracles import (
     brute_force_dvr,
@@ -30,6 +29,7 @@ from oracles import (
     is_simplex,
     is_symmetric,
     minimal_neighborhood,
+    restrict_to,
 )
 
 S2_POINTS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]

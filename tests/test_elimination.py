@@ -65,7 +65,6 @@ from dvrhom import (
     matrices,
     random_digraph,
     relative_homology,
-    restrict_to,
 )
 from dvrhom.homology import (
     _a_first,
@@ -93,6 +92,7 @@ from oracles import (
     integer_homology_oracle,
     les_chain_oracle,
     pair_table_oracle,
+    restrict_to,
     smith_normal_form,
     columns,
     tagged_add,
@@ -960,6 +960,20 @@ def test_a_subcomplex_outside_the_complex_is_refused(faces, outside):
     sub = SimplicialComplex.from_simplices(faces)
     message = f"simplex {outside} of the subcomplex is not in the complex"
     for call in (lambda: relative_homology(k, sub), lambda: les_exactness_check(k, sub, "q")):
+        with pytest.raises(InputError) as caught:
+            call()
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "vertices, outside", [((0, 3), 3), ([4, 1, 3], 4), (range(-1, 2), -1)]
+)
+def test_a_vertex_outside_the_complex_is_refused(vertices, outside):
+    # The path 0 - 1 - 2; the first vertex of the collection, in its order,
+    # that the path lacks is named, before the field is read.
+    k = SimplicialComplex.from_simplices([(0, 1), (1, 2)])
+    message = f"subset vertex {outside} is not a vertex of the complex"
+    for call in (lambda: relative_homology(k, vertices), lambda: les_exactness_check(k, vertices, 4)):
         with pytest.raises(InputError) as caught:
             call()
         assert str(caught.value) == message

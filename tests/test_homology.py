@@ -25,7 +25,6 @@ from dvrhom import (
     pi1_presentation,
     random_digraph,
     relative_homology,
-    restrict_to,
 )
 from dvrhom import homology, matrices
 from oracles import (
@@ -34,6 +33,7 @@ from oracles import (
     edge_path_oracle,
     euler_characteristic,
     matmul,
+    restrict_to,
     smith_normal_form,
     tietze_oracle,
     transpose,

@@ -184,7 +184,7 @@ MOVED = {
     "is_simplex", "check_full_subcomplex", "check_cone", "RealizationPoint",
     "point_in", "barycenter", "tie_set", "evaluate_fx", "carrier_point",
     "closure_of", "interior_of", "minimal_neighborhood", "induced_subgraph",
-    "is_symmetric",
+    "is_symmetric", "restrict_to",
 }
 
 
