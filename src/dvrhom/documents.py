@@ -122,7 +122,7 @@ def _write(x, nl, out):
     elif t is bool or x is None:
         out(_CONSTANTS[x])
     elif t is _Simplices:
-        _write_simplices(x.levels, x.witness, nl, out)
+        _write_simplices(x.levels, x.orders, nl, out)
     elif t is _Nodes:
         _write_nodes(x, nl, out)
     else:
@@ -132,9 +132,9 @@ def _write(x, nl, out):
 class _Simplices(list):
     """The ``simplices`` list of a complex document: one ``{"verts",
     "witness"}`` dict per simplex, for readers of the report.  ``_write``
-    writes it from ``levels`` and ``witness``, the complex's own tuples."""
+    writes it from ``levels`` and ``orders``, the complex's own tuples."""
 
-    __slots__ = ("levels", "witness")
+    __slots__ = ("levels", "orders")
 
 
 class _Nodes(list):
@@ -180,8 +180,9 @@ def _simplex_template(size, nl):
     return "{" + key + '"verts": ' + ints + "," + key + '"witness": ' + ints + nl + "}"
 
 
-def _write_simplices(levels, witness, nl, out):
-    """Write the ``simplices`` list of a complex, level by level: as
+def _write_simplices(levels, orders, nl, out):
+    """Write the ``simplices`` list of a complex from its ``levels`` and
+    their witness ``orders``, level by level: as
     ``_canonical`` does when ``nl`` is None, else as ``_dumps`` does on the
     line ``nl`` starts."""
     if not levels:
@@ -192,9 +193,9 @@ def _write_simplices(levels, witness, nl, out):
     else:
         inner = nl + "  "
         sep, comma, close = "[" + inner, "," + inner, nl + "]"
-    for level in levels:
+    for level, witnesses in zip(levels, orders):
         item = _simplex_template(len(level[0]), inner)
-        rows = map(operator.add, level, map(witness.__getitem__, level))
+        rows = map(operator.add, level, witnesses)
         out(sep)
         out(comma.join(map(item.__mod__, rows)))
         sep = comma
@@ -506,9 +507,12 @@ def parse_digraph(source, format="json"):
 
 
 def _complex_doc(k):
-    witness = k.witness
-    simplices = _Simplices({"verts": s, "witness": witness[s]} for s in k.simplices())
-    simplices.levels, simplices.witness = k.by_dimension, witness
+    levels, orders = k.by_dimension, k.orders
+    simplices = _Simplices(
+        {"verts": s, "witness": w}
+        for s, w in zip(chain.from_iterable(levels), chain.from_iterable(orders))
+    )
+    simplices.levels, simplices.orders = levels, orders
     return {
         "schema": SCHEMA,
         "f_vector": list(f_vector(k)),
@@ -522,7 +526,7 @@ def _complex_digest(k):
     hashed one level at a time."""
     h = hashlib.sha256()
     h.update(f'{{"f_vector":{_canonical(list(f_vector(k)))},"simplices":'.encode())
-    _write_simplices(k.by_dimension, k.witness, None, lambda text: h.update(text.encode()))
+    _write_simplices(k.by_dimension, k.orders, None, lambda text: h.update(text.encode()))
     h.update(b"}")
     return h.hexdigest()
 

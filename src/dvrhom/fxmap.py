@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .digraph import InputError
 
@@ -65,9 +65,8 @@ def continuity_certificate(k, g):
     checks = 0
     count = 0
     ins = g._in
-    for s in k.simplices():
+    for s, w in zip(chain.from_iterable(k.by_dimension), chain.from_iterable(k.orders)):
         count += 1
-        w = k.witness[s]
         seen = 0
         for v in w:
             seen |= 1 << v
@@ -160,6 +159,7 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
         raise InputError("sample count must be nonnegative")
     getrandbits = random.Random(seed).getrandbits
     all_simplices = list(k.simplices())
+    orders = list(chain.from_iterable(k.orders))
     if not all_simplices:
         return SampleReport(samples, delta, seed, 0, ())
     n = len(all_simplices)
@@ -173,8 +173,7 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
         x = getrandbits(n_bits)
         while x >= n:
             x = getrandbits(n_bits)
-        s = all_simplices[x]
-        w = k.witness[s]
+        s, w = all_simplices[x], orders[x]
         d = len(w)
         # randint(1, 1000) per vertex: each weight redraws 10 bits until one
         # is below 1000.

@@ -195,15 +195,19 @@ def _a_first(k, a):
     a collection of vertices of ``k``, which stands for the full subcomplex
     on them: the simplices of ``k`` that they hold.  A simplex of the
     subcomplex that is not in ``k``, or the first vertex of the collection
-    that is not one of ``k``'s, is refused."""
+    that is not one of ``k``'s, is refused.  The full subcomplex is face
+    closed, so past its first level without a simplex it has none, and the
+    levels above stay as they are; a subcomplex is walked whole, to find a
+    simplex that ``k`` lacks."""
     if isinstance(a, SimplicialComplex):
-        held, size = a.witness.__contains__, len(a.witness)
+        held, size, full = a.witness.__contains__, len(a.witness), False
     else:
         a = tuple(a)  # an iterator would be used up by the check
+        vertices = set(k.by_dimension[0]) if k.by_dimension else ()
         for v in a:
-            if (v,) not in k.witness:
+            if (v,) not in vertices:
                 raise InputError(f"subset vertex {v} is not a vertex of the complex")
-        held, size = frozenset(a).issuperset, 0  # its vertices are checked
+        held, size, full = frozenset(a).issuperset, 0, True  # its vertices are checked
     levels, first = [], []
     for level in k.by_dimension:
         own, rest = [], []
@@ -211,6 +215,10 @@ def _a_first(k, a):
             (own if held(s) else rest).append(s)
         levels.append(own + rest)
         first.append(len(own))
+        if full and not own:
+            break
+    first += [0] * (len(k.by_dimension) - len(levels))
+    levels += k.by_dimension[len(levels) :]
     if sum(first) < size:
         s = next(s for s in a.simplices() if s not in k.witness)
         raise InputError(f"simplex {s} of the subcomplex is not in the complex")

@@ -26,6 +26,9 @@ column for its largest low after every subtraction, the reference for the
 package's heap of lows.  ``cli_parser_oracle`` is the command-line parser
 written out one argparse call at a time, the reference for the help texts
 and namespaces of the parsers that ``dvrhom.cli`` builds from its table.
+``eager_complex_oracle`` is the directed clique complex builder that
+makes every witness as it goes, in a dict, the reference for the
+package's builder, which keeps links and makes witnesses on first read.
 ``restrict_to`` builds the full subcomplex on a vertex subset, the
 reference for the package's pairs given by their vertices, and
 ``digraph_digest_oracle`` hashes a digraph's document as ``json.dumps``
@@ -144,6 +147,53 @@ def greedy_complex_oracle(g, max_dim=None):
         and next_level(levels[-1], {})
     )
     return levels, witness, truncated
+
+
+def eager_complex_oracle(g, max_dim=None):
+    """(by_dimension, witness, truncated) of the directed clique complex,
+    each witness made as its simplex is found.
+
+    The package's builder with a witness dict: a candidate tau = sigma+{w}
+    is a simplex when tau-s, s the lowest vertex of tau with an edge to all
+    of it, is one, and its witness is (s,) followed by that of tau-s.
+    """
+    if max_dim is not None and max_dim < 0:
+        raise InputError("dimension cap must be >= 0")
+    ins, sym = g._in, g._sym
+    level = {
+        1 << v: ((v,), (v,), ins[v], sym[v] >> (v + 1) << (v + 1))
+        for v in range(g.n)
+    }
+    levels, witness = [], {(v,): (v,) for v in range(g.n)}
+    while level:
+        levels.append([s for s, _, _, _ in level.values()])
+        if max_dim is not None and len(levels) > max_dim:
+            truncated = bool(_eager_next_level(ins, sym, level, {}, first_only=True))
+            return levels, witness, truncated
+        level = _eager_next_level(ins, sym, level, witness)
+    return levels, witness, False
+
+
+def _eager_next_level(ins, sym, prev, witness, first_only=False):
+    nxt = {}
+    for mask, (sigma, _, common, cand) in prev.items():
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            w = low.bit_length() - 1
+            tau = mask | low
+            tau_common = common & ins[w]
+            src = tau_common & tau
+            if src:
+                s = src & -src
+                face = prev.get(tau ^ s)
+                if face is not None:
+                    t = sigma + (w,)
+                    witness[t] = order = (s.bit_length() - 1,) + face[1]
+                    nxt[tau] = (t, order, tau_common, cand & sym[w])
+                    if first_only:
+                        return nxt
+    return nxt
 
 
 def is_simplex(g, s):

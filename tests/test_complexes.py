@@ -24,6 +24,7 @@ from oracles import (
     check_full_subcomplex,
     clique_complex_faces,
     closure_oracle,
+    eager_complex_oracle,
     greedy_complex_oracle,
     induced_subgraph,
     is_simplex,
@@ -401,3 +402,27 @@ def test_face_lookup_builder_matches_greedy_peel_oracle_on_fixed_shapes():
     shell = [q for q in product(range(3), repeat=3) if q != (1, 1, 1)]
     for g in (circulant(20, 4), digital_image(shell)):
         _assert_matches_greedy_oracle_at_every_cap(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 12),
+    st.sampled_from((0.3, 0.5, 0.7, 0.9)),
+    st.integers(0, 10**6),
+    st.sampled_from((None, 0, 1, 2, 3)),
+    st.booleans(),
+)
+def test_witnesses_made_on_first_read_match_the_eager_builder(
+    n, p, seed, max_dim, dict_first
+):
+    # Each ordered pair is drawn on its own, so most edges are one-way and
+    # witnesses are not the sorted tuples.  Either view may be read first.
+    g = random_digraph(n, p, seed)
+    levels, witness, truncated = eager_complex_oracle(g, max_dim)
+    k = build_complex(g, max_dim)
+    if dict_first:
+        assert k.witness == witness
+    assert k.by_dimension == levels
+    assert k.orders == [[witness[s] for s in level] for level in levels]
+    assert k.witness == witness
+    assert k.truncated == truncated

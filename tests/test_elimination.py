@@ -1008,6 +1008,17 @@ def test_les_nodes_match_the_chain_level_oracle(pair):
         assert report.exact
 
 
+@settings(max_examples=100, deadline=None)
+@given(capped_pairs())
+def test_a_vertex_set_splits_as_the_full_walk_of_its_subcomplex(pair):
+    # The full subcomplex on a vertex set is face closed, so the split may
+    # stop testing past its first empty level: the levels and counts are
+    # those of the whole walk over the subcomplex's simplices.
+    k, sub = pair
+    vertices = [v for (v,) in sub.by_dimension[0]] if sub.by_dimension else []
+    assert _a_first(k, vertices) == _a_first(k, sub)
+
+
 def check_lows(columns, p):
     """The lows of ``columns`` are distinct, and the rows there alone have
     invariant factors all 1 (over Z, by the dense ``_diagonalize``) or full

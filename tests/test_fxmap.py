@@ -150,7 +150,8 @@ def test_continuity_certificate_random_campaign():
 def test_continuity_certificate_detects_corrupted_witness():
     g = figure_digraph("left")
     k = build_complex(g)
-    k.witness[(0, 1, 3)] = (3, 1, 0)  # not a valid ordering: no D->B edge
+    # (3, 1, 0) is not a valid ordering: no D->B edge
+    k.orders[2][k.by_dimension[2].index((0, 1, 3))] = (3, 1, 0)
     rep = continuity_certificate(k, g)
     assert not rep.passed
     assert rep.counterexample is not None
@@ -163,11 +164,12 @@ def _certificate_cases(g, rng):
     """The built complex, a copy with some witnesses shuffled, a foreign digraph."""
     yield build_complex(g), g
     shuffled = build_complex(g)
-    for s in shuffled.simplices():
-        if len(s) > 1 and rng.random() < 0.3:
-            w = list(s)
-            rng.shuffle(w)
-            shuffled.witness[s] = tuple(w)
+    for level, orders in zip(shuffled.by_dimension, shuffled.orders):
+        for i, s in enumerate(level):
+            if len(s) > 1 and rng.random() < 0.3:
+                w = list(s)
+                rng.shuffle(w)
+                orders[i] = tuple(w)
     yield shuffled, g
     other = random_digraph(g.n, rng.choice((0.3, 0.6, 0.9)), rng.randrange(10**6))
     yield build_complex(g), other
@@ -460,7 +462,9 @@ def test_sampled_check_matches_fraction_reference_on_dense_and_tiny_complexes():
         counts.add(len(list(k.simplices())))
         for delta in pushes:
             view = SimpleNamespace(
-                simplices=k.simplices, witness=_CountedWitnesses(k.witness)
+                simplices=k.simplices,
+                orders=k.orders,
+                witness=_CountedWitnesses(k.witness),
             )
             rep = sampled_continuity_check(view, g, samples, delta, seed)
             assert rep == fraction_sampled_check(k, g, samples, delta, seed)
@@ -484,7 +488,7 @@ def test_sampled_check_matches_fraction_reference_past_the_sample_pool():
     for s in drawn:
         witness[s] = s
         witness.update((f, f) for f in combinations(s, len(s) - 1))
-    k = SimpleNamespace(simplices=lambda: iter(drawn), witness=witness)
+    k = SimpleNamespace(simplices=lambda: iter(drawn), orders=[drawn], witness=witness)
     failures = 0
     for delta in (Fraction(1, 10**6), Fraction(1, 3), 2):
         k.witness = _CountedWitnesses(witness)

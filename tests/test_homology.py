@@ -589,3 +589,22 @@ def test_invariant_factors_match_full_snf():
         d = smith_normal_form(m).d
         assert invariant_factors(columns(m)) == d
         assert invariant_factors(columns(transpose(m))) == d
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_digraphs(), st.sets(st.integers(0, 7)), st.sampled_from((None, 1, 2)))
+def test_homology_pair_les_and_pi1_of_a_digraph_make_no_witnesses(g, subset, max_dim):
+    # The witness orderings are made on first read, and none of these reads
+    # them; a refused pi1 reads none either.
+    k = build_complex(g, max_dim)
+    subset = sorted(v for v in subset if v < g.n)
+    homology_integer(k)
+    homology_field(k, "q")
+    homology_field(k, 3)
+    relative_homology(k, subset)
+    les_exactness_check(k, subset, 2)
+    try:
+        pi1_presentation(k, 0)
+    except InputError:
+        pass
+    assert "witness" not in vars(k) and "orders" not in vars(k)
