@@ -120,8 +120,8 @@ class SimplicialComplex:
         return cls(by_dim, witness)
 
     def simplices(self):
-        for level in self.by_dimension:
-            yield from level
+        """Every simplex, level by level, as one iterator over the levels."""
+        return chain.from_iterable(self.by_dimension)
 
     def __contains__(self, verts):
         return tuple(sorted(verts)) in self.witness

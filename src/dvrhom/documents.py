@@ -132,7 +132,12 @@ def _write(x, nl, out):
 class _Simplices(list):
     """The ``simplices`` list of a complex document: one ``{"verts",
     "witness"}`` dict per simplex, for readers of the report.  ``_write``
-    writes it from ``levels`` and ``orders``, the complex's own tuples."""
+    writes it from ``levels`` and ``orders``, the complex's own tuples.
+
+    The dicts stay although ``_write`` never reads them: ``run_command``
+    returns the document, whose readers index, compare and ``json.dumps``
+    it as a list of dicts.  A list that made them only when read would have
+    to override each of those list methods."""
 
     __slots__ = ("levels", "orders")
 
@@ -509,8 +514,10 @@ def parse_digraph(source, format="json"):
 def _complex_doc(k):
     levels, orders = k.by_dimension, k.orders
     simplices = _Simplices(
-        {"verts": s, "witness": w}
-        for s, w in zip(chain.from_iterable(levels), chain.from_iterable(orders))
+        [
+            {"verts": s, "witness": w}
+            for s, w in zip(chain.from_iterable(levels), chain.from_iterable(orders))
+        ]
     )
     simplices.levels, simplices.orders = levels, orders
     return {

@@ -59,20 +59,28 @@ def continuity_certificate(k, g):
     that edge, and a subset's image is its member last in the witness.  So
     each simplex costs one in-mask test per vertex against the running
     witness prefix, and ``checks`` still counts every subset, 2^|s| - 1 per
-    passing simplex.  Only the first failing simplex walks its subsets, in
+    passing simplex.  The walk goes a level at a time: level d holds the
+    (d+1)-vertex simplices only, so a passing level adds its length to
+    ``count`` and its length times 2^(d+1) - 1 to ``checks``.  Only a failing
+    witness looks up its position in the level, its simplex and the running
+    totals; that first failing simplex walks its subsets, in
     size-then-lexicographic order, to report the first failing one.
     """
     checks = 0
     count = 0
     ins = g._in
-    for s, w in zip(chain.from_iterable(k.by_dimension), chain.from_iterable(k.orders)):
-        count += 1
-        seen = 0
-        for v in w:
-            seen |= 1 << v
-            if ins[v] & seen != seen:
-                return _first_failure(g, s, w, count, checks)
-        checks += (1 << len(s)) - 1
+    for size, level in enumerate(k.orders, 1):
+        for w in level:
+            seen = 0
+            for v in w:
+                seen |= 1 << v
+                if ins[v] & seen != seen:
+                    pos = level.index(w)
+                    s = k.by_dimension[size - 1][pos]
+                    done = checks + pos * ((1 << size) - 1)
+                    return _first_failure(g, s, w, count + pos + 1, done)
+        count += len(level)
+        checks += len(level) * ((1 << size) - 1)
     return CertificateReport(True, count, checks, None)
 
 
@@ -138,9 +146,13 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
     b0 be the base image's position.  When i is not b0 and keeps some mass,
     every coordinate but j ends at or below its start and none passes
     (top, b0), b0's own pair (j's too, if j is b0): the image is w[j] if
-    (units of j, j) is larger, else the base image.  Only a move out of b0,
-    or one that drains i and so sends the point to a face, is evaluated on
-    every coordinate.
+    (units of j, j) is larger, else the base image.  With gap = (top -
+    weights[j]) * scale, that is one integer comparison: the image is w[j]
+    when shift > gap, or shift == gap and j > b0.  Only a move out of b0, or
+    one that drains i and so sends the point to a face, is evaluated on
+    every coordinate, and only there is the shift clamped to i's units.  A
+    failure names its carrier as the sorted witness: levels hold sorted
+    tuples and witnesses are orderings of them.
 
     Every random number comes from one ``random.Random(seed).getrandbits``
     under ``randrange``'s rejection rule: a number below m is m.bit_length()
@@ -158,12 +170,17 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
     if samples < 0:
         raise InputError("sample count must be nonnegative")
     getrandbits = random.Random(seed).getrandbits
-    all_simplices = list(k.simplices())
     orders = list(chain.from_iterable(k.orders))
-    if not all_simplices:
+    if not orders:
         return SampleReport(samples, delta, seed, 0, ())
-    n = len(all_simplices)
+    n = len(orders)
     n_bits = n.bit_length()
+    # Per witness length d, up to the top level's: the bits of an i draw,
+    # the pool m that j is drawn from (d - 1 indices up to 21, then all d)
+    # and the bits of m.
+    longest = max(map(len, k.orders[-1]))
+    pools = [d - 1 if d <= 21 else d for d in range(longest + 1)]
+    draws = [(d.bit_length(), m, m.bit_length()) for d, m in enumerate(pools)]
     ins = g._in
     scale = 2000 * delta.denominator
     step = delta.numerator
@@ -173,7 +190,7 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
         x = getrandbits(n_bits)
         while x >= n:
             x = getrandbits(n_bits)
-        s, w = all_simplices[x], orders[x]
+        w = orders[x]
         d = len(w)
         # randint(1, 1000) per vertex: each weight redraws 10 bits until one
         # is below 1000.
@@ -191,13 +208,11 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
         total = sum(weights)
         # sample(range(d), 2): j is drawn from the d - 1 indices left with
         # d - 1 moved into i's place, or past 21 indices redrawn until j != i.
+        i_bits, m, j_bits = draws[d]
         i = d
-        i_bits = d.bit_length()
         while i >= d:
             i = getrandbits(i_bits)
-        m = d - 1 if d <= 21 else d
         j = m
-        j_bits = m.bit_length()
         while j >= m or (j == i and m == d):
             j = getrandbits(j_bits)
         if j == i:
@@ -205,12 +220,15 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
         r = getrandbits(10)
         while r > 1000:
             r = getrandbits(10)
+        shift = step * r * total
         held = weights[i] * scale
-        shift = min(step * r * total, held)
         if shift < held and i != b0:  # j passes b0 or the image stays
-            moved_j = (weights[j] * scale + shift, j)
-            perturbed_value = w[j] if moved_j > (top * scale, b0) else base_value
+            gap = (top - weights[j]) * scale
+            if shift < gap:
+                continue  # the image stays w[b0], which has its loop
+            perturbed_value = w[j] if shift > gap or j > b0 else base_value
         else:
+            shift = min(shift, held)
             units = [wt * scale for wt in weights]
             units[i] -= shift
             units[j] += shift
@@ -231,7 +249,8 @@ def sampled_continuity_check(k, g, samples, delta, seed=0):
             if ins[base_value] >> _last_max(w, moved) & 1:
                 pass_delta = Fraction(shift, scale * total << (t - 1))
                 break
+        carrier = tuple(sorted(w))
         failures.append(
-            SampleFailure(idx, s, base_value, perturbed_value, pass_delta)
+            SampleFailure(idx, carrier, base_value, perturbed_value, pass_delta)
         )
     return SampleReport(samples, delta, seed, checked, tuple(failures))

@@ -185,15 +185,33 @@ def test_continuity_certificate_matches_subset_walk(n, p, seed):
 
 
 def test_continuity_certificate_subset_walk_reaches_failures():
+    # Some failures sit past the first simplex of a level above the edges,
+    # where the report's counts add whole levels and part of one.
     rng = random.Random(0)
     failed = 0
+    inside = 0
     for i in range(60):
         g = random_digraph(2 + i % 7, (0.3, 0.6, 0.9)[i % 3], i)
         for k, h in _certificate_cases(g, rng):
             rep = continuity_certificate(k, h)
             assert rep == brute_force_certificate(k, h)
-            failed += not rep.passed
-    assert failed >= 20
+            if not rep.passed:
+                failed += 1
+                s = rep.counterexample[0]
+                inside += len(s) > 2 and k.by_dimension[len(s) - 1].index(s) > 0
+    assert failed >= 20 and inside > 0
+
+
+def test_continuity_certificate_counts_subsets_of_simplices():
+    # ``checks`` counts the subsets of each simplex, whatever its witness
+    # holds: an edge whose witness runs through a third vertex, with every
+    # in-edge the witness prefix needs, still counts 3.
+    g = Digraph.from_edge_list(4, list(combinations(range(4), 2)))
+    k = build_complex(g)
+    k.orders[1][-1] = (1, 2, 3)
+    rep = continuity_certificate(k, g)
+    assert rep == brute_force_certificate(k, g)
+    assert rep.passed and rep.checks == 4 * 1 + 6 * 3 + 4 * 7 + 15
 
 
 def test_sampled_check_zero_failures_on_symmetric_fixture():
@@ -288,7 +306,9 @@ def fraction_sampled_check(k, g, samples, delta, seed, seen=None):
     checked sample falls in are added to it: ``"i"`` and ``"j"`` when the
     coordinate that loses or gains mass holds the base image, ``"tie"`` when
     two coordinates share the top weight, ``"drained"`` when the move
-    empties coordinate i.
+    empties coordinate i, and ``"lift-before"`` and ``"lift-after"`` when a
+    move that keeps the carrier and takes nothing from the base image lifts
+    j exactly to the top weight, j before or after the base image.
     """
     import random
 
@@ -314,6 +334,9 @@ def fraction_sampled_check(k, g, samples, delta, seed, seen=None):
             held = w.index(base_value)
             cases = {"i": i == held, "j": j == held, "tie": coords.count(top) > 1}
             cases["drained"] = amount == coords[i]
+            lift = 0 < amount < coords[i] and i != held and coords[j] + amount == top
+            cases["lift-before"] = lift and j < held
+            cases["lift-after"] = lift and j > held
             seen.update(name for name, hit in cases.items() if hit)
 
         def value_at(a):
@@ -377,9 +400,11 @@ _RADII = st.one_of(
 )
 # Each of these draws, among its 150 samples, a coordinate i that holds the
 # base image, a j that holds it, two tied top weights and a drained i.  The
-# last two also fail a sampler that breaks a tie the wrong way: between two
-# top weights, or (on the transitive tournament) when a move lifts j
-# exactly to the top weight.
+# fourth and fifth also fail a sampler that breaks a tie the wrong way:
+# between two top weights, or (on the transitive tournament) when a move
+# lifts j exactly to the top weight after the base image.  The last lifts j
+# exactly to the top weight before the base image, a tie that only a
+# foreign digraph shows, such as the reverse of the one built from.
 _SAMPLE_EXAMPLES = [
     (figure_digraph("left"), 7, Fraction(2)),
     (random_digraph(9, 0.6, 1), 2, Fraction(1)),
@@ -399,6 +424,11 @@ _SAMPLE_EXAMPLES = [
         Digraph.from_edge_list(4, list(combinations(range(4), 2))),
         3,
         Fraction(1075, 11312),
+    ),
+    (
+        Digraph.from_edge_list(4, list(combinations(range(4), 2))),
+        3,
+        Fraction(10250, 112413),
     ),
 ]
 
@@ -425,10 +455,28 @@ def test_sampled_check_matches_fraction_reference_on_drawn_digraphs(g, seed, del
 
 
 def test_sample_examples_cover_every_case():
+    lifts = set()
     for g, seed, delta in _SAMPLE_EXAMPLES:
         seen = set()
         fraction_sampled_check(build_complex(g), g, 150, delta, seed, seen)
-        assert seen == {"i", "j", "tie", "drained"}, (seed, seen)
+        assert {"i", "j", "tie", "drained"} <= seen, (seed, seen)
+        lifts |= seen
+    assert {"lift-before", "lift-after"} <= lifts
+
+
+def test_sampled_check_matches_fraction_reference_on_reversed_digraphs():
+    # Checked against its digraph's reverse, a witness's earlier vertices
+    # need not reach its later ones, so an image that moves back along the
+    # witness can fail: a sampler that gave a lift before the base image to
+    # w[j] fails where the reference does not.
+    failures = 0
+    for g, seed, delta in _SAMPLE_EXAMPLES:
+        k = build_complex(g)
+        h = Digraph.from_edge_list(g.n, [(v, u) for u, v in g.edges()])
+        rep = sampled_continuity_check(k, h, 150, delta, seed)
+        assert rep == fraction_sampled_check(k, h, 150, delta, seed)
+        failures += rep.failure_count
+    assert failures > 0
 
 
 class _CountedWitnesses(dict):
@@ -461,11 +509,8 @@ def test_sampled_check_matches_fraction_reference_on_dense_and_tiny_complexes():
         k = build_complex(g)
         counts.add(len(list(k.simplices())))
         for delta in pushes:
-            view = SimpleNamespace(
-                simplices=k.simplices,
-                orders=k.orders,
-                witness=_CountedWitnesses(k.witness),
-            )
+            witness = _CountedWitnesses(k.witness)
+            view = SimpleNamespace(orders=k.orders, witness=witness)
             rep = sampled_continuity_check(view, g, samples, delta, seed)
             assert rep == fraction_sampled_check(k, g, samples, delta, seed)
             failures += rep.failure_count
