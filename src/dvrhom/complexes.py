@@ -13,8 +13,12 @@ Vietoris-Rips complex", 2010).  So the builder keeps, per simplex, the
 index of s and the position of tau-s in the level below, not the witness:
 homology and pi1 never read witnesses, and the few that do (the
 nearest-vertex map and the ``complex`` report) make them on first read, a
-level at a time.  Simplices are identified by their sorted vertex tuple;
-the witness is metadata.
+level at a time.  A complex made from faces (``from_simplices``, or the
+document reader's ``from_faces_by_size``) is given its witnesses a level
+at a time, by one rule: a face with no given witness keeps its sorted
+tuple.  Either way a complex keeps its witnesses only as ``orders``.
+Simplices are identified by their sorted vertex tuple; the witness is
+metadata.
 
 For symmetric digraphs the construction degenerates to the clique complex.
 """
@@ -34,33 +38,29 @@ class SimplicialComplex:
 
     ``by_dimension[d]`` lists the d-simplices as sorted vertex tuples, in
     lexicographic order, and ``orders[d]`` their witness orderings, in the
-    same order; ``witness`` maps each tuple to its witness.  The keys of
-    ``witness`` are exactly the simplices, so it is also the membership map.
-    A complex is made from a witness dict, or by ``build_complex`` from
-    ``links``: per level above 0, the index of each simplex's first witness
-    vertex in level 0 and the position of the rest of its witness in the
-    level below.  ``orders`` and ``witness`` are made from what was given
-    when first read, and kept; neither follows later changes to the other.
-    Code that walks every simplex reads ``orders``, which is cheaper to make
-    than the dict.  What is given is kept, not copied.  ``truncated`` marks
+    same order.  ``orders`` is given, or made from ``links`` when first
+    read, and kept: ``build_complex`` gives, per level above 0, the index
+    of each simplex's first witness vertex in level 0 and the position of
+    the rest of its witness in the level below.  ``witness``, the dict from
+    each simplex to its witness, is made from ``orders`` when first read;
+    its keys are exactly the simplices, so it is also the membership map.
+    Code that walks every simplex reads ``orders``, which is cheaper to
+    make.  What is given is kept, not copied.  ``truncated`` marks
     complexes cut off by a dimension cap (the top homology degree of such a
     complex is unreliable).
     """
 
-    def __init__(self, by_dimension, witness, truncated=False, links=None):
+    def __init__(self, by_dimension, orders=None, truncated=False, links=None):
         while by_dimension and not by_dimension[-1]:
             by_dimension.pop()
         self.by_dimension = by_dimension
-        if witness is not None:
-            self.witness = witness
+        if orders is not None:
+            self.orders = orders
         self._links = links
         self.truncated = truncated
 
     @cached_property
     def orders(self):
-        if self._links is None:
-            get = self.witness.__getitem__
-            return [list(map(get, level)) for level in self.by_dimension]
         orders = [list(level) for level in self.by_dimension[:1]]
         for sources, faces in self._links[: self.dim]:
             first, below = self.by_dimension[0], orders[-1]
@@ -93,31 +93,21 @@ class SimplicialComplex:
             if tuple(sorted(w)) != s:
                 raise InputError(f"witness {w} is not an ordering of {s}")
             checked[s] = tuple(w)
-        return cls._witnessed(by_dim, checked)
+        return cls(by_dim, [list(map(checked.get, level, level)) for level in by_dim])
 
     @classmethod
-    def from_faces_by_size(cls, by_size, witnesses=None):
+    def from_faces_by_size(cls, by_size, witnesses):
         """The complex of faces already grouped: ``by_size[k]`` is a dict
         keyed by sorted k-vertex tuples, and is filled in place
         (``_closed_levels``).
 
-        ``witnesses`` maps faces to witness tuples and is not checked: its
-        caller has checked that each key is a face and each value an
-        ordering of it (the document reader does).
+        ``witnesses`` maps faces to witness tuples, and the faces it leaves
+        out get their sorted tuple, as in ``from_simplices``.  It is not
+        checked: its caller has checked that each key is a face and each
+        value an ordering of it (the document reader does).
         """
-        return cls._witnessed(_closed_levels(by_size), witnesses)
-
-    @classmethod
-    def _witnessed(cls, by_dim, witnesses):
-        """The complex of the closed levels ``by_dim`` with the checked
-        ``witnesses``.  When they cover every face they become its witness
-        dict; otherwise the faces they leave out get their sorted tuple."""
-        if witnesses is not None and len(witnesses) == sum(map(len, by_dim)):
-            return cls(by_dim, witnesses)
-        witness = dict(zip(chain.from_iterable(by_dim), chain.from_iterable(by_dim)))
-        if witnesses:
-            witness.update(witnesses)
-        return cls(by_dim, witness)
+        by_dim = _closed_levels(by_size)
+        return cls(by_dim, [list(map(witnesses.get, level, level)) for level in by_dim])
 
     def simplices(self):
         """Every simplex, level by level, as one iterator over the levels."""

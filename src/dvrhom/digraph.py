@@ -105,15 +105,6 @@ class Digraph:
     def in_set(self, u):
         return _verts_of(self._in[u])
 
-    def out_mask(self, u):
-        return self._out[u]
-
-    def in_mask(self, u):
-        return self._in[u]
-
-    def sym_mask(self, u):
-        return self._sym[u]
-
     def edges(self):
         """Ordered pairs (u, v) other than loops, sorted."""
         for u in range(self.n):

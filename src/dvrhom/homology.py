@@ -191,16 +191,18 @@ def _a_first(k, a):
     """The levels of ``k`` in A-first order: A's simplices, then the others,
     each part lexicographic; and the number of A's in each.
 
-    A is a subcomplex of ``k``, whose witness dict tells its simplices, or
-    a collection of vertices of ``k``, which stands for the full subcomplex
-    on them: the simplices of ``k`` that they hold.  A simplex of the
+    A is a subcomplex of ``k``, whose simplices, put in a set, tell which
+    of ``k``'s are its own, or a collection of vertices of ``k``, which
+    stands for the full subcomplex on them: the simplices of ``k`` that
+    they hold.  Neither makes a witness of A or ``k``.  A simplex of the
     subcomplex that is not in ``k``, or the first vertex of the collection
     that is not one of ``k``'s, is refused.  The full subcomplex is face
     closed, so past its first level without a simplex it has none, and the
     levels above stay as they are; a subcomplex is walked whole, to find a
     simplex that ``k`` lacks."""
     if isinstance(a, SimplicialComplex):
-        held, size, full = a.witness.__contains__, len(a.witness), False
+        of_a = set(a.simplices())
+        held, size, full = of_a.__contains__, len(of_a), False
     else:
         a = tuple(a)  # an iterator would be used up by the check
         vertices = set(k.by_dimension[0]) if k.by_dimension else ()
@@ -220,7 +222,8 @@ def _a_first(k, a):
     first += [0] * (len(k.by_dimension) - len(levels))
     levels += k.by_dimension[len(levels) :]
     if sum(first) < size:
-        s = next(s for s in a.simplices() if s not in k.witness)
+        of_a.difference_update(k.simplices())
+        s = next(filter(of_a.__contains__, a.simplices()))
         raise InputError(f"simplex {s} of the subcomplex is not in the complex")
     return levels, first
 

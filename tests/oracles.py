@@ -29,12 +29,16 @@ and namespaces of the parsers that ``dvrhom.cli`` builds from its table.
 ``eager_complex_oracle`` is the directed clique complex builder that
 makes every witness as it goes, in a dict, the reference for the
 package's builder, which keeps links and makes witnesses on first read.
-``restrict_to`` builds the full subcomplex on a vertex subset, the
-reference for the package's pairs given by their vertices, and
+``restrict_to`` builds the full subcomplex on a vertex subset, with the
+witness orders of the simplices it keeps, the reference for the package's
+pairs given by their vertices, and
 ``digraph_digest_oracle`` hashes a digraph's document as ``json.dumps``
 writes it, the reference for the input digest of the package's one-walk
 reader; ``digraph_document_oracle`` builds its digraph with the package's
-``Digraph.from_edge_list``, which that reader does not call.
+``Digraph.from_edge_list``, which that reader does not call.  The
+builders and the greedy peel read a digraph's in-masks and symmetric masks
+as the package keeps them, ``g._in`` and ``g._sym``, for which it has no
+accessor.
 """
 
 import argparse
@@ -44,7 +48,7 @@ import json
 from collections import deque, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
 
 from dvrhom import Digraph, InputError, SimplicialComplex, build_complex
 from dvrhom.homology import NodeReport
@@ -116,8 +120,7 @@ def greedy_complex_oracle(g, max_dim=None):
     peel of the whole set.  With a cap, one more level is probed for any
     simplex to set ``truncated``.
     """
-    ins = [g.in_mask(v) for v in range(g.n)]
-    sym = [g.sym_mask(v) for v in range(g.n)]
+    ins, sym = g._in, g._sym
     levels = [[(v,) for v in range(g.n)]] if g.n else []
     witness = {(v,): (v,) for v in range(g.n)}
 
@@ -202,8 +205,7 @@ def is_simplex(g, s):
     s = _vertex_set(g, s)
     if not s:
         raise InputError("is_simplex needs a nonempty vertex set")
-    ins = [g.in_mask(v) for v in range(g.n)]
-    return _greedy_peel(ins, sum(1 << v for v in s))
+    return _greedy_peel(g._in, sum(1 << v for v in s))
 
 
 def check_full_subcomplex(g, a, max_dim=None):
@@ -224,9 +226,12 @@ def check_full_subcomplex(g, a, max_dim=None):
 def restrict_to(k, a):
     """Full subcomplex of ``k`` on the vertex subset ``a`` (same ids)."""
     aset = set(a)
-    by_dim = [[s for s in level if aset.issuperset(s)] for level in k.by_dimension]
-    witness = {s: k.witness[s] for level in by_dim for s in level}
-    return SimplicialComplex(by_dim, witness, truncated=k.truncated)
+    kept = [list(map(aset.issuperset, level)) for level in k.by_dimension]
+    # A full subcomplex is face closed: its nonempty levels come first.
+    kept = [mask for mask in kept if any(mask)]
+    by_dim = [list(compress(*pair)) for pair in zip(k.by_dimension, kept)]
+    orders = [list(compress(*pair)) for pair in zip(k.orders, kept)]
+    return SimplicialComplex(by_dim, orders, truncated=k.truncated)
 
 
 def check_cone(g, x):

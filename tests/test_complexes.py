@@ -340,9 +340,10 @@ def test_from_faces_by_size_takes_a_covering_witness_dict_as_given():
     faces = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
     witnesses = {s: s[::-1] for s in faces}
     k = SimplicialComplex.from_faces_by_size(triangle(), witnesses)
-    assert k.witness is witnesses
+    assert k.orders == [[(0,), (1,), (2,)], [(1, 0), (2, 0), (2, 1)], [(2, 1, 0)]]
     partial = {(0, 2): (2, 0), (0, 1, 2): (1, 0, 2)}
     k = SimplicialComplex.from_faces_by_size(triangle(), partial)
+    assert k.orders == [[(0,), (1,), (2,)], [(0, 1), (2, 0), (1, 2)], [(1, 0, 2)]]
     assert k.witness == {**{s: s for s in faces}, **partial}
     assert k.by_dimension == [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]
 
@@ -365,7 +366,7 @@ def test_witness_keys_are_exactly_the_simplices(g, max_dim, subset, seed):
         restrict_to(full, subset),
         # Fewer than dim + 1 vertices hold no top simplex.
         restrict_to(full, range(full.dim)),
-        SimplicialComplex([], {}),
+        SimplicialComplex([], []),
     )
     for k in complexes:
         assert set(k.witness) == set(k.simplices())

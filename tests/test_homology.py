@@ -264,10 +264,19 @@ def test_relative_homology_trivial_cases():
     full = relative_homology(k, k)
     assert all(g.is_zero() for g in full)
 
-    empty_sub = SimplicialComplex([], {})
+    empty_sub = SimplicialComplex([], [])
     assert [
         (g.betti, g.torsion) for g in relative_homology(k, empty_sub)
     ] == [(g.betti, g.torsion) for g in homology_integer(k)]
+
+
+def test_pair_of_complexes_makes_no_witnesses():
+    g = random_digraph(9, 0.5, 3)
+    k, a = build_complex(g), build_complex(g, 1)
+    relative_homology(k, a)
+    les_exactness_check(k, a, "q")
+    for x in (k, a):
+        assert "orders" not in vars(x) and "witness" not in vars(x)
 
 
 def test_relative_homology_filled_square_pair():
