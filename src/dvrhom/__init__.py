@@ -11,14 +11,8 @@ realized complex back to the digraph.
 
 __version__ = "0.1.0"
 
-from .complexes import (
-    SimplicialComplex,
-    SimplicialMapReport,
-    build_complex,
-    f_vector,
-    map_complex,
-)
-from .digraph import Digraph, InputError, is_interior_cover
+from .complexes import SimplicialComplex, build_complex, f_vector
+from .digraph import Digraph, InputError
 from .fxmap import (
     CertificateReport,
     SampleReport,
@@ -49,7 +43,6 @@ __all__ = [
     "Presentation",
     "SampleReport",
     "SimplicialComplex",
-    "SimplicialMapReport",
     "abelianization",
     "build_complex",
     "circulant",
@@ -60,9 +53,7 @@ __all__ = [
     "homology_field",
     "homology_integer",
     "invariant_factors",
-    "is_interior_cover",
     "les_exactness_check",
-    "map_complex",
     "pi1_presentation",
     "random_digraph",
     "relative_homology",

@@ -25,8 +25,7 @@ For symmetric digraphs the construction degenerates to the clique complex.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from collections.abc import Mapping, Sequence
+from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, combinations, groupby, repeat
 
@@ -41,11 +40,9 @@ class SimplicialComplex:
     same order.  ``orders`` is given, or made from ``links`` when first
     read, and kept: ``build_complex`` gives, per level above 0, the index
     of each simplex's first witness vertex in level 0 and the position of
-    the rest of its witness in the level below.  ``witness``, the dict from
-    each simplex to its witness, is made from ``orders`` when first read;
-    its keys are exactly the simplices, so it is also the membership map.
-    Code that walks every simplex reads ``orders``, which is cheaper to
-    make.  What is given is kept, not copied.  ``truncated`` marks
+    the rest of its witness in the level below.  ``s in k`` bisects the
+    sorted ``s`` into its level, and ``orders`` at that position is its
+    witness.  What is given is kept, not copied.  ``truncated`` marks
     complexes cut off by a dimension cap (the top homology degree of such a
     complex is unreliable).
     """
@@ -67,11 +64,6 @@ class SimplicialComplex:
             orders.append([first[s] + below[f] for s, f in zip(sources, faces)])
         self._links = None
         return orders
-
-    @cached_property
-    def witness(self):
-        simplices = chain.from_iterable(self.by_dimension)
-        return dict(zip(simplices, chain.from_iterable(self.orders)))
 
     @classmethod
     def from_simplices(cls, faces, witnesses=None):
@@ -114,7 +106,7 @@ class SimplicialComplex:
         return chain.from_iterable(self.by_dimension)
 
     def __contains__(self, verts):
-        return tuple(sorted(verts)) in self.witness
+        return _position(self, tuple(sorted(verts))) is not None
 
     @property
     def dim(self):
@@ -129,6 +121,17 @@ class SimplicialComplex:
 
     def __repr__(self):
         return f"SimplicialComplex(f_vector={f_vector(self)!r})"
+
+
+def _position(k, face):
+    """The position of ``face``, a sorted vertex tuple, in its level of
+    ``k``, or None when it is no simplex of ``k``."""
+    if 0 < len(face) <= len(k.by_dimension):
+        level = k.by_dimension[len(face) - 1]
+        pos = bisect_left(level, face)
+        if pos < len(level) and level[pos] == face:
+            return pos
+    return None
 
 
 def _closed_levels(by_size):
@@ -219,53 +222,3 @@ def _next_level(ins, sym, prev, first_only=False):
 def f_vector(k):
     """Simplex counts per dimension; the empty complex gives ()."""
     return tuple(len(level) for level in k.by_dimension)
-
-
-SimplicialMapReport = namedtuple(
-    "SimplicialMapReport", "vertex_map entries degenerate all_images_present"
-)
-SimplicialMapReport.__doc__ = """Image data of a vertex map applied simplexwise.
-
-``entries`` pairs each source simplex with its image simplex, and
-``degenerate`` lists the source simplices whose image drops dimension.
-"""
-
-
-def map_complex(f, source, target):
-    """Apply a digraph morphism to every simplex and confirm the images.
-
-    ``f`` maps source vertices to target vertices (sequence or mapping); it
-    must send edges to edges, which is verified, not assumed.
-    """
-    if not isinstance(f, (Sequence, Mapping)):
-        raise InputError(
-            f"the vertex map ({type(f).__name__}) is neither a sequence nor a mapping"
-        )
-    fmap = []
-    for v in range(source.n):
-        try:
-            fmap.append(f[v])
-        except (IndexError, KeyError):
-            raise InputError(f"vertex {v} has no image") from None
-        if type(fmap[v]) is not int or not 0 <= fmap[v] < target.n:
-            raise InputError(f"vertex {v} maps to {fmap[v]!r}, outside the target")
-    for u in range(source.n):
-        for v in source.out_set(u):
-            if not target.has_edge(fmap[u], fmap[v]):
-                raise InputError(
-                    f"not a digraph morphism: edge ({u}, {v}) maps to "
-                    f"non-edge ({fmap[u]}, {fmap[v]})"
-                )
-    ks = build_complex(source)
-    kt = build_complex(target)
-    entries = []
-    degenerate = []
-    ok = True
-    for s in ks.simplices():
-        image = tuple(sorted({fmap[v] for v in s}))
-        entries.append((s, image))
-        if len(image) < len(s):
-            degenerate.append(s)
-        if image not in kt:
-            ok = False
-    return SimplicialMapReport(tuple(fmap), tuple(entries), tuple(degenerate), ok)

@@ -4,14 +4,13 @@ Every digraph here is *spatial*: a loop is kept at each vertex, so the edge
 relation doubles as an Alexandroff closure operator.  Orientation
 conventions, fixed once and documented in the README:
 
-* closure follows out-edges: c({x}) = {y : x -> y} is ``out_set(x)``;
-* the minimal neighborhood collects in-edges: U_x = {y : y -> x} is
-  ``in_set(x)``;
-* the interior of A is the complement of the closure of its complement,
-  which ``is_interior_cover`` tests.
+* closure follows out-edges: c({x}) = {y : x -> y};
+* the minimal neighborhood collects in-edges: U_x = {y : y -> x};
+* the interior of A is the complement of the closure of its complement.
 
-The closure, interior and minimal neighborhood of a vertex set, and the
-induced subgraph, are test references in ``tests/oracles.py``.
+The out- and in-sets of a vertex, the closure, interior and minimal
+neighborhood of a vertex set, the interior-cover test and the induced
+subgraph are test references in ``tests/oracles.py``, over ``has_edge``.
 
 Adjacency is held as one integer bitmask per vertex, so membership tests
 and the semicomplete-neighbor queries of the complex builder are O(n/word).
@@ -44,17 +43,6 @@ def _iter_bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _mask_of(verts):
-    m = 0
-    for v in verts:
-        m |= 1 << v
-    return m
-
-
-def _verts_of(mask):
-    return tuple(_iter_bits(mask))
 
 
 class Digraph:
@@ -99,12 +87,6 @@ class Digraph:
     def has_edge(self, u, v):
         return (self._out[u] >> v) & 1 == 1
 
-    def out_set(self, u):
-        return _verts_of(self._out[u])
-
-    def in_set(self, u):
-        return _verts_of(self._in[u])
-
     def edges(self):
         """Ordered pairs (u, v) other than loops, sorted."""
         for u in range(self.n):
@@ -124,32 +106,3 @@ class Digraph:
     def __repr__(self):
         m = sum(1 for _ in self.edges())
         return f"Digraph(n={self.n}, edges={m})"
-
-
-def _vertex_set(g, a):
-    """Normalize an iterable of vertices to a sorted duplicate-free tuple."""
-    vs = sorted(set(a))
-    for v in vs:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} out of range for {g.n} vertices")
-    return tuple(vs)
-
-
-def _closure_mask(g, mask):
-    c = 0
-    for x in _iter_bits(mask):
-        c |= g._out[x]
-    return c
-
-
-def _interior_mask(g, mask):
-    full = (1 << g.n) - 1
-    return full & ~_closure_mask(g, full & ~mask)
-
-
-def is_interior_cover(g, family):
-    """True iff the interiors of the family's members cover every vertex."""
-    covered = 0
-    for a in family:
-        covered |= _interior_mask(g, _mask_of(_vertex_set(g, a)))
-    return covered == (1 << g.n) - 1

@@ -25,6 +25,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, combinations
 
+from .complexes import _position
 from .digraph import InputError
 
 
@@ -34,9 +35,11 @@ def _last_max(witness, coords):
 
 
 def _face_witness(k, face):
-    if face not in k.witness:
+    """The witness of ``face``, a sorted vertex tuple, in ``k``."""
+    pos = _position(k, face)
+    if pos is None:
         raise InputError(f"face {face} is missing from the complex")
-    return k.witness[face]
+    return k.orders[len(face) - 1][pos]
 
 
 # counterexample: None, or (simplex, tie subset, vertex, target)

@@ -13,11 +13,17 @@ and to the tagged elimination.  ``check_full_subcomplex`` and
 ``check_cone`` state the paper's full-subcomplex and cone lemmas over the
 package's ``build_complex``, so the lemmas are checked on the package.
 ``IntegerMatrix`` is the oracles' own sparse container.  The closure-space
-helpers (``closure_of``, ``interior_of``, ``minimal_neighborhood``,
-``induced_subgraph``) and the pointwise nearest-vertex map
-(``RealizationPoint``, ``carrier_point``, ``evaluate_fx``) are the
-reference definitions that the package's bitmask code and sampler are
-tested against.  The chain-level oracle of the long exact sequence,
+helpers (``out_set``, ``in_set``, ``closure_of``, ``interior_of``,
+``minimal_neighborhood``, ``is_interior_cover``, ``induced_subgraph``),
+which read a digraph through ``has_edge`` alone, and the pointwise
+nearest-vertex map (``RealizationPoint``, ``carrier_point``,
+``evaluate_fx``) are the reference definitions that the package's bitmask
+code and sampler are tested against; ``carrier_point`` finds a face's
+witness by a scan of its level, where the sampler bisects.
+``witness_dict`` reads a complex's levels and ``orders`` into one dict
+from simplex to witness, which the package does not keep.  ``map_complex``
+applies a digraph morphism simplexwise and tests each image with the
+package's ``in``.  The chain-level oracle of the long exact sequence,
 ``les_chain_oracle``, runs that tagged elimination to pick homology
 representatives and map them, where the package reads every rank off one
 filtered reduction.  ``column_reduce_rescan`` is the sparse column
@@ -46,9 +52,10 @@ import functools
 import hashlib
 import json
 from collections import deque, namedtuple
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, permutations
+from itertools import chain, combinations, compress, permutations
 
 from dvrhom import Digraph, InputError, SimplicialComplex, build_complex
 from dvrhom.homology import NodeReport
@@ -232,6 +239,62 @@ def restrict_to(k, a):
     by_dim = [list(compress(*pair)) for pair in zip(k.by_dimension, kept)]
     orders = [list(compress(*pair)) for pair in zip(k.orders, kept)]
     return SimplicialComplex(by_dim, orders, truncated=k.truncated)
+
+
+def witness_dict(k):
+    """The dict from each simplex of ``k`` to its witness."""
+    simplices = chain.from_iterable(k.by_dimension)
+    return dict(zip(simplices, chain.from_iterable(k.orders)))
+
+
+SimplicialMapReport = namedtuple(
+    "SimplicialMapReport", "vertex_map entries degenerate all_images_present"
+)
+SimplicialMapReport.__doc__ = """Image data of a vertex map applied simplexwise.
+
+``entries`` pairs each source simplex with its image simplex, and
+``degenerate`` lists the source simplices whose image drops dimension.
+"""
+
+
+def map_complex(f, source, target):
+    """Apply a digraph morphism to every simplex and confirm the images.
+
+    ``f`` maps source vertices to target vertices (sequence or mapping); it
+    must send edges to edges, which is verified, not assumed.
+    """
+    if not isinstance(f, (Sequence, Mapping)):
+        raise InputError(
+            f"the vertex map ({type(f).__name__}) is neither a sequence nor a mapping"
+        )
+    fmap = []
+    for v in range(source.n):
+        try:
+            fmap.append(f[v])
+        except (IndexError, KeyError):
+            raise InputError(f"vertex {v} has no image") from None
+        if type(fmap[v]) is not int or not 0 <= fmap[v] < target.n:
+            raise InputError(f"vertex {v} maps to {fmap[v]!r}, outside the target")
+    for u in range(source.n):
+        for v in out_set(source, u):
+            if not target.has_edge(fmap[u], fmap[v]):
+                raise InputError(
+                    f"not a digraph morphism: edge ({u}, {v}) maps to "
+                    f"non-edge ({fmap[u]}, {fmap[v]})"
+                )
+    ks = build_complex(source)
+    kt = build_complex(target)
+    entries = []
+    degenerate = []
+    ok = True
+    for s in ks.simplices():
+        image = tuple(sorted({fmap[v] for v in s}))
+        entries.append((s, image))
+        if len(image) < len(s):
+            degenerate.append(s)
+        if image not in kt:
+            ok = False
+    return SimplicialMapReport(tuple(fmap), tuple(entries), tuple(degenerate), ok)
 
 
 def check_cone(g, x):
@@ -959,8 +1022,8 @@ def find_isomorphism(g, h):
     h_edges = {*h.edges(), *((v, v) for v in range(h.n))}
     if len(g_edges) != len(h_edges):
         return None
-    g_deg = sorted((len(g.out_set(v)), len(g.in_set(v))) for v in range(g.n))
-    h_deg = sorted((len(h.out_set(v)), len(h.in_set(v))) for v in range(h.n))
+    g_deg = sorted((len(out_set(g, v)), len(in_set(g, v))) for v in range(g.n))
+    h_deg = sorted((len(out_set(h, v)), len(in_set(h, v))) for v in range(h.n))
     if g_deg != h_deg:
         return None
     for perm in permutations(range(g.n)):
@@ -981,9 +1044,19 @@ def _vertex_set(g, a):
     return vs
 
 
+def out_set(g, u):
+    """The vertices that ``u`` has an edge to, ``u`` included, ascending."""
+    return tuple(v for v in range(g.n) if g.has_edge(u, v))
+
+
+def in_set(g, u):
+    """The vertices with an edge to ``u``, ``u`` included, ascending."""
+    return tuple(v for v in range(g.n) if g.has_edge(v, u))
+
+
 def closure_of(g, a):
     """Union of out-neighborhoods over ``a``; contains ``a`` by reflexivity."""
-    return tuple(sorted({y for x in _vertex_set(g, a) for y in g.out_set(x)}))
+    return tuple(sorted({y for x in _vertex_set(g, a) for y in out_set(g, x)}))
 
 
 def interior_of(g, a):
@@ -996,7 +1069,15 @@ def interior_of(g, a):
 def minimal_neighborhood(g, x):
     """In-neighborhood of ``x``: the smallest set whose interior contains x."""
     _vertex_set(g, [x])
-    return g.in_set(x)
+    return in_set(g, x)
+
+
+def is_interior_cover(g, family):
+    """True iff the interiors of the family's members cover every vertex."""
+    covered = set()
+    for a in family:
+        covered.update(interior_of(g, a))
+    return len(covered) == g.n
 
 
 def induced_subgraph(g, a):
@@ -1020,7 +1101,7 @@ def is_symmetric(g):
 def interior_by_neighborhoods(g, a):
     """Interior of a vertex set: the vertices whose in-set lies inside it."""
     aset = set(a)
-    return tuple(v for v in range(g.n) if set(g.in_set(v)) <= aset)
+    return tuple(v for v in range(g.n) if set(in_set(g, v)) <= aset)
 
 
 def euler_characteristic(fv):
@@ -1039,9 +1120,10 @@ def brute_force_certificate(k, g):
 
     checks = 0
     count = 0
+    witness = witness_dict(k)
     for s in k.simplices():
         count += 1
-        pos = {v: i for i, v in enumerate(k.witness[s])}
+        pos = {v: i for i, v in enumerate(witness[s])}
         for size in range(1, len(s) + 1):
             for tau in combinations(s, size):
                 checks += 1
@@ -1087,9 +1169,11 @@ class RealizationPoint(namedtuple("RealizationPoint", "witness coords")):
 
 def _stored_witness(k, verts):
     verts = tuple(sorted(verts))
-    if verts not in k.witness:
-        raise InputError(f"{verts} is not a simplex of the complex")
-    return k.witness[verts]
+    if 0 < len(verts) <= len(k.by_dimension):
+        level = k.by_dimension[len(verts) - 1]
+        if verts in level:
+            return k.orders[len(verts) - 1][level.index(verts)]
+    raise InputError(f"{verts} is not a simplex of the complex")
 
 
 def point_in(k, verts, coords):

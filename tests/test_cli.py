@@ -35,6 +35,7 @@ from oracles import (
     digraph_document_oracle,
     les_chain_oracle,
     restrict_to,
+    witness_dict,
 )
 
 
@@ -855,10 +856,11 @@ def _complexes(draw):
 @example(build_complex(circulant(6, 2), 1))
 def test_complex_documents_are_written_and_hashed_level_by_level(k):
     doc = documents._complex_doc(k)
+    witness = witness_dict(k)
     plain = {
         "schema": "1",
         "f_vector": [len(level) for level in k.by_dimension],
-        "simplices": [{"verts": s, "witness": k.witness[s]} for s in k.simplices()],
+        "simplices": [{"verts": s, "witness": witness[s]} for s in k.simplices()],
         "truncated": k.truncated,
     }
     assert doc == plain
@@ -1050,7 +1052,7 @@ def _read_or_message(read, doc):
 def _read_complex(doc):
     kind, k, digest = documents._read_document(json.dumps(doc))
     assert kind == "complex"
-    return k.by_dimension, k.witness, k.truncated, digest
+    return k.by_dimension, witness_dict(k), k.truncated, digest
 
 
 def _complex_document_and_digest_oracle(doc):

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations, product
 
@@ -14,9 +15,9 @@ from dvrhom import (
     digital_image,
     f_vector,
     figure_digraph,
-    map_complex,
     random_digraph,
 )
+from dvrhom import documents
 from oracles import (
     brute_force_dvr,
     brute_force_witness,
@@ -29,8 +30,10 @@ from oracles import (
     induced_subgraph,
     is_simplex,
     is_symmetric,
+    map_complex,
     minimal_neighborhood,
     restrict_to,
+    witness_dict,
 )
 
 S2_POINTS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
@@ -93,11 +96,12 @@ def test_face_closure_and_witness_validity():
     for seed in range(8):
         g = random_digraph(6, 0.45, seed)
         k = build_complex(g)
+        witness = witness_dict(k)
         for s in k.simplices():
             for size in range(1, len(s) + 1):
                 for face in combinations(s, size):
                     assert face in k
-            w = k.witness[s]
+            w = witness[s]
             assert tuple(sorted(w)) == s
             assert all(
                 g.has_edge(w[i], w[j])
@@ -154,8 +158,9 @@ def test_greedy_witness_is_the_lexicographically_least_ordering(g):
             assert is_simplex(g, s) == brute_force_witness(g, s)
     k = build_complex(g)
     assert set(k.simplices()) == brute_force_dvr(g)
+    witness = witness_dict(k)
     for s in k.simplices():
-        assert k.witness[s] == brute_force_witness(g, s)
+        assert witness[s] == brute_force_witness(g, s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,7 +171,8 @@ def test_truncation_flag_matches_uncapped_complex(g):
         capped = build_complex(g, max_dim)
         assert capped.by_dimension == full.by_dimension[: max_dim + 1]
         assert capped.truncated == (full.dim > max_dim)
-        assert all(capped.witness[s] == full.witness[s] for s in capped.simplices())
+        capped_witness, full_witness = witness_dict(capped), witness_dict(full)
+        assert all(capped_witness[s] == full_witness[s] for s in capped.simplices())
 
 
 def test_determinism():
@@ -174,7 +180,7 @@ def test_determinism():
     k1 = build_complex(g)
     k2 = build_complex(g)
     assert k1 == k2
-    assert k1.witness == k2.witness
+    assert witness_dict(k1) == witness_dict(k2)
 
 
 def test_check_full_subcomplex_whole_and_examples():
@@ -272,7 +278,7 @@ def test_restrict_to_gives_full_subcomplex():
 def test_from_simplices_closes_faces():
     k = SimplicialComplex.from_simplices([(0, 1, 2)])
     assert f_vector(k) == (3, 3, 1)
-    assert k.witness[(0, 1, 2)] == (0, 1, 2)
+    assert witness_dict(k)[(0, 1, 2)] == (0, 1, 2)
     with pytest.raises(InputError):
         SimplicialComplex.from_simplices([()])
 
@@ -289,7 +295,7 @@ def test_top_down_closure_matches_subset_oracle(faces, data):
     witnesses = {s: data.draw(st.permutations(s)) for s in chosen}
     faces = [tuple(f) if i % 2 else f for i, f in enumerate(faces)]
     k = SimplicialComplex.from_simplices(faces, witnesses=witnesses)
-    assert (k.by_dimension, k.witness) == closure_oracle(faces, witnesses)
+    assert (k.by_dimension, witness_dict(k)) == closure_oracle(faces, witnesses)
 
 
 def _closure_or_message(close, faces, witnesses):
@@ -311,7 +317,7 @@ def _closure_or_message(close, faces, witnesses):
 def test_closure_errors_match_subset_oracle(faces, witnesses):
     def top_down(faces, witnesses):
         k = SimplicialComplex.from_simplices(faces, witnesses=witnesses)
-        return k.by_dimension, k.witness
+        return k.by_dimension, witness_dict(k)
 
     assert _closure_or_message(top_down, faces, witnesses) == _closure_or_message(
         closure_oracle, faces, witnesses
@@ -344,7 +350,7 @@ def test_from_faces_by_size_takes_a_covering_witness_dict_as_given():
     partial = {(0, 2): (2, 0), (0, 1, 2): (1, 0, 2)}
     k = SimplicialComplex.from_faces_by_size(triangle(), partial)
     assert k.orders == [[(0,), (1,), (2,)], [(0, 1), (2, 0), (1, 2)], [(1, 0, 2)]]
-    assert k.witness == {**{s: s for s in faces}, **partial}
+    assert witness_dict(k) == {**{s: s for s in faces}, **partial}
     assert k.by_dimension == [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]
 
 
@@ -362,19 +368,58 @@ def test_witness_keys_are_exactly_the_simplices(g, max_dim, subset, seed):
         full,
         build_complex(g, max_dim),
         SimplicialComplex.from_simplices(full.by_dimension[-1]),
-        SimplicialComplex.from_simplices(full.simplices(), witnesses=full.witness),
+        SimplicialComplex.from_simplices(
+            full.simplices(), witnesses=witness_dict(full)
+        ),
         restrict_to(full, subset),
         # Fewer than dim + 1 vertices hold no top simplex.
         restrict_to(full, range(full.dim)),
         SimplicialComplex([], []),
     )
     for k in complexes:
-        assert set(k.witness) == set(k.simplices())
+        assert list(map(len, k.orders)) == list(map(len, k.by_dimension))
+        assert set(witness_dict(k)) == set(k.simplices())
         assert not k.by_dimension or k.by_dimension[-1]
         for s in k.simplices():
             perm = list(s)
             rng.shuffle(perm)
             assert tuple(perm) in k
+
+
+def _membership_complexes():
+    """The complex of circulant(6, 1), the 6-cycle, made three ways: built,
+    read back from its ``complex`` document, and closed from its edges."""
+    built = build_complex(circulant(6, 1))
+    text = json.dumps(documents._complex_doc(built))
+    return {
+        "built": built,
+        "document": documents._read_document(text)[1],
+        "from_simplices": SimplicialComplex.from_simplices(built.by_dimension[-1]),
+    }
+
+
+# Vertices are the ints 0..n-1; other vertex types are outside the contract.
+MEMBERSHIP = [
+    ((0,), True),
+    ((0, 1), True),
+    ((1, 0), True),
+    (frozenset({0, 1}), True),
+    ((True,), True),
+    ((1.0,), True),
+    ((), False),
+    ((0, 0), False),
+    ((9,), False),
+    ((-1,), False),
+    ({0, 1, 2}, False),  # longer than the top level, the edges
+]
+
+
+@pytest.mark.parametrize("made", ["built", "document", "from_simplices"])
+@pytest.mark.parametrize("verts, expected", MEMBERSHIP, ids=repr)
+def test_membership_contract(made, verts, expected):
+    k = _membership_complexes()[made]
+    assert k.dim == 1
+    assert (verts in k) is expected
 
 
 def _assert_matches_greedy_oracle_at_every_cap(g):
@@ -385,7 +430,7 @@ def _assert_matches_greedy_oracle_at_every_cap(g):
             full if max_dim is None else greedy_complex_oracle(g, max_dim)
         )
         assert k.by_dimension == levels
-        assert k.witness == witness
+        assert witness_dict(k) == witness
         assert k.truncated == truncated
 
 
@@ -422,8 +467,8 @@ def test_witnesses_made_on_first_read_match_the_eager_builder(
     levels, witness, truncated = eager_complex_oracle(g, max_dim)
     k = build_complex(g, max_dim)
     if dict_first:
-        assert k.witness == witness
+        assert witness_dict(k) == witness
     assert k.by_dimension == levels
     assert k.orders == [[witness[s] for s in level] for level in levels]
-    assert k.witness == witness
+    assert witness_dict(k) == witness
     assert k.truncated == truncated

@@ -96,6 +96,7 @@ from oracles import (
     smith_normal_form,
     columns,
     tagged_add,
+    witness_dict,
 )
 from test_homology import RP2_FACES, boundary_matrix
 
@@ -261,14 +262,15 @@ def test_field_betti_numbers_match_dense_ranks(pair):
 def pair_bases(k, sub):
     """Simplex bases of X, A and (X, A) in every degree of X."""
     x = [list(level) for level in k.by_dimension]
-    a = [[s for s in level if s in sub.witness] for level in k.by_dimension]
-    r = [[s for s in level if s not in sub.witness] for level in k.by_dimension]
+    in_a = witness_dict(sub)
+    a = [[s for s in level if s in in_a] for level in k.by_dimension]
+    r = [[s for s in level if s not in in_a] for level in k.by_dimension]
     return x, a, r
 
 
 def pair_tables(k, sub):
     """The boundary maps of X, A and (X, A), built whole on X's positions."""
-    return pair_table_oracle(k.by_dimension, sub.witness)
+    return pair_table_oracle(k.by_dimension, witness_dict(sub))
 
 
 def pair_parts(k, sub):
@@ -610,7 +612,7 @@ def check_lazy_reduction(k, sub):
     levels, first = _a_first(k, sub)
     assert (levels, first) == a_first(k, sub)
     x = pair_tables(k, sub)[0]
-    quotient = pair_table_oracle(levels, sub.witness)[2]
+    quotient = pair_table_oracle(levels, witness_dict(sub))[2]
     absolute = (k.by_dimension, [0] * len(first))
     for order, table in ((absolute, x), ((levels, first), quotient)):
         for p in RINGS:
@@ -683,9 +685,10 @@ def test_lazy_reduction_on_projective_planes(extra):
     k = SimplicialComplex.from_simplices(RP2_FACES + extra)
     for kept in ([(3, 4)], [(0,)], [(0, 1, 4), (2, 4, 5)]):
         sub = SimplicialComplex.from_simplices(kept)
+        in_a = witness_dict(sub)
         low_in_a = [
             s for s in k.simplices()
-            if len(s) > 1 and s not in sub.witness and s[1:] in sub.witness
+            if len(s) > 1 and s not in in_a and s[1:] in in_a
         ]
         assert bool(low_in_a) == (kept != [(0,)])  # as (1, 3, 4) for (3, 4)
         check_lazy_reduction(k, sub)
@@ -752,7 +755,7 @@ def streamed_complexes(k, sub, p):
             self.snapshots.append((self.span, self.reps))
 
     with mock.patch.object(oracles, "_FieldComplex", Recorded):
-        les_chain_oracle(k.by_dimension, sub.witness, p)
+        les_chain_oracle(k.by_dimension, witness_dict(sub), p)
     return made
 
 
@@ -848,9 +851,9 @@ def test_les_check_builds_each_column_of_x_once():
 def a_first(k, sub):
     """X's levels with A's simplices first, each part lexicographic, and the
     number of A's simplices in each."""
+    in_a = witness_dict(sub)
     ordered = [
-        [s for s in level if s in sub.witness]
-        + [s for s in level if s not in sub.witness]
+        [s for s in level if s in in_a] + [s for s in level if s not in in_a]
         for level in k.by_dimension
     ]
     return ordered, [len(level) for level in pair_bases(k, sub)[1]]
@@ -1003,7 +1006,7 @@ def test_les_nodes_match_the_chain_level_oracle(pair):
     k, sub = pair
     for p in (None, 2, 3, 1000003):
         report = les_exactness_check(k, sub, "q" if p is None else p)
-        oracle = les_chain_oracle(k.by_dimension, sub.witness, p)
+        oracle = les_chain_oracle(k.by_dimension, witness_dict(sub), p)
         assert report.nodes == oracle
         assert report.exact
 

@@ -18,6 +18,7 @@ from dvrhom import (
     random_digraph,
     sampled_continuity_check,
 )
+from dvrhom import fxmap
 from dvrhom.fxmap import SampleFailure
 from oracles import (
     RealizationPoint,
@@ -27,6 +28,7 @@ from oracles import (
     evaluate_fx,
     point_in,
     tie_set,
+    witness_dict,
 )
 
 HALF = Fraction(1, 2)
@@ -87,9 +89,10 @@ def test_evaluate_lands_in_tie_set_with_edges_to_it():
         g = random_digraph(6, 0.5, 300 + i)
         k = build_complex(g)
         simplices = list(k.simplices())
+        witness = witness_dict(k)
         for _ in range(30):
             s = simplices[rng.randrange(len(simplices))]
-            w = k.witness[s]
+            w = witness[s]
             weights = [rng.randint(1, 5) for _ in w]
             total = sum(weights)
             p = RealizationPoint(w, tuple(Fraction(a, total) for a in weights))
@@ -121,8 +124,9 @@ def test_face_local_evaluation_agrees_for_symmetric_witnesses():
     # Symmetric digraph: canonical witnesses are ascending everywhere, so a
     # face point evaluates identically on the face and inside the triangle.
     k = build_complex(circulant(6, 2))
+    witness = witness_dict(k)
     for tri in k.by_dimension[2]:
-        w = k.witness[tri]
+        w = witness[tri]
         p_triangle = RealizationPoint(w, (HALF, HALF, 0))
         p_face = carrier_point(k, p_triangle)
         assert evaluate_fx(p_triangle) == evaluate_fx(p_face)
@@ -315,11 +319,12 @@ def fraction_sampled_check(k, g, samples, delta, seed, seen=None):
     delta = Fraction(delta)
     rng = random.Random(seed)
     all_simplices = list(k.simplices())
+    witness = witness_dict(k)
     checked = 0
     failures = []
     for idx in range(samples):
         s = all_simplices[rng.randrange(len(all_simplices))]
-        w = k.witness[s]
+        w = witness[s]
         weights = [rng.randint(1, 1000) for _ in w]
         total = sum(weights)
         coords = tuple(Fraction(wt, total) for wt in weights)
@@ -479,18 +484,24 @@ def test_sampled_check_matches_fraction_reference_on_reversed_digraphs():
     assert failures > 0
 
 
-class _CountedWitnesses(dict):
-    """A witness table counting membership tests: the sampler makes one
-    only when a move drains a coordinate and the point goes to a face."""
+def _count_face_lookups(monkeypatch, faces=None):
+    """The list of faces the sampler looks up, which it does only when a
+    move drains a coordinate and the point goes to a face.  Each lookup is
+    answered in ``faces`` when given, else in the sampled complex."""
+    lookups = []
+    face_witness = fxmap._face_witness
 
-    tests = 0
+    def counted(k, face):
+        lookups.append(face)
+        return face_witness(k if faces is None else faces, face)
 
-    def __contains__(self, key):
-        self.tests += 1
-        return super().__contains__(key)
+    monkeypatch.setattr(fxmap, "_face_witness", counted)
+    return lookups
 
 
-def test_sampled_check_matches_fraction_reference_on_dense_and_tiny_complexes():
+def test_sampled_check_matches_fraction_reference_on_dense_and_tiny_complexes(
+    monkeypatch,
+):
     # Dense shapes have about 1000 simplices, so the simplex draw rejects
     # 10- and 11-bit values, and witnesses of up to 8 vertices.  Complexes
     # of exactly 1, 2 and 4 simplices make the simplex count 1 or a power
@@ -505,39 +516,45 @@ def test_sampled_check_matches_fraction_reference_on_dense_and_tiny_complexes():
     counts = set()
     failures = 0
     pushes = dict.fromkeys((Fraction(1, 10**6), Fraction(1, 3), 2), 0)
+    lookups = _count_face_lookups(monkeypatch)
     for g, samples, seed in cases:
         k = build_complex(g)
         counts.add(len(list(k.simplices())))
         for delta in pushes:
-            witness = _CountedWitnesses(k.witness)
-            view = SimpleNamespace(orders=k.orders, witness=witness)
-            rep = sampled_continuity_check(view, g, samples, delta, seed)
+            before = len(lookups)
+            rep = sampled_continuity_check(k, g, samples, delta, seed)
             assert rep == fraction_sampled_check(k, g, samples, delta, seed)
             failures += rep.failure_count
-            pushes[delta] += view.witness.tests
+            pushes[delta] += len(lookups) - before
     assert {1, 2, 4} <= counts and max(counts) > 1024
     assert failures > 0
     assert pushes[Fraction(1, 10**6)] == 0 and pushes[2] > 0
 
 
-def test_sampled_check_matches_fraction_reference_past_the_sample_pool():
+def test_sampled_check_matches_fraction_reference_past_the_sample_pool(
+    monkeypatch,
+):
     # random.sample(range(d), 2) draws j from a pool for d <= 21 and by
     # redrawing from range(d) past that.  A transitive tournament on 22
     # vertices has every vertex set as a simplex with its ascending
-    # witness; only a few of them are offered to the sampler, with the
-    # facets a drained coordinate leads to.
+    # witness; only a few of them are offered to the sampler, in ``k``,
+    # and ``faces`` holds them with the facets a drained coordinate leads
+    # to, level by level.
     n = 22
     g = Digraph.from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
     drawn = [tuple(range(n)), tuple(range(21)), tuple(range(1, n)), (3, 9)]
-    witness = {}
+    found = set(drawn)
     for s in drawn:
-        witness[s] = s
-        witness.update((f, f) for f in combinations(s, len(s) - 1))
-    k = SimpleNamespace(simplices=lambda: iter(drawn), orders=[drawn], witness=witness)
+        found.update(combinations(s, len(s) - 1))
+    levels = [sorted(f for f in found if len(f) == size) for size in range(1, n + 1)]
+    faces = SimpleNamespace(
+        simplices=lambda: iter(drawn), by_dimension=levels, orders=levels
+    )
+    k = SimpleNamespace(orders=[drawn])
+    lookups = _count_face_lookups(monkeypatch, faces)
     failures = 0
     for delta in (Fraction(1, 10**6), Fraction(1, 3), 2):
-        k.witness = _CountedWitnesses(witness)
         rep = sampled_continuity_check(k, g, 400, delta, seed=11)
-        assert rep == fraction_sampled_check(k, g, 400, delta, seed=11)
+        assert rep == fraction_sampled_check(faces, g, 400, delta, seed=11)
         failures += rep.failure_count
-    assert failures > 0 and k.witness.tests > 0
+    assert failures > 0 and len(lookups) > 0

@@ -20,6 +20,7 @@ from oracles import (
     induced_subgraph,
     is_symmetric,
     minimal_neighborhood,
+    out_set,
 )
 
 S2_POINTS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
@@ -29,7 +30,7 @@ def test_circulant_octahedron_adjacency():
     g = circulant(6, 2)
     assert is_symmetric(g)
     for v in range(6):
-        missing = set(range(6)) - set(g.out_set(v))
+        missing = set(range(6)) - set(out_set(g, v))
         assert missing == {(v + 3) % 6}  # only the antipode
 
 
@@ -76,7 +77,7 @@ def test_digital_sphere_matches_circulant():
 def test_digital_image_single_point():
     g = digital_image([(3, 7)])
     assert g.n == 1
-    assert g.out_set(0) == (0,)
+    assert out_set(g, 0) == (0,)
 
 
 def test_digital_image_grid_is_contractible():

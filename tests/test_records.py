@@ -4,8 +4,8 @@ Every CLI call is a fresh process, so the records are built without
 ``dataclasses``, which generates and execs the source of their methods
 at every import; the first test holds the CLI's import to that.  The last
 two tests hold the package's public surface: ``__all__`` is what a star
-import binds, and every public top-level function or class in ``src/`` has
-a caller there.
+import binds, and every top-level function or class in ``src/``, public or
+private, has a caller there.
 """
 
 import ast
@@ -26,11 +26,10 @@ from dvrhom import (
     InputError,
     Presentation,
     SampleReport,
-    SimplicialMapReport,
 )
 from dvrhom.fxmap import SampleFailure
 from dvrhom.homology import NodeReport
-from oracles import RealizationPoint
+from oracles import RealizationPoint, SimplicialMapReport
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dvrhom"
 
@@ -184,7 +183,8 @@ MOVED = {
     "is_simplex", "check_full_subcomplex", "check_cone", "RealizationPoint",
     "point_in", "barycenter", "tie_set", "evaluate_fx", "carrier_point",
     "closure_of", "interior_of", "minimal_neighborhood", "induced_subgraph",
-    "is_symmetric", "restrict_to",
+    "is_symmetric", "restrict_to", "map_complex", "SimplicialMapReport",
+    "is_interior_cover",
 }
 
 
@@ -204,12 +204,6 @@ def test_star_import_binds_exactly_all():
         assert not MOVED & vars(module).keys(), module.__name__
 
 
-# Public names that no command calls yet, kept for planned work: map_complex
-# is ROADMAP item 10 (induced maps through the mapping cone), and
-# is_interior_cover is item 12 (Mayer-Vietoris for interior covers).
-UNCALLED = {"map_complex", "is_interior_cover"}
-
-
 def _names(node):
     """Every name that ``node`` reads, attribute names and imports included."""
     for n in ast.walk(node):
@@ -222,10 +216,10 @@ def _names(node):
 
 
 def test_every_public_definition_in_src_has_a_caller():
-    """A public top-level function or class (or a record made by a call,
-    such as a named tuple) must be named somewhere in ``src/`` outside its
-    own definition.  ``__init__.py`` does not count: exporting a name does
-    not call it."""
+    """A top-level function or class (or a record made by a call, such as a
+    named tuple), public or ``_``-prefixed, must be named somewhere in
+    ``src/`` outside its own definition.  ``__init__.py`` does not count:
+    exporting a name does not call it."""
     defined = {}
     referenced = set()
     for path in sorted(SRC.glob("*.py")):
@@ -243,9 +237,6 @@ def test_every_public_definition_in_src_has_a_caller():
             if path.name != "__init__.py":
                 referenced |= names
     uncalled = {
-        name: module
-        for name, module in defined.items()
-        if not name.startswith("_") and name not in referenced | UNCALLED
+        name: module for name, module in defined.items() if name not in referenced
     }
     assert not uncalled
-    assert UNCALLED <= defined.keys()
