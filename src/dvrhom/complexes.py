@@ -14,11 +14,11 @@ index of s and the position of tau-s in the level below, not the witness:
 homology and pi1 never read witnesses, and the few that do (the
 nearest-vertex map and the ``complex`` report) make them on first read, a
 level at a time.  A complex made from faces (``from_simplices``, or the
-document reader's ``from_faces_by_size``) is given its witnesses a level
-at a time, by one rule: a face with no given witness keeps its sorted
-tuple.  Either way a complex keeps its witnesses only as ``orders``.
-Simplices are identified by their sorted vertex tuple; the witness is
-metadata.
+document reader's ``from_faces_by_size``) keeps each level's faces in one
+dict that maps a face to its witness, by one rule: a face with no given
+witness, a facet the closure adds included, keeps its sorted tuple.
+Either way a complex keeps its witnesses only as ``orders``.  Simplices
+are identified by their sorted vertex tuple; the witness is metadata.
 
 For symmetric digraphs the construction degenerates to the clique complex.
 """
@@ -26,7 +26,6 @@ For symmetric digraphs the construction degenerates to the clique complex.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property
 from itertools import chain, combinations, groupby, repeat
 
 from .digraph import InputError
@@ -37,33 +36,34 @@ class SimplicialComplex:
 
     ``by_dimension[d]`` lists the d-simplices as sorted vertex tuples, in
     lexicographic order, and ``orders[d]`` their witness orderings, in the
-    same order.  ``orders`` is given, or made from ``links`` when first
-    read, and kept: ``build_complex`` gives, per level above 0, the index
-    of each simplex's first witness vertex in level 0 and the position of
-    the rest of its witness in the level below.  ``s in k`` bisects the
-    sorted ``s`` into its level, and ``orders`` at that position is its
-    witness.  What is given is kept, not copied.  ``truncated`` marks
-    complexes cut off by a dimension cap (the top homology degree of such a
-    complex is unreliable).
+    same order.  ``orders`` is given, or made when first read, and kept:
+    from ``links``, which ``build_complex`` gives, per level above 0, as the
+    index of each simplex's first witness vertex in level 0 and the position
+    of the rest of its witness in the level below, else as the sorted
+    tuples.  ``s in k`` bisects the sorted ``s`` into its level, and
+    ``orders`` at that position is its witness.  What is given is kept, not
+    copied.  ``truncated`` marks complexes cut off by a dimension cap (the
+    top homology degree of such a complex is unreliable).
     """
 
     def __init__(self, by_dimension, orders=None, truncated=False, links=None):
         while by_dimension and not by_dimension[-1]:
             by_dimension.pop()
         self.by_dimension = by_dimension
-        if orders is not None:
-            self.orders = orders
+        self._orders = orders
         self._links = links
         self.truncated = truncated
 
-    @cached_property
+    @property
     def orders(self):
-        orders = [list(level) for level in self.by_dimension[:1]]
-        for sources, faces in self._links[: self.dim]:
-            first, below = self.by_dimension[0], orders[-1]
-            orders.append([first[s] + below[f] for s, f in zip(sources, faces)])
-        self._links = None
-        return orders
+        if self._orders is None:
+            orders = [list(level) for level in self.by_dimension[:1]]
+            for sources, faces in (self._links or ())[: self.dim]:
+                first, below = self.by_dimension[0], orders[-1]
+                orders.append([first[s] + below[f] for s, f in zip(sources, faces)])
+            orders += map(list, self.by_dimension[len(orders) :])  # sorted tuples
+            self._orders, self._links = orders, None
+        return self._orders
 
     @classmethod
     def from_simplices(cls, faces, witnesses=None):
@@ -75,31 +75,41 @@ class SimplicialComplex:
         closure, or is not an ordering of its face, is an error.
         """
         faces = sorted(map(tuple, map(sorted, map(set, faces))), key=len)
-        by_size = {size: dict.fromkeys(level) for size, level in groupby(faces, len)}
-        by_dim = _closed_levels(by_size)
-        checked = {}
+        by_size = {size: {s: s for s in level} for size, level in groupby(faces, len)}
+        k = cls.from_faces_by_size(by_size)
         for s, w in (witnesses or {}).items():
             s = tuple(s)
-            if s not in by_size.get(len(s), ()):
+            pos = _position(k, s)
+            if pos is None:
                 raise InputError(f"witness given for missing simplex {s}")
             if tuple(sorted(w)) != s:
                 raise InputError(f"witness {w} is not an ordering of {s}")
-            checked[s] = tuple(w)
-        return cls(by_dim, [list(map(checked.get, level, level)) for level in by_dim])
+            k.orders[len(s) - 1][pos] = tuple(w)
+        return k
 
     @classmethod
-    def from_faces_by_size(cls, by_size, witnesses):
-        """The complex of faces already grouped: ``by_size[k]`` is a dict
-        keyed by sorted k-vertex tuples, and is filled in place
-        (``_closed_levels``).
-
-        ``witnesses`` maps faces to witness tuples, and the faces it leaves
-        out get their sorted tuple, as in ``from_simplices``.  It is not
-        checked: its caller has checked that each key is a face and each
-        value an ordering of it (the document reader does).
+    def from_faces_by_size(cls, by_size):
+        """The complex of faces grouped by size: ``by_size[k]`` maps sorted
+        k-vertex tuples to their witnesses, which are not checked (the
+        document reader checks them).  ``by_size`` is closed in place, top
+        down: each level adds the facets the level below lacks, each as its
+        own witness.  The levels and ``orders`` are read off the dicts, which
+        keep the given faces first, so a closed and sorted input sorts again
+        in linear time and needs no lookups.
         """
-        by_dim = _closed_levels(by_size)
-        return cls(by_dim, [list(map(witnesses.get, level, level)) for level in by_dim])
+        if 0 in by_size:
+            raise InputError("simplices must be nonempty")
+        top = max(by_size, default=0)
+        for k in range(top, 1, -1):
+            below = by_size.setdefault(k - 1, {})
+            missing = set(_facets(by_size[k], k)).difference(below)
+            below.update(zip(missing, missing))
+        dicts = [by_size[k] for k in range(1, top + 1)]
+        levels = list(map(sorted, dicts))
+        return cls(levels, [
+            list(d.values() if level == list(d) else map(d.__getitem__, level))
+            for level, d in zip(levels, dicts)
+        ])
 
     def simplices(self):
         """Every simplex, level by level, as one iterator over the levels."""
@@ -132,24 +142,6 @@ def _position(k, face):
         if pos < len(level) and level[pos] == face:
             return pos
     return None
-
-
-def _closed_levels(by_size):
-    """The levels of the face closure of ``by_size``, whose ``by_size[k]``
-    is a dict keyed by sorted k-vertex tuples, and which is filled in place.
-
-    The closure runs top down: each level adds the facets of all its
-    simplices to the level below in one update; that level then does the
-    same.  A dict keeps the given faces first, in the order given, so a
-    closed and sorted input sorts again in linear time.
-    """
-    if 0 in by_size:
-        raise InputError("simplices must be nonempty")
-    top = max(by_size, default=0)
-    for k in range(top, 1, -1):
-        below = by_size.setdefault(k - 1, {})
-        below |= dict.fromkeys(_facets(by_size[k], k))
-    return [sorted(by_size[k]) for k in range(1, top + 1)]
 
 
 def _facets(level, k):

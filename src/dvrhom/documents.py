@@ -17,9 +17,10 @@ Every error is found before a mask is allocated.  A complex document's
 (``_read_in_bulk``): their shapes by type sets; their faces from the sorted
 witnesses when every item has one and those equal the ``verts`` lists,
 which also shows every witness an ordering, else from the sorted ``verts``
-with the witnesses compared with them; a clash by one witness dict.  Then
-``SimplicialComplex.from_faces_by_size`` closes the faces a level at a
-time, and a repeated vertex shows as a pair (x, x) among the closed
+with the witnesses compared with them; then one dict per size from face
+to witness (``_by_size``), where a clash shows.  ``from_faces_by_size``
+closes those a level at a time and reads the levels and ``orders`` off
+them, and a repeated vertex shows as a pair (x, x) among the closed
 2-faces.  Only a list that fails is walked item by item
 (``_read_complex``), to raise or name its first error.
 
@@ -28,8 +29,9 @@ Every report, error reports included, is written by ``_dumps``: the text
 json's pure-Python indenting encoder.  Strings go through the C string
 encoder.
 
-All simplices of one level have the same number of vertices, so one ``%d``
-template per level (``_simplex_template``) writes every simplex of it.
+All simplices of one level have the same number of vertices, so one ``%``
+call writes a level: its ``%d`` template (``_simplex_template``) repeated
+once per simplex, over its vertex and witness ints in one tuple.
 Likewise every node of a ``les-check`` report has the same five keys, so
 its ``nodes`` list, a ``_Nodes``, is written from one template per indent
 (``_write_nodes``).
@@ -56,7 +58,8 @@ import hashlib
 import json
 import operator
 import sys
-from itertools import chain, compress, groupby, repeat
+from bisect import bisect_right
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 
 from .complexes import SimplicialComplex, f_vector
@@ -200,9 +203,9 @@ def _write_simplices(levels, orders, nl, out):
         sep, comma, close = "[" + inner, "," + inner, nl + "]"
     for level, witnesses in zip(levels, orders):
         item = _simplex_template(len(level[0]), inner)
-        rows = map(operator.add, level, witnesses)
+        values = tuple(chain.from_iterable(map(operator.add, level, witnesses)))
         out(sep)
-        out(comma.join(map(item.__mod__, rows)))
+        out(comma.join([item] * len(level)) % values)
         sep = comma
     out(close)
 
@@ -368,10 +371,11 @@ def _read_in_bulk(items, truncated):
 
     When every item has a witness and the sorted witnesses equal the
     ``verts`` lists, that one comparison shows each ``verts`` sorted and
-    each witness an ordering of it.  A sorted face that repeats a vertex x
+    each witness an ordering of it.  A face without a witness is its own,
+    unless another item gives it one.  A sorted face that repeats a vertex x
     holds the pair (x, x), so once ``from_faces_by_size`` has closed the
-    faces, the 2-faces hold such a pair exactly when some ``verts``
-    repeats a vertex.
+    faces, the 2-faces hold such a pair exactly when some ``verts`` repeats
+    a vertex.
     """
     if not _DICT.issuperset(map(type, items)):
         return None
@@ -392,25 +396,39 @@ def _read_in_bulk(items, truncated):
         witnessed = list(compress(faces, has))
         ordered = witnessed == sorted_orders
     orders = list(map(tuple, orders))
-    witnesses = dict(zip(witnessed, orders))
-    if len(witnesses) != len(orders) and (
-        list(map(witnesses.__getitem__, witnessed)) != orders
+    bare = list(compress(faces, map(operator.not_, has))) if False in has else []
+    by_size = _by_size(bare + witnessed, bare + orders)  # a given witness wins
+    if 0 in by_size or sum(map(len, by_size.values())) < len(faces) and any(
+        by_size[len(s)][s] != w for s, w in zip(witnessed, orders)  # a clash
     ):
         return None
-    faces.sort(key=len)
-    by_size = {size: dict.fromkeys(level) for size, level in groupby(faces, len)}
-    if 0 in by_size:
-        return None
-    k = SimplicialComplex.from_faces_by_size(by_size, witnesses)
+    k = SimplicialComplex.from_faces_by_size(by_size)
     if any(a == b for a, b in by_size.get(2, ())):
         return None
     _check_truncated(truncated)
     if not ordered:
-        for s, w in witnesses.items():
+        for s, w in zip(witnessed, orders):
             if tuple(sorted(w)) != s:
                 raise InputError(f"witness {w} is not an ordering of {s}")
     k.truncated = truncated
     return k
+
+
+def _by_size(faces, witnesses):
+    """``{size: {face: witness}}`` of the sorted tuples ``faces`` and their
+    ``witnesses``, where the last witness given a face is kept.  Faces in
+    size order, as ``complex`` writes them, are grouped without a sort."""
+    sizes = list(map(len, faces))
+    ranked = sorted(sizes)
+    if sizes != ranked:
+        perm = sorted(range(len(sizes)), key=sizes.__getitem__)
+        faces, witnesses = [list(map(x.__getitem__, perm)) for x in (faces, witnesses)]
+    by_size, lo = {}, 0
+    while lo < len(ranked):
+        hi = bisect_right(ranked, ranked[lo], lo)
+        by_size[ranked[lo]] = dict(zip(faces[lo:hi], witnesses[lo:hi]))
+        lo = hi
+    return by_size
 
 
 def _digraph_from_doc(vertices, pairs):

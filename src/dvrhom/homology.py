@@ -369,16 +369,17 @@ def pi1_presentation(k, basepoint):
     vertex order; one generator per non-tree edge, one relator per triangle.
     Simplices are sorted tuples in lexicographic order, so adjacency lists
     come out sorted, and every edge of a triangle a < b < c runs upward: its
-    relator is gen[a, b] gen[b, c] gen[a, c]^-1, from one table that maps
-    tree edges to 0, with the zeros dropped.  Its letters are distinct
-    generators, so it is cyclically reduced as it stands and goes straight
-    to ``_tietze_moves``.  Elementary Tietze moves (drop trivial relators,
-    eliminate generators occurring once in some relator) are applied to a
-    fixed point.  Each move solves the first relator, in order, that holds a
-    generator occurring once, for the smallest such generator, and
-    substitutes it everywhere; in a word of distinct letters, as a triangle
-    word is until rewritten, that is its least |letter|.  A complex capped
-    below dimension 2 lacks relators, and is refused.
+    relator is row[a][b] row[b][c] row[a][c]^-1, read from per-vertex rows of
+    generator numbers where tree edges are 0, with the zeros dropped.  Its
+    letters are distinct generators, so it is cyclically reduced as it
+    stands and goes straight to ``_tietze_moves``.  Elementary Tietze moves
+    (drop trivial relators, eliminate generators occurring once in some
+    relator) are applied to a fixed point.  Each move solves the first
+    relator, in order, that holds a generator occurring once, for the
+    smallest such generator, and substitutes it everywhere; in a word of
+    distinct letters, as a triangle word is until rewritten, that is its
+    least |letter|.  A complex capped below dimension 2 lacks relators, and
+    is refused.
     """
     if not k.by_dimension:
         raise InputError("fundamental group needs a nonempty complex")
@@ -388,8 +389,8 @@ def pi1_presentation(k, basepoint):
             f" dimension {k.dim}"
         )
     verts = [s[0] for s in k.by_dimension[0]]
-    vset = set(verts)
-    if basepoint not in vset:
+    row = {v: {} for v in verts}  # row[a][b], a < b: generator of edge ab
+    if basepoint not in row:
         raise InputError(f"basepoint {basepoint} is not a vertex of the complex")
     adj = {v: [] for v in verts}
     edges = k.by_dimension[1] if len(k.by_dimension) > 1 else []
@@ -397,27 +398,27 @@ def pi1_presentation(k, basepoint):
         adj[u].append(v)
         adj[v].append(u)
 
-    gen = {}  # tree edges map to 0, the others to their generator below
     seen = {basepoint}
     queue = [basepoint]
     for u in queue:
         for w in adj[u]:
             if w not in seen:
                 seen.add(w)
-                gen[(u, w) if u < w else (w, u)] = 0
+                row[min(u, w)][max(u, w)] = 0  # a tree edge
                 queue.append(w)
-    if seen != vset:
-        stray = min(vset - seen)
+    if len(seen) < len(verts):
+        stray = min(row.keys() - seen)
         raise InputError(
             f"complex is disconnected: vertices {basepoint} and {stray} "
             "lie in different components"
         )
 
-    gen_edges = [e for e in edges if e not in gen]
-    gen.update((e, g) for g, e in enumerate(gen_edges, start=1))
+    gen_edges = [(a, b) for a, b in edges if b not in row[a]]
+    for g, (a, b) in enumerate(gen_edges, start=1):
+        row[a][b] = g
     triangles = k.by_dimension[2] if len(k.by_dimension) > 2 else []
     relators = [
-        [x for x in (gen[a, b], gen[b, c], -gen[a, c]) if x] for a, b, c in triangles
+        [*filter(None, (row[a][b], row[b][c], -row[a][c]))] for a, b, c in triangles
     ]
     symbols = [f"g{u}_{v}" for u, v in gen_edges]
     symbols, relators = _tietze_moves(symbols, relators)
@@ -429,25 +430,28 @@ def _tietze_moves(symbols, words):
     # are.  Generator ids stay fixed until the end, and each relator is
     # indexed by the generators it contains, so a move rewrites only the
     # relators that hold the eliminated generator.  The moves are those of a
-    # full rescan from the first relator: a relator scanned without a
-    # singleton can only gain one by being rewritten, and then it is queued
-    # again; it waits in the heap at most once.  A one-letter relator g^+-1
-    # kills g at the cost of deleting +-g from each holder of g.  Only a word
-    # left with two or more letters is reduced again (the rest of the word
-    # was reduced), and the other generators' holders change only where that
-    # cancelled letters.
+    # full rescan from the first relator: one scan takes the relators in
+    # index order, and a relator taken without a singleton can only gain one
+    # by being rewritten.  One rewritten after its turn is taken again,
+    # before the scan goes on, from a heap where it waits at most once.  A
+    # one-letter relator g^+-1 kills g at the cost of deleting +-g from each
+    # holder of g.  Only a word left with two or more letters is reduced
+    # again (the rest of the word was reduced), and the other generators'
+    # holders change only where that cancelled letters.
     words = list(words)
     holders = [set() for _ in range(len(symbols) + 1)]  # None once eliminated
     for ri, word in enumerate(words):
         for x in word:
             holders[abs(x)].add(ri)
-    queue = [ri for ri, word in enumerate(words) if word]  # ascending: a heap
-    queued = set(queue)
-    while queue:
-        ri = heapq.heappop(queue)
-        queued.remove(ri)
+    scan, again, queued = 0, [], set()  # again: a heap; queued: its members
+    while again or scan < len(words):
+        if again:
+            ri = heapq.heappop(again)
+            queued.remove(ri)
+        else:
+            ri, scan = scan, scan + 1
         word = words[ri]
-        if not word:  # emptied while it waited
+        if not word:  # empty, or emptied while it waited
             continue
         if len(word) == 1:
             g = abs(word[0])
@@ -470,9 +474,9 @@ def _tietze_moves(symbols, words):
                     for h in {abs(x) for x in rest} - {abs(x) for x in new}:
                         holders[h].discard(rj)
                 words[rj] = new
-                if new and rj not in queued:
+                if new and rj < scan and rj not in queued:
                     queued.add(rj)
-                    heapq.heappush(queue, rj)
+                    heapq.heappush(again, rj)
             continue
         letters = [*map(abs, word)]
         distinct = singles = set(letters)  # all singletons unless one repeats
@@ -512,9 +516,9 @@ def _tietze_moves(symbols, words):
             words[rj] = new
             for x in new:
                 holders[abs(x)].add(rj)
-            if new and rj not in queued:
+            if new and rj < scan and rj not in queued:
                 queued.add(rj)
-                heapq.heappush(queue, rj)
+                heapq.heappush(again, rj)
     kept = [h for h in range(1, len(symbols) + 1) if holders[h] is not None]
     renumber = {h: i for i, h in enumerate(kept, start=1)}
     return [symbols[h - 1] for h in kept], [

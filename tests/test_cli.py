@@ -872,12 +872,20 @@ def test_complex_documents_are_written_and_hashed_level_by_level(k):
     )
 
 
+# A transitive tournament on three vertices, against the vertex order: one
+# triangle, witness [2, 1, 0].
+_TRIANGLE = '{"vertices": ["0", "1", "2"], "edges": [["2", "1"], ["2", "0"], ["1", "0"]]}'
+
+
 def test_reports_and_error_reports_are_json_dumps_text(capsys):
     _, gen_text = run(["gen", "random", "--n", "7", "--p", ".6", "--seed", "2"])
     _, complex_text = run(["complex"], stdin_text=gen_text)
     _, capped = run(["complex", "--max-dim", "1"], stdin_text=gen_text)
     calls = [
         (["complex"], gen_text),
+        # Levels of one simplex each, and a top level of one simplex.
+        (["complex"], '{"vertices": ["a"], "edges": []}'),
+        (["complex"], _TRIANGLE),
         (["homology", "--coeff", "zp:3"], complex_text),
         (["les-check", "--subset", "0,2,5"], gen_text),
         # les-check's nodes, written from their template: A = {}, A = X,
@@ -1177,8 +1185,16 @@ def _bulk_documents(draw):
     return doc
 
 
+def _complex_report(text):
+    """The complex document ``complex`` writes for the digraph document
+    ``text``, parsed."""
+    return json.loads(run(["complex"], stdin_text=text)[1])
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(_DOCUMENTS, _bulk_documents()))
+@example(_complex_report('{"vertices": ["a"], "edges": []}'))
+@example(_complex_report(_TRIANGLE))
 def test_one_pass_reader_matches_the_two_step_oracle(doc):
     if type(doc) is not dict or "simplices" not in doc or {"vertices", "edges"} & set(doc):
         return  # not a complex document

@@ -283,6 +283,15 @@ def test_from_simplices_closes_faces():
         SimplicialComplex.from_simplices([()])
 
 
+def test_a_complex_given_neither_orders_nor_links_has_its_sorted_tuples():
+    levels = [[(0,), (1,), (2,)], [(0, 1), (1, 2)]]
+    k = SimplicialComplex([list(level) for level in levels])
+    assert k == SimplicialComplex.from_simplices([(0, 1), (1, 2)])
+    assert k.orders == levels
+    assert k.orders[1] is not k.by_dimension[1]
+    assert SimplicialComplex([]).orders == []
+
+
 # Unsorted vertex lists, with repeated vertices, repeated faces and singletons.
 _FACES = st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=5), max_size=8)
 
@@ -340,15 +349,18 @@ def test_closure_error_messages(faces, witnesses, message):
 
 
 def test_from_faces_by_size_takes_a_covering_witness_dict_as_given():
-    def triangle():
-        return {3: {(0, 1, 2): None}, 2: {(0, 2): None}}
-
     faces = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
-    witnesses = {s: s[::-1] for s in faces}
-    k = SimplicialComplex.from_faces_by_size(triangle(), witnesses)
-    assert k.orders == [[(0,), (1,), (2,)], [(1, 0), (2, 0), (2, 1)], [(2, 1, 0)]]
+    reversed_orders = [[(0,), (1,), (2,)], [(1, 0), (2, 0), (2, 1)], [(2, 1, 0)]]
+    # Every face given, in sorted order and in reverse order.
+    for given in (faces, faces[::-1]):
+        by_size = {}
+        for s in given:
+            by_size.setdefault(len(s), {})[s] = s[::-1]
+        k = SimplicialComplex.from_faces_by_size(by_size)
+        assert k.orders == reversed_orders
+    # The missing facets are added, each as its own witness.
     partial = {(0, 2): (2, 0), (0, 1, 2): (1, 0, 2)}
-    k = SimplicialComplex.from_faces_by_size(triangle(), partial)
+    k = SimplicialComplex.from_faces_by_size({len(s): {s: w} for s, w in partial.items()})
     assert k.orders == [[(0,), (1,), (2,)], [(0, 1), (2, 0), (1, 2)], [(1, 0, 2)]]
     assert witness_dict(k) == {**{s: s for s in faces}, **partial}
     assert k.by_dimension == [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]

@@ -505,6 +505,7 @@ words = st.lists(
 @example(2, [[2], [1, 2, 1]])  # the kill leaves 1 1, which holds no singleton
 @example(3, [[1], [2], [3, 1, 2]])  # the last relator is rewritten twice while queued
 @example(3, [[1], [1, 2, 1, 3]])  # the killed generator occurs twice in a holder
+@example(2, [[1, 1], [-2, -1]])  # relator 0, rewritten after its turn, is taken again
 def test_tietze_reduce_matches_oracle_on_random_relators(ngen, relators):
     symbols = [f"s{i}" for i in range(ngen)]
     relators = [[x for x in w if abs(x) <= ngen] for w in relators]
