@@ -79,7 +79,7 @@ def _complex_of(kind, obj, max_dim=None):
 
 def _groups_json(groups):
     return [
-        {"dim": n, "betti": g.betti, "torsion": list(g.torsion)}
+        {"dim": n, "betti": g.betti, "torsion": g.torsion}
         for n, g in enumerate(groups)
     ]
 
@@ -139,7 +139,7 @@ def _run_gen(args):
                 except ValueError:
                     raise InputError(f"bad lattice point {chunk!r}") from None
         g = digital_image(points)
-        params = {"generator": "digital", "points": [list(p) for p in points]}
+        params = {"generator": "digital", "points": points}
     elif args.generator == "figure":
         g = figure_digraph(args.which)
         params = {"generator": "figure", "which": args.which}
@@ -174,7 +174,7 @@ def _run_pair(args, kind, obj):
     k = _complex_of(kind, obj)
     subset = _parse_subset(args.subset)
     return {
-        "subset": list(subset),
+        "subset": subset,
         "groups": _groups_json(relative_homology(k, subset)),
         **({"truncated": True} if k.truncated else {}),
     }
@@ -187,11 +187,8 @@ def _run_les(args, kind, obj):
     report = les_exactness_check(k, subset, coeff)
     return {
         "coefficients": label,
-        "subset": list(subset),
-        "nodes": _Nodes(
-            dict(zip(("name", "dim", "rank_in", "rank_out", "exact"), node))
-            for node in report.nodes
-        ),
+        "subset": subset,
+        "nodes": _Nodes(report.nodes),
         "exact": report.exact,
         **({"truncated": True} if k.truncated else {}),
     }
@@ -206,9 +203,9 @@ def _run_pi1(args, kind, obj):
     ab = abelianization(pres)
     return {
         "basepoint": args.basepoint,
-        "generators": list(pres.generators),
-        "relators": [list(w) for w in pres.relators],
-        "abelianization": {"betti": ab.betti, "torsion": list(ab.torsion)},
+        "generators": pres.generators,
+        "relators": pres.relators,
+        "abelianization": {"betti": ab.betti, "torsion": ab.torsion},
     }
 
 
@@ -219,12 +216,7 @@ def _run_fx_certify(args, kind, obj):
     counterexample = None
     if rep.counterexample is not None:
         s, tau, v, target = rep.counterexample
-        counterexample = {
-            "simplex": list(s),
-            "tie": list(tau),
-            "vertex": v,
-            "target": target,
-        }
+        counterexample = {"simplex": s, "tie": tau, "vertex": v, "target": target}
     return {
         "passed": rep.passed,
         "simplices": rep.simplices,
@@ -241,7 +233,7 @@ def _run_fx_sample(args, kind, obj):
     failures = [
         {
             "index": f.index,
-            "carrier": list(f.carrier),
+            "carrier": f.carrier,
             "base": f.base_value,
             "perturbed": f.perturbed_value,
             "pass_delta": None if f.pass_delta is None else str(f.pass_delta),
@@ -410,7 +402,8 @@ def _emit(report, out_path, stdout):
 
 
 def run_command(argv, stdin=None, stdout=None):
-    """Execute one subcommand; returns the report written to the stream."""
+    """Execute one subcommand and write its report to ``stdout``, or to the
+    ``--out`` file."""
     stdout = stdout if stdout is not None else sys.stdout
     args = _parse_args(argv)
     if args.command == "gen":
@@ -426,7 +419,6 @@ def run_command(argv, stdin=None, stdout=None):
         **extra,
     }
     _emit(report, args.out, stdout)
-    return report
 
 
 def _report_error(argv, message):

@@ -13,12 +13,14 @@ Vietoris-Rips complex", 2010).  So the builder keeps, per simplex, the
 index of s and the position of tau-s in the level below, not the witness:
 homology and pi1 never read witnesses, and the few that do (the
 nearest-vertex map and the ``complex`` report) make them on first read, a
-level at a time.  A complex made from faces (``from_simplices``, or the
-document reader's ``from_faces_by_size``) keeps each level's faces in one
-dict that maps a face to its witness, by one rule: a face with no given
-witness, a facet the closure adds included, keeps its sorted tuple.
-Either way a complex keeps its witnesses only as ``orders``.  Simplices
-are identified by their sorted vertex tuple; the witness is metadata.
+level at a time.  A complex made from faces is closed by
+``from_faces_by_size``, which keeps each level's faces in one dict that
+maps a face to its witness, by one rule: a face with no given witness, a
+facet the closure adds included, keeps its sorted tuple.  Only the
+document reader gives witnesses, and checks them; ``from_simplices``
+gives none.  Either way a complex keeps its witnesses only as
+``orders``.  Simplices are identified by their sorted vertex tuple; the
+witness is metadata.
 
 For symmetric digraphs the construction degenerates to the clique complex.
 """
@@ -66,26 +68,13 @@ class SimplicialComplex:
         return self._orders
 
     @classmethod
-    def from_simplices(cls, faces, witnesses=None):
-        """Abstract complex from arbitrary vertex sets, closed under faces.
-
-        Witnesses default to the sorted vertex tuple (the natural reading for
-        complexes without an ambient digraph).  Given ones are checked after
-        the closure, in the order given: the first that names no face of the
-        closure, or is not an ordering of its face, is an error.
-        """
+    def from_simplices(cls, faces):
+        """Abstract complex from arbitrary vertex sets, closed under faces,
+        each simplex witnessed by its sorted vertex tuple (the natural
+        reading for complexes without an ambient digraph)."""
         faces = sorted(map(tuple, map(sorted, map(set, faces))), key=len)
         by_size = {size: {s: s for s in level} for size, level in groupby(faces, len)}
-        k = cls.from_faces_by_size(by_size)
-        for s, w in (witnesses or {}).items():
-            s = tuple(s)
-            pos = _position(k, s)
-            if pos is None:
-                raise InputError(f"witness given for missing simplex {s}")
-            if tuple(sorted(w)) != s:
-                raise InputError(f"witness {w} is not an ordering of {s}")
-            k.orders[len(s) - 1][pos] = tuple(w)
-        return k
+        return cls.from_faces_by_size(by_size)
 
     @classmethod
     def from_faces_by_size(cls, by_size):

@@ -14,27 +14,31 @@ resolved first by ``_resolve``, one entry at a time, which resolves such an
 entry or raises the error it is due; the walk then takes the vertices.
 Every error is found before a mask is allocated.  A complex document's
 ``simplices`` are read in bulk too, each check made once
-(``_read_in_bulk``): their shapes by type sets; their faces from the sorted
+(``_read_complex``): their shapes by type sets; their faces from the sorted
 witnesses when every item has one and those equal the ``verts`` lists,
 which also shows every witness an ordering, else from the sorted ``verts``
 with the witnesses compared with them; then one dict per size from face
-to witness (``_by_size``), where a clash shows.  ``from_faces_by_size``
-closes those a level at a time and reads the levels and ``orders`` off
-them, and a repeated vertex shows as a pair (x, x) among the closed
-2-faces.  Only a list that fails is walked item by item
-(``_read_complex``), to raise or name its first error.
+to witness (``_by_size``), where a face listed twice shows.
+``from_faces_by_size`` closes those a level at a time and reads the levels
+and ``orders`` off them, and a repeated vertex shows as a pair (x, x)
+among the closed 2-faces.  Only a failed shape check or such a pair has
+the items walked, by ``_raise_first_bad_item``, to name the first that is
+ill-shaped or repeats a vertex; every later error is raised from the bulk
+data.
 
 Every report, error reports included, is written by ``_dumps``: the text
 ``json.dumps`` gives with sorted keys and a two-space indent, made without
 json's pure-Python indenting encoder.  Strings go through the C string
 encoder.
 
-All simplices of one level have the same number of vertices, so one ``%``
+A complex document holds its ``simplices`` as a ``_Simplices`` record of
+the complex's levels and ``orders``, with no object per simplex.  All
+simplices of one level have the same number of vertices, so one ``%``
 call writes a level: its ``%d`` template (``_simplex_template``) repeated
 once per simplex, over its vertex and witness ints in one tuple.
-Likewise every node of a ``les-check`` report has the same five keys, so
-its ``nodes`` list, a ``_Nodes``, is written from one template per indent
-(``_write_nodes``).
+Likewise every node of a ``les-check`` report has the same five fields, so
+its ``nodes`` list, a ``_Nodes`` of ``NodeReport``s, is written field by
+field from one template per indent (``_write_nodes``).
 ``_write_simplices`` lays the levels out in two layouts: the indented one
 of ``_dumps``, for the ``simplices`` list of a complex document, and the
 compact one of ``_canonical``, for the input digest.
@@ -59,6 +63,7 @@ import json
 import operator
 import sys
 from bisect import bisect_right
+from collections import namedtuple
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 
@@ -132,24 +137,16 @@ def _write(x, nl, out):
         out(json.dumps(x))
 
 
-class _Simplices(list):
-    """The ``simplices`` list of a complex document: one ``{"verts",
-    "witness"}`` dict per simplex, for readers of the report.  ``_write``
-    writes it from ``levels`` and ``orders``, the complex's own tuples.
-
-    The dicts stay although ``_write`` never reads them: ``run_command``
-    returns the document, whose readers index, compare and ``json.dumps``
-    it as a list of dicts.  A list that made them only when read would have
-    to override each of those list methods."""
-
-    __slots__ = ("levels", "orders")
+# The ``simplices`` list of a complex document, as the complex's ``levels``
+# and their witness ``orders``: ``_write`` writes it level by level.
+_Simplices = namedtuple("_Simplices", "levels orders")
 
 
 class _Nodes(list):
-    """The ``nodes`` list of a ``les-check`` report: one dict per node, with
-    the keys ``dim``, ``exact``, ``name``, ``rank_in`` and ``rank_out``,
-    an int, a bool, a string and two ints.  ``_write`` writes every node
-    from one template (``_write_nodes``)."""
+    """The ``nodes`` list of a ``les-check`` report: one ``NodeReport`` per
+    node, written as an object with the keys ``dim``, ``exact``, ``name``,
+    ``rank_in`` and ``rank_out``, an int, a bool, a string and two ints.
+    ``_write`` writes every node from one template (``_write_nodes``)."""
 
     __slots__ = ()
 
@@ -169,9 +166,8 @@ def _write_nodes(nodes, nl, out):
     item = "{" + key[1:] + key.join(_NODE_FIELDS) + inner + "}"
     quote, word = encode_basestring_ascii, _CONSTANTS
     text = [
-        item
-        % (d["dim"], word[d["exact"]], quote(d["name"]), d["rank_in"], d["rank_out"])
-        for d in nodes
+        item % (n.dim, word[n.exact], quote(n.name), n.rank_in, n.rank_out)
+        for n in nodes
     ]
     out("[" + inner + ("," + inner).join(text) + nl + "]")
 
@@ -329,45 +325,11 @@ def _check_truncated(truncated):
 
 
 def _read_complex(items, truncated):
-    """The complex of a ``simplices`` list, read by ``_read_in_bulk``, or
-    the first error of the list as an item-by-item walk finds it: the first
-    item that is ill-shaped or repeats a vertex, then a bad ``truncated``,
-    then a face given two witnesses, then an empty ``verts``, then the
-    first witness that is not an ordering.  Only a list that the bulk read
-    gives up on is walked.
-    """
-    if type(items) is not list:
-        raise InputError(_BAD_SIMPLICES)
-    k = _read_in_bulk(items, truncated)
-    if k is not None:
-        return k
-    witnesses, clash = {}, None
-    for i, item in enumerate(items):
-        verts = item.get("verts") if type(item) is dict else None
-        if type(verts) is not list or not _INT.issuperset(map(type, verts)):
-            raise InputError(_BAD_SIMPLICES)
-        face = tuple(sorted(verts))
-        if len(set(face)) != len(face):
-            raise InputError(f"'simplices' item {i} repeats a vertex: {verts}")
-        if "witness" in item:
-            witness = item["witness"]
-            if type(witness) is not list or not _INT.issuperset(map(type, witness)):
-                raise InputError(_BAD_SIMPLICES)
-            witness = tuple(witness)
-            if witnesses.setdefault(face, witness) != witness and clash is None:
-                clash = face
-    _check_truncated(truncated)
-    if clash is not None:
-        raise InputError(f"'simplices' gives two witnesses for {list(clash)}")
-    # _read_in_bulk gives up on a well-shaped list without a clash only at
-    # an empty verts.
-    raise InputError("simplices must be nonempty")
-
-
-def _read_in_bulk(items, truncated):
-    """The complex of a ``simplices`` list, each check made once, or None
-    for a list with an ill-shaped item, a repeated vertex, a clash or an
-    empty ``verts``.
+    """The complex of a ``simplices`` list, each check made once, or the
+    first error of the list, in this order: the first item that is
+    ill-shaped or repeats a vertex, then a bad ``truncated``, then a face
+    given two witnesses, then an empty ``verts``, then the first witness
+    that is not an ordering.
 
     When every item has a witness and the sorted witnesses equal the
     ``verts`` lists, that one comparison shows each ``verts`` sorted and
@@ -377,8 +339,10 @@ def _read_in_bulk(items, truncated):
     faces, the 2-faces hold such a pair exactly when some ``verts`` repeats
     a vertex.
     """
+    if type(items) is not list:
+        raise InputError(_BAD_SIMPLICES)
     if not _DICT.issuperset(map(type, items)):
-        return None
+        _raise_first_bad_item(items)
     verts = list(map(dict.get, items, repeat("verts")))
     has = list(map(dict.__contains__, items, repeat("witness")))
     orders = list(map(operator.itemgetter("witness"), compress(items, has)))
@@ -386,7 +350,7 @@ def _read_in_bulk(items, truncated):
         _LIST.issuperset(map(type, chain(verts, orders)))
         and _INT.issuperset(map(type, chain.from_iterable(chain(verts, orders))))
     ):
-        return None
+        _raise_first_bad_item(items)
     sorted_orders = list(map(tuple, map(sorted, orders)))
     if len(orders) == len(items) and list(map(tuple, verts)) == sorted_orders:
         faces = witnessed = sorted_orders
@@ -398,20 +362,40 @@ def _read_in_bulk(items, truncated):
     orders = list(map(tuple, orders))
     bare = list(compress(faces, map(operator.not_, has))) if False in has else []
     by_size = _by_size(bare + witnessed, bare + orders)  # a given witness wins
-    if 0 in by_size or sum(map(len, by_size.values())) < len(faces) and any(
-        by_size[len(s)][s] != w for s, w in zip(witnessed, orders)  # a clash
-    ):
-        return None
+    listed_twice = sum(map(len, by_size.values())) < len(faces)
+    empty = by_size.pop(0, None)
     k = SimplicialComplex.from_faces_by_size(by_size)
     if any(a == b for a, b in by_size.get(2, ())):
-        return None
+        _raise_first_bad_item(items)
     _check_truncated(truncated)
+    if listed_twice:
+        first = dict(zip(reversed(witnessed), reversed(orders)))
+        for s, w in zip(witnessed, orders):
+            if first[s] != w:
+                raise InputError(f"'simplices' gives two witnesses for {list(s)}")
+    if empty is not None:
+        raise InputError("simplices must be nonempty")
     if not ordered:
         for s, w in zip(witnessed, orders):
             if tuple(sorted(w)) != s:
                 raise InputError(f"witness {w} is not an ordering of {s}")
     k.truncated = truncated
     return k
+
+
+def _raise_first_bad_item(items):
+    """Raise the error of the first item of ``items`` that is ill-shaped or
+    repeats a vertex; a bulk check of ``_read_complex`` showed there is one."""
+    for i, item in enumerate(items):
+        verts = item.get("verts") if type(item) is dict else None
+        if type(verts) is not list or not _INT.issuperset(map(type, verts)):
+            raise InputError(_BAD_SIMPLICES)
+        if len(set(verts)) != len(verts):
+            raise InputError(f"'simplices' item {i} repeats a vertex: {verts}")
+        witness = item.get("witness", [])
+        if type(witness) is not list or not _INT.issuperset(map(type, witness)):
+            raise InputError(_BAD_SIMPLICES)
+    raise AssertionError("unreachable: a failed bulk check has a bad item")
 
 
 def _by_size(faces, witnesses):
@@ -530,18 +514,10 @@ def parse_digraph(source, format="json"):
 
 
 def _complex_doc(k):
-    levels, orders = k.by_dimension, k.orders
-    simplices = _Simplices(
-        [
-            {"verts": s, "witness": w}
-            for s, w in zip(chain.from_iterable(levels), chain.from_iterable(orders))
-        ]
-    )
-    simplices.levels, simplices.orders = levels, orders
     return {
         "schema": SCHEMA,
-        "f_vector": list(f_vector(k)),
-        "simplices": simplices,
+        "f_vector": f_vector(k),
+        "simplices": _Simplices(k.by_dimension, k.orders),
         "truncated": k.truncated,
     }
 

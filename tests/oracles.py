@@ -312,8 +312,9 @@ def closure_oracle(faces, witnesses=None):
 
     Closes every face over all of its 2^k nonempty subsets and sorts the
     result once by (size, tuple); witnesses default to the sorted tuple.
-    Raises the same ``InputError`` messages as
-    ``SimplicialComplex.from_simplices``.
+    ``witnesses`` maps some of ``faces``, sorted, to their witnesses.  An
+    empty face is refused, then the first witness that is not an ordering
+    of its face, with the messages of the complex document reader.
     """
     closed = set()
     for f in faces:
@@ -329,9 +330,6 @@ def closure_oracle(faces, witnesses=None):
         levels[len(s) - 1].append(s)
     witness = {s: s for s in closed}
     for s, w in (witnesses or {}).items():
-        s = tuple(s)
-        if s not in witness:
-            raise InputError(f"witness given for missing simplex {s}")
         if tuple(sorted(w)) != s:
             raise InputError(f"witness {w} is not an ordering of {s}")
         witness[s] = tuple(w)
@@ -343,8 +341,7 @@ def complex_document_oracle(doc):
 
     First one pass over ``simplices`` checks each item and collects its
     sorted ``verts`` and its witness; then ``closure_oracle`` closes the
-    faces and checks the witnesses, with the messages of
-    ``SimplicialComplex.from_simplices``.  Raises the ``InputError`` messages
+    faces and checks the witnesses.  Raises the ``InputError`` messages
     of the CLI's reader in the same order, except on a ``verts`` list that
     repeats a vertex, which this reads as the set of its vertices.
     """

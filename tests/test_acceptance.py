@@ -6,6 +6,7 @@ instances.
 """
 
 import io
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -77,8 +78,10 @@ def corpus_complexes(corpus):
 
 
 def run_cli(argv, stdin_text=""):
+    """The report a command writes, parsed, and its text."""
     out = io.StringIO()
-    return run_command(argv, stdin=io.StringIO(stdin_text), stdout=out), out.getvalue()
+    run_command(argv, stdin=io.StringIO(stdin_text), stdout=out)
+    return json.loads(out.getvalue()), out.getvalue()
 
 
 def test_criterion_1_octahedron_fixture():
